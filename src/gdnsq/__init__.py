@@ -10,18 +10,16 @@ from .losses import LossState, jeffreys, kl, potential, total_loss, update_sched
 from .models import ModelSpec, build_model, make_model_spec, train_teacher
 from .optim import LrPolicy, RAdam, lr_next
 from .pipeline import RunConfig, audit_bitwidth, ptq_minmax, qat_run
-from .quantizer import (FakeQuantizer, QuantizedLayer, bitwidth, clamp,
-                        fake_quant_forward, integer_fuse,
+from .quantizer import (FakeQuantizer, QuantizedLayer, clamp, integer_fuse,
                         quantized_layer_forward)
 from .tensor import Tensor, backward, custom_backward, no_grad, reset_tape
 
 __all__ = [
     "Dataset", "FakeQuantizer", "LossState", "LrPolicy", "ModelSpec",
     "QuantizedLayer", "RAdam", "RunConfig", "Tensor", "audit_bitwidth",
-    "backward", "bitwidth", "build_model", "clamp", "custom_backward",
-    "fake_quant_forward", "integer_fuse", "jeffreys", "kl", "lr_next",
-    "make_model_spec", "make_synthetic", "no_grad", "potential",
-    "ptq_minmax", "qat_run", "quantized_layer_forward", "read_idx",
-    "reset_tape", "total_loss", "train_teacher", "update_schedule",
-    "__version__",
+    "backward", "build_model", "clamp", "custom_backward", "integer_fuse",
+    "jeffreys", "kl", "lr_next", "make_model_spec", "make_synthetic",
+    "no_grad", "potential", "ptq_minmax", "qat_run",
+    "quantized_layer_forward", "read_idx", "reset_tape", "total_loss",
+    "train_teacher", "update_schedule", "__version__",
 ]

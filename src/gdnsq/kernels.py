@@ -3,7 +3,7 @@
 Numba is used when importable unless the environment sets GDNSQ_NUMBA=0.
 Matrix products stay on ``np.dot`` (BLAS) in both paths; the kernels here
 are the loop-bound pieces: 2-d convolution and the fused fake-quantizer
-elementwise pass. ``benchmarks/bench_kernels.py`` compares the two paths.
+elementwise pass.
 """
 
 from __future__ import annotations
@@ -222,6 +222,5 @@ def conv2d_backward_input(g, w, x_shape, stride=1, pad=0):
 
 
 def conv2d_backward_weight(g, x, w_shape, stride=1, pad=0):
-    # einsum beats the jitted loops here (see benchmarks/bench_kernels.py);
-    # the numba variant stays available for the benchmark comparison
+    # einsum beats the jitted loops here, so the numba variant is unused
     return conv2d_backward_weight_numpy(g, x, w_shape, stride, pad)

@@ -13,6 +13,19 @@ The training loss is  L = t_q * c_r * P + t_r * d  with
 
 Probabilities are floored at 1e-12 and renormalized before any log so the
 divergence stays finite for near-one-hot teachers.
+
+Both loss terms are single tape nodes with closed-form gradients, not
+compositions of tensor primitives. ``distill_loss`` maps the student
+logits to d for each ``--distill`` kind (it also serves as the teacher's
+hard-label loss); its gradient goes back through the renormalization, the
+floor and the softmax. ``potential_tensor`` maps every site's raw
+quantizer parameters to P through d omega (``FakeQuantizer.bitwidth``),
+the hinges and the group means. Two conventions of the primitive graphs
+are kept: a probability at or above the floor passes its gradient, one
+below passes none (max(p, floor) sends ties to p), and a hinge whose
+omega equals its target is active. The rules evaluate their products in
+the order the primitive graphs did, so they round the same way and
+training runs reproduce those graphs' metrics.
 """
 
 from __future__ import annotations
@@ -54,27 +67,82 @@ def jeffreys(p, q) -> float:
     return kl(p, q) + kl(q, p)
 
 
-def _floored_probs_t(p: Tensor) -> Tensor:
-    pf = T.maximum(p, PROB_FLOOR)
-    z = T.sum_(pf, axis=1, keepdims=True)
-    return T.div(pf, T.broadcast_to(z, p.shape))
+DISTILL_KINDS = ("jeffreys", "cross_entropy", "hard_label_ce")
 
 
-def jeffreys_rows(p: Tensor, q_const: np.ndarray) -> Tensor:
-    """Per-row J(p_b, q_b) for a [B, C] student tensor vs constant teacher."""
-    q = floor_normalize(q_const)
-    pf = _floored_probs_t(p)
-    qc = T.constant(q)
-    lq = T.constant(np.log(q))
-    diff = T.sub(pf, qc)
-    logdiff = T.sub(T.log(pf), lq)
-    return T.sum_(T.mul(diff, logdiff), axis=1)
+def _check_finite(logits, who):
+    if not np.all(np.isfinite(logits)):
+        bad = int(np.argmax(~np.isfinite(np.asarray(logits)).all(axis=1)))
+        raise NumericError(f"non-finite {who} logits at batch row {bad}")
+
+
+def distill_loss(student_logits: Tensor, teacher_logits=None, labels=None,
+                 kind="jeffreys") -> Tensor:
+    """Batch-mean distance d between the student and its reference, as one
+    tape node on the student logits.
+
+    The student distribution is pf = max(p, floor) / sum(max(p, floor))
+    with p = softmax(logits). Per row, ``jeffreys`` is sum (pf - q)(log pf -
+    log q) with q the floored teacher softmax, ``cross_entropy`` is -sum q
+    log pf and ``hard_label_ce`` is -log pf[label]. The gradient goes back
+    through the renormalization, the floor (to p where p >= floor, as a
+    maximum() with ties to its first operand would route it) and the
+    softmax.
+    """
+    z = student_logits.data
+    if kind not in DISTILL_KINDS:
+        raise DomainError(f"unknown distillation kind {kind!r}")
+    if kind == "hard_label_ce":
+        if labels is None:
+            raise DomainError("hard_label_ce needs ground-truth labels")
+        rows = np.arange(z.shape[0])
+        labels = np.asarray(labels, dtype=np.int64)
+    elif teacher_logits is None:
+        raise DomainError(f"{kind} needs teacher logits")
+    else:
+        q = floor_normalize(softmax(teacher_logits))
+    shifted = z - z.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    e_sum = e.sum(axis=1, keepdims=True)
+    p = e / e_sum
+    m = np.maximum(p, PROB_FLOOR)
+    m_sum = m.sum(axis=1, keepdims=True)
+    pf = m / m_sum
+    if kind == "hard_label_ce":
+        d_rows = -np.log(pf[rows, labels])
+    else:
+        logp = np.log(pf)
+        if kind == "jeffreys":
+            diff, log_ratio = pf - q, logp - np.log(q)
+            d_rows = np.sum(diff * log_ratio, axis=1)
+        else:
+            d_rows = -np.sum(q * logp, axis=1)
+    inv_b = 1.0 / d_rows.size
+    d = np.sum(d_rows) * inv_b
+
+    def rule(g):
+        gr = g * inv_b  # every row's share of the batch mean
+        if kind == "jeffreys":
+            g_pf = gr * diff / pf + gr * log_ratio
+        elif kind == "cross_entropy":
+            g_pf = -gr * q / pf
+        else:
+            g_pf = np.zeros_like(pf)
+            g_pf[rows, labels] = -gr / pf[rows, labels]
+        # quotient rule through pf = m / m_sum and p = e / e_sum
+        g_m = g_pf / m_sum + np.sum(-g_pf * m / (m_sum * m_sum), axis=1,
+                                    keepdims=True)
+        g_p = g_m * (p >= PROB_FLOOR)
+        g_e = g_p / e_sum + np.sum(-g_p * e / (e_sum * e_sum), axis=1,
+                                   keepdims=True)
+        return (g_e * e,)
+
+    return T._record([student_logits], d, rule, f"distill[{kind}]")
 
 
 def hard_label_loss(logits: Tensor, labels) -> Tensor:
     """Mean cross-entropy against integer class labels."""
-    p = _floored_probs_t(T.softmax_rows(logits))
-    return T.mean(T.neg(T.log(T.select_columns(p, labels))))
+    return distill_loss(logits, labels=labels, kind="hard_label_ce")
 
 
 def potential(omega_w, omega_a, targets) -> float:
@@ -89,20 +157,35 @@ def potential(omega_w, omega_a, targets) -> float:
 
 
 def potential_tensor(weight_fqs, act_fqs, targets) -> Tensor:
-    """Graph version of the potential, built on the quantizers' parameters."""
+    """The potential P as one tape node over every site's raw parameters.
+
+    Each hinge max(omega - target, 0) passes d omega to its parameters,
+    divided by its group's size, when omega >= target (ties count as
+    active, as a maximum() with ties to its first operand would route
+    them); inactive sites get a zero gradient.
+    """
     if not weight_fqs or not act_fqs:
         raise DomainError("potential needs at least one site in each group")
-    tw, ta = targets
+    inputs, sites, value = [], [], 0.0
+    for fqs, target in ((weight_fqs, targets[0]), (act_fqs, targets[1])):
+        inv_n = 1.0 / len(fqs)
+        hinge_sum = 0.0
+        for fq in fqs:
+            omega, site_inputs, vjp = fq.bitwidth()
+            excess = omega - float(target)
+            active = excess >= 0.0
+            hinge_sum += excess if active else 0.0
+            inputs.extend(site_inputs)
+            sites.append((vjp, inv_n, active))
+        value += hinge_sum * inv_n
 
-    def group(fqs, target):
-        hinges = [T.maximum(T.sub(fq.bitwidth_tensor(), float(target)), 0.0)
-                  for fq in fqs]
-        acc = hinges[0]
-        for h in hinges[1:]:
-            acc = T.add(acc, h)
-        return T.mul(acc, 1.0 / len(hinges))
+    def rule(g):
+        grads = []
+        for vjp, inv_n, active in sites:
+            grads.extend(vjp(g * inv_n * active))
+        return tuple(grads)
 
-    return T.add(group(weight_fqs, tw), group(act_fqs, ta))
+    return T._record(inputs, np.asarray(value), rule, "potential")
 
 
 @dataclass
@@ -136,25 +219,6 @@ def update_schedule(state: LossState, lam: float, batch_d: float) -> LossState:
     return state
 
 
-def distill_rows(student_logits: Tensor, teacher_logits: np.ndarray,
-                 labels=None, kind="jeffreys") -> Tensor:
-    """Per-sample distillation distance as a graph tensor of shape [B]."""
-    p = T.softmax_rows(student_logits)
-    if kind == "jeffreys":
-        return jeffreys_rows(p, softmax(teacher_logits))
-    if kind == "cross_entropy":
-        # asymmetric teacher-student CE: -sum q log p
-        q = T.constant(floor_normalize(softmax(teacher_logits)))
-        pf = _floored_probs_t(p)
-        return T.neg(T.sum_(T.mul(q, T.log(pf)), axis=1))
-    if kind == "hard_label_ce":
-        if labels is None:
-            raise DomainError("hard_label_ce needs ground-truth labels")
-        pf = _floored_probs_t(p)
-        return T.neg(T.log(T.select_columns(pf, labels)))
-    raise DomainError(f"unknown distillation kind {kind!r}")
-
-
 def total_loss(student_logits: Tensor, teacher_logits: np.ndarray,
                weight_fqs, act_fqs, state: LossState,
                labels=None, kind="jeffreys"):
@@ -163,14 +227,9 @@ def total_loss(student_logits: Tensor, teacher_logits: np.ndarray,
     Returns (loss tensor, info dict); info carries the scalar d and P
     values for the schedule update and metrics.
     """
-    if not np.all(np.isfinite(student_logits.data)):
-        bad = int(np.argmax(~np.isfinite(student_logits.data).all(axis=1)))
-        raise NumericError(f"non-finite student logits at batch row {bad}")
-    if not np.all(np.isfinite(teacher_logits)):
-        bad = int(np.argmax(~np.isfinite(np.asarray(teacher_logits)).all(axis=1)))
-        raise NumericError(f"non-finite teacher logits at batch row {bad}")
-    d_rows = distill_rows(student_logits, teacher_logits, labels=labels, kind=kind)
-    d = T.mean(d_rows)
+    _check_finite(student_logits.data, "student")
+    _check_finite(teacher_logits, "teacher")
+    d = distill_loss(student_logits, teacher_logits, labels=labels, kind=kind)
     p_t = potential_tensor(weight_fqs, act_fqs, state.targets)
     loss = T.add(T.mul(p_t, state.t_q * state.c_r), T.mul(d, state.t_r))
     info = {"d": float(d.data), "P": float(p_t.data),

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import DomainError
+from .losses import DISTILL_KINDS, LossState, total_loss
 from .optim import RAdam
 from .quantizer import FakeQuantizer
 from .tensor import Tensor
@@ -345,6 +346,71 @@ def gradcheck_random_models(n_models: int = 100, seed=0, rtol=1e-4):
                               details="max relative error vs central FD")]
 
 
+def _random_loss_case(rng):
+    """Logits, teacher logits, labels, quantizer sites of both kinds and a
+    schedule state, with every hinge at least 1e-3 bits from its target."""
+    b, c = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+    logits = rng.normal(scale=2.0, size=(b, c))
+    teacher = rng.normal(scale=2.0, size=(b, c))
+    # rows whose other probabilities fall under the floor
+    logits[0, 0] += 40.0
+    teacher[-1, 0] += 40.0
+    labels = rng.integers(0, c, size=b)
+    groups = []
+    for site_kind in ("weight", "activation"):
+        fqs = []
+        for i in range(int(rng.integers(1, 4))):
+            fq = FakeQuantizer(site_kind, name=f"oracle/{site_kind}{i}",
+                               rng=rng)
+            lo = 0.0 if site_kind == "activation" else -rng.uniform(0.2, 2.0)
+            fq.init_from_minmax(lo, rng.uniform(0.2, 2.0), rng.uniform(2.0, 8.0))
+            fqs.append(fq)
+        omegas = np.array([fq.bitwidth_value() for fq in fqs])
+        target = rng.uniform(2.0, 8.0)
+        while np.min(np.abs(omegas - target)) < 1e-3:
+            target = rng.uniform(2.0, 8.0)
+        groups.append((fqs, target))
+    state = LossState(targets=(groups[0][1], groups[1][1]))
+    state.t_q, state.c_r = rng.uniform(0.0, 2.0), rng.uniform(0.1, 2.0)
+    params = [t for fqs, _ in groups for fq in fqs for t in fq.raw_params()]
+    return logits, teacher, labels, groups, state, params
+
+
+def gradcheck_total_loss(n_cases: int = 30, seed=0, rtol=1e-4):
+    """Gradients of total_loss with respect to the student logits and every
+    quantizer parameter vs central differences, cycling over the three
+    distillation kinds."""
+    rng = np.random.default_rng([seed, 0x544C47])
+    worst = 0.0
+    for i in range(n_cases):
+        kind = DISTILL_KINDS[i % len(DISTILL_KINDS)]
+        logits, teacher, labels, groups, state, params = _random_loss_case(rng)
+        (wfqs, _), (afqs, _) = groups
+
+        def loss(z):
+            T.reset_tape()
+            out, _ = total_loss(z, teacher, wfqs, afqs, state, labels=labels,
+                                kind=kind)
+            return out
+
+        z = Tensor(logits, requires_grad=True)
+        loss(z).backward()
+        analytic = [z.grad] + [p.grad for p in params]
+        T.reset_tape()
+        # the parameter tensors hold these arrays, so FD edits reach them
+        arrays = [logits] + [p.data for p in params]
+        numeric = finite_difference_grads(
+            lambda arrs: float(loss(Tensor(arrs[0])).data), arrays)
+        T.reset_tape()
+        for a, nmr in zip(analytic, numeric):
+            denom = np.maximum(np.abs(nmr), 1.0)
+            worst = max(worst, float(np.max(np.abs(a - nmr) / denom)))
+    return [OracleReport.make("gradcheck_total_loss", n_cases, worst, 0.0,
+                              rtol,
+                              details="logit and quantizer-parameter grads of "
+                                      "the loss vs central FD")]
+
+
 # -- optimizer cross-check ----------------------------------------------------------
 
 
@@ -416,6 +482,8 @@ def oracle_registry(seed=0):
                                                 seed=seed)))
     entries.append(("gradcheck_random_models",
                     lambda: gradcheck_random_models(n_models=100, seed=seed)))
+    entries.append(("gradcheck_total_loss",
+                    lambda: gradcheck_total_loss(n_cases=30, seed=seed)))
     entries.append(("radam_reference", radam_reference_check))
     return entries
 

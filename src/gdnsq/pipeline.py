@@ -25,7 +25,7 @@ from .checkpoint import (array_to_json, config_hash, json_to_array, load_arrays,
 from .data import Dataset, load_idx_dataset, make_synthetic
 from .errors import (DegenerateRangeError, DomainError, FormatError,
                      NumericError, PipelineError)
-from .losses import LossState, total_loss, update_schedule
+from .losses import DISTILL_KINDS, LossState, total_loss, update_schedule
 from .models import (Model, ModelSpec, build_model, make_model_spec,
                      spec_from_dict, spec_to_dict)
 from .optim import LrPolicy, RAdam, lr_next
@@ -65,7 +65,7 @@ class RunConfig:
     def __post_init__(self):
         if self.wbits < 1 or self.abits < 1:
             raise DomainError("target bit-widths must be >= 1")
-        if self.distill not in ("jeffreys", "cross_entropy", "hard_label_ce"):
+        if self.distill not in DISTILL_KINDS:
             raise DomainError(f"unknown distill loss {self.distill!r}")
 
     def to_dict(self) -> dict:
@@ -100,8 +100,6 @@ def load_dataset(dataset: str, data_seed: int, n_train: int, n_val: int):
 
 def input_features(ds: Dataset) -> int:
     # flat feature count for MLPs, channel count for image tensors
-    if ds.inputs.ndim == 2:
-        return ds.inputs.shape[1]
     return ds.inputs.shape[1]
 
 
@@ -237,7 +235,8 @@ def audit_bitwidth(model: Model, val_inputs) -> BitWidthReport:
 def build_student_arrays(config: RunConfig, spec: ModelSpec, model: Model,
                          opt: RAdam = None, state: LossState = None,
                          policy: LrPolicy = None, rng=None, epoch=0,
-                         reached_ever=False, val_acc=None) -> dict:
+                         reached_ever=False, val_acc=None, best=None,
+                         reached_epoch=None) -> dict:
     cfg = config.to_dict()
     arrays = {
         "config/json": json_to_array(cfg),
@@ -264,6 +263,13 @@ def build_student_arrays(config: RunConfig, spec: ModelSpec, model: Model,
             0 if policy.phase == "constant" else 1, dtype=np.int64)
         arrays["lr/lam"] = np.asarray(policy.lam)
         arrays["lr/reached"] = np.asarray(int(reached_ever), dtype=np.int64)
+    if best is not None:
+        # -1 stands for "none yet" in the epoch fields
+        arrays["best/val_acc"] = np.asarray(float(best["val_acc"]))
+        arrays["best/epoch"] = np.asarray(
+            -1 if best["epoch"] is None else best["epoch"], dtype=np.int64)
+        arrays["meta/reached_epoch"] = np.asarray(
+            -1 if reached_epoch is None else reached_epoch, dtype=np.int64)
     if rng is not None:
         arrays["rng/state"] = pack_rng_state(rng)
     return arrays
@@ -308,13 +314,44 @@ def load_teacher(path):
 # -- the QAT loop ----------------------------------------------------------------
 
 
+def teacher_logits(teacher: Model, inputs, batch_size: int):
+    """Eval-mode logits of the frozen teacher over a whole split, one
+    training batch's worth of rows at a time."""
+    with T.no_grad():
+        return np.concatenate([
+            teacher.forward(inputs[i:i + batch_size], train=False).data
+            for i in range(0, len(inputs), batch_size)])
+
+
+def _truncate_metrics(path, step: int):
+    """Cut metrics.csv after the audit row of the checkpointed step, so the
+    rows a crashed run wrote past its last checkpoint are not kept."""
+    with open(path, "rb") as f:
+        lines = f.readlines()
+    end = 0
+    for line in lines:
+        end += len(line)
+        row = next(csv.reader([line.decode("utf-8")]), [])
+        if len(row) > 8 and row[0] == str(step) and row[8] != "":
+            os.truncate(path, end)
+            return
+    raise PipelineError(
+        f"{path} has no audit row for the checkpointed step {step}; it "
+        "does not belong to the run being resumed")
+
+
 def qat_run(config: RunConfig, teacher: Model, student: Model, out_dir,
             train_ds: Dataset, val_ds: Dataset, resume_path=None):
     """Gradual bit-width convergence plus final LR annealing.
 
     Writes metrics.csv, last.ckpt (every epoch) and best.ckpt (best val
     accuracy among audits where the max actual bit-width meets the target)
-    into out_dir. Returns a summary dict.
+    into out_dir. Returns a summary dict. The frozen teacher's logits over
+    the train split are computed once, before the first epoch.
+
+    On resume, metrics.csv is cut back to the checkpointed step and the
+    best-checkpoint state is read back from the checkpoint, so a run that
+    crashes and resumes writes the same files as one that does not.
     """
     for fq in student.all_quantizers():
         if not fq.initialized:
@@ -331,6 +368,8 @@ def qat_run(config: RunConfig, teacher: Model, student: Model, out_dir,
     rng = np.random.default_rng([config.seed, 0x514154])
     start_epoch = 0
     reached_ever = False
+    best = {"val_acc": -1.0, "epoch": None}
+    reached_epoch = None
     if resume_path is not None:
         arrays = load_arrays(resume_path)
         student.load_state_arrays(arrays)
@@ -346,12 +385,26 @@ def qat_run(config: RunConfig, teacher: Model, student: Model, out_dir,
         reached_ever = bool(int(arrays["lr/reached"]))
         rng = unpack_rng_state(arrays["rng/state"])
         start_epoch = int(arrays["meta/epoch"])
+        if "best/epoch" in arrays:
+            best_epoch = int(arrays["best/epoch"])
+            best = {"val_acc": float(arrays["best/val_acc"]),
+                    "epoch": None if best_epoch < 0 else best_epoch}
+            reached = int(arrays["meta/reached_epoch"])
+            reached_epoch = None if reached < 0 else reached
+        else:
+            logger.warning("%s carries no best-checkpoint state; best.ckpt "
+                           "selection restarts at epoch %d", resume_path,
+                           start_epoch)
     for fq in student.all_quantizers():
         fq.rng = rng
     student.set_bn_frozen(config.batchnorm_frozen)
 
+    train_teacher_logits = teacher_logits(teacher, train_ds.inputs,
+                                          config.batch_size)
     metrics_path = os.path.join(out_dir, "metrics.csv")
     mode = "a" if (resume_path is not None and os.path.exists(metrics_path)) else "w"
+    if mode == "a":
+        _truncate_metrics(metrics_path, state.step_n)
     mfile = open(metrics_path, mode, newline="")
     writer = csv.writer(mfile)
     if mode == "w":
@@ -363,8 +416,6 @@ def qat_run(config: RunConfig, teacher: Model, student: Model, out_dir,
     weight_fqs = student.weight_quantizers()
     act_fqs = student.act_quantizers()
     n = len(train_ds)
-    best = {"val_acc": -1.0, "epoch": None}
-    reached_epoch = None
     prev_max = {"weight": None, "activation": None}
     summary = {}
     try:
@@ -377,11 +428,9 @@ def qat_run(config: RunConfig, teacher: Model, student: Model, out_dir,
                 opt.lr = lam
                 state.t_q = state.tq_init + lam * state.step_n
                 T.reset_tape()
-                with T.no_grad():
-                    t_logits = teacher.forward(xb, train=False).data
                 s_logits = student.forward(xb, train=True)
-                loss, info = total_loss(s_logits, t_logits, weight_fqs,
-                                        act_fqs, state, labels=yb,
+                loss, info = total_loss(s_logits, train_teacher_logits[idx],
+                                        weight_fqs, act_fqs, state, labels=yb,
                                         kind=config.distill)
                 if not np.isfinite(loss.data):
                     raise NumericError(
@@ -420,14 +469,18 @@ def qat_run(config: RunConfig, teacher: Model, student: Model, out_dir,
             if reached_now and reached_epoch is None:
                 reached_epoch = epoch
             reached_ever = reached_ever or reached_now
+            improved = reached_now and val_acc > best["val_acc"]
+            if improved:
+                best = {"val_acc": val_acc, "epoch": epoch}
             ckpt = build_student_arrays(
                 config, spec, student, opt=opt, state=state, policy=policy,
                 rng=rng, epoch=epoch + 1, reached_ever=reached_ever,
-                val_acc=val_acc)
-            save_arrays(os.path.join(out_dir, "last.ckpt"), ckpt)
-            if reached_now and val_acc > best["val_acc"]:
-                best = {"val_acc": val_acc, "epoch": epoch}
+                val_acc=val_acc, best=best, reached_epoch=reached_epoch)
+            # best.ckpt first: a crash between the two saves resumes from
+            # the previous last.ckpt and writes the same best.ckpt again
+            if improved:
                 save_arrays(os.path.join(out_dir, "best.ckpt"), ckpt)
+            save_arrays(os.path.join(out_dir, "last.ckpt"), ckpt)
     finally:
         mfile.close()
     summary.update({

@@ -22,6 +22,14 @@ Positivity and ordering constraints are carried by the parameterization:
 s = exp(log_s); weight sites learn l and log_range with u = l +
 exp(log_range); activation sites following relu keep l = 0 and learn u
 through a softplus.
+
+Gradients with respect to these raw parameters are closed-form. ``apply``
+records one tape node over x and the raw parameters; its rule takes the
+STE gradients for (s, l, u) from ``ste_backward`` through exp and the
+softplus. ``bitwidth`` returns omega = log2((u - l)/s + 1) with its
+vector-Jacobian product, whose log_s part -ratio/((ratio + 1) ln 2) is
+the LSQ step-size gradient (Esser et al., arXiv:1902.08153); the
+potential node in ``losses`` is built on it.
 """
 
 from __future__ import annotations
@@ -39,6 +47,7 @@ from .tensor import Tensor
 NOISE_MODES = ("bernoulli", "bernoulli_variance_matched", "rounding_residual")
 
 _INV_SQRT3 = 1.0 / np.sqrt(3.0)
+_INV_LN2 = 1.0 / np.log(2.0)
 
 
 def softplus_inv(y: float) -> float:
@@ -48,13 +57,6 @@ def softplus_inv(y: float) -> float:
     if y <= 0.0:
         raise DomainError(f"softplus_inv needs y > 0, got {y}")
     return float(np.log(np.expm1(y)))
-
-
-def _softplus_t(x: Tensor) -> Tensor:
-    # max(x,0) + log(1 + exp(-|x|)): overflow-free composition
-    m = T.maximum(x, 0.0)
-    ax = T.maximum(x, T.neg(x))
-    return T.add(m, T.log(T.add(T.exp(T.neg(ax)), 1.0)))
 
 
 def clamp(x, l, u) -> Tensor:
@@ -98,14 +100,14 @@ class FakeQuantizer:
 
     # -- parameter plumbing ---------------------------------------------
 
-    def parameters(self):
-        ps = [(self.log_s.name, self.log_s)]
+    def raw_params(self):
+        """The learnable tensors: log_s, then raw_u or (l, log_range)."""
         if self.lower_fixed_zero:
-            ps.append((self.raw_u.name, self.raw_u))
-        else:
-            ps.append((self.l_param.name, self.l_param))
-            ps.append((self.log_range.name, self.log_range))
-        return ps
+            return [self.log_s, self.raw_u]
+        return [self.log_s, self.l_param, self.log_range]
+
+    def parameters(self):
+        return [(t.name, t) for t in self.raw_params()]
 
     def init_from_minmax(self, lo: float, hi: float, bits: float):
         """Set (l, u) to the observed range and s so the bit-width is `bits`."""
@@ -125,40 +127,66 @@ class FakeQuantizer:
         self.log_s.data = np.asarray(np.log(s))
         self.initialized = True
 
-    # -- graph builders ---------------------------------------------------
+    # -- tape nodes ---------------------------------------------------------
 
-    def scale_tensor(self) -> Tensor:
-        return T.exp(self.log_s)
+    def _node_view(self):
+        """(l, u, s) as floats, the parameter tensors a tape node over this
+        site takes as inputs, and the map from gradients with respect to
+        (s, l, u) to gradients of those inputs.
 
-    def bound_tensors(self):
+        s = exp(log_s). Weight sites: u = l + exp(log_range). Activation
+        sites: l = 0 and u = softplus(raw_u) = max(r, 0) + log(exp(-|r|) +
+        1), whose derivative is sigmoid(r); raw_u is listed once per term,
+        so each term's gradient is accumulated on its own, as in the
+        primitive graph of the same expression.
+        """
+        s = float(np.exp(self.log_s.data))
         if self.lower_fixed_zero:
-            l = T.constant(0.0)
-            u = _softplus_t(self.raw_u)
-        else:
-            l = self.l_param
-            u = T.add(self.l_param, T.exp(self.log_range))
-        return l, u
+            r = float(self.raw_u.data)
+            e = float(np.exp(-abs(r)))
+            u = max(r, 0.0) + float(np.log(e + 1.0))
 
-    def bitwidth_tensor(self) -> Tensor:
-        """Differentiable omega = log2((u - l)/s + 1)."""
-        l, u = self.bound_tensors()
-        s = self.scale_tensor()
-        ratio = T.div(T.sub(u, l), s)
-        return T.mul(T.log(T.add(ratio, 1.0)), 1.0 / np.log(2.0))
+            def chain(gs, gl, gu):
+                t = gu / (e + 1.0) * e  # |d log term| = g e/(e + 1)
+                return gs * s, (-t if r >= 0.0 else t), gu * (r >= 0.0)
+
+            return 0.0, u, s, [self.log_s, self.raw_u, self.raw_u], chain
+        l = float(self.l_param.data)
+        e = float(np.exp(self.log_range.data))
+        return l, l + e, s, self.raw_params(), \
+            lambda gs, gl, gu: (gs * s, gl + gu, gu * e)
+
+    def bitwidth(self):
+        """omega = log2((u - l)/s + 1), the node inputs it depends on and
+        its vector-Jacobian product onto them.
+
+        With k = g/((ratio + 1) ln 2), ratio = (u - l)/s: d/du = k/s,
+        d/dl = -k/s and d/ds = -k (u - l)/s^2, so d/d log_s = -k ratio (the
+        LSQ step-size form). For weight sites u - l = exp(log_range) and
+        the l gradient is exactly zero.
+        """
+        l, u, s, inputs, chain = self._node_view()
+        width = u - l
+        ratio1 = width / s + 1.0
+
+        def vjp(g):
+            k = g * _INV_LN2 / ratio1
+            return chain(-k * width / (s * s), -(k / s), k / s)
+
+        return float(np.log(ratio1) * _INV_LN2), inputs, vjp
 
     def apply(self, x: Tensor) -> Tensor:
-        """Fake-quantize a tensor, recording the STE backward node."""
-        l_t, u_t = self.bound_tensors()
-        s_t = self.scale_tensor()
+        """Fake-quantize x as one tape node over x and the site's parameters."""
+        l, u, s, inputs, chain = self._node_view()
         xv = x.data
-        lv, uv, sv = float(l_t.data), float(u_t.data), float(s_t.data)
-        out = fq_kernel(xv, lv, uv, sv)
+        out = fq_kernel(xv, l, u, s)
 
         def rule(g):
-            gx, gs, gl, gu = self.ste_backward(g, xv, lv, uv, sv)
-            return gx, gl, gu, gs
+            gx, gs, gl, gu = self.ste_backward(g, xv, l, u, s)
+            return (gx, *chain(gs, gl, gu))
 
-        return T._record([x, l_t, u_t, s_t], out, rule, f"fake_quant[{self.name}]")
+        return T._record([x, *inputs], out, rule,
+                         f"fake_quant[{self.name}]")
 
     def ste_backward(self, g_up, x, l, u, s):
         """Gradients of the fake-quant output for (x, s, l, u).
@@ -185,19 +213,13 @@ class FakeQuantizer:
     # -- numpy-side views --------------------------------------------------
 
     def scale_value(self) -> float:
-        return float(np.exp(self.log_s.data))
+        return self._node_view()[2]
 
     def bound_values(self):
-        if self.lower_fixed_zero:
-            r = float(self.raw_u.data)
-            u = max(r, 0.0) + np.log1p(np.exp(-abs(r)))
-            return 0.0, float(u)
-        l = float(self.l_param.data)
-        return l, l + float(np.exp(self.log_range.data))
+        return self._node_view()[:2]
 
     def bitwidth_value(self) -> float:
-        l, u = self.bound_values()
-        return float(np.log2((u - l) / self.scale_value() + 1.0))
+        return self.bitwidth()[0]
 
     def quantize_array(self, x: np.ndarray) -> np.ndarray:
         """Deterministic dequantized-grid values, no tape involvement."""
@@ -227,14 +249,6 @@ class FakeQuantizer:
             self.l_param.data = np.asarray(arrays["l"], dtype=np.float64)
             self.log_range.data = np.asarray(arrays["log_range"], dtype=np.float64)
         self.initialized = True
-
-
-def fake_quant_forward(x, fq: FakeQuantizer) -> Tensor:
-    return fq.apply(T.as_tensor(x))
-
-
-def bitwidth(fq: FakeQuantizer) -> Tensor:
-    return fq.bitwidth_tensor()
 
 
 @dataclass

@@ -1,0 +1,95 @@
+"""Primitive-op graphs of the quantizer parameters and the loss terms.
+
+These are the compositions of tensor primitives that the closed-form tape
+nodes in ``gdnsq.quantizer`` and ``gdnsq.losses`` replace. They stay here
+as references: the tests check that the nodes give the same values and
+gradients.
+"""
+
+import numpy as np
+
+from gdnsq import tensor as T
+from gdnsq.losses import PROB_FLOOR, floor_normalize, softmax
+from gdnsq.quantizer import fq_kernel
+
+
+def softplus_t(x):
+    # max(x,0) + log(1 + exp(-|x|)): overflow-free composition
+    m = T.maximum(x, 0.0)
+    ax = T.maximum(x, T.neg(x))
+    return T.add(m, T.log(T.add(T.exp(T.neg(ax)), 1.0)))
+
+
+def scale_tensor(fq):
+    return T.exp(fq.log_s)
+
+
+def bound_tensors(fq):
+    if fq.lower_fixed_zero:
+        return T.constant(0.0), softplus_t(fq.raw_u)
+    return fq.l_param, T.add(fq.l_param, T.exp(fq.log_range))
+
+
+def bitwidth_tensor(fq):
+    """omega = log2((u - l)/s + 1) on the graph."""
+    l, u = bound_tensors(fq)
+    ratio = T.div(T.sub(u, l), scale_tensor(fq))
+    return T.mul(T.log(T.add(ratio, 1.0)), 1.0 / np.log(2.0))
+
+
+def fake_quant_apply(fq, x):
+    """FakeQuantizer.apply as a node over (x, l, u, s) on graph bounds."""
+    l_t, u_t = bound_tensors(fq)
+    s_t = scale_tensor(fq)
+    xv = x.data
+    lv, uv, sv = float(l_t.data), float(u_t.data), float(s_t.data)
+
+    def rule(g):
+        gx, gs, gl, gu = fq.ste_backward(g, xv, lv, uv, sv)
+        return gx, gl, gu, gs
+
+    return T._record([x, l_t, u_t, s_t], fq_kernel(xv, lv, uv, sv), rule,
+                     f"fake_quant[{fq.name}]")
+
+
+def floored_probs_t(p):
+    pf = T.maximum(p, PROB_FLOOR)
+    z = T.sum_(pf, axis=1, keepdims=True)
+    return T.div(pf, T.broadcast_to(z, p.shape))
+
+
+def distill_rows(student_logits, teacher_logits, labels=None, kind="jeffreys"):
+    """Per-sample distillation distance as a graph tensor of shape [B]."""
+    pf = floored_probs_t(T.softmax_rows(student_logits))
+    if kind == "hard_label_ce":
+        return T.neg(T.log(T.select_columns(pf, labels)))
+    q = floor_normalize(softmax(teacher_logits))
+    if kind == "jeffreys":
+        diff = T.sub(pf, T.constant(q))
+        logdiff = T.sub(T.log(pf), T.constant(np.log(q)))
+        return T.sum_(T.mul(diff, logdiff), axis=1)
+    # asymmetric teacher-student CE: -sum q log p
+    return T.neg(T.sum_(T.mul(T.constant(q), T.log(pf)), axis=1))
+
+
+def hard_label_loss(logits, labels):
+    return T.mean(distill_rows(logits, None, labels, "hard_label_ce"))
+
+
+def potential_tensor(weight_fqs, act_fqs, targets):
+    def group(fqs, target):
+        hinges = [T.maximum(T.sub(bitwidth_tensor(fq), float(target)), 0.0)
+                  for fq in fqs]
+        acc = hinges[0]
+        for h in hinges[1:]:
+            acc = T.add(acc, h)
+        return T.mul(acc, 1.0 / len(hinges))
+
+    return T.add(group(weight_fqs, targets[0]), group(act_fqs, targets[1]))
+
+
+def total_loss(student_logits, teacher_logits, weight_fqs, act_fqs, state,
+               labels=None, kind="jeffreys"):
+    d = T.mean(distill_rows(student_logits, teacher_logits, labels, kind))
+    p_t = potential_tensor(weight_fqs, act_fqs, state.targets)
+    return T.add(T.mul(p_t, state.t_q * state.c_r), T.mul(d, state.t_r))

@@ -1,0 +1,195 @@
+"""The closed-form tape nodes against the primitive-op graphs they replace.
+
+Each case evaluates the loss once through the nodes (FakeQuantizer.apply,
+losses.distill_loss, losses.potential_tensor) and once through the
+reference graphs in ``reference_graphs``, with the same probe draws, and
+compares the loss value and every parameter and logit gradient within
+1e-12 relative.
+"""
+
+import numpy as np
+import pytest
+
+import reference_graphs as ref
+from gdnsq import tensor as T
+from gdnsq.losses import (PROB_FLOOR, LossState, distill_loss, hard_label_loss,
+                          potential_tensor, softmax, total_loss)
+from gdnsq.models import build_model, make_model_spec
+from gdnsq.quantizer import FakeQuantizer
+from gdnsq.tensor import Tensor
+
+KINDS = ("jeffreys", "cross_entropy", "hard_label_ce")
+RTOL = 1e-12
+
+
+def assert_close(got, want, what):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape, what
+    err = float(np.max(np.abs(got - want))) if got.size else 0.0
+    assert err <= RTOL * float(np.max(np.abs(want))), (what, err)
+
+
+def quantized_model(model_id, seed):
+    """Random quantized model whose sites sit on both sides of 4.5 bits."""
+    rng = np.random.default_rng(seed)
+    spec = make_model_spec(model_id, 2, 3)
+    model = build_model(spec, quantized=True, init_seed=seed)
+    for layer in model.inner_layers():
+        w = layer.W.data
+        layer.weight_fq.init_from_minmax(float(w.min()), float(w.max()),
+                                         rng.uniform(3.0, 6.5))
+        layer.act_fq.init_from_minmax(0.0, rng.uniform(0.5, 3.0),
+                                      rng.uniform(3.0, 6.5))
+    # one site of each kind below its target, one above
+    model.weight_quantizers()[0].log_s.data += 1.0
+    model.act_quantizers()[-1].log_s.data -= 1.0
+    return model
+
+
+def loss_and_grads(model, x, t_logits, labels, kind, state, seed,
+                   reference):
+    """(loss, logit gradient, parameter gradients) of one step."""
+    rng = np.random.default_rng(seed)
+    for fq in model.all_quantizers():
+        fq.rng = rng
+    params = model.named_parameters()
+    for _, p in params:
+        p.grad = None
+    T.reset_tape()
+    with pytest.MonkeyPatch.context() as mp:
+        if reference:
+            mp.setattr(FakeQuantizer, "apply", ref.fake_quant_apply)
+        s_logits = model.forward(x, train=True)
+        if reference:
+            loss = ref.total_loss(s_logits, t_logits, model.weight_quantizers(),
+                                  model.act_quantizers(), state, labels, kind)
+        else:
+            loss, _ = total_loss(s_logits, t_logits, model.weight_quantizers(),
+                                 model.act_quantizers(), state, labels=labels,
+                                 kind=kind)
+        loss.backward()
+    T.reset_tape()
+    grads = {name: p.grad.copy() for name, p in params}
+    return float(loss.data), s_logits.grad.copy(), grads
+
+
+@pytest.mark.parametrize("model_id", ["mlp3", "mlp4"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_model_step_matches_reference(model_id, kind):
+    seed = 11 if model_id == "mlp3" else 12
+    model = quantized_model(model_id, seed)
+    rng = np.random.default_rng(seed + 100)
+    x = rng.normal(size=(16, 2))
+    t_logits = rng.normal(scale=3.0, size=(16, 3))
+    t_logits[0] = [40.0, 0.0, -40.0]  # teacher probabilities under the floor
+    labels = rng.integers(0, 3, size=16)
+    state = LossState(targets=(4.5, 4.5))
+    state.t_q, state.c_r = 0.3, 1.7
+    got = loss_and_grads(model, x, t_logits, labels, kind, state, seed, False)
+    want = loss_and_grads(model, x, t_logits, labels, kind, state, seed, True)
+    assert_close(got[0], want[0], "loss")
+    assert_close(got[1], want[1], "logits")
+    for name in want[2]:
+        assert_close(got[2][name], want[2][name], name)
+    # both hinge states and both site kinds were exercised
+    omegas = [fq.bitwidth_value() for fq in model.all_quantizers()]
+    assert min(omegas) < 4.5 < max(omegas)
+
+
+def _floor_logits():
+    z = np.array([[0.3, -0.2, 0.1],
+                  [30.0, 0.0, -5.0],   # p of the last class ~ 1e-15
+                  [-2.0, 1.5, 0.5],
+                  [0.0, 0.0, 0.0]])
+    assert softmax(z)[1, 2] < PROB_FLOOR
+    return z
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_distill_node_matches_reference_under_floor(kind):
+    z = _floor_logits()
+    t = np.array([[1.0, 0.0, -1.0], [0.0, 35.0, 0.0], [2.0, 2.0, -30.0],
+                  [0.5, -0.5, 0.0]])
+    labels = np.array([0, 2, 1, 1])
+    a = Tensor(z.copy(), requires_grad=True)
+    d = distill_loss(a, t, labels=labels, kind=kind)
+    d.backward()
+    b = Tensor(z.copy(), requires_grad=True)
+    d_ref = T.mean(ref.distill_rows(b, t, labels, kind))
+    d_ref.backward()
+    T.reset_tape()
+    assert_close(d.data, d_ref.data, "d")
+    assert_close(a.grad, b.grad, "logits")
+
+
+def test_hard_label_loss_matches_reference():
+    z = _floor_logits()
+    labels = np.array([2, 2, 0, 1])
+    a = Tensor(z.copy(), requires_grad=True)
+    loss = hard_label_loss(a, labels)
+    loss.backward()
+    b = Tensor(z.copy(), requires_grad=True)
+    loss_ref = ref.hard_label_loss(b, labels)
+    loss_ref.backward()
+    T.reset_tape()
+    assert_close(loss.data, loss_ref.data, "loss")
+    assert_close(a.grad, b.grad, "logits")
+
+
+def _sites(seed):
+    rng = np.random.default_rng(seed)
+    sites = []
+    for kind in ("weight", "weight", "activation", "activation"):
+        fq = FakeQuantizer(kind, rng=np.random.default_rng(seed))
+        lo = 0.0 if kind == "activation" else -rng.uniform(0.5, 2.0)
+        fq.init_from_minmax(lo, rng.uniform(0.5, 2.0), rng.uniform(2.0, 7.0))
+        sites.append(fq)
+    return sites[:2], sites[2:]
+
+
+def _potential_grads(build, wfqs, afqs, targets):
+    for fq in wfqs + afqs:
+        for t in fq.raw_params():
+            t.grad = None
+    p = build(wfqs, afqs, targets)
+    p.backward()
+    T.reset_tape()
+    return float(p.data), [t.grad.copy() for fq in wfqs + afqs
+                           for t in fq.raw_params()]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_potential_node_matches_reference(seed):
+    wfqs, afqs = _sites(seed)
+    # a tie (omega exactly at target counts as active) or a spread target
+    targets = (wfqs[1].bitwidth_value() if seed == 0 else 4.5, 4.5)
+    got = _potential_grads(potential_tensor, wfqs, afqs, targets)
+    want = _potential_grads(ref.potential_tensor, wfqs, afqs, targets)
+    assert_close(got[0], want[0], "P")
+    for g, w in zip(got[1], want[1]):
+        assert_close(g, w, "site parameter")
+    if seed == 0:
+        assert float(np.abs(got[1][3]).max()) > 0.0  # the tied site's log_s
+
+
+@pytest.mark.parametrize("kind", ["weight", "activation"])
+def test_fake_quant_node_matches_reference(kind):
+    fq = FakeQuantizer(kind, rng=np.random.default_rng(3))
+    fq.init_from_minmax(-0.7 if kind == "weight" else 0.0, 1.3, 3.0)
+    x = np.random.default_rng(4).uniform(-1.5, 2.0, size=(6, 5))
+    results = []
+    for build in (FakeQuantizer.apply, ref.fake_quant_apply):
+        fq.rng = np.random.default_rng(5)
+        for t in fq.raw_params():
+            t.grad = None
+        xt = Tensor(x, requires_grad=True)
+        out = build(fq, xt)
+        T.sum_(T.mul(out, out)).backward()
+        T.reset_tape()
+        results.append((out.data, xt.grad,
+                        [t.grad.copy() for t in fq.raw_params()]))
+    (out, gx, gp), (out_ref, gx_ref, gp_ref) = results
+    np.testing.assert_array_equal(out, out_ref)
+    assert_close(gx, gx_ref, "x")
+    for g, w in zip(gp, gp_ref):
+        assert_close(g, w, "site parameter")

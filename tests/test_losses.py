@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from gdnsq import tensor as T
 from gdnsq.errors import DomainError, NumericError, ShapeError
-from gdnsq.losses import (LossState, hard_label_loss, jeffreys, kl, potential,
-                          potential_tensor, softmax, total_loss,
-                          update_schedule)
+from gdnsq.losses import (LossState, distill_loss, hard_label_loss, jeffreys,
+                          kl, potential, potential_tensor, softmax,
+                          total_loss, update_schedule)
 from gdnsq.quantizer import FakeQuantizer
 from gdnsq.tensor import Tensor
 
@@ -211,4 +211,28 @@ def test_hard_label_loss_matches_direct_formula():
     p = softmax(logits)
     expected = -np.mean(np.log([p[0, 0], p[1, 0]]))
     assert float(loss.data) == pytest.approx(expected, rel=1e-12)
+    T.reset_tape()
+
+
+def test_distill_loss_rejects_bad_arguments():
+    z = Tensor(np.array([[0.1, 0.2], [0.3, -0.1]]), requires_grad=True)
+    t = np.zeros((2, 2))
+    with pytest.raises(DomainError, match="unknown"):
+        distill_loss(z, t, kind="kl")
+    with pytest.raises(DomainError, match="labels"):
+        distill_loss(z, t, kind="hard_label_ce")
+    with pytest.raises(DomainError, match="teacher"):
+        distill_loss(z, None, kind="jeffreys")
+    T.reset_tape()
+
+
+def test_total_loss_names_the_non_finite_side():
+    wfq = [make_fq("weight", -1.0, 1.0, 6.0)]
+    afq = [make_fq("activation", 0.0, 1.0, 6.0, seed=1)]
+    state = LossState(targets=(4.0, 4.0))
+    bad = np.array([[0.0, 1.0], [np.inf, 0.0]])
+    with pytest.raises(NumericError, match="student logits at batch row 1"):
+        total_loss(Tensor(bad), np.zeros((2, 2)), wfq, afq, state)
+    with pytest.raises(NumericError, match="teacher logits at batch row 1"):
+        total_loss(Tensor(np.zeros((2, 2))), bad, wfq, afq, state)
     T.reset_tape()

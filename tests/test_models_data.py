@@ -5,7 +5,7 @@ import pytest
 
 from gdnsq import tensor as T
 from gdnsq.data import Dataset, iterate_batches, load_idx_dataset, make_synthetic, read_idx
-from gdnsq.errors import FormatError, SpecError
+from gdnsq.errors import FormatError, NumericError, SpecError
 from gdnsq.kernels import (HAS_NUMBA, conv2d_backward_input_numpy,
                            conv2d_backward_weight_numpy, conv2d_forward_numba,
                            conv2d_forward_numpy)
@@ -280,6 +280,15 @@ class TestTeacher:
         for l1, l2 in zip(m1.layers, m2.layers):
             np.testing.assert_array_equal(l1.W.data, l2.W.data)
             np.testing.assert_array_equal(l1.b.data, l2.b.data)
+
+    def test_divergence_names_the_epoch(self):
+        train = make_synthetic("two_gaussians", 128, seed=1)
+        inputs = train.inputs.copy()
+        inputs[5] = np.nan
+        bad = Dataset(inputs, train.labels, "train", train.num_classes)
+        spec = make_model_spec("mlp3", 2, 2)
+        with pytest.raises(NumericError, match="diverged at epoch 0"):
+            train_teacher(spec, bad, train, epochs=2, lam=0.01, seed=0)
 
     def test_rings_single_hidden_layer(self):
         train = make_synthetic("concentric_rings", 1024, seed=2)

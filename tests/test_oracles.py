@@ -6,6 +6,7 @@ import pytest
 from gdnsq.errors import DomainError
 from gdnsq.oracles import (OracleReport, bernoulli_clt_check, bsc_reduction,
                            default_noise_quantizer, gradcheck_random_models,
+                           gradcheck_total_loss,
                            jeffreys_hamming, lemma_fd_round, noise_uniformity,
                            oracle_registry, radam_reference_check, run_all,
                            ste_gradient_check)
@@ -116,6 +117,15 @@ class TestCltOracle:
 def test_gradcheck_small_slice():
     (r,) = gradcheck_random_models(n_models=10, seed=0)
     assert r.passed, r.format()
+
+
+def test_gradcheck_total_loss_small_slice():
+    (r,) = gradcheck_total_loss(n_cases=6, seed=0)
+    assert r.passed, r.format()
+    assert r.tolerance == 1e-4
+
+    assert [n for n, _ in oracle_registry() if "gradcheck" in n] == [
+        "gradcheck_random_models", "gradcheck_total_loss"]
 
 
 def test_radam_reference():

@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+from gdnsq import pipeline
 from gdnsq import tensor as T
 from gdnsq.checkpoint import load_arrays, save_arrays
 from gdnsq.data import make_synthetic
@@ -176,6 +177,126 @@ class TestQatLoop:
             return (out / "last.ckpt").read_bytes()
 
         assert run(tmp_path / "r1") == run(tmp_path / "r2")
+
+    def _crash_then_resume(self, world, cfg, tmp_path, monkeypatch, name,
+                           crash_when):
+        """An uninterrupted run and one whose `pipeline.<name>` raises when
+        `crash_when(full_summary, *args)` holds, resumed in place from its
+        last.ckpt."""
+        train, val, spec, teacher = world[:4]
+
+        def run(out, resume=None):
+            student = fresh_student(spec, teacher, seed=4)
+            ptq_minmax(student, train)
+            return qat_run(cfg, teacher, student, out, train, val,
+                           resume_path=resume)
+
+        full = run(tmp_path / "full")
+        real = getattr(pipeline, name)
+
+        def crashing(*args, **kwargs):
+            if crash_when(full, *args):
+                raise RuntimeError("injected crash")
+            return real(*args, **kwargs)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(pipeline, name, crashing)
+            with pytest.raises(RuntimeError, match="injected"):
+                run(tmp_path / "crash")
+        resumed = run(tmp_path / "crash",
+                      resume=str(tmp_path / "crash" / "last.ckpt"))
+        return full, resumed
+
+    def _crash_mid_epoch(self, small_world, tmp_path, monkeypatch):
+        # 10-bit targets are met right after PTQ, so best.ckpt is chosen
+        # from epoch 0 on; with 8 batches per epoch, loss call 19 is the
+        # third batch of epoch 2
+        cfg = self._config(epochs=4, seed=9, wbits=10.0, abits=10.0)
+        calls = []
+
+        def crash_when(full, *args):
+            calls.append(1)
+            return len(calls) == 19
+
+        return self._crash_then_resume(small_world, cfg, tmp_path,
+                                       monkeypatch, "total_loss", crash_when)
+
+    def _assert_same_outcome(self, tmp_path, full, resumed):
+        for key in ("last_ckpt", "best_ckpt", "metrics"):
+            full.pop(key), resumed.pop(key)
+        assert resumed == full
+        for name in ("best.ckpt", "metrics.csv"):
+            assert ((tmp_path / "crash" / name).read_bytes()
+                    == (tmp_path / "full" / name).read_bytes())
+
+    def test_resume_after_crash_drops_rows_past_checkpoint(
+            self, small_world, tmp_path, monkeypatch):
+        self._crash_mid_epoch(small_world, tmp_path, monkeypatch)
+        full = (tmp_path / "full" / "metrics.csv").read_bytes()
+        assert (tmp_path / "crash" / "metrics.csv").read_bytes() == full
+
+    def test_resume_after_crash_keeps_best_state(self, small_world, tmp_path,
+                                                 monkeypatch):
+        full, resumed = self._crash_mid_epoch(small_world, tmp_path,
+                                              monkeypatch)
+        assert full["reached_epoch"] == 0
+        self._assert_same_outcome(tmp_path, full, resumed)
+
+    def test_crash_between_checkpoint_saves_keeps_best(self, tmp_path,
+                                                       monkeypatch):
+        # a 3-epoch teacher leaves rings val accuracy near chance, so the
+        # student's accuracy rises again after epoch 0
+        train = make_synthetic("concentric_rings", 256, seed=0)
+        val = make_synthetic("concentric_rings", 128, seed=0, split="val")
+        spec = make_model_spec("mlp3", 2, 2)
+        teacher, _ = train_teacher(spec, train, val, epochs=3, lam=0.01,
+                                   seed=0)
+        cfg = self._config(dataset="concentric_rings", epochs=4, seed=1,
+                           wbits=10.0, abits=10.0)
+        saved_epochs = []
+
+        def crash_when(full, path, arrays):
+            # the second save of an epoch that improved on the best
+            assert full["best_epoch"] >= 1
+            saved_epochs.append(int(arrays["meta/epoch"]))
+            return saved_epochs.count(full["best_epoch"] + 1) == 2
+
+        full, resumed = self._crash_then_resume(
+            (train, val, spec, teacher), cfg, tmp_path, monkeypatch,
+            "save_arrays", crash_when)
+        self._assert_same_outcome(tmp_path, full, resumed)
+
+    def test_resume_from_checkpoint_without_best_state(self, small_world,
+                                                       tmp_path, caplog):
+        train, val, spec, teacher, _ = small_world
+        student = fresh_student(spec, teacher, seed=2)
+        ptq_minmax(student, train)
+        qat_run(self._config(epochs=1, seed=2), teacher, student,
+                tmp_path / "a", train, val)
+        arrays = load_arrays(tmp_path / "a" / "last.ckpt")
+        for key in ("best/val_acc", "best/epoch", "meta/reached_epoch"):
+            del arrays[key]
+        save_arrays(tmp_path / "old.ckpt", arrays)
+        summary = qat_run(self._config(epochs=2, seed=2), teacher, student,
+                          tmp_path / "a", train, val,
+                          resume_path=str(tmp_path / "old.ckpt"))
+        assert summary["steps"] == 16
+        assert "no best-checkpoint state" in caplog.text
+
+    def test_resume_into_foreign_metrics_rejected(self, small_world,
+                                                  tmp_path):
+        train, val, spec, teacher, _ = small_world
+        student = fresh_student(spec, teacher, seed=2)
+        ptq_minmax(student, train)
+        cfg = self._config(epochs=1, seed=2)
+        qat_run(cfg, teacher, student, tmp_path / "a", train, val)
+        (tmp_path / "b").mkdir()
+        (tmp_path / "b" / "metrics.csv").write_text(
+            ",".join(METRICS_HEADER) + "\r\n")
+        with pytest.raises(PipelineError, match="no audit row"):
+            qat_run(self._config(epochs=2, seed=2), teacher, student,
+                    tmp_path / "b", train, val,
+                    resume_path=str(tmp_path / "a" / "last.ckpt"))
 
 
 class TestStudentPersistence:

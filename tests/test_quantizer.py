@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from gdnsq import tensor as T
 from gdnsq.errors import DomainError, FusionError
+from gdnsq.losses import potential_tensor
 from gdnsq.quantizer import (FakeQuantizer, QuantizedLayer, clamp,
                              integer_fuse, quantized_layer_forward)
 from gdnsq.tensor import Tensor
@@ -178,8 +179,10 @@ class TestBitwidth:
 
     def test_gradient_reaches_scale_parameter(self):
         fq = make_fq("weight", -1.0, 1.0, 4.0)
-        w = fq.bitwidth_tensor()
-        w.backward()
+        aq = make_fq("activation", 0.0, 1.0, 2.0)
+        # one active weight hinge and an inactive activation hinge, so
+        # dP/dlog_s is d omega/dlog_s of the weight site
+        potential_tensor([fq], [aq], (1.0, 8.0)).backward()
         # d omega / d log_s = -(1/ln2) * ratio/(ratio+1), ratio = (u-l)/s
         ratio = 2.0 / fq.scale_value()
         expected = -(1.0 / np.log(2.0)) * ratio / (ratio + 1.0)
