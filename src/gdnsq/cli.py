@@ -6,14 +6,16 @@ audit (unique-value bit-width report), verify (oracle suite),
 export-metrics and fuse (integer weights + scales).
 
 Flag precedence: command-line flags override --config (JSON), which
-overrides built-in defaults; the resolved merge is written to run.json
-next to the outputs. GDNSQ_SEED serves as a fallback seed. Exit codes:
-0 success, 1 runtime failure, 2 usage error, 3 oracle failure.
+overrides built-in defaults; the resolved merge is written to run.json,
+next to the outputs, once the command has succeeded. GDNSQ_SEED serves as
+a fallback seed. Exit codes: 0 success, 1 runtime failure, 2 usage error,
+3 oracle failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -140,7 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--filter", help="only oracles whose name contains this")
     p.add_argument("--seed", type=int, default=None)
 
-    p = sub.add_parser("export-metrics", help="re-emit a run's metrics CSV")
+    p = sub.add_parser("export-metrics", help="check a run's metrics CSV "
+                                              "row by row and re-emit it")
     p.add_argument("--run-dir", required=True, dest="run_dir")
     p.add_argument("--format", default="csv", choices=["csv"])
     p.add_argument("--out", help="target file (stdout when omitted)")
@@ -241,10 +244,11 @@ def cmd_qat(args) -> int:
         init_quantizers_noptq(student, train)
     else:
         student.set_noise_mode(config.noise_mode)
-    os.makedirs(args.out, exist_ok=True)
-    _write_run_json(args.out, config.to_dict())
     summary = qat_run(config, teacher, student, args.out, train, val,
                       resume_path=args.resume)
+    # written after the run, like train-fp and ptq do, so that a refused
+    # resume leaves the record of the run that wrote the checkpoints
+    _write_run_json(args.out, config.to_dict())
     print(json.dumps(summary, indent=2))
     return 0
 
@@ -258,10 +262,9 @@ def cmd_audit(args) -> int:
               "n_val": args.n_val or config.n_val}
     _, val = load_dataset(merged["dataset"], merged["data_seed"],
                           merged["n_train"], merged["n_val"])
-    report = audit_bitwidth(student, val.inputs)
+    report = audit_bitwidth(student, val.inputs, val.labels)
     print(report.format())
-    acc = student.accuracy(val.inputs, val.labels)
-    print(f"val accuracy: {acc:.4f}")
+    print(f"val accuracy: {report.val_acc:.4f}")
     return 0
 
 
@@ -275,15 +278,41 @@ def cmd_verify(args) -> int:
     return 3 if failures else 0
 
 
+def _check_metrics(path, content: str):
+    """Raise GdnsqError at the first line of a metrics.csv that is not the
+    header, or has the wrong field count, a cell that is not a number
+    (phase aside; empty cells are columns a row does not fill), or a step
+    id below the one before it."""
+    rows = csv.reader(content.splitlines())
+    if next(rows, None) != METRICS_HEADER:
+        raise GdnsqError(f"{path}: unexpected metrics header")
+    prev_step = None
+    for lineno, row in enumerate(rows, start=2):
+        if len(row) != len(METRICS_HEADER):
+            raise GdnsqError(f"{path}: line {lineno} has {len(row)} fields, "
+                             f"expected {len(METRICS_HEADER)}")
+        for name, cell in zip(METRICS_HEADER, row):
+            if name == "phase" or (cell == "" and name != "step"):
+                continue
+            try:
+                int(cell) if name == "step" else float(cell)
+            except ValueError:
+                raise GdnsqError(f"{path}: line {lineno}: {name} {cell!r} is "
+                                 "not a number") from None
+        step = int(row[0])
+        if prev_step is not None and step < prev_step:
+            raise GdnsqError(f"{path}: line {lineno}: step {step} follows "
+                             f"step {prev_step}")
+        prev_step = step
+
+
 def cmd_export_metrics(args) -> int:
     path = os.path.join(args.run_dir, "metrics.csv")
     if not os.path.exists(path):
         raise GdnsqError(f"no metrics.csv under {args.run_dir}")
     with open(path) as f:
         content = f.read()
-    header = content.splitlines()[0].split(",") if content else []
-    if header != METRICS_HEADER:
-        raise GdnsqError(f"{path}: unexpected metrics header")
+    _check_metrics(path, content)
     if args.out:
         with open(args.out, "w") as f:
             f.write(content)

@@ -118,7 +118,19 @@ def spec_from_dict(d: dict) -> ModelSpec:
 
 
 class BatchNorm:
-    """Batch normalization with freezable running statistics."""
+    """Batch normalization with freezable running statistics.
+
+    ``forward`` records one tape node over (x, gamma, beta) with the
+    closed-form gradient of Ioffe & Szegedy (arXiv:1502.03167). With batch
+    statistics, xhat = (x - mu) / sd and
+    dx = (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) / sd, where
+    dxhat = g * gamma and the means run over the batch (and spatial) axes;
+    with running statistics (eval mode or frozen) mu and sd are constants
+    and dx = dxhat / sd. In both, dgamma = sum(g * xhat) and
+    dbeta = sum(g). The forward runs the numpy ops of the primitive-op
+    graph in tests/reference_graphs.py in the same order, so its values and
+    the running-statistic update match that graph bit for bit.
+    """
 
     def __init__(self, num_features, momentum=0.1, eps=1e-5, frozen=False):
         self.num_features = num_features
@@ -131,30 +143,42 @@ class BatchNorm:
         self.running_var = np.ones(num_features)
 
     def forward(self, x: Tensor, train: bool) -> Tensor:
-        if x.data.ndim == 2:
+        xd = x.data
+        if xd.ndim == 2:
             axes, pshape = (0,), (1, self.num_features)
-        elif x.data.ndim == 4:
+        elif xd.ndim == 4:
             axes, pshape = (0, 2, 3), (1, self.num_features, 1, 1)
         else:
             raise ShapeError(f"batchnorm expects 2-d or 4-d input, got {x.shape}")
-        if train and not self.frozen:
-            mu = T.mean(x, axis=axes, keepdims=True)
-            centered = T.sub(x, T.broadcast_to(mu, x.shape))
-            var = T.mean(T.mul(centered, centered), axis=axes, keepdims=True)
+        batch_stats = train and not self.frozen
+        if batch_stats:
+            inv_n = 1.0 / float(np.prod([xd.shape[ax] for ax in axes]))
+            mu = np.sum(xd, axis=axes, keepdims=True) * inv_n
+            centered = xd - mu
+            var = np.sum(centered * centered, axis=axes, keepdims=True) * inv_n
             self.running_mean = ((1 - self.momentum) * self.running_mean
-                                 + self.momentum * mu.data.reshape(-1))
+                                 + self.momentum * mu.reshape(-1))
             self.running_var = ((1 - self.momentum) * self.running_var
-                                + self.momentum * var.data.reshape(-1))
-            denom = T.sqrt(T.add(var, self.eps))
-            xhat = T.div(centered, T.broadcast_to(denom, x.shape))
+                                + self.momentum * var.reshape(-1))
+            sd = np.sqrt(var + self.eps)
+            xhat = centered / sd
         else:
             mu = self.running_mean.reshape(pshape)
             sd = np.sqrt(self.running_var.reshape(pshape) + self.eps)
-            xhat = T.div(T.sub(x, T.constant(np.broadcast_to(mu, x.data.shape).copy())),
-                         T.constant(np.broadcast_to(sd, x.data.shape).copy()))
-        g = T.broadcast_to(T.reshape(self.gamma, pshape), x.shape)
-        b = T.broadcast_to(T.reshape(self.beta, pshape), x.shape)
-        return T.add(T.mul(xhat, g), b)
+            xhat = (xd - mu) / sd
+        gamma = self.gamma.data.reshape(pshape)
+        out = xhat * gamma + self.beta.data.reshape(pshape)
+
+        def rule(g):
+            gxhat = g * gamma
+            if batch_stats:
+                gxhat = (gxhat - np.mean(gxhat, axis=axes, keepdims=True)
+                         - xhat * np.mean(gxhat * xhat, axis=axes,
+                                          keepdims=True))
+            return (gxhat / sd, np.sum(g * xhat, axis=axes),
+                    np.sum(g, axis=axes))
+
+        return T._record([x, self.gamma, self.beta], out, rule, "batchnorm")
 
 
 def _conv2d_op(x: Tensor, w: Tensor, stride: int, pad: int) -> Tensor:
@@ -163,8 +187,10 @@ def _conv2d_op(x: Tensor, w: Tensor, stride: int, pad: int) -> Tensor:
     xd, wd = x.data, w.data
 
     def rule(g):
-        return (conv2d_backward_input(g, wd, x_shape, stride, pad),
-                conv2d_backward_weight(g, xd, w_shape, stride, pad))
+        # the first conv layer reads the input batch, which needs no gradient
+        gx = (conv2d_backward_input(g, wd, x_shape, stride, pad)
+              if x.requires_grad else None)
+        return gx, conv2d_backward_weight(g, xd, w_shape, stride, pad)
 
     return T._record([x, w], out, rule, "conv2d")
 
@@ -301,8 +327,7 @@ class Model:
             return self.forward(x, train=False, bypass_quant=bypass_quant).data
 
     def accuracy(self, inputs, labels) -> float:
-        logits = self.predict_logits(inputs)
-        return float(np.mean(np.argmax(logits, axis=1) == labels))
+        return logits_accuracy(self.predict_logits(inputs), labels)
 
     # -- persistence -----------------------------------------------------------
 
@@ -348,6 +373,11 @@ class Model:
                 mine.bn.beta.data = theirs.bn.beta.data.copy()
                 mine.bn.running_mean = theirs.bn.running_mean.copy()
                 mine.bn.running_var = theirs.bn.running_var.copy()
+
+
+def logits_accuracy(logits: np.ndarray, labels) -> float:
+    """Fraction of rows whose largest logit is at the label."""
+    return float(np.mean(np.argmax(logits, axis=1) == labels))
 
 
 def build_model(spec: ModelSpec, quantized: bool, noise_mode="bernoulli",

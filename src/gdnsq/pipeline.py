@@ -4,8 +4,9 @@ Stage order is layer replacement (build the quantized student), min-max PTQ
 to 10 bits, gradual bit-width convergence under the exterior-point loss,
 then exponential LR annealing once the audited max bit-width meets the
 target at every site. The unique-value auditor runs once per epoch on the
-validation split and drives both the LR phase switch and best-checkpoint
-selection (best val accuracy among audits where max actual <= target).
+validation split; its forward also gives the epoch's val accuracy. It
+drives both the LR phase switch and best-checkpoint selection (best val
+accuracy among audits where max actual <= target).
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from .data import Dataset, load_idx_dataset, make_synthetic
 from .errors import (DegenerateRangeError, DomainError, FormatError,
                      NumericError, PipelineError)
 from .losses import DISTILL_KINDS, LossState, total_loss, update_schedule
-from .models import (Model, ModelSpec, build_model, make_model_spec,
-                     spec_from_dict, spec_to_dict)
+from .models import (Model, ModelSpec, build_model, logits_accuracy,
+                     make_model_spec, spec_from_dict, spec_to_dict)
 from .optim import LrPolicy, RAdam, lr_next
 from .quantizer import FusedLinear, QuantizedLayer, integer_fuse
 
@@ -168,6 +169,7 @@ class SiteAudit:
 @dataclass
 class BitWidthReport:
     sites: list
+    val_acc: float = None  # of the audit forward, when labels were given
 
     def _group(self, kind):
         return [s for s in self.sites if s.kind == kind]
@@ -204,12 +206,17 @@ def _actual_bits(count: int) -> int:
     return 0 if count <= 1 else int(math.ceil(math.log2(count)))
 
 
-def audit_bitwidth(model: Model, val_inputs) -> BitWidthReport:
-    """Count unique dequantized values per site in a deterministic forward."""
+def audit_bitwidth(model: Model, val_inputs, val_labels=None) -> BitWidthReport:
+    """Count unique dequantized values per site in a deterministic forward.
+
+    With labels, the report also carries the accuracy of that forward's
+    logits, the same value ``Model.accuracy`` gives, without a second pass.
+    """
     sites = []
     collect = {}
     with T.no_grad():
-        model.forward(val_inputs, train=False, collect_acts=collect)
+        logits = model.forward(val_inputs, train=False,
+                               collect_acts=collect).data
     for layer in model.inner_layers():
         wq = layer.weight_fq
         levels = int(np.unique(wq.quantize_array(layer.W.data)).size)
@@ -226,7 +233,9 @@ def audit_bitwidth(model: Model, val_inputs) -> BitWidthReport:
         if s.degenerate:
             logger.debug("degenerate site %s: %d unique value(s)",
                          s.name, s.levels)
-    return BitWidthReport(sites)
+    val_acc = (None if val_labels is None
+               else logits_accuracy(logits, val_labels))
+    return BitWidthReport(sites, val_acc)
 
 
 # -- checkpoints ---------------------------------------------------------------
@@ -323,6 +332,21 @@ def teacher_logits(teacher: Model, inputs, batch_size: int):
             for i in range(0, len(inputs), batch_size)])
 
 
+def _check_resume_config(path, arrays, config: RunConfig):
+    """Refuse to resume a checkpoint written under another config. Only
+    `epochs` may differ, so that a finished run can be extended."""
+    saved = array_to_json(arrays["config/json"])
+    current = config.to_dict()
+    differ = sorted(k for k in set(saved) | set(current)
+                    if k != "epochs" and saved.get(k) != current.get(k))
+    if differ:
+        raise PipelineError(
+            f"{path} was written under a different run config ("
+            + ", ".join(f"{k}: {saved.get(k)!r} -> {current.get(k)!r}"
+                        for k in differ)
+            + "); only epochs may change on resume")
+
+
 def _truncate_metrics(path, step: int):
     """Cut metrics.csv after the audit row of the checkpointed step, so the
     rows a crashed run wrote past its last checkpoint are not kept."""
@@ -351,7 +375,9 @@ def qat_run(config: RunConfig, teacher: Model, student: Model, out_dir,
 
     On resume, metrics.csv is cut back to the checkpointed step and the
     best-checkpoint state is read back from the checkpoint, so a run that
-    crashes and resumes writes the same files as one that does not.
+    crashes and resumes writes the same files as one that does not. A
+    checkpoint written under a config that differs in anything but
+    `epochs` is refused with PipelineError.
     """
     for fq in student.all_quantizers():
         if not fq.initialized:
@@ -372,6 +398,7 @@ def qat_run(config: RunConfig, teacher: Model, student: Model, out_dir,
     reached_epoch = None
     if resume_path is not None:
         arrays = load_arrays(resume_path)
+        _check_resume_config(resume_path, arrays, config)
         student.load_state_arrays(arrays)
         opt.load_state_arrays(
             {k[len("opt/"):]: v for k, v in arrays.items()
@@ -447,8 +474,8 @@ def qat_run(config: RunConfig, teacher: Model, student: Model, out_dir,
                 update_schedule(state, lam, info["d"])
             T.reset_tape()
 
-            report = audit_bitwidth(student, val_ds.inputs)
-            val_acc = student.accuracy(val_ds.inputs, val_ds.labels)
+            report = audit_bitwidth(student, val_ds.inputs, val_ds.labels)
+            val_acc = report.val_acc
             wagg = report.aggregates("weight")
             aagg = report.aggregates("activation")
             writer.writerow([state.step_n, policy.phase, fmt(policy.lam),

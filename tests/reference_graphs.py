@@ -1,9 +1,10 @@
-"""Primitive-op graphs of the quantizer parameters and the loss terms.
+"""Primitive-op graphs of the quantizer parameters, the loss terms and
+batchnorm.
 
 These are the compositions of tensor primitives that the closed-form tape
-nodes in ``gdnsq.quantizer`` and ``gdnsq.losses`` replace. They stay here
-as references: the tests check that the nodes give the same values and
-gradients.
+nodes in ``gdnsq.quantizer``, ``gdnsq.losses`` and ``gdnsq.models``
+replace. They stay here as references: the tests check that the nodes give
+the same values and gradients.
 """
 
 import numpy as np
@@ -93,3 +94,28 @@ def total_loss(student_logits, teacher_logits, weight_fqs, act_fqs, state,
     d = T.mean(distill_rows(student_logits, teacher_logits, labels, kind))
     p_t = potential_tensor(weight_fqs, act_fqs, state.targets)
     return T.add(T.mul(p_t, state.t_q * state.c_r), T.mul(d, state.t_r))
+
+
+def batchnorm_forward(bn, x, train):
+    """BatchNorm.forward on the graph for 2-d or 4-d x, updating bn's
+    running statistics."""
+    axes = (0,) if x.data.ndim == 2 else (0, 2, 3)
+    pshape = (1, bn.num_features) + (1,) * (x.data.ndim - 2)
+    if train and not bn.frozen:
+        mu = T.mean(x, axis=axes, keepdims=True)
+        centered = T.sub(x, T.broadcast_to(mu, x.shape))
+        var = T.mean(T.mul(centered, centered), axis=axes, keepdims=True)
+        bn.running_mean = ((1 - bn.momentum) * bn.running_mean
+                           + bn.momentum * mu.data.reshape(-1))
+        bn.running_var = ((1 - bn.momentum) * bn.running_var
+                          + bn.momentum * var.data.reshape(-1))
+        denom = T.sqrt(T.add(var, bn.eps))
+        xhat = T.div(centered, T.broadcast_to(denom, x.shape))
+    else:
+        mu = bn.running_mean.reshape(pshape)
+        sd = np.sqrt(bn.running_var.reshape(pshape) + bn.eps)
+        xhat = T.div(T.sub(x, T.constant(np.broadcast_to(mu, x.data.shape).copy())),
+                     T.constant(np.broadcast_to(sd, x.data.shape).copy()))
+    g = T.broadcast_to(T.reshape(bn.gamma, pshape), x.shape)
+    b = T.broadcast_to(T.reshape(bn.beta, pshape), x.shape)
+    return T.add(T.mul(xhat, g), b)

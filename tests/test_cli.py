@@ -61,6 +61,25 @@ def test_qat_roundtrip_and_flag_mapping(workspace):
     assert (out / "metrics.csv").exists() and (out / "last.ckpt").exists()
 
 
+def test_resume_under_changed_flags_refused(workspace, capsys):
+    root, teacher, student = workspace
+    out = root / "qat_resume"
+
+    def qat(wbits, epochs, *extra):
+        return main(["qat", "--ckpt", str(student), "--teacher", str(teacher),
+                     "--wbits", wbits, "--abits", "4", "--seed", "3",
+                     "--epochs", epochs, "--out", str(out), *extra])
+
+    assert qat("4", "1") == 0
+    run_json = (out / "run.json").read_text()
+    resume = ("--resume", str(out / "last.ckpt"))
+    assert qat("3", "2", *resume) == 1
+    assert "wbits: 4.0 -> 3.0" in capsys.readouterr().err
+    assert (out / "run.json").read_text() == run_json
+    assert qat("4", "2", *resume) == 0  # a longer run resumes
+    assert json.loads((out / "run.json").read_text())["epochs"] == 2
+
+
 def test_export_metrics_stdout(workspace, capsys):
     root, teacher, student = workspace
     out = root / "qat4"
@@ -72,6 +91,52 @@ def test_export_metrics_stdout(workspace, capsys):
     assert rc == 0
     first = capsys.readouterr().out.splitlines()[0]
     assert first.startswith("step,phase,lambda,t_q,c_r,loss")
+
+
+def _export_damaged(workspace, tmp_path, damage):
+    root, teacher, student = workspace
+    out = root / "qat4"
+    if not (out / "metrics.csv").exists():
+        main(["qat", "--ckpt", str(student), "--teacher", str(teacher),
+              "--wbits", "4", "--abits", "4", "--epochs", "1",
+              "--out", str(out)])
+    lines = (out / "metrics.csv").read_text().splitlines(keepends=True)
+    run = tmp_path / "damaged"
+    run.mkdir()
+    (run / "metrics.csv").write_text("".join(damage(lines)))
+    return main(["export-metrics", "--run-dir", str(run)])
+
+
+def test_export_metrics_rejects_truncated_last_row(workspace, tmp_path,
+                                                   capsys):
+    kept = []
+
+    def truncate(lines):
+        kept.extend(lines)
+        return lines[:-1] + [lines[-1][:30]]
+
+    rc = _export_damaged(workspace, tmp_path, truncate)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"line {len(kept)} has " in err and "fields, expected 15" in err
+
+
+def test_export_metrics_rejects_garbled_cell(workspace, tmp_path, capsys):
+    def garble(lines):
+        cells = lines[3].split(",")
+        cells[5] = cells[5][:4] + "x" + cells[5][5:]
+        return lines[:3] + [",".join(cells)] + lines[4:]
+
+    rc = _export_damaged(workspace, tmp_path, garble)
+    assert rc == 1
+    assert "line 4: loss" in capsys.readouterr().err
+
+
+def test_export_metrics_rejects_step_going_back(workspace, tmp_path, capsys):
+    rc = _export_damaged(workspace, tmp_path,
+                         lambda lines: lines[:2] + lines[3:5] + lines[2:3])
+    assert rc == 1
+    assert "line 5: step 1 follows step 3" in capsys.readouterr().err
 
 
 def test_fuse_emits_integer_weights(workspace):

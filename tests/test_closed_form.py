@@ -4,7 +4,8 @@ Each case evaluates the loss once through the nodes (FakeQuantizer.apply,
 losses.distill_loss, losses.potential_tensor) and once through the
 reference graphs in ``reference_graphs``, with the same probe draws, and
 compares the loss value and every parameter and logit gradient within
-1e-12 relative.
+1e-12 relative. The batchnorm node (BatchNorm.forward) is compared the
+same way on its output and its x, gamma and beta gradients.
 """
 
 import numpy as np
@@ -14,7 +15,7 @@ import reference_graphs as ref
 from gdnsq import tensor as T
 from gdnsq.losses import (PROB_FLOOR, LossState, distill_loss, hard_label_loss,
                           potential_tensor, softmax, total_loss)
-from gdnsq.models import build_model, make_model_spec
+from gdnsq.models import BatchNorm, build_model, make_model_spec
 from gdnsq.quantizer import FakeQuantizer
 from gdnsq.tensor import Tensor
 
@@ -193,3 +194,49 @@ def test_fake_quant_node_matches_reference(kind):
     assert_close(gx, gx_ref, "x")
     for g, w in zip(gp, gp_ref):
         assert_close(g, w, "site parameter")
+
+BN_MODES = ("train", "frozen", "eval")
+
+
+def batchnorm_case(ndim, mode, reference):
+    """(output, running mean, running var, x/gamma/beta gradients) of one
+    batchnorm forward and backward through the node or the reference."""
+    rng = np.random.default_rng([ndim, BN_MODES.index(mode)])
+    shape = (6, 3) if ndim == 2 else (4, 3, 5, 2)
+    x = Tensor(rng.normal(0.5, 2.0, size=shape), requires_grad=True)
+    coeff = rng.normal(size=shape)
+    bn = BatchNorm(3, frozen=mode == "frozen")
+    bn.gamma.data = 1.0 + 0.3 * rng.normal(size=3)
+    bn.beta.data = rng.normal(size=3)
+    bn.running_mean = rng.normal(size=3)
+    bn.running_var = rng.uniform(0.5, 2.0, size=3)
+    train = mode != "eval"
+    T.reset_tape()
+    out = (ref.batchnorm_forward(bn, x, train) if reference
+           else bn.forward(x, train))
+    T.sum_(T.mul(out, T.constant(coeff))).backward()
+    T.reset_tape()
+    return (out.data, bn.running_mean, bn.running_var, x.grad,
+            bn.gamma.grad, bn.beta.grad)
+
+
+@pytest.mark.parametrize("ndim", [2, 4])
+@pytest.mark.parametrize("mode", BN_MODES)
+def test_batchnorm_node_matches_graph(ndim, mode):
+    node = batchnorm_case(ndim, mode, reference=False)
+    graph = batchnorm_case(ndim, mode, reference=True)
+    # the forward values and the running-statistic update are the same ops
+    for what, got, want in zip(("out", "running_mean", "running_var"),
+                               node[:3], graph[:3]):
+        np.testing.assert_array_equal(got, want, err_msg=what)
+    for what, got, want in zip(("x", "gamma", "beta"), node[3:], graph[3:]):
+        assert_close(got, want, what)
+
+
+def test_batchnorm_is_one_node():
+    x = Tensor(np.random.default_rng(0).normal(size=(4, 3, 2, 2)),
+               requires_grad=True)
+    T.reset_tape()
+    BatchNorm(3).forward(x, train=True)
+    assert [n.name for n in T.get_tape().nodes] == ["batchnorm"]
+    T.reset_tape()

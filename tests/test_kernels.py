@@ -1,0 +1,77 @@
+"""The im2col conv kernels against direct nested-loop convolution.
+
+The references below visit every (image, output channel, output pixel,
+input channel, tap) and read or write the unpadded input only where the
+tap lands inside it, which is what zero padding means.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from gdnsq.kernels import (conv2d_backward_input, conv2d_backward_weight,
+                           conv2d_forward)
+
+ATOL = 1e-12
+
+
+def _taps(x_shape, w_shape, g_shape, stride, pad):
+    """(n, oc, y, xq, ic, r, q, i, j) for every tap inside the input."""
+    b, c, h, wd = x_shape
+    o, _, kh, kw = w_shape
+    _, _, ho, wo = g_shape
+    for n, oc, y, xq, ic, i, j in itertools.product(
+            range(b), range(o), range(ho), range(wo), range(c), range(kh),
+            range(kw)):
+        r, q = y * stride + i - pad, xq * stride + j - pad
+        if 0 <= r < h and 0 <= q < wd:
+            yield n, oc, y, xq, ic, r, q, i, j
+
+
+def loop_forward(x, w, stride, pad):
+    b, _, h, wd = x.shape
+    o, _, kh, kw = w.shape
+    out = np.zeros((b, o, (h + 2 * pad - kh) // stride + 1,
+                    (wd + 2 * pad - kw) // stride + 1))
+    for n, oc, y, xq, ic, r, q, i, j in _taps(x.shape, w.shape, out.shape,
+                                              stride, pad):
+        out[n, oc, y, xq] += x[n, ic, r, q] * w[oc, ic, i, j]
+    return out
+
+
+def loop_backward_input(g, w, x_shape, stride, pad):
+    gx = np.zeros(x_shape)
+    for n, oc, y, xq, ic, r, q, i, j in _taps(x_shape, w.shape, g.shape,
+                                              stride, pad):
+        gx[n, ic, r, q] += g[n, oc, y, xq] * w[oc, ic, i, j]
+    return gx
+
+
+def loop_backward_weight(g, x, w_shape, stride, pad):
+    gw = np.zeros(w_shape)
+    for n, oc, y, xq, ic, r, q, i, j in _taps(x.shape, w_shape, g.shape,
+                                              stride, pad):
+        gw[oc, ic, i, j] += g[n, oc, y, xq] * x[n, ic, r, q]
+    return gw
+
+
+CASES = list(itertools.product((1, 2), (0, 1), (1, 3)))
+
+
+@pytest.mark.parametrize("stride,pad,k", CASES)
+def test_kernels_match_loops(stride, pad, k):
+    rng = np.random.default_rng([stride, pad, k])
+    x = rng.normal(size=(2, 3, 7, 5))  # non-square, odd sizes
+    w = rng.normal(size=(4, 3, k, k))
+    out = conv2d_forward(x, w, stride, pad)
+    np.testing.assert_allclose(out, loop_forward(x, w, stride, pad),
+                               rtol=0, atol=ATOL)
+    g = rng.normal(size=out.shape)
+    np.testing.assert_allclose(
+        conv2d_backward_input(g, w, x.shape, stride, pad),
+        loop_backward_input(g, w, x.shape, stride, pad), rtol=0, atol=ATOL)
+    np.testing.assert_allclose(
+        conv2d_backward_weight(g, x, w.shape, stride, pad),
+        loop_backward_weight(g, x, w.shape, stride, pad), rtol=0, atol=ATOL)
+

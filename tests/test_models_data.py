@@ -6,9 +6,7 @@ import pytest
 from gdnsq import tensor as T
 from gdnsq.data import Dataset, iterate_batches, load_idx_dataset, make_synthetic, read_idx
 from gdnsq.errors import FormatError, NumericError, SpecError
-from gdnsq.kernels import (HAS_NUMBA, conv2d_backward_input_numpy,
-                           conv2d_backward_weight_numpy, conv2d_forward_numba,
-                           conv2d_forward_numpy)
+from gdnsq.kernels import conv2d_forward
 from gdnsq.models import (Conv2d, Linear, Model, ModelSpec, build_model,
                           make_model_spec, spec_from_dict, spec_to_dict,
                           train_teacher)
@@ -152,17 +150,8 @@ class TestConv:
     def test_forward_shape(self):
         x = np.random.default_rng(0).normal(size=(2, 1, 6, 6))
         w = np.random.default_rng(1).normal(size=(3, 1, 3, 3))
-        out = conv2d_forward_numpy(x, w, stride=2, pad=1)
+        out = conv2d_forward(x, w, stride=2, pad=1)
         assert out.shape == (2, 3, 3, 3)
-
-    @pytest.mark.skipif(not HAS_NUMBA, reason="numba unavailable")
-    def test_numba_matches_numpy(self):
-        rng = np.random.default_rng(2)
-        x = rng.normal(size=(2, 3, 7, 5))
-        w = rng.normal(size=(4, 3, 3, 3))
-        a = conv2d_forward_numpy(x, w, stride=2, pad=1)
-        b = conv2d_forward_numba(x, w, stride=2, pad=1)
-        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
     def test_conv_gradients_match_fd(self):
         from gdnsq.models import _conv2d_op
@@ -189,6 +178,36 @@ class TestConv:
         numeric = finite_difference_grads(f, arrays)
         for a, n in zip(analytic, numeric):
             np.testing.assert_allclose(a, n, rtol=1e-6, atol=1e-8)
+
+    def test_input_batch_gets_no_conv_gradient(self, monkeypatch):
+        from gdnsq import models
+        from gdnsq.losses import hard_label_loss
+        rng = np.random.default_rng(6)
+        x = rng.uniform(0, 1, size=(8, 1, 8, 8))
+        labels = rng.integers(0, 2, size=8)
+        calls = []
+        real = models.conv2d_backward_input
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(models, "conv2d_backward_input", counting)
+
+        def step_grads(inputs):
+            model = build_model(make_model_spec("conv3", 1, 2),
+                                quantized=False, init_seed=0)
+            calls.clear()
+            T.reset_tape()
+            hard_label_loss(model.forward(inputs, train=True), labels).backward()
+            T.reset_tape()
+            return len(calls), [l.W.grad for l in model.layers]
+
+        n_plain, plain = step_grads(x)
+        n_full, full = step_grads(Tensor(x, requires_grad=True))
+        assert (n_plain, n_full) == (2, 3)
+        for a, b in zip(plain, full):
+            np.testing.assert_array_equal(a, b)
 
     def test_conv_model_trains_a_little(self):
         rng = np.random.default_rng(4)
@@ -234,33 +253,35 @@ class TestBatchNorm:
     def test_batchnorm_gradients_match_fd(self):
         rng = np.random.default_rng(5)
         from gdnsq.models import BatchNorm
-        coeff = rng.normal(size=(6, 3))
+        for shape in ((6, 3), (4, 3, 3, 2)):
+            coeff = rng.normal(size=shape)
 
-        def build(p):
-            bn = BatchNorm(3)
-            bn.gamma = p[1]
-            bn.beta = p[2]
-            out = bn.forward(p[0], train=True)
-            return T.sum_(T.mul(out, T.constant(coeff)))
+            def build(p):
+                bn = BatchNorm(3)
+                bn.gamma = p[1]
+                bn.beta = p[2]
+                out = bn.forward(p[0], train=True)
+                return T.sum_(T.mul(out, T.constant(coeff)))
 
-        arrays = [rng.normal(size=(6, 3)), np.ones(3) + 0.3 * rng.normal(size=3),
-                  rng.normal(size=3)]
+            arrays = [rng.normal(size=shape),
+                      np.ones(3) + 0.3 * rng.normal(size=3),
+                      rng.normal(size=3)]
 
-        def f(arrs):
+            def f(arrs):
+                T.reset_tape()
+                val = float(build([Tensor(a, requires_grad=True)
+                                   for a in arrs]).data)
+                T.reset_tape()
+                return val
+
             T.reset_tape()
-            val = float(build([Tensor(a, requires_grad=True)
-                               for a in arrs]).data)
+            params = [Tensor(a, requires_grad=True) for a in arrays]
+            build(params).backward()
+            analytic = [p.grad.copy() for p in params]
             T.reset_tape()
-            return val
-
-        T.reset_tape()
-        params = [Tensor(a, requires_grad=True) for a in arrays]
-        build(params).backward()
-        analytic = [p.grad.copy() for p in params]
-        T.reset_tape()
-        numeric = finite_difference_grads(f, arrays)
-        for a, n in zip(analytic, numeric):
-            np.testing.assert_allclose(a, n, rtol=1e-5, atol=1e-7)
+            numeric = finite_difference_grads(f, arrays)
+            for a, n in zip(analytic, numeric):
+                np.testing.assert_allclose(a, n, rtol=1e-5, atol=1e-7)
 
 
 class TestTeacher:

@@ -8,7 +8,7 @@ from gdnsq import tensor as T
 from gdnsq.checkpoint import load_arrays, save_arrays
 from gdnsq.data import make_synthetic
 from gdnsq.errors import DegenerateRangeError, PipelineError
-from gdnsq.models import build_model, make_model_spec, train_teacher
+from gdnsq.models import Model, build_model, make_model_spec, train_teacher
 from gdnsq.pipeline import (METRICS_HEADER, RunConfig, audit_bitwidth,
                             build_student_arrays, fuse_student,
                             fused_model_forward, load_student, ptq_minmax,
@@ -297,6 +297,46 @@ class TestQatLoop:
             qat_run(self._config(epochs=2, seed=2), teacher, student,
                     tmp_path / "b", train, val,
                     resume_path=str(tmp_path / "a" / "last.ckpt"))
+
+    def test_one_eval_forward_per_epoch(self, small_world, tmp_path,
+                                        monkeypatch):
+        train, val, spec, teacher, _ = small_world
+        student = fresh_student(spec, teacher)
+        ptq_minmax(student, train)
+        real = Model.forward
+        val_calls = []
+
+        def counting(self, x, *args, **kwargs):
+            if x is val.inputs:
+                val_calls.append(kwargs.get("train"))
+            return real(self, x, *args, **kwargs)
+
+        monkeypatch.setattr(Model, "forward", counting)
+        summary = qat_run(self._config(epochs=1), teacher, student,
+                          tmp_path / "run", train, val)
+        assert val_calls == [False]
+        with open(summary["metrics"]) as f:
+            audit_row = list(csv.reader(f))[-1]
+        monkeypatch.undo()
+        assert float(audit_row[8]) == student.accuracy(val.inputs, val.labels)
+
+    @pytest.mark.parametrize("change", [{"wbits": 3.0}, {"lr0": 0.02},
+                                        {"distill": "cross_entropy"},
+                                        {"seed": 2, "abits": 5.0}])
+    def test_resume_refuses_changed_config(self, small_world, tmp_path,
+                                           change):
+        train, val, spec, teacher, _ = small_world
+        student = fresh_student(spec, teacher, seed=2)
+        ptq_minmax(student, train)
+        qat_run(self._config(epochs=1, seed=1), teacher, student,
+                tmp_path / "a", train, val)
+        changed = self._config(**{"epochs": 2, "seed": 1, **change})
+        with pytest.raises(PipelineError, match="different run config") as e:
+            qat_run(changed, teacher, student, tmp_path / "a", train, val,
+                    resume_path=str(tmp_path / "a" / "last.ckpt"))
+        for key in change:
+            assert f"{key}: " in str(e.value)
+        assert "epochs: " not in str(e.value)
 
 
 class TestStudentPersistence:
