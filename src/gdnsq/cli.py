@@ -177,7 +177,6 @@ def cmd_train_fp(args) -> int:
                                 batch_size=merged["batch_size"])
     meta.update({k: merged[k] for k in ("model", "dataset", "data_seed",
                                         "seed", "epochs", "lr")})
-    meta.pop("val_acc_history", None)
     save_teacher(args.out, spec, model, meta)
     _write_run_json(os.path.dirname(os.path.abspath(args.out)), merged)
     print(f"teacher saved to {args.out} (val acc {meta['val_acc']:.4f})")

@@ -5,6 +5,13 @@ every inner layer (all but the first and last) gets a weight quantizer on
 its kernel and an activation quantizer on its input; first and last layers
 stay floating point. Conv blocks are conv-bn-relu; a global average pool
 bridges the last conv layer to the linear head.
+
+Each layer is one tape node. Its forward composes numpy pieces that return
+their output with a vector-Jacobian product (``FakeQuantizer.fake_quant``,
+``_linear`` or ``_conv2d``, ``BatchNorm.normalize``); its rule runs those
+products in reverse and draws the weight site's probes before the
+activation site's, the order of the per-op reference graph, so training is
+bit-identical to it.
 """
 
 from __future__ import annotations
@@ -120,9 +127,10 @@ def spec_from_dict(d: dict) -> ModelSpec:
 class BatchNorm:
     """Batch normalization with freezable running statistics.
 
-    ``forward`` records one tape node over (x, gamma, beta) with the
-    closed-form gradient of Ioffe & Szegedy (arXiv:1502.03167). With batch
-    statistics, xhat = (x - mu) / sd and
+    ``normalize`` computes the output and its vector-Jacobian product in
+    numpy; ``forward`` records them as one tape node over (x, gamma, beta).
+    The gradient is the closed form of Ioffe & Szegedy (arXiv:1502.03167).
+    With batch statistics, xhat = (x - mu) / sd and
     dx = (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) / sd, where
     dxhat = g * gamma and the means run over the batch (and spatial) axes;
     with running statistics (eval mode or frozen) mu and sd are constants
@@ -142,14 +150,16 @@ class BatchNorm:
         self.running_mean = np.zeros(num_features)
         self.running_var = np.ones(num_features)
 
-    def forward(self, x: Tensor, train: bool) -> Tensor:
-        xd = x.data
+    def normalize(self, xd: np.ndarray, train: bool):
+        """The batchnorm output for xd and its vector-Jacobian product onto
+        (x, gamma, beta). With batch statistics it also updates the running
+        statistics."""
         if xd.ndim == 2:
             axes, pshape = (0,), (1, self.num_features)
         elif xd.ndim == 4:
             axes, pshape = (0, 2, 3), (1, self.num_features, 1, 1)
         else:
-            raise ShapeError(f"batchnorm expects 2-d or 4-d input, got {x.shape}")
+            raise ShapeError(f"batchnorm expects 2-d or 4-d input, got {xd.shape}")
         batch_stats = train and not self.frozen
         if batch_stats:
             inv_n = 1.0 / float(np.prod([xd.shape[ax] for ax in axes]))
@@ -169,7 +179,7 @@ class BatchNorm:
         gamma = self.gamma.data.reshape(pshape)
         out = xhat * gamma + self.beta.data.reshape(pshape)
 
-        def rule(g):
+        def vjp(g):
             gxhat = g * gamma
             if batch_stats:
                 gxhat = (gxhat - np.mean(gxhat, axis=axes, keepdims=True)
@@ -178,28 +188,60 @@ class BatchNorm:
             return (gxhat / sd, np.sum(g * xhat, axis=axes),
                     np.sum(g, axis=axes))
 
-        return T._record([x, self.gamma, self.beta], out, rule, "batchnorm")
+        return out, vjp
+
+    def forward(self, x: Tensor, train: bool) -> Tensor:
+        out, vjp = self.normalize(x.data, train)
+        return T._record([x, self.gamma, self.beta], out, vjp, "batchnorm")
+
+
+def _linear(xd, wd, input_grad):
+    """xd @ wd and its vector-Jacobian product onto (x, w); the x gradient
+    is None unless input_grad."""
+
+    def vjp(g):
+        return (g @ wd.T if input_grad else None), xd.T @ g
+
+    return xd @ wd, vjp
+
+
+def _conv2d(xd, wd, stride, pad, input_grad):
+    """The convolution of xd by wd and its vector-Jacobian product onto
+    (x, w); the x gradient is None unless input_grad."""
+
+    def vjp(g):
+        gx = (conv2d_backward_input(g, wd, xd.shape, stride, pad)
+              if input_grad else None)
+        return gx, conv2d_backward_weight(g, xd, wd.shape, stride, pad)
+
+    return conv2d_forward(xd, wd, stride, pad), vjp
 
 
 def _conv2d_op(x: Tensor, w: Tensor, stride: int, pad: int) -> Tensor:
-    out = conv2d_forward(x.data, w.data, stride, pad)
-    x_shape, w_shape = x.data.shape, w.data.shape
-    xd, wd = x.data, w.data
-
-    def rule(g):
-        # the first conv layer reads the input batch, which needs no gradient
-        gx = (conv2d_backward_input(g, wd, x_shape, stride, pad)
-              if x.requires_grad else None)
-        return gx, conv2d_backward_weight(g, xd, w_shape, stride, pad)
-
-    return T._record([x, w], out, rule, "conv2d")
+    # the first conv layer reads the input batch, which needs no gradient
+    out, vjp = _conv2d(x.data, w.data, stride, pad, x.requires_grad)
+    return T._record([x, w], out, vjp, "conv2d")
 
 
 class _Layer:
-    """One linear or conv layer with optional batchnorm and quantizers."""
+    """One linear or conv layer with optional batchnorm and quantizers.
 
-    def __init__(self, spec, rng):
+    ``forward`` records the whole layer as one tape node over x, W, b, the
+    batchnorm gamma and beta when present, and the raw parameters of the
+    weight site and then of the activation site. Its forward runs, in
+    numpy: activation fake-quant, weight fake-quant, matmul or conv, bias
+    add, batchnorm, then y * (y > 0) for relu. Its rule composes the
+    pieces' vector-Jacobian products in reverse: relu mask, batchnorm, bias
+    sum, GEMM or conv gradients, then the weight site's STE gradient and
+    last the activation site's. That is the order in which the reverse
+    sweep of the primitive layer graph (kept in tests/reference_graphs.py)
+    draws the Bernoulli probes from the shared rng, so training is
+    bit-identical to that graph.
+    """
+
+    def __init__(self, spec, rng, name):
         self.spec = spec
+        self.name = name
         self.weight_fq = None
         self.act_fq = None
         if spec.kind == "linear":
@@ -220,38 +262,61 @@ class _Layer:
             n_out = spec.out_channels
         self.bn = BatchNorm(n_out) if spec.batchnorm else None
 
-    def attach_quantizers(self, noise_mode, rng, name):
-        self.weight_fq = FakeQuantizer("weight", noise_mode, name=f"{name}/weight",
-                                       rng=rng)
-        self.act_fq = FakeQuantizer("activation", noise_mode, name=f"{name}/act",
-                                    rng=rng)
+    def attach_quantizers(self, noise_mode, rng):
+        self.weight_fq = FakeQuantizer("weight", noise_mode,
+                                       name=f"{self.name}/weight", rng=rng)
+        self.act_fq = FakeQuantizer("activation", noise_mode,
+                                    name=f"{self.name}/act", rng=rng)
 
     def forward(self, x: Tensor, train: bool, bypass_quant=False,
                 observer=None, collect_acts=None) -> Tensor:
+        spec, bn = self.spec, self.bn
         quant = self.weight_fq is not None and not bypass_quant
         if self.act_fq is not None and observer is not None:
             lo, hi = observer.get(self.act_fq.name, (np.inf, -np.inf))
             observer[self.act_fq.name] = (min(lo, float(x.data.min())),
                                           max(hi, float(x.data.max())))
+        inputs = [x, self.W, self.b]
+        if bn is not None:
+            inputs += [bn.gamma, bn.beta]
+        xd, wd = x.data, self.W.data
         if quant:
-            x = self.act_fq.apply(x)
-            w = self.weight_fq.apply(self.W)
+            xd, a_inputs, a_vjp = self.act_fq.fake_quant(xd)
+            wd, w_inputs, w_vjp = self.weight_fq.fake_quant(wd)
+            inputs += w_inputs + a_inputs
             if collect_acts is not None:
-                collect_acts.setdefault(self.act_fq.name, []).append(x.data)
+                collect_acts.setdefault(self.act_fq.name, []).append(xd)
+        # the quantized input's gradient also feeds the activation site
+        input_grad = quant or x.requires_grad
+        if spec.kind == "linear":
+            y, op_vjp = _linear(xd, wd, input_grad)
+            axes, bshape = (0,), (1, -1)
         else:
-            w = self.W
-        if self.spec.kind == "linear":
-            y = T.matmul(x, w)
-            bb = T.broadcast_to(T.reshape(self.b, (1, -1)), y.shape)
-        else:
-            y = _conv2d_op(x, w, self.spec.stride, self.spec.padding)
-            bb = T.broadcast_to(T.reshape(self.b, (1, -1, 1, 1)), y.shape)
-        y = T.add(y, bb)
-        if self.bn is not None:
-            y = self.bn.forward(y, train)
-        if self.spec.activation == "relu":
-            y = T.relu(y)
-        return y
+            y, op_vjp = _conv2d(xd, wd, spec.stride, spec.padding, input_grad)
+            axes, bshape = (0, 2, 3), (1, -1, 1, 1)
+        y = y + self.b.data.reshape(bshape)
+        if bn is not None:
+            y, bn_vjp = bn.normalize(y, train)
+        relu = spec.activation == "relu"
+        if relu:
+            mask = y > 0
+            y = y * mask
+
+        def rule(g):
+            if relu:
+                g = g * mask
+            bn_grads = ()
+            if bn is not None:
+                g, *bn_grads = bn_vjp(g)
+            gb = np.sum(g, axis=axes)
+            gx, gw = op_vjp(g)
+            if not quant:
+                return (gx, gw, gb, *bn_grads)
+            gw, *w_grads = w_vjp(gw)
+            gx, *a_grads = a_vjp(gx)
+            return (gx, gw, gb, *bn_grads, *w_grads, *a_grads)
+
+        return T._record(inputs, y, rule, self.name)
 
 
 class Model:
@@ -260,7 +325,8 @@ class Model:
         self.spec = spec
         self.quantized = quantized
         rng = np.random.default_rng([init_seed, 0x6D6F64])
-        self.layers = [_Layer(ls, rng) for ls in spec.layers]
+        self.layers = [_Layer(ls, rng, f"layer{i}")
+                       for i, ls in enumerate(spec.layers)]
         if quantized:
             if len(spec.layers) < 3:
                 raise SpecError(
@@ -269,7 +335,7 @@ class Model:
                 )
             qrng = quant_rng if quant_rng is not None else np.random.default_rng()
             for i in range(1, len(self.layers) - 1):
-                self.layers[i].attach_quantizers(noise_mode, qrng, f"layer{i}")
+                self.layers[i].attach_quantizers(noise_mode, qrng)
 
     # -- structure ---------------------------------------------------------
 
@@ -390,14 +456,13 @@ def train_teacher(spec: ModelSpec, train_ds, val_ds, epochs=50, lam=0.01,
                   seed=0, batch_size=32):
     """Train the FP reference model with hard-label cross-entropy.
 
-    Returns (model, history); history carries per-epoch val accuracy and
-    the final value ends up in checkpoint metadata.
+    Returns (model, meta); meta["val_acc"] is the val accuracy after the
+    last epoch (None for 0 epochs) and ends up in checkpoint metadata.
     """
     model = build_model(spec, quantized=False, init_seed=seed)
     opt = RAdam(model.named_parameters(), lr=lam)
     shuffle_rng = np.random.default_rng([seed, 0x7368])
     n = train_ds.inputs.shape[0]
-    history = []
     for epoch in range(epochs):
         order = shuffle_rng.permutation(n)
         for start in range(0, n, batch_size):
@@ -413,7 +478,6 @@ def train_teacher(spec: ModelSpec, train_ds, val_ds, epochs=50, lam=0.01,
             opt.zero_grad()
             loss.backward()
             opt.step()
-        history.append(model.accuracy(val_ds.inputs, val_ds.labels))
     T.reset_tape()
-    return model, {"val_acc": history[-1] if history else None,
-                   "val_acc_history": history}
+    val_acc = model.accuracy(val_ds.inputs, val_ds.labels) if epochs else None
+    return model, {"val_acc": val_acc}

@@ -5,6 +5,14 @@ beta2=0.999, eps=1e-8 and no weight decay. While the variance-rectification
 term rho_t <= 4 the step falls back to bias-corrected SGD-with-momentum;
 once rho_t > 4 the adaptive step with the rectification factor r_t is used.
 
+``RAdam.step`` updates every parameter in one pass over one flat vector
+(the multi-tensor idea of "foreach" optimizers): the moments are two flat
+buffers, the gradients are gathered with one concatenate and checked with
+one isfinite call, and each update expression runs once over the vector.
+The expressions keep the per-parameter operator order and every element
+is rounded on its own, so the result equals a per-parameter update bit for
+bit (tests/reference_graphs.py keeps that loop as the reference).
+
 The learning rate stays constant while bit-widths converge and switches to
 exact exponential decay (lambda *= 0.9985 per batch) after the first audit
 where the max actual bit-width meets the target everywhere. The switch is
@@ -18,26 +26,45 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import ContractError, NumericError
 from .tensor import Tensor
 
 
 class RAdam:
+    """RAdam over named parameters, updated as one flat vector.
+
+    Each parameter owns one contiguous segment of the flat moment buffers;
+    ``m[name]`` and ``v[name]`` are views of it, shaped like the parameter.
+    A parameter whose grad is None keeps its data and moments in a step.
+    """
+
     def __init__(self, params, lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8):
         # params: iterable of (name, Tensor) with requires_grad set
         self.params = list(params)
-        seen = set()
-        for name, _ in self.params:
-            if name in seen:
-                raise ValueError(f"duplicate parameter name {name!r}")
-            seen.add(name)
+        names, owner = set(), {}
+        for name, p in self.params:
+            if name in names:
+                raise ContractError(f"duplicate parameter name {name!r}")
+            if id(p) in owner:
+                raise ContractError(
+                    f"parameters {owner[id(p)]!r} and {name!r} are one tensor; "
+                    "a flat update cannot step it twice")
+            names.add(name)
+            owner[id(p)] = name
         self.lr = float(lr)
         self.beta1 = float(beta1)
         self.beta2 = float(beta2)
         self.eps = float(eps)
         self.t = 0
-        self.m = {name: np.zeros_like(p.data) for name, p in self.params}
-        self.v = {name: np.zeros_like(p.data) for name, p in self.params}
+        sizes = [p.data.size for _, p in self.params]
+        self._bounds = np.cumsum([0] + sizes)
+        self._m = np.zeros(self._bounds[-1])
+        self._v = np.zeros(self._bounds[-1])
+        self.m, self.v = {}, {}
+        for k, (name, p) in enumerate(self.params):
+            a, b = self._bounds[k], self._bounds[k + 1]
+            self.m[name] = self._m[a:b].reshape(p.data.shape)
+            self.v[name] = self._v[a:b].reshape(p.data.shape)
 
     @property
     def rho_inf(self) -> float:
@@ -48,32 +75,50 @@ class RAdam:
             p.grad = None
 
     def step(self):
-        for name, p in self.params:
-            if p.grad is not None and not np.all(np.isfinite(p.grad)):
-                raise NumericError(f"non-finite gradient for {name!r}; step rejected")
+        live = [k for k, (_, p) in enumerate(self.params) if p.grad is not None]
+        grads = [np.asarray(self.params[k][1].grad, dtype=np.float64).reshape(-1)
+                 for k in live]
+        g = np.concatenate(grads) if grads else np.zeros(0)
+        if not np.all(np.isfinite(g)):
+            for k, gk in zip(live, grads):
+                if not np.all(np.isfinite(gk)):
+                    raise NumericError(f"non-finite gradient for "
+                                       f"{self.params[k][0]!r}; step rejected")
         self.t += 1
+        if not live:
+            return
         t = self.t
         b1, b2 = self.beta1, self.beta2
         b1t, b2t = b1 ** t, b2 ** t
         rho_inf = self.rho_inf
         rho_t = rho_inf - 2.0 * t * b2t / (1.0 - b2t)
-        for name, p in self.params:
-            g = p.grad
-            if g is None:
-                continue
-            g = np.asarray(g, dtype=np.float64)
-            m = self.m[name] = b1 * self.m[name] + (1.0 - b1) * g
-            v = self.v[name] = b2 * self.v[name] + (1.0 - b2) * (g * g)
-            m_hat = m / (1.0 - b1t)
-            if rho_t > 4.0:
-                r_t = math.sqrt(
-                    (rho_t - 4.0) * (rho_t - 2.0) * rho_inf
-                    / ((rho_inf - 4.0) * (rho_inf - 2.0) * rho_t)
-                )
-                v_hat = np.sqrt(v / (1.0 - b2t))
-                p.data = p.data - self.lr * r_t * m_hat / (v_hat + self.eps)
-            else:
-                p.data = p.data - self.lr * m_hat
+        bounds = self._bounds
+        if len(live) == len(self.params):
+            sel = slice(None)
+        else:
+            sel = np.concatenate([np.arange(bounds[k], bounds[k + 1])
+                                  for k in live])
+        m = b1 * self._m[sel] + (1.0 - b1) * g
+        v = b2 * self._v[sel] + (1.0 - b2) * (g * g)
+        self._m[sel] = m
+        self._v[sel] = v
+        m_hat = m / (1.0 - b1t)
+        data = np.concatenate([self.params[k][1].data.reshape(-1) for k in live])
+        if rho_t > 4.0:
+            r_t = math.sqrt(
+                (rho_t - 4.0) * (rho_t - 2.0) * rho_inf
+                / ((rho_inf - 4.0) * (rho_inf - 2.0) * rho_t)
+            )
+            v_hat = np.sqrt(v / (1.0 - b2t))
+            data = data - self.lr * r_t * m_hat / (v_hat + self.eps)
+        else:
+            data = data - self.lr * m_hat
+        start = 0
+        for k in live:
+            p = self.params[k][1]
+            end = start + p.data.size
+            p.data = data[start:end].reshape(p.data.shape)
+            start = end
 
     def state_arrays(self):
         out = {"t": np.asarray(self.t, dtype=np.int64)}
@@ -85,12 +130,10 @@ class RAdam:
     def load_state_arrays(self, arrays):
         self.t = int(arrays["t"])
         for name, p in self.params:
-            self.m[name] = np.asarray(arrays[f"m/{name}"], dtype=np.float64).reshape(
-                p.data.shape
-            )
-            self.v[name] = np.asarray(arrays[f"v/{name}"], dtype=np.float64).reshape(
-                p.data.shape
-            )
+            self.m[name][...] = np.asarray(
+                arrays[f"m/{name}"], dtype=np.float64).reshape(p.data.shape)
+            self.v[name][...] = np.asarray(
+                arrays[f"v/{name}"], dtype=np.float64).reshape(p.data.shape)
 
 
 @dataclass

@@ -13,13 +13,14 @@ divergence constant of the binary channel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import tensor as T
 from .errors import DomainError
 from .losses import DISTILL_KINDS, LossState, total_loss
+from .models import Conv2d, Linear, _Layer
 from .optim import RAdam
 from .quantizer import FakeQuantizer
 from .tensor import Tensor
@@ -411,6 +412,76 @@ def gradcheck_total_loss(n_cases: int = 30, seed=0, rtol=1e-4):
                                       "the loss vs central FD")]
 
 
+LAYER_NODE_KINDS = ("linear_relu", "linear_identity", "conv_bn_train")
+
+
+def _layer_node_case(rng, kind):
+    """A random FP layer of `kind` with nonzero bias (and batchnorm
+    parameters), an input whose relu inputs all sit at least 1e-3 from the
+    kink, the layer's parameters and output weights for a scalar loss."""
+    b = int(rng.integers(2, 5))
+    if kind == "conv_bn_train":
+        c, o = int(rng.integers(1, 3)), int(rng.integers(2, 4))
+        spec = Conv2d(c, o, kernel=3, stride=2, padding=1, batchnorm=True)
+        x_shape, n_out = (b, c, int(rng.integers(4, 7)),
+                          int(rng.integers(4, 7))), o
+    else:
+        din, n_out = int(rng.integers(2, 6)), int(rng.integers(2, 6))
+        spec = Linear(din, n_out, "relu" if kind == "linear_relu"
+                      else "identity")
+        x_shape = (b, din)
+    layer = _Layer(spec, rng, "oracle")
+    layer.b.data[...] = rng.normal(size=n_out)
+    params = [layer.W, layer.b]
+    if layer.bn is not None:
+        layer.bn.gamma.data[...] = rng.uniform(0.5, 1.5, size=n_out)
+        layer.bn.beta.data[...] = rng.normal(size=n_out)
+        params += [layer.bn.gamma, layer.bn.beta]
+    while True:
+        x = rng.normal(size=x_shape)
+        layer.spec = replace(spec, activation="identity")
+        with T.no_grad():
+            pre = layer.forward(Tensor(x), train=True).data
+        layer.spec = spec
+        if spec.activation != "relu" or np.min(np.abs(pre)) >= 1e-3:
+            return layer, x, params, rng.normal(size=pre.shape)
+
+
+def gradcheck_layer_nodes(n_cases: int = 12, seed=0, rtol=1e-4):
+    """Gradients of FP layer nodes (_Layer.forward) with respect to x, W, b
+    and the batchnorm gamma and beta vs central differences, cycling over
+    linear + relu, linear + identity and a stride-2, pad-1 conv with
+    batchnorm in train mode."""
+    rng = np.random.default_rng([seed, 0x4C4159])
+    worst = 0.0
+    for i in range(n_cases):
+        layer, x, params, coeff = _layer_node_case(
+            rng, LAYER_NODE_KINDS[i % len(LAYER_NODE_KINDS)])
+
+        def loss(xt):
+            T.reset_tape()
+            out = layer.forward(xt, train=True)
+            return T.sum_(T.mul(out, T.constant(coeff)))
+
+        xt = Tensor(x, requires_grad=True)
+        loss(xt).backward()
+        analytic = [xt.grad] + [p.grad for p in params]
+        T.reset_tape()
+        # the parameter tensors hold these arrays, so FD edits reach them
+        numeric = finite_difference_grads(
+            lambda arrs: float(loss(Tensor(arrs[0])).data),
+            [x] + [p.data for p in params])
+        T.reset_tape()
+        for a, nmr in zip(analytic, numeric):
+            denom = np.maximum(np.abs(nmr), 1.0)
+            worst = max(worst, float(np.max(np.abs(a - nmr) / denom)))
+    return [OracleReport.make("gradcheck_layer_nodes", n_cases, worst, 0.0,
+                              rtol,
+                              details="FP layer-node grads (linear relu/"
+                                      "identity, conv + batchnorm) vs "
+                                      "central FD")]
+
+
 # -- optimizer cross-check ----------------------------------------------------------
 
 
@@ -484,6 +555,8 @@ def oracle_registry(seed=0):
                     lambda: gradcheck_random_models(n_models=100, seed=seed)))
     entries.append(("gradcheck_total_loss",
                     lambda: gradcheck_total_loss(n_cases=30, seed=seed)))
+    entries.append(("gradcheck_layer_nodes",
+                    lambda: gradcheck_layer_nodes(n_cases=12, seed=seed)))
     entries.append(("radam_reference", radam_reference_check))
     return entries
 

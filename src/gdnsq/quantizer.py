@@ -23,13 +23,15 @@ s = exp(log_s); weight sites learn l and log_range with u = l +
 exp(log_range); activation sites following relu keep l = 0 and learn u
 through a softplus.
 
-Gradients with respect to these raw parameters are closed-form. ``apply``
-records one tape node over x and the raw parameters; its rule takes the
-STE gradients for (s, l, u) from ``ste_backward`` through exp and the
-softplus. ``bitwidth`` returns omega = log2((u - l)/s + 1) with its
-vector-Jacobian product, whose log_s part -ratio/((ratio + 1) ln 2) is
-the LSQ step-size gradient (Esser et al., arXiv:1902.08153); the
-potential node in ``losses`` is built on it.
+Gradients with respect to these raw parameters are closed-form.
+``fake_quant`` returns the numpy output with its vector-Jacobian product,
+which takes the STE gradients for (s, l, u) from ``ste_backward`` through
+exp and the softplus; ``apply`` records it as one tape node over x and the
+raw parameters, and a model layer composes it into its own node.
+``bitwidth`` returns omega = log2((u - l)/s + 1) with its vector-Jacobian
+product, whose log_s part -ratio/((ratio + 1) ln 2) is the LSQ step-size
+gradient (Esser et al., arXiv:1902.08153); the potential node in
+``losses`` is built on it.
 """
 
 from __future__ import annotations
@@ -175,18 +177,25 @@ class FakeQuantizer:
 
         return float(np.log(ratio1) * _INV_LN2), inputs, vjp
 
-    def apply(self, x: Tensor) -> Tensor:
-        """Fake-quantize x as one tape node over x and the site's parameters."""
-        l, u, s, inputs, chain = self._node_view()
-        xv = x.data
-        out = fq_kernel(xv, l, u, s)
+    def fake_quant(self, xv: np.ndarray):
+        """Fake-quantized xv, the parameter tensors it depends on and its
+        vector-Jacobian product onto (x, *those tensors).
 
-        def rule(g):
+        The product draws this site's probes when it is called, so callers
+        fix the draw order by the order in which they call it.
+        """
+        l, u, s, inputs, chain = self._node_view()
+
+        def vjp(g):
             gx, gs, gl, gu = self.ste_backward(g, xv, l, u, s)
             return (gx, *chain(gs, gl, gu))
 
-        return T._record([x, *inputs], out, rule,
-                         f"fake_quant[{self.name}]")
+        return fq_kernel(xv, l, u, s), inputs, vjp
+
+    def apply(self, x: Tensor) -> Tensor:
+        """Fake-quantize x as one tape node over x and the site's parameters."""
+        out, inputs, vjp = self.fake_quant(x.data)
+        return T._record([x, *inputs], out, vjp, f"fake_quant[{self.name}]")
 
     def ste_backward(self, g_up, x, l, u, s):
         """Gradients of the fake-quant output for (x, s, l, u).

@@ -1,16 +1,20 @@
-"""Primitive-op graphs of the quantizer parameters, the loss terms and
-batchnorm.
+"""Primitive-op graphs of the quantizer parameters, the loss terms,
+batchnorm and a model layer, and the per-parameter RAdam loop.
 
 These are the compositions of tensor primitives that the closed-form tape
 nodes in ``gdnsq.quantizer``, ``gdnsq.losses`` and ``gdnsq.models``
-replace. They stay here as references: the tests check that the nodes give
-the same values and gradients.
+replace, and the loop that the flat update in ``gdnsq.optim`` replaces.
+They stay here as references: the tests check that the nodes give the same
+values and gradients, and the flat update the same bits.
 """
+
+import math
 
 import numpy as np
 
 from gdnsq import tensor as T
 from gdnsq.losses import PROB_FLOOR, floor_normalize, softmax
+from gdnsq.models import _conv2d_op
 from gdnsq.quantizer import fq_kernel
 
 
@@ -119,3 +123,74 @@ def batchnorm_forward(bn, x, train):
     g = T.broadcast_to(T.reshape(bn.gamma, pshape), x.shape)
     b = T.broadcast_to(T.reshape(bn.beta, pshape), x.shape)
     return T.add(T.mul(xhat, g), b)
+
+
+def layer_forward(layer, x, train, bypass_quant=False, observer=None,
+                  collect_acts=None):
+    """_Layer.forward as a graph of one node per op: the fake-quant nodes,
+    matmul or conv, bias reshape, broadcast and add, the batchnorm node and
+    relu."""
+    quant = layer.weight_fq is not None and not bypass_quant
+    if layer.act_fq is not None and observer is not None:
+        lo, hi = observer.get(layer.act_fq.name, (np.inf, -np.inf))
+        observer[layer.act_fq.name] = (min(lo, float(x.data.min())),
+                                       max(hi, float(x.data.max())))
+    if quant:
+        x = layer.act_fq.apply(x)
+        w = layer.weight_fq.apply(layer.W)
+        if collect_acts is not None:
+            collect_acts.setdefault(layer.act_fq.name, []).append(x.data)
+    else:
+        w = layer.W
+    if layer.spec.kind == "linear":
+        y = T.matmul(x, w)
+        bb = T.broadcast_to(T.reshape(layer.b, (1, -1)), y.shape)
+    else:
+        y = _conv2d_op(x, w, layer.spec.stride, layer.spec.padding)
+        bb = T.broadcast_to(T.reshape(layer.b, (1, -1, 1, 1)), y.shape)
+    y = T.add(y, bb)
+    if layer.bn is not None:
+        y = layer.bn.forward(y, train)
+    if layer.spec.activation == "relu":
+        y = T.relu(y)
+    return y
+
+
+class RAdamLoop:
+    """RAdam.step as a loop over the parameters, one update per parameter.
+
+    Same hyperparameters and expressions as ``gdnsq.optim.RAdam``, with
+    per-parameter moment arrays.
+    """
+
+    def __init__(self, params, lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params = list(params)
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.t = 0
+        self.m = {name: np.zeros_like(p.data) for name, p in self.params}
+        self.v = {name: np.zeros_like(p.data) for name, p in self.params}
+
+    def step(self):
+        self.t += 1
+        t = self.t
+        b1, b2 = self.beta1, self.beta2
+        b1t, b2t = b1 ** t, b2 ** t
+        rho_inf = 2.0 / (1.0 - b2) - 1.0
+        rho_t = rho_inf - 2.0 * t * b2t / (1.0 - b2t)
+        for name, p in self.params:
+            g = p.grad
+            if g is None:
+                continue
+            g = np.asarray(g, dtype=np.float64)
+            m = self.m[name] = b1 * self.m[name] + (1.0 - b1) * g
+            v = self.v[name] = b2 * self.v[name] + (1.0 - b2) * (g * g)
+            m_hat = m / (1.0 - b1t)
+            if rho_t > 4.0:
+                r_t = math.sqrt(
+                    (rho_t - 4.0) * (rho_t - 2.0) * rho_inf
+                    / ((rho_inf - 4.0) * (rho_inf - 2.0) * rho_t)
+                )
+                v_hat = np.sqrt(v / (1.0 - b2t))
+                p.data = p.data - self.lr * r_t * m_hat / (v_hat + self.eps)
+            else:
+                p.data = p.data - self.lr * m_hat

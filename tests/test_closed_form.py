@@ -1,11 +1,12 @@
 """The closed-form tape nodes against the primitive-op graphs they replace.
 
-Each case evaluates the loss once through the nodes (FakeQuantizer.apply,
-losses.distill_loss, losses.potential_tensor) and once through the
-reference graphs in ``reference_graphs``, with the same probe draws, and
-compares the loss value and every parameter and logit gradient within
-1e-12 relative. The batchnorm node (BatchNorm.forward) is compared the
-same way on its output and its x, gamma and beta gradients.
+Each case evaluates the loss once through the nodes (the layer nodes of
+_Layer.forward, losses.distill_loss, losses.potential_tensor) and once
+through the reference graphs in ``reference_graphs``, with the same probe
+draws, and compares the loss value and every parameter and logit gradient
+within 1e-12 relative. The batchnorm node (BatchNorm.forward) and a single
+layer node are compared the same way on their outputs and gradients; a
+layer node must also draw the same probes in the same order.
 """
 
 import numpy as np
@@ -15,7 +16,8 @@ import reference_graphs as ref
 from gdnsq import tensor as T
 from gdnsq.losses import (PROB_FLOOR, LossState, distill_loss, hard_label_loss,
                           potential_tensor, softmax, total_loss)
-from gdnsq.models import BatchNorm, build_model, make_model_spec
+from gdnsq.models import (BatchNorm, Conv2d, Linear, _Layer, build_model,
+                          make_model_spec)
 from gdnsq.quantizer import FakeQuantizer
 from gdnsq.tensor import Tensor
 
@@ -60,6 +62,7 @@ def loss_and_grads(model, x, t_logits, labels, kind, state, seed,
     with pytest.MonkeyPatch.context() as mp:
         if reference:
             mp.setattr(FakeQuantizer, "apply", ref.fake_quant_apply)
+            mp.setattr(_Layer, "forward", ref.layer_forward)
         s_logits = model.forward(x, train=True)
         if reference:
             loss = ref.total_loss(s_logits, t_logits, model.weight_quantizers(),
@@ -74,13 +77,13 @@ def loss_and_grads(model, x, t_logits, labels, kind, state, seed,
     return float(loss.data), s_logits.grad.copy(), grads
 
 
-@pytest.mark.parametrize("model_id", ["mlp3", "mlp4"])
+@pytest.mark.parametrize("model_id", ["mlp3", "mlp4", "conv3"])
 @pytest.mark.parametrize("kind", KINDS)
 def test_model_step_matches_reference(model_id, kind):
-    seed = 11 if model_id == "mlp3" else 12
+    seed = {"mlp3": 11, "mlp4": 12, "conv3": 13}[model_id]
     model = quantized_model(model_id, seed)
     rng = np.random.default_rng(seed + 100)
-    x = rng.normal(size=(16, 2))
+    x = rng.normal(size=(16, 2, 6, 6) if model_id == "conv3" else (16, 2))
     t_logits = rng.normal(scale=3.0, size=(16, 3))
     t_logits[0] = [40.0, 0.0, -40.0]  # teacher probabilities under the floor
     labels = rng.integers(0, 3, size=16)
@@ -239,4 +242,85 @@ def test_batchnorm_is_one_node():
     T.reset_tape()
     BatchNorm(3).forward(x, train=True)
     assert [n.name for n in T.get_tape().nodes] == ["batchnorm"]
+    T.reset_tape()
+
+
+LAYER_KINDS = ("linear", "conv2d")
+
+
+def layer_case(kind, quantized, train, x_grad, reference):
+    """(output, probe draws, gradients, running statistics) of one layer
+    forward and backward through the layer node or the reference graph."""
+    rng = np.random.default_rng([LAYER_KINDS.index(kind), quantized])
+    if kind == "linear":
+        spec, x_shape = Linear(5, 4), (6, 5)
+    else:
+        spec, x_shape = Conv2d(2, 3, stride=2, padding=1), (3, 2, 5, 6)
+    layer = _Layer(spec, rng, "layer1")
+    layer.b.data = rng.normal(size=layer.b.data.shape)
+    params = [layer.W, layer.b]
+    if layer.bn is not None:
+        layer.bn.gamma.data = 1.0 + 0.3 * rng.normal(size=3)
+        layer.bn.beta.data = rng.normal(size=3)
+        layer.bn.running_var = rng.uniform(0.5, 2.0, size=3)
+        params += [layer.bn.gamma, layer.bn.beta]
+    if quantized:
+        layer.attach_quantizers("bernoulli", np.random.default_rng(7))
+        w = layer.W.data
+        layer.weight_fq.init_from_minmax(0.8 * w.min(), 0.8 * w.max(), 3.0)
+        layer.act_fq.init_from_minmax(0.0, 1.2, 3.0)
+        params += layer.weight_fq.raw_params() + layer.act_fq.raw_params()
+    x = Tensor(rng.normal(0.3, 1.0, size=x_shape), requires_grad=x_grad)
+    draws = []
+    ste = FakeQuantizer.ste_backward
+
+    def recording(fq, g_up, xv, l, u, s):
+        draws.append((fq.name, xv.shape, fq.rng.bit_generator.state))
+        return ste(fq, g_up, xv, l, u, s)
+
+    T.reset_tape()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(FakeQuantizer, "ste_backward", recording)
+        forward = ref.layer_forward if reference else _Layer.forward
+        out = forward(layer, x, train)
+        coeff = np.random.default_rng(9).normal(size=out.shape)
+        T.sum_(T.mul(out, T.constant(coeff))).backward()
+    T.reset_tape()
+    stats = ([] if layer.bn is None
+             else [layer.bn.running_mean, layer.bn.running_var])
+    return out.data, draws, [x.grad] + [p.grad for p in params], stats
+
+
+@pytest.mark.parametrize("kind", LAYER_KINDS)
+@pytest.mark.parametrize("quantized", [False, True])
+@pytest.mark.parametrize("train", [False, True])
+@pytest.mark.parametrize("x_grad", [False, True])
+def test_layer_node_matches_graph(kind, quantized, train, x_grad):
+    node = layer_case(kind, quantized, train, x_grad, reference=False)
+    graph = layer_case(kind, quantized, train, x_grad, reference=True)
+    np.testing.assert_array_equal(node[0], graph[0])
+    assert node[1] == graph[1]
+    assert [d[0] for d in node[1]] == (
+        ["layer1/weight", "layer1/act"] if quantized else [])
+    for got, want in zip(node[3], graph[3]):
+        np.testing.assert_array_equal(got, want)
+    for i, (got, want) in enumerate(zip(node[2], graph[2])):
+        if want is None:
+            assert got is None, i
+        else:
+            assert_close(got, want, f"gradient {i}")
+    assert (node[2][0] is None) == (not x_grad)
+
+
+@pytest.mark.parametrize("model_id,names", [
+    ("mlp4", ["layer0", "layer1", "layer2", "layer3"]),
+    ("conv3", ["layer0", "layer1", "layer2", "sum", "mul", "layer3"]),
+])
+def test_layer_is_one_node(model_id, names):
+    model = quantized_model(model_id, 5)
+    x = np.random.default_rng(0).normal(size=(4, 2, 6, 6) if model_id == "conv3"
+                                        else (4, 2))
+    T.reset_tape()
+    model.forward(x, train=True)
+    assert [n.name for n in T.get_tape().nodes] == names
     T.reset_tape()

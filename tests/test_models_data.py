@@ -302,6 +302,27 @@ class TestTeacher:
             np.testing.assert_array_equal(l1.W.data, l2.W.data)
             np.testing.assert_array_equal(l1.b.data, l2.b.data)
 
+    def test_one_eval_forward(self, monkeypatch):
+        train = make_synthetic("two_gaussians", 128, seed=1)
+        val = make_synthetic("two_gaussians", 100, seed=1, split="val")
+        spec = make_model_spec("mlp3", 2, 2)
+        evals = []
+        forward = Model.forward
+
+        def counting(self, x, train=True, **kwargs):
+            if not train:
+                evals.append(len(x))
+            return forward(self, x, train=train, **kwargs)
+
+        monkeypatch.setattr(Model, "forward", counting)
+        model, meta = train_teacher(spec, train, val, epochs=4, lam=0.01,
+                                    seed=0)
+        assert evals == [100]  # after the last epoch, not once per epoch
+        assert meta == {"val_acc": model.accuracy(val.inputs, val.labels)}
+        evals.clear()
+        _, meta = train_teacher(spec, train, val, epochs=0, lam=0.01, seed=0)
+        assert evals == [] and meta == {"val_acc": None}
+
     def test_divergence_names_the_epoch(self):
         train = make_synthetic("two_gaussians", 128, seed=1)
         inputs = train.inputs.copy()

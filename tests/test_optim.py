@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from gdnsq.errors import NumericError
+import reference_graphs as ref
+from gdnsq.errors import ContractError, NumericError
 from gdnsq.optim import LrPolicy, RAdam, lr_next
 from gdnsq.oracles import _radam_scalar_reference, radam_reference_check
 from gdnsq.tensor import Tensor
@@ -99,6 +100,95 @@ class TestRAdam:
             opt1.step()
             opt2.step()
         np.testing.assert_array_equal(p1.data, p2.data)
+
+
+SHAPES = {"w": (6, 8), "b": (5,), "log_s": ()}
+
+
+def three_params(seed, scale=1.0):
+    rng = np.random.default_rng(seed)
+    return [(name, make_param(scale * rng.normal(size=shape)))
+            for name, shape in SHAPES.items()]
+
+
+class TestFlatRAdam:
+    def test_duplicate_name_rejected(self):
+        with pytest.raises(ContractError, match="duplicate parameter name 'p'"):
+            RAdam([("p", make_param(1.0)), ("p", make_param(2.0))])
+
+    def test_one_tensor_under_two_names_rejected(self):
+        p = make_param([1.0, 2.0])
+        with pytest.raises(ContractError, match="'a' and 'b' are one tensor"):
+            RAdam([("a", p), ("c", make_param(0.0)), ("b", p)])
+
+    def test_matches_per_parameter_loop(self):
+        # steps as large as the parameters, so a last-bit change in the
+        # step survives the subtraction
+        flat_params, loop_params = three_params(0, 0.01), three_params(0, 0.01)
+        opt = RAdam(flat_params, lr=0.1)
+        loop = ref.RAdamLoop(loop_params, lr=0.1)
+        rng = np.random.default_rng(1)
+        for step in range(1, 13):  # rho_t <= 4 up to step 4, > 4 after
+            for (name, p), (_, q) in zip(flat_params, loop_params):
+                skip = name == "b" and step in (2, 3, 7, 11)
+                g = None if skip else rng.normal(size=SHAPES[name])
+                p.grad = q.grad = g
+            opt.step()
+            loop.step()
+            for (name, p), (_, q) in zip(flat_params, loop_params):
+                np.testing.assert_array_equal(p.data, q.data, err_msg=name)
+                np.testing.assert_array_equal(opt.m[name], loop.m[name])
+                np.testing.assert_array_equal(opt.v[name], loop.v[name])
+                assert p.data.shape == SHAPES[name]
+
+    def test_none_gradient_keeps_data_and_moments(self):
+        params = three_params(2)
+        opt = RAdam(params, lr=0.1)
+        for _, p in params:
+            p.grad = np.ones(p.data.shape)
+        opt.step()
+        b = params[1][1]
+        kept = (b.data.copy(), opt.m["b"].copy(), opt.v["b"].copy())
+        params[0][1].grad, b.grad = np.ones(SHAPES["w"]), None
+        params[2][1].grad = np.ones(())
+        opt.step()
+        for want, got in zip(kept, (b.data, opt.m["b"], opt.v["b"])):
+            np.testing.assert_array_equal(got, want)
+
+    def test_non_finite_gradient_rejected_before_any_change(self):
+        params = three_params(3)
+        opt = RAdam(params, lr=0.1)
+        for _, p in params:
+            p.grad = np.ones(p.data.shape)
+        opt.step()
+        before = {k: v.copy() for k, v in opt.state_arrays().items()}
+        data = [p.data.copy() for _, p in params]
+        params[1][1].grad = np.array([1.0, np.inf, 0.0, 1.0, 1.0])
+        with pytest.raises(NumericError, match="'b'"):
+            opt.step()
+        for k, v in opt.state_arrays().items():
+            np.testing.assert_array_equal(v, before[k], err_msg=k)
+        for (_, p), d in zip(params, data):
+            np.testing.assert_array_equal(p.data, d)
+
+    def test_state_arrays_round_trip_bytes(self):
+        params = three_params(4)
+        opt = RAdam(params, lr=0.02)
+        rng = np.random.default_rng(5)
+        for step in range(6):
+            for name, p in params:
+                p.grad = (None if name == "w" and step == 3
+                          else rng.normal(size=SHAPES[name]))
+            opt.step()
+        saved = opt.state_arrays()
+        again = RAdam(three_params(4), lr=0.02)
+        again.load_state_arrays({k: v.copy() for k, v in saved.items()})
+        restored = again.state_arrays()
+        assert sorted(restored) == sorted(saved)
+        for k in saved:
+            assert restored[k].shape == saved[k].shape, k
+            assert restored[k].tobytes() == saved[k].tobytes(), k
+        assert again.t == opt.t == 6
 
 
 class TestLrPolicy:

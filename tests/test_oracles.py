@@ -5,8 +5,8 @@ import pytest
 
 from gdnsq.errors import DomainError
 from gdnsq.oracles import (OracleReport, bernoulli_clt_check, bsc_reduction,
-                           default_noise_quantizer, gradcheck_random_models,
-                           gradcheck_total_loss,
+                           default_noise_quantizer, gradcheck_layer_nodes,
+                           gradcheck_random_models, gradcheck_total_loss,
                            jeffreys_hamming, lemma_fd_round, noise_uniformity,
                            oracle_registry, radam_reference_check, run_all,
                            ste_gradient_check)
@@ -125,7 +125,15 @@ def test_gradcheck_total_loss_small_slice():
     assert r.tolerance == 1e-4
 
     assert [n for n, _ in oracle_registry() if "gradcheck" in n] == [
-        "gradcheck_random_models", "gradcheck_total_loss"]
+        "gradcheck_random_models", "gradcheck_total_loss",
+        "gradcheck_layer_nodes"]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_gradcheck_layer_nodes(seed):
+    (r,) = gradcheck_layer_nodes(n_cases=6, seed=seed)
+    assert r.passed, r.format()
+    assert r.tolerance == 1e-4 and r.trials == 6
 
 
 def test_radam_reference():
