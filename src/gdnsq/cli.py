@@ -22,15 +22,17 @@ import sys
 
 import numpy as np
 
-from .checkpoint import load_arrays, save_arrays
+from .checkpoint import save_arrays
 from .errors import GdnsqError
-from .models import build_model, make_model_spec, train_teacher
+from .losses import DISTILL_KINDS
+from .models import Model, make_model_spec, train_teacher
 from .oracles import run_all
-from .pipeline import (METRICS_HEADER, RunConfig, audit_bitwidth,
-                       build_student_arrays, fuse_student,
-                       init_quantizers_noptq, input_features, load_dataset,
-                       load_student, load_teacher, ptq_minmax, qat_run,
-                       save_teacher, snap_weights)
+from .pipeline import (METRICS_HEADER, NO_PTQ_INIT_BITS, RunConfig,
+                       audit_bitwidth, build_student_arrays, fuse_student,
+                       input_features, load_dataset, load_student,
+                       load_teacher, ptq_minmax, qat_run, save_teacher,
+                       snap_weights)
+from .quantizer import NOISE_MODES
 
 
 def _env_seed():
@@ -94,9 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
                                    "min-max calibration to 10-bit")
     p.add_argument("--ckpt", required=True, help="FP teacher checkpoint")
     _add_data_flags(p)
-    p.add_argument("--noise-mode", dest="noise_mode",
-                   choices=["bernoulli", "bernoulli_variance_matched",
-                            "rounding_residual"],
+    p.add_argument("--noise-mode", dest="noise_mode", choices=NOISE_MODES,
                    help="backward probe for the scale gradient d(sr)/ds")
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--out", required=True, help="student checkpoint path")
@@ -111,12 +111,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr0", type=float,
                    help="constant-phase learning rate lambda_0")
     p.add_argument("--epochs", type=int)
-    p.add_argument("--noise-mode", dest="noise_mode",
-                   choices=["bernoulli", "bernoulli_variance_matched",
-                            "rounding_residual"],
+    p.add_argument("--noise-mode", dest="noise_mode", choices=NOISE_MODES,
                    help="backward probe for the scale gradient d(sr)/ds")
-    p.add_argument("--distill", choices=["jeffreys", "cross_entropy",
-                                         "hard_label_ce"],
+    p.add_argument("--distill", choices=DISTILL_KINDS,
                    help="distillation distance d (jeffreys = symmetrized KL)")
     p.add_argument("--no-ptq", action="store_true", dest="no_ptq",
                    help="skip PTQ: near-FP quantizer init straight from the "
@@ -145,7 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export-metrics", help="check a run's metrics CSV "
                                               "row by row and re-emit it")
     p.add_argument("--run-dir", required=True, dest="run_dir")
-    p.add_argument("--format", default="csv", choices=["csv"])
     p.add_argument("--out", help="target file (stdout when omitted)")
 
     p = sub.add_parser("fuse", help="emit integer weights + scales for a "
@@ -167,8 +163,6 @@ def cmd_train_fp(args) -> int:
     merged = _merge_config(args, defaults, list(defaults))
     if args.data:
         merged["dataset"] = args.data
-    if args.lr is not None:
-        merged["lr"] = args.lr
     train, val = _resolve_dataset(merged)
     spec = make_model_spec(merged["model"], input_features(train),
                            train.num_classes)
@@ -201,7 +195,7 @@ def cmd_ptq(args) -> int:
                        data_seed=merged["data_seed"],
                        n_train=merged["n_train"], n_val=merged["n_val"],
                        noise_mode=merged["noise_mode"], seed=merged["seed"])
-    student = build_model(spec, quantized=True, noise_mode=config.noise_mode)
+    student = Model(spec, quantized=True, noise_mode=config.noise_mode)
     student.copy_weights_from(teacher)
     ptq_minmax(student, train)
     acc = student.accuracy(val.inputs, val.labels)
@@ -237,10 +231,9 @@ def cmd_qat(args) -> int:
     train, val = _resolve_dataset(merged)
     if args.no_ptq:
         spec = teacher.spec
-        student = build_model(spec, quantized=True,
-                              noise_mode=config.noise_mode)
+        student = Model(spec, quantized=True, noise_mode=config.noise_mode)
         student.copy_weights_from(teacher)
-        init_quantizers_noptq(student, train)
+        ptq_minmax(student, train, bits=NO_PTQ_INIT_BITS)
     else:
         student.set_noise_mode(config.noise_mode)
     summary = qat_run(config, teacher, student, args.out, train, val,

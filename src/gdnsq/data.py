@@ -117,12 +117,3 @@ def load_idx_dataset(images_path, labels_path, split="train",
         images = images[:, None, :, :]
     nc = int(num_classes if num_classes is not None else labels.max() + 1)
     return Dataset(images, labels.astype(np.int64), split, num_classes=nc)
-
-
-def iterate_batches(ds: Dataset, batch_size: int, rng=None):
-    """Minibatches; shuffled when an rng is given, in order otherwise."""
-    n = len(ds)
-    order = rng.permutation(n) if rng is not None else np.arange(n)
-    for start in range(0, n, batch_size):
-        idx = order[start:start + batch_size]
-        yield ds.inputs[idx], ds.labels[idx]

@@ -26,7 +26,8 @@ class FormatError(GdnsqError):
 
 
 class FusionError(GdnsqError):
-    """Integer fusion requested on an off-grid (non-converged) layer."""
+    """Integer fusion requested on an off-grid (non-converged) layer or on
+    a layer kind it does not cover (conv)."""
 
 
 class DegenerateRangeError(GdnsqError):

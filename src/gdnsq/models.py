@@ -446,12 +446,6 @@ def logits_accuracy(logits: np.ndarray, labels) -> float:
     return float(np.mean(np.argmax(logits, axis=1) == labels))
 
 
-def build_model(spec: ModelSpec, quantized: bool, noise_mode="bernoulli",
-                init_seed=0, quant_rng=None) -> Model:
-    return Model(spec, quantized=quantized, noise_mode=noise_mode,
-                 init_seed=init_seed, quant_rng=quant_rng)
-
-
 def train_teacher(spec: ModelSpec, train_ds, val_ds, epochs=50, lam=0.01,
                   seed=0, batch_size=32):
     """Train the FP reference model with hard-label cross-entropy.
@@ -459,7 +453,7 @@ def train_teacher(spec: ModelSpec, train_ds, val_ds, epochs=50, lam=0.01,
     Returns (model, meta); meta["val_acc"] is the val accuracy after the
     last epoch (None for 0 epochs) and ends up in checkpoint metadata.
     """
-    model = build_model(spec, quantized=False, init_seed=seed)
+    model = Model(spec, quantized=False, init_seed=seed)
     opt = RAdam(model.named_parameters(), lr=lam)
     shuffle_rng = np.random.default_rng([seed, 0x7368])
     n = train_ds.inputs.shape[0]

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, NumericError
-from .tensor import Tensor
 
 
 class RAdam:

@@ -132,11 +132,6 @@ def default_noise_quantizer() -> FakeQuantizer:
 # -- Jeffreys divergence vs Hamming distance ----------------------------------
 
 
-def _kl2(p, q):
-    # KL between two Bernoulli distributions (p, 1-p) || (q, 1-q)
-    return p * math.log(p / q) + (1.0 - p) * math.log((1.0 - p) / (1.0 - q))
-
-
 def _soft_label(b, p0, p1):
     return (1.0 - p0, p0) if b == 0 else (p1, 1.0 - p1)
 

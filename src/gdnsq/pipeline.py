@@ -7,6 +7,11 @@ target at every site. The unique-value auditor runs once per epoch on the
 validation split; its forward also gives the epoch's val accuracy. It
 drives both the LR phase switch and best-checkpoint selection (best val
 accuracy among audits where max actual <= target).
+
+Integer fusion works on the model's own layers: ``fuse_student`` calls
+``quantizer.integer_fuse`` on each quantized ``models._Layer``, and
+``fused_model_forward`` is the one integer forward, which runs the fused
+layers on integer weights and the rest of the model as usual.
 """
 
 from __future__ import annotations
@@ -26,11 +31,12 @@ from .checkpoint import (array_to_json, config_hash, json_to_array, load_arrays,
 from .data import Dataset, load_idx_dataset, make_synthetic
 from .errors import (DegenerateRangeError, DomainError, FormatError,
                      NumericError, PipelineError)
+from .kernels import round_half_up
 from .losses import DISTILL_KINDS, LossState, total_loss, update_schedule
-from .models import (Model, ModelSpec, build_model, logits_accuracy,
-                     make_model_spec, spec_from_dict, spec_to_dict)
+from .models import (Model, ModelSpec, logits_accuracy, spec_from_dict,
+                     spec_to_dict)
 from .optim import LrPolicy, RAdam, lr_next
-from .quantizer import FusedLinear, QuantizedLayer, integer_fuse
+from .quantizer import FusedLinear, integer_fuse
 
 logger = logging.getLogger("gdnsq")
 
@@ -143,14 +149,6 @@ def ptq_minmax(student: Model, train_ds: Dataset, bits: float = PTQ_BITS,
             )
         layer.act_fq.init_from_minmax(alo, ahi, bits)
     return student
-
-
-def init_quantizers_noptq(student: Model, train_ds: Dataset,
-                          bits: float = NO_PTQ_INIT_BITS) -> Model:
-    """Quantizer init for the no-PTQ ablation: same min-max observation but
-    at a near-FP bit-width, so QAT starts from an effectively unquantized
-    model."""
-    return ptq_minmax(student, train_ds, bits=bits)
 
 
 # -- bit-width audit -----------------------------------------------------------
@@ -289,7 +287,7 @@ def load_student(path):
     arrays = load_arrays(path)
     config = RunConfig.from_dict(array_to_json(arrays["config/json"]))
     spec = spec_from_dict(array_to_json(arrays["spec/json"]))
-    model = build_model(spec, quantized=True, noise_mode=config.noise_mode)
+    model = Model(spec, quantized=True, noise_mode=config.noise_mode)
     model.load_state_arrays(arrays)
     for fq in model.all_quantizers():
         key = f"quant/{fq.name}/initialized"
@@ -315,7 +313,7 @@ def load_teacher(path):
     arrays = load_arrays(path)
     meta = array_to_json(arrays["config/json"])
     spec = spec_from_dict(array_to_json(arrays["spec/json"]))
-    model = build_model(spec, quantized=False)
+    model = Model(spec, quantized=False)
     model.load_state_arrays(arrays)
     return spec, model, meta
 
@@ -539,30 +537,28 @@ def snap_weights(model: Model):
 
 
 def fuse_student(model: Model) -> dict:
-    """Integer-fuse every quantized linear layer: index -> FusedLinear."""
-    fused = {}
-    for i, layer in enumerate(model.layers):
-        if layer.weight_fq is None:
-            continue
-        if layer.spec.kind != "linear":
-            raise PipelineError("integer fusion covers linear layers only")
-        ql = QuantizedLayer(layer.W, layer.weight_fq, layer.act_fq,
-                            layer.spec.activation)
-        fused[i] = integer_fuse(ql)
-    return fused
+    """Integer-fuse every quantized layer: index -> FusedLinear. Raises
+    FusionError for a conv layer."""
+    return {i: integer_fuse(layer) for i, layer in enumerate(model.layers)
+            if layer.weight_fq is not None}
 
 
 def fused_model_forward(model: Model, fused: dict, x: np.ndarray) -> np.ndarray:
-    """Eval forward where quantized layers run on the integer path."""
+    """Eval forward where quantized layers run on the integer path.
+
+    This is the one integer forward: a fused layer rounds its clamped input
+    to activation levels, multiplies by the integer weights, rescales by
+    s_w * s_a and adds the model layer's bias before its activation.
+    """
     h = np.asarray(x, dtype=np.float64)
     for i, layer in enumerate(model.layers):
         if layer.spec.kind == "linear" and h.ndim == 4:
             h = h.mean(axis=(2, 3))
         if i in fused:
             f: FusedLinear = fused[i]
-            ka = np.floor(np.clip(h, f.a_lo, f.a_hi) / f.s_a + 0.5)
+            ka = round_half_up(np.clip(h, f.a_lo, f.a_hi) / f.s_a)
             h = (ka @ f.int_weights) * (f.s_w * f.s_a) + layer.b.data
-            if layer.spec.activation == "relu":
+            if f.activation_fn == "relu":
                 h = np.maximum(h, 0.0)
         else:
             with T.no_grad():

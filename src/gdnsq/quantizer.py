@@ -32,6 +32,12 @@ raw parameters, and a model layer composes it into its own node.
 product, whose log_s part -ratio/((ratio + 1) ln 2) is the LSQ step-size
 gradient (Esser et al., arXiv:1902.08153); the potential node in
 ``losses`` is built on it.
+
+``integer_fuse`` turns a converged quantized model layer (``models._Layer``)
+into a ``FusedLinear``: integer weights plus the weight and activation
+scales and the activation clamp bounds, the integer-only inference form of
+Jacob et al. (arXiv:1712.05877). ``pipeline.fused_model_forward`` is the one
+forward that runs it.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import DomainError, FusionError, ShapeError
+from .errors import DomainError, FusionError
 from .kernels import fake_quant as fq_kernel
 from .kernels import round_half_up
 from .tensor import Tensor
@@ -61,14 +67,6 @@ def softplus_inv(y: float) -> float:
     return float(np.log(np.expm1(y)))
 
 
-def clamp(x, l, u) -> Tensor:
-    """max(l, min(u, x)) from primitives; ties route gradient to x."""
-    x, l, u = T.as_tensor(x), T.as_tensor(l), T.as_tensor(u)
-    if np.all(l.data >= u.data):
-        raise DomainError(f"clamp requires l < u, got l={l.data}, u={u.data}")
-    return T.maximum(T.minimum(x, u), l)
-
-
 class FakeQuantizer:
     """Learnable (s, l, u) for one weight or activation site."""
 
@@ -81,7 +79,6 @@ class FakeQuantizer:
         self.site_kind = site_kind
         self.noise_mode = noise_mode
         self.name = name or site_kind
-        self.z = 0.0  # offset quantization is out of scope, fixed
         if lower_fixed_zero is None:
             lower_fixed_zero = site_kind == "activation"
         self.lower_fixed_zero = lower_fixed_zero
@@ -235,11 +232,6 @@ class FakeQuantizer:
         l, u = self.bound_values()
         return fq_kernel(np.asarray(x, dtype=np.float64), l, u, self.scale_value())
 
-    def quantize_int(self, x: np.ndarray) -> np.ndarray:
-        l, u = self.bound_values()
-        v = np.clip(np.asarray(x, dtype=np.float64), l, u) / self.scale_value()
-        return round_half_up(v).astype(np.int64)
-
     def state_arrays(self):
         """Named parameter arrays for checkpointing."""
         out = {"log_s": self.log_s.data}
@@ -261,34 +253,12 @@ class FakeQuantizer:
 
 
 @dataclass
-class QuantizedLayer:
-    """A linear layer with both operands fake-quantized: a(Qw(W) @ Qa(x))."""
-
-    weights: Tensor  # [in, out]
-    weight_quantizer: FakeQuantizer
-    activation_quantizer: FakeQuantizer
-    activation_fn: str = "relu"
-
-
-def quantized_layer_forward(layer: QuantizedLayer, x) -> Tensor:
-    x = T.as_tensor(x)
-    if x.data.ndim != 2 or x.shape[1] != layer.weights.shape[0]:
-        raise ShapeError(
-            f"layer expects [batch, {layer.weights.shape[0]}], got {x.shape}"
-        )
-    xq = layer.activation_quantizer.apply(x)
-    wq = layer.weight_quantizer.apply(layer.weights)
-    y = T.matmul(xq, wq)
-    if layer.activation_fn == "relu":
-        y = T.relu(y)
-    elif layer.activation_fn != "identity":
-        raise DomainError(f"unknown activation {layer.activation_fn!r}")
-    return y
-
-
-@dataclass
 class FusedLinear:
-    """Integer weights plus the scales that reproduce the fake-quant product."""
+    """Integer weights plus the scales that reproduce the fake-quant product.
+
+    The bias stays on the model layer: ``pipeline.fused_model_forward``
+    adds it after the integer product.
+    """
 
     int_weights: np.ndarray  # int64 [in, out]
     s_w: float
@@ -297,31 +267,23 @@ class FusedLinear:
     a_hi: float
     activation_fn: str = "relu"
 
-    @property
-    def scales(self):
-        return self.s_w, self.s_a
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        ka = round_half_up(np.clip(x, self.a_lo, self.a_hi) / self.s_a)
-        y = (ka @ self.int_weights) * (self.s_w * self.s_a)
-        if self.activation_fn == "relu":
-            y = np.maximum(y, 0.0)
-        return y
-
-
-def integer_fuse(layer: QuantizedLayer, tol: float = 1e-9) -> FusedLinear:
-    """Extract integer weights and scales from a converged quantized layer.
+def integer_fuse(layer, tol: float = 1e-9) -> FusedLinear:
+    """Extract integer weights and scales from a converged quantized model
+    layer (``models._Layer``: ``W``, ``weight_fq``, ``act_fq``, ``spec``).
 
     The stored weights must already sit on the dequantized grid (within
     `tol` grid steps); anything farther signals a non-converged quantizer.
     Snap weights first (w := quantize_array(w)) when exporting, which is
     observationally identical by idempotence of the fake quantizer.
     """
-    wq = layer.weight_quantizer
-    aq = layer.activation_quantizer
+    if layer.spec.kind != "linear":
+        raise FusionError("integer fusion covers linear layers only")
+    wq = layer.weight_fq
+    aq = layer.act_fq
     s_w = wq.scale_value()
     l, u = wq.bound_values()
-    v = layer.weights.data / s_w
+    v = layer.W.data / s_w
     k = round_half_up(v)
     residual = np.max(np.abs(v - k)) if v.size else 0.0
     if residual > tol:
@@ -344,5 +306,5 @@ def integer_fuse(layer: QuantizedLayer, tol: float = 1e-9) -> FusedLinear:
         s_a=aq.scale_value(),
         a_lo=a_lo,
         a_hi=a_hi,
-        activation_fn=layer.activation_fn,
+        activation_fn=layer.spec.activation,
     )

@@ -4,8 +4,13 @@ import os
 import numpy as np
 import pytest
 
-from gdnsq.checkpoint import load_arrays
+from gdnsq.checkpoint import load_arrays, save_arrays
 from gdnsq.cli import build_parser, main
+from gdnsq.data import Dataset
+from gdnsq.losses import DISTILL_KINDS
+from gdnsq.models import Model, make_model_spec
+from gdnsq.pipeline import RunConfig, build_student_arrays, ptq_minmax
+from gdnsq.quantizer import NOISE_MODES
 
 
 @pytest.fixture(scope="module")
@@ -149,6 +154,24 @@ def test_fuse_emits_integer_weights(workspace):
     assert arrays["fuse/layer1/scales"].shape == (2,)
 
 
+def test_fuse_refuses_conv_student(tmp_path, capsys):
+    spec = make_model_spec("conv3", 1, 2)
+    student = Model(spec, quantized=True, init_seed=0,
+                    quant_rng=np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+    images = Dataset(rng.uniform(0.0, 1.0, size=(8, 1, 8, 8)),
+                     np.arange(8) % 2, "train", num_classes=2)
+    ptq_minmax(student, images)
+    ckpt = tmp_path / "conv3.ckpt"
+    save_arrays(ckpt, build_student_arrays(RunConfig(model="conv3"), spec,
+                                           student))
+    out = tmp_path / "fused.ckpt"
+    rc = main(["fuse", "--ckpt", str(ckpt), "--out", str(out)])
+    assert rc == 1
+    assert "integer fusion" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_filtered_exits_zero(capsys):
     rc = main(["verify", "--filter", "bsc_reduction"])
     assert rc == 0
@@ -192,12 +215,32 @@ def test_env_seed_fallback(tmp_path, monkeypatch):
     assert run["seed"] == 77
 
 
+def test_train_fp_lr_flag_reaches_config(tmp_path):
+    out = tmp_path / "teacher.ckpt"
+    rc = main(["train-fp", "--model", "mlp2", "--data", "two_gaussians",
+               "--epochs", "1", "--lr", "0.02", "--n-train", "128",
+               "--n-val", "128", "--out", str(out)])
+    assert rc == 0
+    assert json.loads((tmp_path / "run.json").read_text())["lr"] == 0.02
+
+
+def _subparser(name):
+    for action in build_parser()._subparsers._group_actions:
+        return action.choices[name]
+
+
+def _choices(subparser, dest):
+    return next(a.choices for a in subparser._actions if a.dest == dest)
+
+
+def test_choice_lists_come_from_the_code():
+    for name in ("ptq", "qat"):
+        assert _choices(_subparser(name), "noise_mode") == NOISE_MODES
+    assert _choices(_subparser("qat"), "distill") == DISTILL_KINDS
+
+
 def test_help_documents_symbols():
-    parser = build_parser()
-    qat = None
-    for action in parser._subparsers._group_actions:
-        qat = action.choices["qat"]
-    text = qat.format_help()
+    text = _subparser("qat").format_help()
     assert "omega_w*" in text and "omega_a*" in text
     assert "t_q" in text and "lambda_0" in text
 

@@ -16,7 +16,7 @@ import reference_graphs as ref
 from gdnsq import tensor as T
 from gdnsq.losses import (PROB_FLOOR, LossState, distill_loss, hard_label_loss,
                           potential_tensor, softmax, total_loss)
-from gdnsq.models import (BatchNorm, Conv2d, Linear, _Layer, build_model,
+from gdnsq.models import (BatchNorm, Conv2d, Linear, Model, _Layer,
                           make_model_spec)
 from gdnsq.quantizer import FakeQuantizer
 from gdnsq.tensor import Tensor
@@ -36,7 +36,7 @@ def quantized_model(model_id, seed):
     """Random quantized model whose sites sit on both sides of 4.5 bits."""
     rng = np.random.default_rng(seed)
     spec = make_model_spec(model_id, 2, 3)
-    model = build_model(spec, quantized=True, init_seed=seed)
+    model = Model(spec, quantized=True, init_seed=seed)
     for layer in model.inner_layers():
         w = layer.W.data
         layer.weight_fq.init_from_minmax(float(w.min()), float(w.max()),

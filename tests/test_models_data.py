@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from gdnsq import tensor as T
-from gdnsq.data import Dataset, iterate_batches, load_idx_dataset, make_synthetic, read_idx
+from gdnsq.data import Dataset, load_idx_dataset, make_synthetic, read_idx
 from gdnsq.errors import FormatError, NumericError, SpecError
 from gdnsq.kernels import conv2d_forward
-from gdnsq.models import (Conv2d, Linear, Model, ModelSpec, build_model,
-                          make_model_spec, spec_from_dict, spec_to_dict,
-                          train_teacher)
+from gdnsq.models import (Conv2d, Linear, Model, ModelSpec, make_model_spec,
+                          spec_from_dict, spec_to_dict, train_teacher)
 from gdnsq.oracles import finite_difference_grads
 from gdnsq.pipeline import ptq_minmax
 from gdnsq.tensor import Tensor
@@ -112,8 +111,8 @@ class TestIdx:
 class TestBuildModel:
     def test_four_layer_mlp_quantizes_two_inner(self):
         spec = make_model_spec("mlp4", 2, 2)
-        model = build_model(spec, quantized=True,
-                            quant_rng=np.random.default_rng(0))
+        model = Model(spec, quantized=True,
+                      quant_rng=np.random.default_rng(0))
         assert len(model.weight_quantizers()) == 2
         assert len(model.act_quantizers()) == 2
         assert model.layers[0].weight_fq is None
@@ -121,9 +120,9 @@ class TestBuildModel:
 
     def test_quantized_false_matches_fp(self):
         spec = make_model_spec("mlp3", 2, 2)
-        a = build_model(spec, quantized=False, init_seed=4)
-        b = build_model(spec, quantized=True, init_seed=4,
-                        quant_rng=np.random.default_rng(0))
+        a = Model(spec, quantized=False, init_seed=4)
+        b = Model(spec, quantized=True, init_seed=4,
+                  quant_rng=np.random.default_rng(0))
         x = np.random.default_rng(1).normal(size=(6, 2))
         np.testing.assert_array_equal(a.predict_logits(x),
                                       b.predict_logits(x, bypass_quant=True))
@@ -131,14 +130,14 @@ class TestBuildModel:
     def test_too_shallow_for_quantization(self):
         spec = make_model_spec("mlp2", 2, 2)
         with pytest.raises(SpecError):
-            build_model(spec, quantized=True)
+            Model(spec, quantized=True)
 
     def test_near_fp_bitwidth_matches_fp(self):
         train = make_synthetic("two_gaussians", 256, seed=0)
         spec = make_model_spec("mlp3", 2, 2)
-        teacher = build_model(spec, quantized=False, init_seed=2)
-        student = build_model(spec, quantized=True, init_seed=2,
-                              quant_rng=np.random.default_rng(0))
+        teacher = Model(spec, quantized=False, init_seed=2)
+        student = Model(spec, quantized=True, init_seed=2,
+                        quant_rng=np.random.default_rng(0))
         student.copy_weights_from(teacher)
         ptq_minmax(student, train, bits=32.0)
         x = train.inputs[:64]
@@ -195,8 +194,8 @@ class TestConv:
         monkeypatch.setattr(models, "conv2d_backward_input", counting)
 
         def step_grads(inputs):
-            model = build_model(make_model_spec("conv3", 1, 2),
-                                quantized=False, init_seed=0)
+            model = Model(make_model_spec("conv3", 1, 2),
+                          quantized=False, init_seed=0)
             calls.clear()
             T.reset_tape()
             hard_label_loss(model.forward(inputs, train=True), labels).backward()
@@ -225,7 +224,7 @@ class TestBatchNorm:
     def _bn_model(self):
         spec = ModelSpec([Conv2d(1, 4, stride=2), Conv2d(4, 4, stride=2),
                           Linear(4, 2, "identity")], 2)
-        return build_model(spec, quantized=False, init_seed=0)
+        return Model(spec, quantized=False, init_seed=0)
 
     def test_frozen_stats_bit_identical(self):
         model = self._bn_model()
@@ -345,10 +344,3 @@ def test_spec_round_trip():
     again = spec_from_dict(spec_to_dict(spec))
     assert spec_to_dict(again) == spec_to_dict(spec)
 
-
-def test_iterate_batches_cover_everything():
-    ds = make_synthetic("two_gaussians", 100, seed=0)
-    seen = 0
-    for x, y in iterate_batches(ds, 32):
-        seen += len(y)
-    assert seen == 100

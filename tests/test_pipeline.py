@@ -8,7 +8,7 @@ from gdnsq import tensor as T
 from gdnsq.checkpoint import load_arrays, save_arrays
 from gdnsq.data import make_synthetic
 from gdnsq.errors import DegenerateRangeError, PipelineError
-from gdnsq.models import Model, build_model, make_model_spec, train_teacher
+from gdnsq.models import Model, make_model_spec, train_teacher
 from gdnsq.pipeline import (METRICS_HEADER, RunConfig, audit_bitwidth,
                             build_student_arrays, fuse_student,
                             fused_model_forward, load_student, ptq_minmax,
@@ -25,8 +25,8 @@ def small_world():
 
 
 def fresh_student(spec, teacher, seed=0):
-    student = build_model(spec, quantized=True, init_seed=0,
-                          quant_rng=np.random.default_rng(seed))
+    student = Model(spec, quantized=True, init_seed=0,
+                    quant_rng=np.random.default_rng(seed))
     student.copy_weights_from(teacher)
     return student
 

@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gdnsq import tensor as T
-from gdnsq.errors import DomainError, FusionError
+from gdnsq.errors import FusionError
 from gdnsq.losses import potential_tensor
-from gdnsq.quantizer import (FakeQuantizer, QuantizedLayer, clamp,
-                             integer_fuse, quantized_layer_forward)
+from gdnsq.models import Conv2d, Linear, Model, _Layer, make_model_spec
+from gdnsq.pipeline import fuse_student, fused_model_forward, snap_weights
+from gdnsq.quantizer import FakeQuantizer, integer_fuse
 from gdnsq.tensor import Tensor
 
 
@@ -26,29 +27,6 @@ def make_fq(kind="weight", lo=-1.0, hi=1.0, bits=4.0, seed=0, **kw):
     fq = FakeQuantizer(kind, rng=np.random.default_rng(seed), **kw)
     fq.init_from_minmax(lo, hi, bits)
     return fq
-
-
-class TestClamp:
-    def test_values(self):
-        out = clamp(Tensor([-2.0, 0.5, 3.0]), 0.0, 1.0)
-        np.testing.assert_array_equal(out.data, [0.0, 0.5, 1.0])
-
-    def test_grad_to_u_when_clamped_above(self):
-        x = Tensor([3.0])
-        u = Tensor(1.0, requires_grad=True)
-        l = Tensor(0.0, requires_grad=True)
-        T.sum_(clamp(x, l, u)).backward()
-        assert u.grad == 1.0
-        assert l.grad == 0.0
-
-    def test_grad_to_x_inside(self):
-        x = Tensor([0.5], requires_grad=True)
-        T.sum_(clamp(x, 0.0, 1.0)).backward()
-        np.testing.assert_array_equal(x.grad, [1.0])
-
-    def test_l_ge_u_rejected(self):
-        with pytest.raises(DomainError):
-            clamp(Tensor([0.0]), 1.0, 1.0)
 
 
 class TestFakeQuantForward:
@@ -122,7 +100,7 @@ class TestSteBackward:
         x1 = Tensor(xd, requires_grad=True)
         T.sum_(fq.apply(x1)).backward()
         x2 = Tensor(xd, requires_grad=True)
-        T.sum_(clamp(x2, l, u)).backward()
+        T.sum_(T.maximum(T.minimum(x2, u), l)).backward()
         np.testing.assert_array_equal(x1.grad, x2.grad)
         T.reset_tape()
 
@@ -229,55 +207,61 @@ def test_integer_grid_levels_within_range(bits, seed):
     assert k.min() >= 0 and k.max() <= 2 ** bits - 1
 
 
+def make_layer(w, w_range, a_range, wbits, abits, activation="relu", seed=0):
+    """A quantized linear model layer holding weights w, its weight site
+    initialized on w_range at wbits and its activation site on a_range at
+    abits."""
+    w = np.asarray(w, dtype=np.float64)
+    layer = _Layer(Linear(*w.shape, activation), np.random.default_rng(seed),
+                   "layer1")
+    layer.W.data = w
+    layer.attach_quantizers("bernoulli", np.random.default_rng(seed + 1))
+    layer.weight_fq.init_from_minmax(*w_range, wbits)
+    layer.act_fq.init_from_minmax(*a_range, abits)
+    return layer
+
+
 class TestQuantizedLayer:
     def _layer(self, in_f=6, out_f=4, bits=10.0, seed=0):
-        rng = np.random.default_rng(seed)
-        w = rng.normal(size=(in_f, out_f))
-        wq = FakeQuantizer("weight", rng=np.random.default_rng(seed + 1))
-        wq.init_from_minmax(float(w.min()), float(w.max()), bits)
-        aq = FakeQuantizer("activation", rng=np.random.default_rng(seed + 2))
-        aq.init_from_minmax(0.0, 1.0, bits)
-        return QuantizedLayer(Tensor(w, requires_grad=True), wq, aq, "relu")
+        w = np.random.default_rng(seed).normal(size=(in_f, out_f))
+        return make_layer(w, (float(w.min()), float(w.max())), (0.0, 1.0),
+                          bits, bits, seed=seed)
 
     def test_close_to_fp_at_ten_bits(self):
         layer = self._layer()
         rng = np.random.default_rng(3)
         x = rng.uniform(0, 1, size=(8, 6))
-        out = quantized_layer_forward(layer, Tensor(x))
-        fp = np.maximum(x @ layer.weights.data, 0.0)
+        out = layer.forward(Tensor(x), train=False)
+        fp = np.maximum(x @ layer.W.data, 0.0)
         assert np.max(np.abs(out.data - fp)) < 1e-2
         T.reset_tape()
 
     def test_exact_when_everything_on_grid(self):
-        wq = FakeQuantizer("weight", rng=np.random.default_rng(0))
-        wq.init_from_minmax(-2.0, 2.0, 3.0)
-        s = wq.scale_value()
+        layer = make_layer(np.zeros((2, 2)), (-2.0, 2.0), (0.0, 1.0), 3.0,
+                           2.0, activation="identity")
+        s = layer.weight_fq.scale_value()
         w = s * np.array([[1.0, -2.0], [3.0, 0.0]])
-        aq = FakeQuantizer("activation", rng=np.random.default_rng(1))
-        aq.init_from_minmax(0.0, 1.0, 2.0)
-        sa = aq.scale_value()
-        x = sa * np.array([[1.0, 2.0]])
-        layer = QuantizedLayer(Tensor(w), wq, aq, "identity")
-        out = quantized_layer_forward(layer, Tensor(x))
+        layer.W.data = w
+        x = layer.act_fq.scale_value() * np.array([[1.0, 2.0]])
+        out = layer.forward(Tensor(x), train=False)
         np.testing.assert_allclose(out.data, x @ w, rtol=0, atol=1e-12)
         T.reset_tape()
 
     def test_one_bit_weights_take_two_values(self):
         layer = self._layer(bits=1.0)
-        deq = layer.weight_quantizer.quantize_array(layer.weights.data)
+        deq = layer.weight_fq.quantize_array(layer.W.data)
         assert np.unique(deq).size <= 2
 
 
 class TestIntegerFuse:
     def test_grid_weights_small_matrix(self):
-        wq = FakeQuantizer("weight", rng=np.random.default_rng(0))
-        wq.init_from_minmax(-1.0, 1.0, 4.0)
+        layer = make_layer(np.zeros((2, 2)), (-1.0, 1.0), (0.0, 1.0), 4.0,
+                           4.0, activation="identity")
+        wq = layer.weight_fq
         wq.log_s.data = np.asarray(np.log(0.25))
         s = wq.scale_value()
-        w = s * np.array([[2.0, -3.0], [4.0, 0.0]])
-        aq = FakeQuantizer("activation", rng=np.random.default_rng(1))
-        aq.init_from_minmax(0.0, 1.0, 4.0)
-        fused = integer_fuse(QuantizedLayer(Tensor(w), wq, aq, "identity"))
+        layer.W.data = s * np.array([[2.0, -3.0], [4.0, 0.0]])
+        fused = integer_fuse(layer)
         np.testing.assert_array_equal(fused.int_weights, [[2, -3], [4, 0]])
         l, u = wq.bound_values()
         k_lo, k_hi = round(l / s), round(u / s)
@@ -285,39 +269,44 @@ class TestIntegerFuse:
         assert fused.int_weights.max() <= k_hi
 
     def test_identity_weights_unit_scale(self):
-        wq = FakeQuantizer("weight", rng=np.random.default_rng(0))
-        wq.init_from_minmax(-2.0, 2.0, 3.0)
-        wq.log_s.data = np.asarray(0.0)  # s = exp(0) = 1 exactly
-        aq = FakeQuantizer("activation", rng=np.random.default_rng(1))
-        aq.init_from_minmax(0.0, 1.0, 4.0)
-        fused = integer_fuse(QuantizedLayer(Tensor(np.eye(2)), wq, aq))
+        layer = make_layer(np.eye(2), (-2.0, 2.0), (0.0, 1.0), 3.0, 4.0)
+        layer.weight_fq.log_s.data = np.asarray(0.0)  # s = exp(0) = 1 exactly
+        fused = integer_fuse(layer)
         np.testing.assert_array_equal(fused.int_weights, np.eye(2))
-        assert fused.scales[0] == 1.0
+        assert fused.s_w == 1.0
 
     def test_off_grid_weights_rejected(self):
-        wq = FakeQuantizer("weight", rng=np.random.default_rng(0))
-        wq.init_from_minmax(-1.0, 1.0, 2.0)
-        aq = FakeQuantizer("activation", rng=np.random.default_rng(1))
-        aq.init_from_minmax(0.0, 1.0, 2.0)
         w = np.array([[0.1234, 0.777], [0.5, -0.9]])
+        layer = make_layer(w, (-1.0, 1.0), (0.0, 1.0), 2.0, 2.0)
         with pytest.raises(FusionError):
-            integer_fuse(QuantizedLayer(Tensor(w), wq, aq))
+            integer_fuse(layer)
+
+    def test_conv_layer_rejected(self):
+        layer = _Layer(Conv2d(2, 3), np.random.default_rng(0), "layer1")
+        layer.attach_quantizers("bernoulli", np.random.default_rng(1))
+        with pytest.raises(FusionError, match="integer fusion covers linear"):
+            integer_fuse(layer)
 
     def test_fused_path_matches_fake_quant_path(self):
+        # mlp4: two quantized relu layers between FP first and last layers
         rng = np.random.default_rng(42)
-        w = rng.normal(size=(6, 4))
-        wq = FakeQuantizer("weight", rng=np.random.default_rng(1))
-        wq.init_from_minmax(float(w.min()), float(w.max()), 4.0)
-        aq = FakeQuantizer("activation", rng=np.random.default_rng(2))
-        aq.init_from_minmax(0.0, 2.0, 4.0)
-        w_snapped = wq.quantize_array(w)  # converged: weights on the grid
-        layer = QuantizedLayer(Tensor(w_snapped), wq, aq, "relu")
-        fused = integer_fuse(layer)
+        model = Model(make_model_spec("mlp4", 6, 3), quantized=True,
+                      init_seed=1, quant_rng=np.random.default_rng(2))
+        for layer in model.layers:
+            layer.b.data = rng.normal(0.0, 0.5, size=layer.b.data.shape)
+        for layer in model.inner_layers():
+            w = layer.W.data
+            layer.weight_fq.init_from_minmax(float(w.min()), float(w.max()),
+                                             4.0)
+            layer.act_fq.init_from_minmax(0.0, 2.0, 4.0)
+        snap_weights(model)  # converged: weights on the grid
+        fused = fuse_student(model)
+        assert sorted(fused) == [1, 2]
+        assert all(f.activation_fn == "relu" for f in fused.values())
         worst = 0.0
         for _ in range(100):
             x = rng.uniform(-0.5, 2.5, size=(5, 6))
-            ref = quantized_layer_forward(layer, Tensor(x)).data
-            got = fused.forward(x)
+            ref = model.predict_logits(x)
+            got = fused_model_forward(model, fused, x)
             worst = max(worst, float(np.max(np.abs(ref - got))))
-            T.reset_tape()
         assert worst < 1e-10

@@ -250,7 +250,8 @@ class TestBackward:
 
 @pytest.mark.parametrize("seed", range(10))
 def test_random_graph_gradients_match_fd(seed):
-    # the 100-seed sweep runs in the acceptance suite; this is the fast slice
+    # the 100-model sweep is the gradcheck_random_models oracle of
+    # `gdnsq verify`; this is the fast slice
     rng = np.random.default_rng(seed)
     arrays = [rng.normal(size=(4, 3)), rng.normal(size=(3, 2)),
               rng.normal(size=(2, 4))]
