@@ -6,18 +6,18 @@ distillation, plus an oracle suite that verifies the underlying math."""
 __version__ = "0.1.0"
 
 from .data import Dataset, make_synthetic, read_idx
-from .losses import LossState, jeffreys, kl, potential, total_loss, update_schedule
+from .losses import LossState, jeffreys, kl, total_loss, update_schedule
 from .models import Model, ModelSpec, make_model_spec, train_teacher
 from .optim import LrPolicy, RAdam, lr_next
 from .pipeline import RunConfig, audit_bitwidth, ptq_minmax, qat_run
 from .quantizer import FakeQuantizer, integer_fuse
-from .tensor import Tensor, backward, custom_backward, no_grad, reset_tape
+from .tensor import Tensor, backward, no_grad, reset_tape
 
 __all__ = [
     "Dataset", "FakeQuantizer", "LossState", "LrPolicy", "Model",
     "ModelSpec", "RAdam", "RunConfig", "Tensor", "audit_bitwidth",
-    "backward", "custom_backward", "integer_fuse", "jeffreys", "kl",
-    "lr_next", "make_model_spec", "make_synthetic", "no_grad", "potential",
-    "ptq_minmax", "qat_run", "read_idx", "reset_tape", "total_loss",
-    "train_teacher", "update_schedule", "__version__",
+    "backward", "integer_fuse", "jeffreys", "kl", "lr_next",
+    "make_model_spec", "make_synthetic", "no_grad", "ptq_minmax", "qat_run",
+    "read_idx", "reset_tape", "total_loss", "train_teacher",
+    "update_schedule", "__version__",
 ]

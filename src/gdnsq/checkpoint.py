@@ -10,7 +10,8 @@ Layout (all integers little-endian):
              ndim u8, dims ndim*u32, raw little-endian payload
 
 Sections are written sorted by name, so save -> load -> save is
-byte-identical. Writes go through a temp file and an atomic rename.
+byte-identical. Writes create the parent directory when it is missing and
+go through a temp file and an atomic rename.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ def save_arrays(path, arrays: dict):
         ) + struct.pack(f"<{arr.ndim}I", *arr.shape)
         blobs.append(head + arr.tobytes())
     payload = MAGIC + struct.pack("<II", VERSION, len(blobs)) + b"".join(blobs)
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     tmp = f"{path}.tmp"
     with open(tmp, "wb") as f:
         f.write(payload)

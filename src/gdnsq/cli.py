@@ -61,7 +61,7 @@ def _merge_config(args, defaults: dict, keys) -> dict:
 
 
 def _write_run_json(out_dir, merged: dict):
-    os.makedirs(out_dir, exist_ok=True)
+    # the directory exists: the command's outputs were written into it
     with open(os.path.join(out_dir, "run.json"), "w") as f:
         json.dump(merged, f, indent=2, sort_keys=True)
 

@@ -14,8 +14,8 @@ The training loss is  L = t_q * c_r * P + t_r * d  with
 Probabilities are floored at 1e-12 and renormalized before any log so the
 divergence stays finite for near-one-hot teachers.
 
-Both loss terms are single tape nodes with closed-form gradients, not
-compositions of tensor primitives. ``distill_loss`` maps the student
+Each loss term is one tape node with a closed-form gradient, and so is
+their weighted sum in ``total_loss``. ``distill_loss`` maps the student
 logits to d for each ``--distill`` kind (it also serves as the teacher's
 hard-label loss); its gradient goes back through the renormalization, the
 floor and the softmax. ``potential_tensor`` maps every site's raw
@@ -145,17 +145,6 @@ def hard_label_loss(logits: Tensor, labels) -> Tensor:
     return distill_loss(logits, labels=labels, kind="hard_label_ce")
 
 
-def potential(omega_w, omega_a, targets) -> float:
-    """Mean hinge excess over targets, weight and activation groups summed."""
-    ww, wa = list(omega_w), list(omega_a)
-    if not ww or not wa:
-        raise DomainError("potential needs at least one site in each group")
-    tw, ta = targets
-    pw = float(np.mean([max(0.0, w - tw) for w in ww]))
-    pa = float(np.mean([max(0.0, a - ta) for a in wa]))
-    return pw + pa
-
-
 def potential_tensor(weight_fqs, act_fqs, targets) -> Tensor:
     """The potential P as one tape node over every site's raw parameters.
 
@@ -225,13 +214,16 @@ def total_loss(student_logits: Tensor, teacher_logits: np.ndarray,
     """Exterior-point loss t_q*c_r*P + t_r*d for one batch.
 
     Returns (loss tensor, info dict); info carries the scalar d and P
-    values for the schedule update and metrics.
+    values for the schedule update and metrics. The weighted sum is one
+    tape node over (P, d) whose rule hands each term its weight.
     """
     _check_finite(student_logits.data, "student")
     _check_finite(teacher_logits, "teacher")
     d = distill_loss(student_logits, teacher_logits, labels=labels, kind=kind)
     p_t = potential_tensor(weight_fqs, act_fqs, state.targets)
-    loss = T.add(T.mul(p_t, state.t_q * state.c_r), T.mul(d, state.t_r))
+    w_p, w_d = state.t_q * state.c_r, state.t_r
+    loss = T._record([p_t, d], p_t.data * w_p + d.data * w_d,
+                     lambda g: (g * w_p, g * w_d), "loss")
     info = {"d": float(d.data), "P": float(p_t.data),
             "t_q": state.t_q, "c_r": state.c_r}
     return loss, info

@@ -6,11 +6,12 @@ its kernel and an activation quantizer on its input; first and last layers
 stay floating point. Conv blocks are conv-bn-relu; a global average pool
 bridges the last conv layer to the linear head.
 
-Each layer is one tape node. Its forward composes numpy pieces that return
-their output with a vector-Jacobian product (``FakeQuantizer.fake_quant``,
-``_linear`` or ``_conv2d``, ``BatchNorm.normalize``); its rule runs those
-products in reverse and draws the weight site's probes before the
-activation site's, the order of the per-op reference graph, so training is
+Each layer is one tape node, and so is the pool. A layer's forward
+composes numpy pieces that return their output with a vector-Jacobian
+product (``FakeQuantizer.fake_quant``, ``_linear`` or ``_conv2d``,
+``BatchNorm.normalize``); its rule runs those products in reverse and
+draws the weight site's probes before the activation site's, the order of
+the per-op reference graph (tests/reference_graphs.py), so training is
 bit-identical to it.
 """
 
@@ -128,8 +129,8 @@ class BatchNorm:
     """Batch normalization with freezable running statistics.
 
     ``normalize`` computes the output and its vector-Jacobian product in
-    numpy; ``forward`` records them as one tape node over (x, gamma, beta).
-    The gradient is the closed form of Ioffe & Szegedy (arXiv:1502.03167).
+    numpy; the layer node composes them into its own rule. The gradient
+    is the closed form of Ioffe & Szegedy (arXiv:1502.03167).
     With batch statistics, xhat = (x - mu) / sd and
     dx = (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) / sd, where
     dxhat = g * gamma and the means run over the batch (and spatial) axes;
@@ -190,10 +191,6 @@ class BatchNorm:
 
         return out, vjp
 
-    def forward(self, x: Tensor, train: bool) -> Tensor:
-        out, vjp = self.normalize(x.data, train)
-        return T._record([x, self.gamma, self.beta], out, vjp, "batchnorm")
-
 
 def _linear(xd, wd, input_grad):
     """xd @ wd and its vector-Jacobian product onto (x, w); the x gradient
@@ -217,10 +214,15 @@ def _conv2d(xd, wd, stride, pad, input_grad):
     return conv2d_forward(xd, wd, stride, pad), vjp
 
 
-def _conv2d_op(x: Tensor, w: Tensor, stride: int, pad: int) -> Tensor:
-    # the first conv layer reads the input batch, which needs no gradient
-    out, vjp = _conv2d(x.data, w.data, stride, pad, x.requires_grad)
-    return T._record([x, w], out, vjp, "conv2d")
+def global_avg_pool(h: Tensor) -> Tensor:
+    """The mean of h [B, C, H, W] over H and W as one tape node; its rule
+    spreads each gradient evenly over the H*W positions it averaged."""
+    inv_n = 1.0 / float(h.shape[2] * h.shape[3])
+
+    def rule(g):
+        return (np.broadcast_to((g * inv_n)[:, :, None, None], h.shape),)
+
+    return T._record([h], np.sum(h.data, axis=(2, 3)) * inv_n, rule, "pool")
 
 
 class _Layer:
@@ -236,7 +238,8 @@ class _Layer:
     last the activation site's. That is the order in which the reverse
     sweep of the primitive layer graph (kept in tests/reference_graphs.py)
     draws the Bernoulli probes from the shared rng, so training is
-    bit-identical to that graph.
+    bit-identical to that graph. An input whose rank or whose feature or
+    channel count does not fit the layer raises ShapeError.
     """
 
     def __init__(self, spec, rng, name):
@@ -271,6 +274,13 @@ class _Layer:
     def forward(self, x: Tensor, train: bool, bypass_quant=False,
                 observer=None, collect_acts=None) -> Tensor:
         spec, bn = self.spec, self.bn
+        if spec.kind == "linear":
+            ndim, n_in, what = 2, spec.in_features, "features"
+        else:
+            ndim, n_in, what = 4, spec.in_channels, "channels"
+        if x.data.ndim != ndim or x.shape[1] != n_in:
+            raise ShapeError(f"{self.name}: expected a {ndim}-d input with "
+                             f"{n_in} {what}, got shape {x.shape}")
         quant = self.weight_fq is not None and not bypass_quant
         if self.act_fq is not None and observer is not None:
             lo, hi = observer.get(self.act_fq.name, (np.inf, -np.inf))
@@ -383,7 +393,7 @@ class Model:
         h = T.as_tensor(x)
         for i, layer in enumerate(self.layers):
             if layer.spec.kind == "linear" and h.data.ndim == 4:
-                h = T.mean(h, axis=(2, 3))  # global average pool
+                h = global_avg_pool(h)
             h = layer.forward(h, train, bypass_quant=bypass_quant,
                               observer=observer, collect_acts=collect_acts)
         return h

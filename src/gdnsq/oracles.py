@@ -19,8 +19,9 @@ import numpy as np
 
 from . import tensor as T
 from .errors import DomainError
-from .losses import DISTILL_KINDS, LossState, total_loss
-from .models import Conv2d, Linear, _Layer
+from .losses import DISTILL_KINDS, LossState, hard_label_loss, total_loss
+from .models import (Conv2d, Linear, Model, ModelSpec, _Layer,
+                     global_avg_pool)
 from .optim import RAdam
 from .quantizer import FakeQuantizer
 from .tensor import Tensor
@@ -200,7 +201,8 @@ def _fd_scalar(f, x0, h=1e-5):
 def ste_gradient_check(seed=0, n=512, kink_radius=1e-3):
     """Clamp-path gradients against finite differences of the clamp
     function (inputs near l, u or grid midpoints excluded), and exact
-    equality of the fake-quant and clamp-only input gradients."""
+    equality of the fake-quant node's input gradient with the clamp's
+    (1 on [l, u], ties included, else 0) on those inputs plus l and u."""
     rng = np.random.default_rng([seed, 0x535445])
     fq = FakeQuantizer("weight", noise_mode="bernoulli", name="oracle/ste",
                        rng=rng)
@@ -230,17 +232,15 @@ def ste_gradient_check(seed=0, n=512, kink_radius=1e-3):
     rep_fd = OracleReport.make("ste_clamp_fd", int(x.size), worst, 0.0, 1e-6,
                                details="clamp-path grads vs central FD")
 
-    # noise path contributes exactly zero to the input gradient
-    xt1 = Tensor(x, requires_grad=True)
-    out1 = fq.apply(xt1)
-    T.sum_(out1).backward()
-    xt2 = Tensor(x, requires_grad=True)
-    out2 = T.maximum(T.minimum(xt2, u), l)
-    T.sum_(out2).backward()
-    exact = float(np.max(np.abs(xt1.grad - xt2.grad))) if x.size else 0.0
-    T.reset_tape()
+    # noise path contributes exactly zero to the input gradient: the
+    # fake-quant node's x gradient is the clamp's, ties at l and u to x
+    xz = np.concatenate([x, [l, u]])
+    _, _, vjp = fq.fake_quant(xz)
+    gxz = vjp(np.ones_like(xz))[0]
+    ref = ((xz >= l) & (xz <= u)).astype(np.float64)
+    exact = float(np.max(np.abs(gxz - ref)))
     rep_zero = OracleReport.make(
-        "ste_noise_zero", int(x.size), exact, 0.0, 0.0,
+        "ste_noise_zero", int(xz.size), exact, 0.0, 0.0,
         details="fake-quant x-grad == clamp-only x-grad, exactly")
     return [rep_fd, rep_zero]
 
@@ -273,7 +273,7 @@ def bernoulli_clt_check(m: int = 100, trials: int = 10_000, seed=0):
     return reports
 
 
-# -- gradient integrity over random graphs ----------------------------------------
+# -- gradient integrity over random models ----------------------------------------
 
 
 def finite_difference_grads(f, arrays, h=1e-5):
@@ -295,48 +295,100 @@ def finite_difference_grads(f, arrays, h=1e-5):
     return grads
 
 
-def _random_graph_loss(arrays, labels):
-    """Small two-layer network with the primitive op set exercised."""
-    w1, b1, w2, b2, x = [Tensor(a, requires_grad=True) for a in arrays]
-    h = T.relu(T.add(T.matmul(x, w1), T.broadcast_to(
-        T.reshape(b1, (1, -1)), (x.shape[0], w1.shape[1]))))
-    z = T.add(T.matmul(h, w2), T.broadcast_to(
-        T.reshape(b2, (1, -1)), (h.shape[0], w2.shape[1])))
-    p = T.softmax_rows(z)
-    pick = T.select_columns(T.maximum(p, 1e-12), labels)
-    loss = T.neg(T.mean(T.log(pick)))
-    # exercise exp/log/sqrt/div on a side branch with a tiny weight
-    side = T.mean(T.sqrt(T.add(T.mul(h, h), 1.0)))
-    return T.add(loss, T.mul(side, 0.01)), [w1, b1, w2, b2, x]
+def _relu_margin(layers, x):
+    """The smallest |input| of any relu when x runs through layers in train
+    mode, with the global average pool ahead of a linear layer that gets
+    an image, as in Model.forward (inf without a relu), and the output."""
+    margin, h = np.inf, Tensor(x)
+    with T.no_grad():
+        for layer in layers:
+            if layer.spec.kind == "linear" and h.data.ndim == 4:
+                h = global_avg_pool(h)
+            spec = layer.spec
+            layer.spec = replace(spec, activation="identity")
+            pre = layer.forward(h, train=True).data
+            layer.spec = spec
+            if spec.activation == "relu":
+                margin = min(margin, float(np.min(np.abs(pre))))
+                pre = pre * (pre > 0)
+            h = Tensor(pre)
+    return margin, h.data
+
+
+def _weighted_sum(t, coeff):
+    """sum(t * coeff) as one tape node, a scalar loss on a non-scalar t."""
+    return T._record([t], np.sum(t.data * coeff), lambda g: (g * coeff,),
+                     "weighted_sum")
+
+
+def _max_rel_error(analytic, numeric):
+    worst = 0.0
+    for a, nmr in zip(analytic, numeric):
+        denom = np.maximum(np.abs(nmr), 1.0)
+        worst = max(worst, float(np.max(np.abs(a - nmr) / denom)))
+    return worst
+
+
+def _randomize_bias_and_bn(layer, rng):
+    """A nonzero bias and, with batchnorm, random gamma and beta."""
+    n_out = layer.b.data.size
+    layer.b.data[...] = rng.normal(size=n_out)
+    if layer.bn is not None:
+        layer.bn.gamma.data[...] = rng.uniform(0.5, 1.5, size=n_out)
+        layer.bn.beta.data[...] = rng.normal(size=n_out)
+
+
+def _random_fp_model(rng, conv):
+    """A random FP Model with nonzero biases and batchnorm parameters: an
+    MLP of depth 2 or 3, or (conv) a stride-2 conv-bn-relu block, the pool
+    and a linear head. Returns it with an input batch shape and the class
+    count."""
+    b, c = int(rng.integers(2, 4)), int(rng.integers(2, 4))
+    if conv:
+        c_in, c_out = int(rng.integers(1, 3)), int(rng.integers(2, 4))
+        layers, head = [Conv2d(c_in, c_out, stride=2)], c_out
+        x_shape = (b, c_in, int(rng.integers(3, 6)), int(rng.integers(3, 6)))
+    else:
+        dims = [int(rng.integers(2, 5))] + [
+            int(rng.integers(3, 7)) for _ in range(int(rng.integers(1, 3)))]
+        layers = [Linear(i, o) for i, o in zip(dims, dims[1:])]
+        head, x_shape = dims[-1], (b, dims[0])
+    model = Model(ModelSpec(layers + [Linear(head, c, "identity")], c),
+                  init_seed=int(rng.integers(1 << 30)))
+    for layer in model.layers:
+        _randomize_bias_and_bn(layer, rng)
+    return model, x_shape, c
 
 
 def gradcheck_random_models(n_models: int = 100, seed=0, rtol=1e-4):
-    """Analytic gradients of random small graphs vs central differences."""
+    """Gradients of random FP Models under hard_label_loss, the forward and
+    backward the training step runs, vs central differences: with respect
+    to the input batch and every parameter (W, b, batchnorm gamma and
+    beta), every third model a conv net (_random_fp_model), every relu
+    input at least 1e-3 from the kink."""
     rng = np.random.default_rng([seed, 0x475243])
     worst = 0.0
-    for _ in range(n_models):
-        b, din, dh, dout = (int(rng.integers(2, 5)), int(rng.integers(2, 5)),
-                            int(rng.integers(3, 7)), int(rng.integers(2, 4)))
-        arrays = [rng.normal(size=(din, dh)), rng.normal(size=dh),
-                  rng.normal(size=(dh, dout)), rng.normal(size=dout),
-                  rng.normal(size=(b, din))]
-        labels = rng.integers(0, dout, size=b)
-        T.reset_tape()
-        loss, params = _random_graph_loss(arrays, labels)
-        loss.backward()
-        analytic = [p.grad.copy() for p in params]
-        T.reset_tape()
+    for i in range(n_models):
+        model, x_shape, c = _random_fp_model(rng, conv=i % 3 == 2)
+        x = rng.normal(size=x_shape)
+        while _relu_margin(model.layers, x)[0] < 1e-3:
+            x = rng.normal(size=x_shape)
+        labels = rng.integers(0, c, size=x_shape[0])
+        params = [p for _, p in model.named_parameters()]
 
-        def f(arrs):
+        def loss(xt):
             T.reset_tape()
-            val = float(_random_graph_loss(arrs, labels)[0].data)
-            T.reset_tape()
-            return val
+            return hard_label_loss(model.forward(xt, train=True), labels)
 
-        numeric = finite_difference_grads(f, arrays)
-        for a, nmr in zip(analytic, numeric):
-            denom = np.maximum(np.abs(nmr), 1.0)
-            worst = max(worst, float(np.max(np.abs(a - nmr) / denom)))
+        xt = Tensor(x, requires_grad=True)
+        loss(xt).backward()
+        analytic = [xt.grad] + [p.grad for p in params]
+        # the parameter tensors hold these arrays, so FD edits reach them
+        numeric = finite_difference_grads(
+            lambda arrs: float(loss(Tensor(arrs[0])).data),
+            [x] + [p.data for p in params])
+        T.reset_tape()
+        worst = max(worst, _max_rel_error(analytic, numeric))
     return [OracleReport.make("gradcheck_random_models", n_models, worst,
                               0.0, rtol,
                               details="max relative error vs central FD")]
@@ -398,9 +450,7 @@ def gradcheck_total_loss(n_cases: int = 30, seed=0, rtol=1e-4):
         numeric = finite_difference_grads(
             lambda arrs: float(loss(Tensor(arrs[0])).data), arrays)
         T.reset_tape()
-        for a, nmr in zip(analytic, numeric):
-            denom = np.maximum(np.abs(nmr), 1.0)
-            worst = max(worst, float(np.max(np.abs(a - nmr) / denom)))
+        worst = max(worst, _max_rel_error(analytic, numeric))
     return [OracleReport.make("gradcheck_total_loss", n_cases, worst, 0.0,
                               rtol,
                               details="logit and quantizer-parameter grads of "
@@ -418,28 +468,22 @@ def _layer_node_case(rng, kind):
     if kind == "conv_bn_train":
         c, o = int(rng.integers(1, 3)), int(rng.integers(2, 4))
         spec = Conv2d(c, o, kernel=3, stride=2, padding=1, batchnorm=True)
-        x_shape, n_out = (b, c, int(rng.integers(4, 7)),
-                          int(rng.integers(4, 7))), o
+        x_shape = (b, c, int(rng.integers(4, 7)), int(rng.integers(4, 7)))
     else:
         din, n_out = int(rng.integers(2, 6)), int(rng.integers(2, 6))
         spec = Linear(din, n_out, "relu" if kind == "linear_relu"
                       else "identity")
         x_shape = (b, din)
     layer = _Layer(spec, rng, "oracle")
-    layer.b.data[...] = rng.normal(size=n_out)
+    _randomize_bias_and_bn(layer, rng)
     params = [layer.W, layer.b]
     if layer.bn is not None:
-        layer.bn.gamma.data[...] = rng.uniform(0.5, 1.5, size=n_out)
-        layer.bn.beta.data[...] = rng.normal(size=n_out)
         params += [layer.bn.gamma, layer.bn.beta]
     while True:
         x = rng.normal(size=x_shape)
-        layer.spec = replace(spec, activation="identity")
-        with T.no_grad():
-            pre = layer.forward(Tensor(x), train=True).data
-        layer.spec = spec
-        if spec.activation != "relu" or np.min(np.abs(pre)) >= 1e-3:
-            return layer, x, params, rng.normal(size=pre.shape)
+        margin, out = _relu_margin([layer], x)
+        if margin >= 1e-3:
+            return layer, x, params, rng.normal(size=out.shape)
 
 
 def gradcheck_layer_nodes(n_cases: int = 12, seed=0, rtol=1e-4):
@@ -455,8 +499,7 @@ def gradcheck_layer_nodes(n_cases: int = 12, seed=0, rtol=1e-4):
 
         def loss(xt):
             T.reset_tape()
-            out = layer.forward(xt, train=True)
-            return T.sum_(T.mul(out, T.constant(coeff)))
+            return _weighted_sum(layer.forward(xt, train=True), coeff)
 
         xt = Tensor(x, requires_grad=True)
         loss(xt).backward()
@@ -467,9 +510,7 @@ def gradcheck_layer_nodes(n_cases: int = 12, seed=0, rtol=1e-4):
             lambda arrs: float(loss(Tensor(arrs[0])).data),
             [x] + [p.data for p in params])
         T.reset_tape()
-        for a, nmr in zip(analytic, numeric):
-            denom = np.maximum(np.abs(nmr), 1.0)
-            worst = max(worst, float(np.max(np.abs(a - nmr) / denom)))
+        worst = max(worst, _max_rel_error(analytic, numeric))
     return [OracleReport.make("gradcheck_layer_nodes", n_cases, worst, 0.0,
                               rtol,
                               details="FP layer-node grads (linear relu/"

@@ -26,8 +26,7 @@ through a softplus.
 Gradients with respect to these raw parameters are closed-form.
 ``fake_quant`` returns the numpy output with its vector-Jacobian product,
 which takes the STE gradients for (s, l, u) from ``ste_backward`` through
-exp and the softplus; ``apply`` records it as one tape node over x and the
-raw parameters, and a model layer composes it into its own node.
+exp and the softplus; a model layer composes it into its own tape node.
 ``bitwidth`` returns omega = log2((u - l)/s + 1) with its vector-Jacobian
 product, whose log_s part -ratio/((ratio + 1) ln 2) is the LSQ step-size
 gradient (Esser et al., arXiv:1902.08153); the potential node in
@@ -46,7 +45,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tensor as T
 from .errors import DomainError, FusionError
 from .kernels import fake_quant as fq_kernel
 from .kernels import round_half_up
@@ -70,8 +68,7 @@ def softplus_inv(y: float) -> float:
 class FakeQuantizer:
     """Learnable (s, l, u) for one weight or activation site."""
 
-    def __init__(self, site_kind, noise_mode="bernoulli", name=None,
-                 lower_fixed_zero=None, rng=None):
+    def __init__(self, site_kind, noise_mode="bernoulli", name=None, rng=None):
         if site_kind not in ("weight", "activation"):
             raise DomainError(f"unknown site_kind {site_kind!r}")
         if noise_mode not in NOISE_MODES:
@@ -79,9 +76,7 @@ class FakeQuantizer:
         self.site_kind = site_kind
         self.noise_mode = noise_mode
         self.name = name or site_kind
-        if lower_fixed_zero is None:
-            lower_fixed_zero = site_kind == "activation"
-        self.lower_fixed_zero = lower_fixed_zero
+        self.lower_fixed_zero = site_kind == "activation"
         self.rng = rng if rng is not None else np.random.default_rng()
         self.initialized = False
         self.log_s = Tensor(0.0, requires_grad=True, name=f"{self.name}/log_s")
@@ -188,11 +183,6 @@ class FakeQuantizer:
             return (gx, *chain(gs, gl, gu))
 
         return fq_kernel(xv, l, u, s), inputs, vjp
-
-    def apply(self, x: Tensor) -> Tensor:
-        """Fake-quantize x as one tape node over x and the site's parameters."""
-        out, inputs, vjp = self.fake_quant(x.data)
-        return T._record([x, *inputs], out, vjp, f"fake_quant[{self.name}]")
 
     def ste_backward(self, g_up, x, l, u, s):
         """Gradients of the fake-quant output for (x, s, l, u).

@@ -1,49 +1,56 @@
 """Primitive-op graphs of the quantizer parameters, the loss terms,
-batchnorm and a model layer, and the per-parameter RAdam loop.
+batchnorm, a model layer and the global average pool, and the
+per-parameter RAdam loop.
 
-These are the compositions of tensor primitives that the closed-form tape
-nodes in ``gdnsq.quantizer``, ``gdnsq.losses`` and ``gdnsq.models``
-replace, and the loop that the flat update in ``gdnsq.optim`` replaces.
-They stay here as references: the tests check that the nodes give the same
-values and gradients, and the flat update the same bits.
+These are the compositions of the primitive ops in ``primitives`` that the
+closed-form tape nodes in ``gdnsq.quantizer``, ``gdnsq.losses`` and
+``gdnsq.models`` replace, and the loop that the flat update in
+``gdnsq.optim`` replaces. They stay here as references: the tests check
+that the nodes give the same values and gradients, and the flat update the
+same bits. Besides the primitives, the layer graph uses three single-op
+nodes built on the package's numpy pieces: fake-quant
+(``fake_quant_apply``, over the site's l, u and s), the convolution
+(``conv2d_node``) and batchnorm (``batchnorm_node``, itself checked
+against the primitive graph ``batchnorm_forward``).
 """
 
 import math
 
 import numpy as np
 
+import primitives as P
 from gdnsq import tensor as T
 from gdnsq.losses import PROB_FLOOR, floor_normalize, softmax
-from gdnsq.models import _conv2d_op
+from gdnsq.models import _conv2d
 from gdnsq.quantizer import fq_kernel
 
 
 def softplus_t(x):
     # max(x,0) + log(1 + exp(-|x|)): overflow-free composition
-    m = T.maximum(x, 0.0)
-    ax = T.maximum(x, T.neg(x))
-    return T.add(m, T.log(T.add(T.exp(T.neg(ax)), 1.0)))
+    m = P.maximum(x, 0.0)
+    ax = P.maximum(x, P.neg(x))
+    return P.add(m, P.log(P.add(P.exp(P.neg(ax)), 1.0)))
 
 
 def scale_tensor(fq):
-    return T.exp(fq.log_s)
+    return P.exp(fq.log_s)
 
 
 def bound_tensors(fq):
     if fq.lower_fixed_zero:
         return T.constant(0.0), softplus_t(fq.raw_u)
-    return fq.l_param, T.add(fq.l_param, T.exp(fq.log_range))
+    return fq.l_param, P.add(fq.l_param, P.exp(fq.log_range))
 
 
 def bitwidth_tensor(fq):
     """omega = log2((u - l)/s + 1) on the graph."""
     l, u = bound_tensors(fq)
-    ratio = T.div(T.sub(u, l), scale_tensor(fq))
-    return T.mul(T.log(T.add(ratio, 1.0)), 1.0 / np.log(2.0))
+    ratio = P.div(P.sub(u, l), scale_tensor(fq))
+    return P.mul(P.log(P.add(ratio, 1.0)), 1.0 / np.log(2.0))
 
 
 def fake_quant_apply(fq, x):
-    """FakeQuantizer.apply as a node over (x, l, u, s) on graph bounds."""
+    """Fake-quantize x as a node over (x, l, u, s) on graph bounds."""
     l_t, u_t = bound_tensors(fq)
     s_t = scale_tensor(fq)
     xv = x.data
@@ -57,47 +64,64 @@ def fake_quant_apply(fq, x):
                      f"fake_quant[{fq.name}]")
 
 
+def conv2d_node(x, w, stride, pad):
+    """The convolution as one node over (x, w); the x gradient is None
+    unless x requires one (the input batch does not)."""
+    out, vjp = _conv2d(x.data, w.data, stride, pad, x.requires_grad)
+    return T._record([x, w], out, vjp, "conv2d")
+
+
+def batchnorm_node(bn, x, train):
+    """BatchNorm.normalize as one node over (x, gamma, beta)."""
+    out, vjp = bn.normalize(x.data, train)
+    return T._record([x, bn.gamma, bn.beta], out, vjp, "batchnorm")
+
+
+def global_avg_pool(h):
+    return P.mean(h, axis=(2, 3))
+
+
 def floored_probs_t(p):
-    pf = T.maximum(p, PROB_FLOOR)
-    z = T.sum_(pf, axis=1, keepdims=True)
-    return T.div(pf, T.broadcast_to(z, p.shape))
+    pf = P.maximum(p, PROB_FLOOR)
+    z = P.sum_(pf, axis=1, keepdims=True)
+    return P.div(pf, P.broadcast_to(z, p.shape))
 
 
 def distill_rows(student_logits, teacher_logits, labels=None, kind="jeffreys"):
     """Per-sample distillation distance as a graph tensor of shape [B]."""
-    pf = floored_probs_t(T.softmax_rows(student_logits))
+    pf = floored_probs_t(P.softmax_rows(student_logits))
     if kind == "hard_label_ce":
-        return T.neg(T.log(T.select_columns(pf, labels)))
+        return P.neg(P.log(P.select_columns(pf, labels)))
     q = floor_normalize(softmax(teacher_logits))
     if kind == "jeffreys":
-        diff = T.sub(pf, T.constant(q))
-        logdiff = T.sub(T.log(pf), T.constant(np.log(q)))
-        return T.sum_(T.mul(diff, logdiff), axis=1)
+        diff = P.sub(pf, T.constant(q))
+        logdiff = P.sub(P.log(pf), T.constant(np.log(q)))
+        return P.sum_(P.mul(diff, logdiff), axis=1)
     # asymmetric teacher-student CE: -sum q log p
-    return T.neg(T.sum_(T.mul(T.constant(q), T.log(pf)), axis=1))
+    return P.neg(P.sum_(P.mul(T.constant(q), P.log(pf)), axis=1))
 
 
 def hard_label_loss(logits, labels):
-    return T.mean(distill_rows(logits, None, labels, "hard_label_ce"))
+    return P.mean(distill_rows(logits, None, labels, "hard_label_ce"))
 
 
 def potential_tensor(weight_fqs, act_fqs, targets):
     def group(fqs, target):
-        hinges = [T.maximum(T.sub(bitwidth_tensor(fq), float(target)), 0.0)
+        hinges = [P.maximum(P.sub(bitwidth_tensor(fq), float(target)), 0.0)
                   for fq in fqs]
         acc = hinges[0]
         for h in hinges[1:]:
-            acc = T.add(acc, h)
-        return T.mul(acc, 1.0 / len(hinges))
+            acc = P.add(acc, h)
+        return P.mul(acc, 1.0 / len(hinges))
 
-    return T.add(group(weight_fqs, targets[0]), group(act_fqs, targets[1]))
+    return P.add(group(weight_fqs, targets[0]), group(act_fqs, targets[1]))
 
 
 def total_loss(student_logits, teacher_logits, weight_fqs, act_fqs, state,
                labels=None, kind="jeffreys"):
-    d = T.mean(distill_rows(student_logits, teacher_logits, labels, kind))
+    d = P.mean(distill_rows(student_logits, teacher_logits, labels, kind))
     p_t = potential_tensor(weight_fqs, act_fqs, state.targets)
-    return T.add(T.mul(p_t, state.t_q * state.c_r), T.mul(d, state.t_r))
+    return P.add(P.mul(p_t, state.t_q * state.c_r), P.mul(d, state.t_r))
 
 
 def batchnorm_forward(bn, x, train):
@@ -106,53 +130,52 @@ def batchnorm_forward(bn, x, train):
     axes = (0,) if x.data.ndim == 2 else (0, 2, 3)
     pshape = (1, bn.num_features) + (1,) * (x.data.ndim - 2)
     if train and not bn.frozen:
-        mu = T.mean(x, axis=axes, keepdims=True)
-        centered = T.sub(x, T.broadcast_to(mu, x.shape))
-        var = T.mean(T.mul(centered, centered), axis=axes, keepdims=True)
+        mu = P.mean(x, axis=axes, keepdims=True)
+        centered = P.sub(x, P.broadcast_to(mu, x.shape))
+        var = P.mean(P.mul(centered, centered), axis=axes, keepdims=True)
         bn.running_mean = ((1 - bn.momentum) * bn.running_mean
                            + bn.momentum * mu.data.reshape(-1))
         bn.running_var = ((1 - bn.momentum) * bn.running_var
                           + bn.momentum * var.data.reshape(-1))
-        denom = T.sqrt(T.add(var, bn.eps))
-        xhat = T.div(centered, T.broadcast_to(denom, x.shape))
+        denom = P.sqrt(P.add(var, bn.eps))
+        xhat = P.div(centered, P.broadcast_to(denom, x.shape))
     else:
         mu = bn.running_mean.reshape(pshape)
         sd = np.sqrt(bn.running_var.reshape(pshape) + bn.eps)
-        xhat = T.div(T.sub(x, T.constant(np.broadcast_to(mu, x.data.shape).copy())),
+        xhat = P.div(P.sub(x, T.constant(np.broadcast_to(mu, x.data.shape).copy())),
                      T.constant(np.broadcast_to(sd, x.data.shape).copy()))
-    g = T.broadcast_to(T.reshape(bn.gamma, pshape), x.shape)
-    b = T.broadcast_to(T.reshape(bn.beta, pshape), x.shape)
-    return T.add(T.mul(xhat, g), b)
+    g = P.broadcast_to(P.reshape(bn.gamma, pshape), x.shape)
+    b = P.broadcast_to(P.reshape(bn.beta, pshape), x.shape)
+    return P.add(P.mul(xhat, g), b)
 
 
 def layer_forward(layer, x, train, bypass_quant=False, observer=None,
                   collect_acts=None):
     """_Layer.forward as a graph of one node per op: the fake-quant nodes,
-    matmul or conv, bias reshape, broadcast and add, the batchnorm node and
-    relu."""
+    matmul or conv, bias reshape, broadcast and add, batchnorm and relu."""
     quant = layer.weight_fq is not None and not bypass_quant
     if layer.act_fq is not None and observer is not None:
         lo, hi = observer.get(layer.act_fq.name, (np.inf, -np.inf))
         observer[layer.act_fq.name] = (min(lo, float(x.data.min())),
                                        max(hi, float(x.data.max())))
     if quant:
-        x = layer.act_fq.apply(x)
-        w = layer.weight_fq.apply(layer.W)
+        x = fake_quant_apply(layer.act_fq, x)
+        w = fake_quant_apply(layer.weight_fq, layer.W)
         if collect_acts is not None:
             collect_acts.setdefault(layer.act_fq.name, []).append(x.data)
     else:
         w = layer.W
     if layer.spec.kind == "linear":
-        y = T.matmul(x, w)
-        bb = T.broadcast_to(T.reshape(layer.b, (1, -1)), y.shape)
+        y = P.matmul(x, w)
+        bb = P.broadcast_to(P.reshape(layer.b, (1, -1)), y.shape)
     else:
-        y = _conv2d_op(x, w, layer.spec.stride, layer.spec.padding)
-        bb = T.broadcast_to(T.reshape(layer.b, (1, -1, 1, 1)), y.shape)
-    y = T.add(y, bb)
+        y = conv2d_node(x, w, layer.spec.stride, layer.spec.padding)
+        bb = P.broadcast_to(P.reshape(layer.b, (1, -1, 1, 1)), y.shape)
+    y = P.add(y, bb)
     if layer.bn is not None:
-        y = layer.bn.forward(y, train)
+        y = batchnorm_node(layer.bn, y, train)
     if layer.spec.activation == "relu":
-        y = T.relu(y)
+        y = P.relu(y)
     return y
 
 

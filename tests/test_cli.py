@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -154,6 +156,19 @@ def test_fuse_emits_integer_weights(workspace):
     assert arrays["fuse/layer1/scales"].shape == (2,)
 
 
+@pytest.mark.parametrize("command", ["train-fp", "ptq", "fuse"])
+def test_out_parent_directory_is_created(workspace, tmp_path, command):
+    _, teacher, student = workspace
+    argv = {"train-fp": ["train-fp", "--model", "mlp3", "--epochs", "1",
+                         "--n-train", "128", "--n-val", "128"],
+            "ptq": ["ptq", "--ckpt", str(teacher), "--n-train", "256",
+                    "--n-val", "128"],
+            "fuse": ["fuse", "--ckpt", str(student)]}[command]
+    out = tmp_path / "new" / "dir" / "out.ckpt"
+    assert main(argv + ["--out", str(out)]) == 0
+    load_arrays(out)
+
+
 def test_fuse_refuses_conv_student(tmp_path, capsys):
     spec = make_model_spec("conv3", 1, 2)
     student = Model(spec, quantized=True, init_seed=0,
@@ -177,6 +192,23 @@ def test_verify_filtered_exits_zero(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+def test_verify_runs_from_the_package_alone(tmp_path):
+    # the oracles that check gradients run with only src/ importable, so
+    # the package cannot lean on the test-side primitive ops
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    procs = [subprocess.Popen([sys.executable, "-m", "gdnsq.cli", "verify",
+                               "--filter", name], cwd=tmp_path, env=env,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              text=True)
+             for name in ("ste", "gradcheck")]
+    for proc in procs:
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, out + err
+        assert "PASS" in out and "FAIL" not in out
 
 
 def test_unknown_flag_is_usage_error():

@@ -1,23 +1,28 @@
 """The closed-form tape nodes against the primitive-op graphs they replace.
 
 Each case evaluates the loss once through the nodes (the layer nodes of
-_Layer.forward, losses.distill_loss, losses.potential_tensor) and once
+_Layer.forward, the pool node, losses.distill_loss,
+losses.potential_tensor and the loss-sum node of total_loss) and once
 through the reference graphs in ``reference_graphs``, with the same probe
 draws, and compares the loss value and every parameter and logit gradient
-within 1e-12 relative. The batchnorm node (BatchNorm.forward) and a single
-layer node are compared the same way on their outputs and gradients; a
-layer node must also draw the same probes in the same order.
+within 1e-12 relative. BatchNorm.normalize and a single layer node are
+compared the same way on their outputs and gradients; a layer node must
+also draw the same probes in the same order.
 """
 
 import numpy as np
 import pytest
 
+import primitives as P
 import reference_graphs as ref
+from gdnsq import models
 from gdnsq import tensor as T
+from gdnsq.data import Dataset
 from gdnsq.losses import (PROB_FLOOR, LossState, distill_loss, hard_label_loss,
                           potential_tensor, softmax, total_loss)
 from gdnsq.models import (BatchNorm, Conv2d, Linear, Model, _Layer,
                           make_model_spec)
+from gdnsq.pipeline import RunConfig, qat_run
 from gdnsq.quantizer import FakeQuantizer
 from gdnsq.tensor import Tensor
 
@@ -61,8 +66,8 @@ def loss_and_grads(model, x, t_logits, labels, kind, state, seed,
     T.reset_tape()
     with pytest.MonkeyPatch.context() as mp:
         if reference:
-            mp.setattr(FakeQuantizer, "apply", ref.fake_quant_apply)
             mp.setattr(_Layer, "forward", ref.layer_forward)
+            mp.setattr(models, "global_avg_pool", ref.global_avg_pool)
         s_logits = model.forward(x, train=True)
         if reference:
             loss = ref.total_loss(s_logits, t_logits, model.weight_quantizers(),
@@ -119,7 +124,7 @@ def test_distill_node_matches_reference_under_floor(kind):
     d = distill_loss(a, t, labels=labels, kind=kind)
     d.backward()
     b = Tensor(z.copy(), requires_grad=True)
-    d_ref = T.mean(ref.distill_rows(b, t, labels, kind))
+    d_ref = P.mean(ref.distill_rows(b, t, labels, kind))
     d_ref.backward()
     T.reset_tape()
     assert_close(d.data, d_ref.data, "d")
@@ -181,14 +186,19 @@ def test_fake_quant_node_matches_reference(kind):
     fq = FakeQuantizer(kind, rng=np.random.default_rng(3))
     fq.init_from_minmax(-0.7 if kind == "weight" else 0.0, 1.3, 3.0)
     x = np.random.default_rng(4).uniform(-1.5, 2.0, size=(6, 5))
+
+    def node(fq, xt):
+        out, inputs, vjp = fq.fake_quant(xt.data)
+        return T._record([xt, *inputs], out, vjp, "fake_quant")
+
     results = []
-    for build in (FakeQuantizer.apply, ref.fake_quant_apply):
+    for build in (node, ref.fake_quant_apply):
         fq.rng = np.random.default_rng(5)
         for t in fq.raw_params():
             t.grad = None
         xt = Tensor(x, requires_grad=True)
         out = build(fq, xt)
-        T.sum_(T.mul(out, out)).backward()
+        P.sum_(P.mul(out, out)).backward()
         T.reset_tape()
         results.append((out.data, xt.grad,
                         [t.grad.copy() for t in fq.raw_params()]))
@@ -203,7 +213,8 @@ BN_MODES = ("train", "frozen", "eval")
 
 def batchnorm_case(ndim, mode, reference):
     """(output, running mean, running var, x/gamma/beta gradients) of one
-    batchnorm forward and backward through the node or the reference."""
+    batchnorm forward and backward through BatchNorm.normalize or the
+    reference graph."""
     rng = np.random.default_rng([ndim, BN_MODES.index(mode)])
     shape = (6, 3) if ndim == 2 else (4, 3, 5, 2)
     x = Tensor(rng.normal(0.5, 2.0, size=shape), requires_grad=True)
@@ -214,10 +225,12 @@ def batchnorm_case(ndim, mode, reference):
     bn.running_mean = rng.normal(size=3)
     bn.running_var = rng.uniform(0.5, 2.0, size=3)
     train = mode != "eval"
+    if not reference:
+        out, vjp = bn.normalize(x.data, train)
+        return (out, bn.running_mean, bn.running_var, *vjp(coeff))
     T.reset_tape()
-    out = (ref.batchnorm_forward(bn, x, train) if reference
-           else bn.forward(x, train))
-    T.sum_(T.mul(out, T.constant(coeff))).backward()
+    out = ref.batchnorm_forward(bn, x, train)
+    P.sum_(P.mul(out, T.constant(coeff))).backward()
     T.reset_tape()
     return (out.data, bn.running_mean, bn.running_var, x.grad,
             bn.gamma.grad, bn.beta.grad)
@@ -234,15 +247,6 @@ def test_batchnorm_node_matches_graph(ndim, mode):
         np.testing.assert_array_equal(got, want, err_msg=what)
     for what, got, want in zip(("x", "gamma", "beta"), node[3:], graph[3:]):
         assert_close(got, want, what)
-
-
-def test_batchnorm_is_one_node():
-    x = Tensor(np.random.default_rng(0).normal(size=(4, 3, 2, 2)),
-               requires_grad=True)
-    T.reset_tape()
-    BatchNorm(3).forward(x, train=True)
-    assert [n.name for n in T.get_tape().nodes] == ["batchnorm"]
-    T.reset_tape()
 
 
 LAYER_KINDS = ("linear", "conv2d")
@@ -284,7 +288,7 @@ def layer_case(kind, quantized, train, x_grad, reference):
         forward = ref.layer_forward if reference else _Layer.forward
         out = forward(layer, x, train)
         coeff = np.random.default_rng(9).normal(size=out.shape)
-        T.sum_(T.mul(out, T.constant(coeff))).backward()
+        P.sum_(P.mul(out, T.constant(coeff))).backward()
     T.reset_tape()
     stats = ([] if layer.bn is None
              else [layer.bn.running_mean, layer.bn.running_var])
@@ -314,7 +318,7 @@ def test_layer_node_matches_graph(kind, quantized, train, x_grad):
 
 @pytest.mark.parametrize("model_id,names", [
     ("mlp4", ["layer0", "layer1", "layer2", "layer3"]),
-    ("conv3", ["layer0", "layer1", "layer2", "sum", "mul", "layer3"]),
+    ("conv3", ["layer0", "layer1", "layer2", "pool", "layer3"]),
 ])
 def test_layer_is_one_node(model_id, names):
     model = quantized_model(model_id, 5)
@@ -324,3 +328,31 @@ def test_layer_is_one_node(model_id, names):
     model.forward(x, train=True)
     assert [n.name for n in T.get_tape().nodes] == names
     T.reset_tape()
+
+
+STEP_TAIL = ["distill[jeffreys]", "potential", "loss"]
+
+
+@pytest.mark.parametrize("model_id,names", [
+    ("mlp4", ["layer0", "layer1", "layer2", "layer3"] + STEP_TAIL),
+    ("conv3", ["layer0", "layer1", "layer2", "pool", "layer3"] + STEP_TAIL),
+])
+def test_qat_step_nodes(model_id, names, tmp_path, monkeypatch):
+    # the tape that every backward of qat_run's training steps sweeps
+    student = quantized_model(model_id, 6)
+    teacher = Model(student.spec, init_seed=6)
+    rng = np.random.default_rng(6)
+    shape = (16, 2, 6, 6) if model_id == "conv3" else (16, 2)
+    ds = Dataset(rng.normal(size=shape), rng.integers(0, 3, size=16), "train",
+                 num_classes=3)
+    tapes = []
+    real = T.backward
+
+    def recording(root):
+        tapes.append([n.name for n in T.get_tape().nodes])
+        return real(root)
+
+    monkeypatch.setattr(T, "backward", recording)
+    qat_run(RunConfig(model=model_id, epochs=1, batch_size=8), teacher,
+            student, tmp_path / "run", ds, ds)
+    assert tapes == [names, names]

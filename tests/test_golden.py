@@ -1,0 +1,104 @@
+"""Golden digests of two short fixed-seed pipeline runs.
+
+Each run goes through the CLI in a fresh interpreter with BLAS on one
+thread, and the sha256 of its ``metrics.csv`` and ``last.ckpt`` must match
+the pinned value. A change that moves training bytes on purpose edits the
+constants below and says why; any other change must leave them alone.
+
+The digests are tied to the numpy and BLAS build they were taken with
+(numpy 2.4.6, OpenBLAS, x86-64): another build may round a GEMM or a
+reduction differently and change every digest without any change here.
+"""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
+
+# the IDX dataset id, paths included, is stored in every checkpoint, so the
+# conv3 inputs live under paths relative to the run's working directory
+IDX_ID = "idx:in/tr-img.idx:in/tr-lbl.idx:in/va-img.idx:in/va-lbl.idx"
+
+RUNS = {
+    "mlp4": [
+        ["train-fp", "--model", "mlp4", "--seed", "1", "--epochs", "5",
+         "--n-train", "256", "--n-val", "128", "--out", "teacher.ckpt"],
+        ["ptq", "--ckpt", "teacher.ckpt", "--out", "ptq.ckpt"],
+        ["qat", "--ckpt", "ptq.ckpt", "--teacher", "teacher.ckpt",
+         "--seed", "1", "--epochs", "3", "--out", "run"],
+    ],
+    "conv3": [
+        ["train-fp", "--model", "conv3", "--data", IDX_ID, "--seed", "2",
+         "--epochs", "3", "--lr", "0.03", "--out", "teacher.ckpt"],
+        ["ptq", "--ckpt", "teacher.ckpt", "--out", "ptq.ckpt"],
+        ["qat", "--ckpt", "ptq.ckpt", "--teacher", "teacher.ckpt",
+         "--wbits", "6", "--abits", "6", "--lr0", "0.05", "--seed", "2",
+         "--epochs", "2", "--out", "run"],
+    ],
+}
+
+GOLDEN = {
+    "mlp4": {
+        "metrics.csv":
+            "22cea089bd0a99879fcbe638ec1f52b814fb5c810ac94d229e8e874954b24d85",
+        "last.ckpt":
+            "3efa430b34e690dccd02ce971411d39f1681bdf47a013882f8fdc7009500c26f",
+    },
+    "conv3": {
+        "metrics.csv":
+            "2a1a0d155e5cd33d56876ac59cde869634373203d55f5cbed06a8e36a90b6176",
+        "last.ckpt":
+            "9469b85c0578b4fb2c229c0be16f88203bde5cd413f9eded3617ed9c9879bda4",
+    },
+}
+
+# Writes 8x8 IDX images of one horizontal or vertical bar over noise
+# (label 0 or 1), then runs the stages in order.
+SCRIPT = """
+import json, os, struct, sys
+import numpy as np
+from gdnsq.cli import main
+
+def write_idx(path, arr):
+    header = bytes([0, 0, 0x08, arr.ndim]) + struct.pack(
+        f">{arr.ndim}I", *arr.shape)
+    with open(path, "wb") as f:
+        f.write(header + arr.astype(np.uint8).tobytes())
+
+os.makedirs("in")
+rng = np.random.default_rng(0)
+for split, n in (("tr", 64), ("va", 32)):
+    labels = np.arange(n) % 2
+    img = rng.uniform(0, 60, size=(n, 8, 8))
+    for i, (lab, k) in enumerate(zip(labels, rng.integers(1, 7, size=n))):
+        if lab:
+            img[i, :, k] += 180
+        else:
+            img[i, k, :] += 180
+    write_idx(f"in/{split}-img.idx", img)
+    write_idx(f"in/{split}-lbl.idx", labels)
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+"""
+
+
+def _run(tmp_path, stages):
+    env = dict(os.environ, PYTHONPATH=SRC, OMP_NUM_THREADS="1",
+               OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", SCRIPT, json.dumps(stages)],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return {name: hashlib.sha256((tmp_path / "run" / name).read_bytes())
+            .hexdigest() for name in ("metrics.csv", "last.ckpt")}
+
+
+@pytest.mark.parametrize("run", sorted(RUNS))
+def test_golden_digest(tmp_path, run):
+    assert _run(tmp_path, RUNS[run]) == GOLDEN[run]

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from gdnsq import tensor as T
 from gdnsq.errors import DomainError, NumericError, ShapeError
 from gdnsq.losses import (LossState, distill_loss, hard_label_loss, jeffreys,
-                          kl, potential, potential_tensor, softmax,
-                          total_loss, update_schedule)
+                          kl, potential_tensor, softmax, total_loss,
+                          update_schedule)
 from gdnsq.quantizer import FakeQuantizer
 from gdnsq.tensor import Tensor
 
@@ -71,11 +71,17 @@ def test_jeffreys_dominates_each_kl(ws, vs):
 
 class TestPotential:
     def test_zero_at_targets(self):
-        assert potential([2.0, 2.0], [3.0], (2.0, 3.0)) == 0.0
+        wqs = [make_fq("weight", -1.0, 1.0, 2.0, seed=i) for i in range(2)]
+        aq = make_fq("activation", 0.0, 1.0, 3.0, seed=2)
+        targets = (max(wq.bitwidth_value() for wq in wqs), aq.bitwidth_value())
+        assert float(potential_tensor(wqs, [aq], targets).data) == 0.0
 
     def test_single_active_hinge(self):
         # one weight site at 3 over target 2, activation at target
-        assert potential([3.0], [4.0], (2.0, 4.0)) == pytest.approx(1.0)
+        wq = make_fq("weight", -1.0, 1.0, 3.0)
+        aq = make_fq("activation", 0.0, 1.0, 4.0, seed=1)
+        p = potential_tensor([wq], [aq], (2.0, aq.bitwidth_value()))
+        assert float(p.data) == pytest.approx(1.0)
 
     def test_under_target_zero_gradient(self):
         wq = make_fq("weight", -1.0, 1.0, 3.0)
@@ -101,7 +107,8 @@ class TestPotential:
 
     def test_empty_group_rejected(self):
         with pytest.raises(DomainError):
-            potential([], [1.0], (1.0, 1.0))
+            potential_tensor([], [make_fq("activation", 0.0, 1.0, 3.0)],
+                             (1.0, 1.0))
 
 
 class TestTotalLoss:

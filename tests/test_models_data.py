@@ -5,7 +5,7 @@ import pytest
 
 from gdnsq import tensor as T
 from gdnsq.data import Dataset, load_idx_dataset, make_synthetic, read_idx
-from gdnsq.errors import FormatError, NumericError, SpecError
+from gdnsq.errors import FormatError, NumericError, ShapeError, SpecError
 from gdnsq.kernels import conv2d_forward
 from gdnsq.models import (Conv2d, Linear, Model, ModelSpec, make_model_spec,
                           spec_from_dict, spec_to_dict, train_teacher)
@@ -127,6 +127,14 @@ class TestBuildModel:
         np.testing.assert_array_equal(a.predict_logits(x),
                                       b.predict_logits(x, bypass_quant=True))
 
+    @pytest.mark.parametrize("spec_id,shape", [("mlp4", (2, 5)),
+                                               ("conv3", (2, 5, 8, 8))])
+    def test_input_width_mismatch_is_shape_error(self, spec_id, shape):
+        # the models take 6 features or 6 channels; the batch has 5
+        model = Model(make_model_spec(spec_id, 6, 3), quantized=True)
+        with pytest.raises(ShapeError, match="layer0"):
+            model.predict_logits(np.zeros(shape))
+
     def test_too_shallow_for_quantization(self):
         spec = make_model_spec("mlp2", 2, 2)
         with pytest.raises(SpecError):
@@ -153,29 +161,15 @@ class TestConv:
         assert out.shape == (2, 3, 3, 3)
 
     def test_conv_gradients_match_fd(self):
-        from gdnsq.models import _conv2d_op
+        from gdnsq.models import _conv2d
         rng = np.random.default_rng(3)
         arrays = [rng.normal(size=(2, 2, 5, 5)), rng.normal(size=(3, 2, 3, 3))]
         coeff = rng.normal(size=(2, 3, 3, 3))
-
-        def build(p):
-            return T.sum_(T.mul(_conv2d_op(p[0], p[1], 2, 1),
-                                T.constant(coeff)))
-
-        def f(arrs):
-            T.reset_tape()
-            val = float(build([Tensor(a, requires_grad=True)
-                               for a in arrs]).data)
-            T.reset_tape()
-            return val
-
-        T.reset_tape()
-        params = [Tensor(a, requires_grad=True) for a in arrays]
-        build(params).backward()
-        analytic = [p.grad.copy() for p in params]
-        T.reset_tape()
-        numeric = finite_difference_grads(f, arrays)
-        for a, n in zip(analytic, numeric):
+        _, vjp = _conv2d(*arrays, 2, 1, True)
+        numeric = finite_difference_grads(
+            lambda arrs: float(np.sum(_conv2d(*arrs, 2, 1, False)[0] * coeff)),
+            arrays)
+        for a, n in zip(vjp(coeff), numeric):
             np.testing.assert_allclose(a, n, rtol=1e-6, atol=1e-8)
 
     def test_input_batch_gets_no_conv_gradient(self, monkeypatch):
@@ -254,32 +248,19 @@ class TestBatchNorm:
         from gdnsq.models import BatchNorm
         for shape in ((6, 3), (4, 3, 3, 2)):
             coeff = rng.normal(size=shape)
-
-            def build(p):
-                bn = BatchNorm(3)
-                bn.gamma = p[1]
-                bn.beta = p[2]
-                out = bn.forward(p[0], train=True)
-                return T.sum_(T.mul(out, T.constant(coeff)))
-
             arrays = [rng.normal(size=shape),
                       np.ones(3) + 0.3 * rng.normal(size=3),
                       rng.normal(size=3)]
+            bn = BatchNorm(3)
+            # the parameter tensors hold these arrays, so FD edits reach them
+            bn.gamma.data, bn.beta.data = arrays[1], arrays[2]
 
             def f(arrs):
-                T.reset_tape()
-                val = float(build([Tensor(a, requires_grad=True)
-                                   for a in arrs]).data)
-                T.reset_tape()
-                return val
+                return float(np.sum(bn.normalize(arrs[0], True)[0] * coeff))
 
-            T.reset_tape()
-            params = [Tensor(a, requires_grad=True) for a in arrays]
-            build(params).backward()
-            analytic = [p.grad.copy() for p in params]
-            T.reset_tape()
+            _, vjp = bn.normalize(arrays[0], True)
             numeric = finite_difference_grads(f, arrays)
-            for a, n in zip(analytic, numeric):
+            for a, n in zip(vjp(coeff), numeric):
                 np.testing.assert_allclose(a, n, rtol=1e-5, atol=1e-7)
 
 

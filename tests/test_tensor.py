@@ -1,6 +1,10 @@
+"""The tape (gdnsq.tensor) and the primitive ops the reference graphs are
+built from (primitives), against finite differences."""
+
 import numpy as np
 import pytest
 
+import primitives as P
 from gdnsq import tensor as T
 from gdnsq.errors import ContractError, NumericError, ShapeError
 from gdnsq.oracles import finite_difference_grads
@@ -38,63 +42,63 @@ def assert_matches_fd(build, arrays, rtol=1e-6):
 
 class TestMatmul:
     def test_identity(self):
-        out = T.matmul(Tensor(np.eye(2)), Tensor([[5.0, 6.0], [7.0, 8.0]]))
+        out = P.matmul(Tensor(np.eye(2)), Tensor([[5.0, 6.0], [7.0, 8.0]]))
         np.testing.assert_array_equal(out.data, [[5.0, 6.0], [7.0, 8.0]])
 
     def test_scalar_case(self):
-        out = T.matmul(Tensor([[2.0]]), Tensor([[3.0]]))
+        out = P.matmul(Tensor([[2.0]]), Tensor([[3.0]]))
         assert out.data[0, 0] == 6.0
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            T.matmul(Tensor(np.ones((3, 4))), Tensor(np.ones((3, 2))))
+            P.matmul(Tensor(np.ones((3, 4))), Tensor(np.ones((3, 2))))
 
     def test_grads_match_finite_differences(self):
         rng = np.random.default_rng(7)
         a, b = rng.normal(size=(3, 4)), rng.normal(size=(4, 2))
-        assert_matches_fd(lambda p: T.sum_(T.mul(T.matmul(p[0], p[1]),
-                                                 T.matmul(p[0], p[1]))),
+        assert_matches_fd(lambda p: P.sum_(P.mul(P.matmul(p[0], p[1]),
+                                                 P.matmul(p[0], p[1]))),
                           [a, b])
 
 
 class TestElementwise:
     def test_max_with_scalar(self):
-        out = T.maximum(Tensor([-1.0, 0.5]), 0.0)
+        out = P.maximum(Tensor([-1.0, 0.5]), 0.0)
         np.testing.assert_array_equal(out.data, [0.0, 0.5])
 
     def test_relu_backward_ae(self):
         x = Tensor([-1.0, 2.0], requires_grad=True)
-        T.sum_(T.relu(x)).backward()
+        P.sum_(P.relu(x)).backward()
         np.testing.assert_array_equal(x.grad, [0.0, 1.0])
 
     def test_log_gradient(self):
         x = Tensor(2.0, requires_grad=True)
-        T.log(x).backward()
+        P.log(x).backward()
         assert x.grad == pytest.approx(0.5, rel=1e-12)
-        assert_matches_fd(lambda p: T.log(p[0]), [np.asarray(2.0)])
+        assert_matches_fd(lambda p: P.log(p[0]), [np.asarray(2.0)])
 
     def test_log_domain_error_names_index(self):
         with pytest.raises(NumericError, match="index 1"):
-            T.log(Tensor([1.0, -2.0]))
+            P.log(Tensor([1.0, -2.0]))
 
     def test_exp_overflow_error(self):
         with pytest.raises(NumericError):
-            T.exp(Tensor([1.0, 800.0]))
+            P.exp(Tensor([1.0, 800.0]))
 
     def test_no_implicit_row_broadcast(self):
         with pytest.raises(ShapeError):
-            T.add(Tensor(np.ones((2, 3))), Tensor(np.ones(3)))
+            P.add(Tensor(np.ones((2, 3))), Tensor(np.ones(3)))
 
     def test_scalar_broadcast_grads(self):
         rng = np.random.default_rng(3)
         x, c = rng.normal(size=(4,)), np.asarray(1.5)
-        assert_matches_fd(lambda p: T.sum_(T.mul(T.add(p[0], p[1]), p[0])),
+        assert_matches_fd(lambda p: P.sum_(P.mul(P.add(p[0], p[1]), p[0])),
                           [x, c])
 
     def test_minimum_ties_go_to_first_operand(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         u = Tensor(2.0, requires_grad=True)
-        T.sum_(T.minimum(x, u)).backward()
+        P.sum_(P.minimum(x, u)).backward()
         np.testing.assert_array_equal(x.grad, [1.0, 1.0])
         assert u.grad == 0.0
 
@@ -104,65 +108,76 @@ class TestReductionsAndShaping:
         rng = np.random.default_rng(11)
         x = rng.normal(size=(3, 4))
         assert_matches_fd(
-            lambda p: T.sum_(T.mul(T.sum_(p[0], axis=1), T.sum_(p[0], axis=1))),
+            lambda p: P.sum_(P.mul(P.sum_(p[0], axis=1), P.sum_(p[0], axis=1))),
             [x])
 
     def test_mean_multi_axis(self):
         rng = np.random.default_rng(12)
         x = rng.normal(size=(2, 3, 2, 2))
-        assert_matches_fd(lambda p: T.sum_(T.mul(T.mean(p[0], axis=(2, 3)),
-                                                 T.mean(p[0], axis=(2, 3)))),
+        assert_matches_fd(lambda p: P.sum_(P.mul(P.mean(p[0], axis=(2, 3)),
+                                                 P.mean(p[0], axis=(2, 3)))),
                           [x])
 
     def test_broadcast_to_grads(self):
         rng = np.random.default_rng(13)
         x = rng.normal(size=(3, 1))
         assert_matches_fd(
-            lambda p: T.sum_(T.mul(T.broadcast_to(p[0], (3, 4)),
-                                   T.broadcast_to(p[0], (3, 4)))), [x])
+            lambda p: P.sum_(P.mul(P.broadcast_to(p[0], (3, 4)),
+                                   P.broadcast_to(p[0], (3, 4)))), [x])
 
     def test_softmax_rows_matches_fd(self):
         rng = np.random.default_rng(14)
         x = rng.normal(size=(3, 4)) * 3
         coeff = rng.normal(size=(3, 4))
         assert_matches_fd(
-            lambda p: T.sum_(T.mul(T.softmax_rows(p[0]), T.constant(coeff))),
+            lambda p: P.sum_(P.mul(P.softmax_rows(p[0]), T.constant(coeff))),
             [x], rtol=1e-5)
 
     def test_select_columns(self):
         x = Tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
-        out = T.select_columns(x, [1, 0])
+        out = P.select_columns(x, [1, 0])
         np.testing.assert_array_equal(out.data, [2.0, 3.0])
-        T.sum_(out).backward()
+        P.sum_(out).backward()
         np.testing.assert_array_equal(x.grad, [[0.0, 1.0], [1.0, 0.0]])
+
+
+def custom_node(forward_fn, backward_fn):
+    """A one-input node whose rule is backward_fn(g, x), as the package's
+    closed-form nodes are recorded."""
+
+    def op(x):
+        return T._record([x], forward_fn(x.data),
+                         lambda g: (backward_fn(g, x.data),), "custom")
+
+    return op
 
 
 class TestCustomBackward:
     def test_identity_forward_zero_backward(self):
-        op = T.custom_backward(lambda x: x, lambda g, x: np.zeros_like(x))
+        op = custom_node(lambda x: x, lambda g, x: np.zeros_like(x))
         x = Tensor([1.0, 2.0], requires_grad=True)
-        T.sum_(op(x)).backward()
+        P.sum_(op(x)).backward()
         np.testing.assert_array_equal(x.grad, [0.0, 0.0])
 
     def test_classic_ste_round(self):
-        op = T.custom_backward(lambda x: np.floor(x + 0.5), lambda g, x: g)
+        op = custom_node(lambda x: np.floor(x + 0.5), lambda g, x: g)
         x = Tensor([0.3, 1.7], requires_grad=True)
         out = op(x)
         np.testing.assert_array_equal(out.data, [0.0, 2.0])
-        T.sum_(out).backward()
+        P.sum_(out).backward()
         np.testing.assert_array_equal(x.grad, [1.0, 1.0])
 
     def test_zero_override_blocks_downstream(self):
-        op = T.custom_backward(lambda x: x * x, lambda g, x: np.zeros_like(x))
+        op = custom_node(lambda x: x * x, lambda g, x: np.zeros_like(x))
         x = Tensor([3.0], requires_grad=True)
-        y = T.sum_(T.mul(op(x), 2.0))
+        y = P.sum_(P.mul(op(x), 2.0))
         y.backward()
         np.testing.assert_array_equal(x.grad, [0.0])
 
     def test_bad_backward_shape_raises_at_backward_time(self):
-        op = T.custom_backward(lambda x: x, lambda g, x: np.zeros(5))
+        op = custom_node(lambda x: x, lambda g, x: np.zeros(5))
         x = Tensor([1.0, 2.0], requires_grad=True)
-        out = T.sum_(op(x))
+        out = P.sum_(op(x))
         with pytest.raises(ShapeError):
             out.backward()
 
@@ -173,13 +188,13 @@ class TestBackward:
 
     def test_sum_gives_ones(self):
         x = Tensor([1.0, 5.0, -2.0], requires_grad=True)
-        T.sum_(x).backward()
+        P.sum_(x).backward()
         np.testing.assert_array_equal(x.grad, [1.0, 1.0, 1.0])
 
     def test_scalar_chain_rule(self):
         x = Tensor(2.0, requires_grad=True)
         y = Tensor(3.0, requires_grad=True)
-        T.mul(x, y).backward()
+        P.mul(x, y).backward()
         assert x.grad == 3.0 and y.grad == 2.0
 
     def test_non_scalar_root_rejected(self):
@@ -194,13 +209,13 @@ class TestBackward:
 
         def build(p):
             w1, w2, x = p
-            return T.sum_(T.relu(T.matmul(T.relu(T.matmul(x, w1)), w2)))
+            return P.sum_(P.relu(P.matmul(P.relu(P.matmul(x, w1)), w2)))
 
         assert_matches_fd(build, arrays, rtol=1e-5)
 
     def test_accumulation_is_additive(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
-        loss = T.sum_(T.mul(x, x))
+        loss = P.sum_(P.mul(x, x))
         loss.backward()
         once = x.grad.copy()
         loss.backward()
@@ -213,28 +228,27 @@ class TestBackward:
         def run():
             T.reset_tape()
             w, x = [Tensor(a, requires_grad=True) for a in arrays]
-            T.sum_(T.matmul(x, w)).backward()
+            P.sum_(P.matmul(x, w)).backward()
             return w.grad.copy()
 
         np.testing.assert_array_equal(run(), run())
 
     def test_each_node_visited_exactly_once(self):
         calls = []
-        op = T.custom_backward(lambda x: x * 2.0,
-                               lambda g, x: (calls.append(1), 2.0 * g)[1],
-                               name="counted")
+        op = custom_node(lambda x: x * 2.0,
+                         lambda g, x: (calls.append(1), 2.0 * g)[1])
         x = Tensor([1.0], requires_grad=True)
         y = op(x)
         # diamond: y feeds two consumers that rejoin
-        T.sum_(T.add(T.mul(y, 3.0), T.mul(y, 4.0))).backward()
+        P.sum_(P.add(P.mul(y, 3.0), P.mul(y, 4.0))).backward()
         assert len(calls) == 1
         np.testing.assert_array_equal(x.grad, [14.0])
 
     def test_stale_tape_rejected(self):
         x = Tensor([1.0], requires_grad=True)
-        y = T.sum_(x)
+        y = P.sum_(x)
         T.reset_tape()
-        z = T.sum_(x)  # fresh tape: fine
+        z = P.sum_(x)  # fresh tape: fine
         z.backward()
         with pytest.raises(ContractError):
             y.backward()
@@ -243,25 +257,25 @@ class TestBackward:
         before = len(T.get_tape())
         with T.no_grad():
             x = Tensor([1.0, 2.0], requires_grad=True)
-            y = T.sum_(T.mul(x, x))
+            y = P.sum_(P.mul(x, x))
         assert len(T.get_tape()) == before
         assert not y.requires_grad
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_random_graph_gradients_match_fd(seed):
-    # the 100-model sweep is the gradcheck_random_models oracle of
-    # `gdnsq verify`; this is the fast slice
+    # random primitive graphs; the models the package trains are swept by
+    # the gradcheck_random_models oracle of `gdnsq verify`
     rng = np.random.default_rng(seed)
     arrays = [rng.normal(size=(4, 3)), rng.normal(size=(3, 2)),
               rng.normal(size=(2, 4))]
 
     def build(p):
         w1, w2, x = p
-        h = T.relu(T.matmul(x, w1))
-        z = T.matmul(h, w2)
-        q = T.softmax_rows(z)
-        return T.mean(T.mul(T.log(T.maximum(q, 1e-9)), T.constant(
+        h = P.relu(P.matmul(x, w1))
+        z = P.matmul(h, w2)
+        q = P.softmax_rows(z)
+        return P.mean(P.mul(P.log(P.maximum(q, 1e-9)), T.constant(
             np.random.default_rng(seed + 1).normal(size=(2, 2)))))
 
     assert_matches_fd(build, arrays, rtol=1e-4)
