@@ -6,7 +6,8 @@ distillation, plus an oracle suite that verifies the underlying math."""
 __version__ = "0.1.0"
 
 from .data import Dataset, make_synthetic, read_idx
-from .losses import LossState, jeffreys, kl, total_loss, update_schedule
+from .losses import (LossState, jeffreys, kl, teacher_probs, total_loss,
+                     update_schedule)
 from .models import Model, ModelSpec, make_model_spec, train_teacher
 from .optim import LrPolicy, RAdam, lr_next
 from .pipeline import RunConfig, audit_bitwidth, ptq_minmax, qat_run
@@ -18,6 +19,6 @@ __all__ = [
     "ModelSpec", "RAdam", "RunConfig", "Tensor", "audit_bitwidth",
     "backward", "integer_fuse", "jeffreys", "kl", "lr_next",
     "make_model_spec", "make_synthetic", "no_grad", "ptq_minmax", "qat_run",
-    "read_idx", "reset_tape", "total_loss", "train_teacher",
+    "read_idx", "reset_tape", "teacher_probs", "total_loss", "train_teacher",
     "update_schedule", "__version__",
 ]

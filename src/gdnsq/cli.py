@@ -306,6 +306,7 @@ def cmd_export_metrics(args) -> int:
         content = f.read()
     _check_metrics(path, content)
     if args.out:
+        os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
         with open(args.out, "w") as f:
             f.write(content)
     else:

@@ -12,25 +12,30 @@ The training loss is  L = t_q * c_r * P + t_r * d  with
   (defined as 1 at n = 0, where the sum is empty).
 
 Probabilities are floored at 1e-12 and renormalized before any log so the
-divergence stays finite for near-one-hot teachers.
+divergence stays finite for near-one-hot teachers. ``teacher_probs``
+computes the teacher's floored softmax and its log once, over a whole
+split, and checks the teacher logits for non-finite values there.
 
-Each loss term is one tape node with a closed-form gradient, and so is
-their weighted sum in ``total_loss``. ``distill_loss`` maps the student
-logits to d for each ``--distill`` kind (it also serves as the teacher's
-hard-label loss); its gradient goes back through the renormalization, the
-floor and the softmax. ``potential_tensor`` maps every site's raw
-quantizer parameters to P through d omega (``FakeQuantizer.bitwidth``),
-the hinges and the group means. Two conventions of the primitive graphs
-are kept: a probability at or above the floor passes its gradient, one
-below passes none (max(p, floor) sends ties to p), and a hinge whose
-omega equals its target is active. The rules evaluate their products in
-the order the primitive graphs did, so they round the same way and
-training runs reproduce those graphs' metrics.
+Each loss term is one chain entry (``gdnsq.tensor``) with a closed-form
+gradient and its weight in the loss: ``total_loss`` records d with weight
+t_r and P with weight t_q * c_r, and the reverse sweep seeds each with
+``np.ones(()) * weight``. ``distill_loss`` maps the student logits to d
+for each ``--distill`` kind (it also serves as the teacher's hard-label
+loss); its gradient goes back through the renormalization, the floor and
+the softmax. ``potential_tensor`` maps every site's raw quantizer
+parameters to P through d omega (``FakeQuantizer.bitwidth``), the hinges
+and the group means. Two conventions of the primitive graphs are kept: a
+probability at or above the floor passes its gradient, one below passes
+none (max(p, floor) sends ties to p), and a hinge whose omega equals its
+target is active. The rules evaluate their products in the order the
+primitive graphs did, so they round the same way and training runs
+reproduce those graphs' metrics.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,18 +81,36 @@ def _check_finite(logits, who):
         raise NumericError(f"non-finite {who} logits at batch row {bad}")
 
 
-def distill_loss(student_logits: Tensor, teacher_logits=None, labels=None,
-                 kind="jeffreys") -> Tensor:
+class TeacherProbs(NamedTuple):
+    """The teacher's floored softmax q and log q, row for row."""
+
+    q: np.ndarray
+    log_q: np.ndarray
+
+    def rows(self, idx) -> "TeacherProbs":
+        return TeacherProbs(self.q[idx], self.log_q[idx])
+
+
+def teacher_probs(teacher_logits) -> TeacherProbs:
+    """q = floor_normalize(softmax(teacher_logits)) and log q, after a
+    check that every teacher logit is finite."""
+    _check_finite(teacher_logits, "teacher")
+    q = floor_normalize(softmax(teacher_logits))
+    return TeacherProbs(q, np.log(q))
+
+
+def distill_loss(student_logits: Tensor, teacher: TeacherProbs = None,
+                 labels=None, kind="jeffreys", weight=1.0) -> Tensor:
     """Batch-mean distance d between the student and its reference, as one
-    tape node on the student logits.
+    loss-term chain entry on the student logits with the given weight.
 
     The student distribution is pf = max(p, floor) / sum(max(p, floor))
     with p = softmax(logits). Per row, ``jeffreys`` is sum (pf - q)(log pf -
-    log q) with q the floored teacher softmax, ``cross_entropy`` is -sum q
-    log pf and ``hard_label_ce`` is -log pf[label]. The gradient goes back
-    through the renormalization, the floor (to p where p >= floor, as a
-    maximum() with ties to its first operand would route it) and the
-    softmax.
+    log q) and ``cross_entropy`` is -sum q log pf, with q and log q from
+    ``teacher`` (``teacher_probs``), and ``hard_label_ce`` is -log
+    pf[label]. The gradient goes back through the renormalization, the
+    floor (to p where p >= floor, as a maximum() with ties to its first
+    operand would route it) and the softmax.
     """
     z = student_logits.data
     if kind not in DISTILL_KINDS:
@@ -97,10 +120,11 @@ def distill_loss(student_logits: Tensor, teacher_logits=None, labels=None,
             raise DomainError("hard_label_ce needs ground-truth labels")
         rows = np.arange(z.shape[0])
         labels = np.asarray(labels, dtype=np.int64)
-    elif teacher_logits is None:
-        raise DomainError(f"{kind} needs teacher logits")
+    elif not isinstance(teacher, TeacherProbs):
+        raise DomainError(f"{kind} needs the teacher's probabilities "
+                          "(losses.teacher_probs)")
     else:
-        q = floor_normalize(softmax(teacher_logits))
+        q = teacher.q
     shifted = z - z.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     e_sum = e.sum(axis=1, keepdims=True)
@@ -113,12 +137,12 @@ def distill_loss(student_logits: Tensor, teacher_logits=None, labels=None,
     else:
         logp = np.log(pf)
         if kind == "jeffreys":
-            diff, log_ratio = pf - q, logp - np.log(q)
-            d_rows = np.sum(diff * log_ratio, axis=1)
+            diff, log_ratio = pf - q, logp - teacher.log_q
+            d_rows = (diff * log_ratio).sum(axis=1)
         else:
-            d_rows = -np.sum(q * logp, axis=1)
+            d_rows = -(q * logp).sum(axis=1)
     inv_b = 1.0 / d_rows.size
-    d = np.sum(d_rows) * inv_b
+    d = d_rows.sum() * inv_b
 
     def rule(g):
         gr = g * inv_b  # every row's share of the batch mean
@@ -130,14 +154,15 @@ def distill_loss(student_logits: Tensor, teacher_logits=None, labels=None,
             g_pf = np.zeros_like(pf)
             g_pf[rows, labels] = -gr / pf[rows, labels]
         # quotient rule through pf = m / m_sum and p = e / e_sum
-        g_m = g_pf / m_sum + np.sum(-g_pf * m / (m_sum * m_sum), axis=1,
-                                    keepdims=True)
+        g_m = g_pf / m_sum + (-g_pf * m / (m_sum * m_sum)).sum(
+            axis=1, keepdims=True)
         g_p = g_m * (p >= PROB_FLOOR)
-        g_e = g_p / e_sum + np.sum(-g_p * e / (e_sum * e_sum), axis=1,
-                                   keepdims=True)
+        g_e = g_p / e_sum + (-g_p * e / (e_sum * e_sum)).sum(
+            axis=1, keepdims=True)
         return (g_e * e,)
 
-    return T._record([student_logits], d, rule, f"distill[{kind}]")
+    return Tensor(T.record(z, (), d, rule, f"distill[{kind}]", weight=weight),
+                  requires_grad=T.recording())
 
 
 def hard_label_loss(logits: Tensor, labels) -> Tensor:
@@ -145,8 +170,9 @@ def hard_label_loss(logits: Tensor, labels) -> Tensor:
     return distill_loss(logits, labels=labels, kind="hard_label_ce")
 
 
-def potential_tensor(weight_fqs, act_fqs, targets) -> Tensor:
-    """The potential P as one tape node over every site's raw parameters.
+def potential_tensor(weight_fqs, act_fqs, targets, weight=1.0) -> Tensor:
+    """The potential P as one loss-term chain entry over every site's raw
+    parameters, with the given weight.
 
     Each hinge max(omega - target, 0) passes d omega to its parameters,
     divided by its group's size, when omega >= target (ties count as
@@ -155,26 +181,27 @@ def potential_tensor(weight_fqs, act_fqs, targets) -> Tensor:
     """
     if not weight_fqs or not act_fqs:
         raise DomainError("potential needs at least one site in each group")
-    inputs, sites, value = [], [], 0.0
+    params, sites, value = [], [], 0.0
     for fqs, target in ((weight_fqs, targets[0]), (act_fqs, targets[1])):
         inv_n = 1.0 / len(fqs)
         hinge_sum = 0.0
         for fq in fqs:
-            omega, site_inputs, vjp = fq.bitwidth()
+            omega, site_params, vjp = fq.bitwidth()
             excess = omega - float(target)
             active = excess >= 0.0
             hinge_sum += excess if active else 0.0
-            inputs.extend(site_inputs)
+            params.extend(site_params)
             sites.append((vjp, inv_n, active))
         value += hinge_sum * inv_n
 
     def rule(g):
-        grads = []
+        grads = [None]  # P takes no input from the chain
         for vjp, inv_n, active in sites:
             grads.extend(vjp(g * inv_n * active))
-        return tuple(grads)
+        return grads
 
-    return T._record(inputs, np.asarray(value), rule, "potential")
+    return Tensor(T.record(None, params, value, rule, "potential",
+                           weight=weight), requires_grad=T.recording())
 
 
 @dataclass
@@ -208,22 +235,23 @@ def update_schedule(state: LossState, lam: float, batch_d: float) -> LossState:
     return state
 
 
-def total_loss(student_logits: Tensor, teacher_logits: np.ndarray,
+def total_loss(student_logits: Tensor, teacher: TeacherProbs,
                weight_fqs, act_fqs, state: LossState,
                labels=None, kind="jeffreys"):
     """Exterior-point loss t_q*c_r*P + t_r*d for one batch.
 
-    Returns (loss tensor, info dict); info carries the scalar d and P
-    values for the schedule update and metrics. The weighted sum is one
-    tape node over (P, d) whose rule hands each term its weight.
+    teacher holds the batch rows of ``teacher_probs`` (None for
+    hard_label_ce). Records d and P as loss terms with weights t_r and
+    t_q*c_r and returns (loss tensor, info dict); info carries the scalar
+    d and P values for the schedule update and metrics.
     """
     _check_finite(student_logits.data, "student")
-    _check_finite(teacher_logits, "teacher")
-    d = distill_loss(student_logits, teacher_logits, labels=labels, kind=kind)
-    p_t = potential_tensor(weight_fqs, act_fqs, state.targets)
     w_p, w_d = state.t_q * state.c_r, state.t_r
-    loss = T._record([p_t, d], p_t.data * w_p + d.data * w_d,
-                     lambda g: (g * w_p, g * w_d), "loss")
+    d = distill_loss(student_logits, teacher, labels=labels, kind=kind,
+                     weight=w_d)
+    p_t = potential_tensor(weight_fqs, act_fqs, state.targets, weight=w_p)
+    loss = Tensor(p_t.data * w_p + d.data * w_d,
+                  requires_grad=T.recording())
     info = {"d": float(d.data), "P": float(p_t.data),
             "t_q": state.t_q, "c_r": state.c_r}
     return loss, info

@@ -6,13 +6,15 @@ its kernel and an activation quantizer on its input; first and last layers
 stay floating point. Conv blocks are conv-bn-relu; a global average pool
 bridges the last conv layer to the linear head.
 
-Each layer is one tape node, and so is the pool. A layer's forward
-composes numpy pieces that return their output with a vector-Jacobian
-product (``FakeQuantizer.fake_quant``, ``_linear`` or ``_conv2d``,
-``BatchNorm.normalize``); its rule runs those products in reverse and
-draws the weight site's probes before the activation site's, the order of
-the per-op reference graph (tests/reference_graphs.py), so training is
-bit-identical to it.
+A training forward records one chain entry per layer and one for the pool
+(``gdnsq.tensor``) and passes plain ndarrays from layer to layer. A layer's
+forward composes numpy pieces that return their output with a
+vector-Jacobian product (``FakeQuantizer.fake_quant``, ``_linear`` or
+``_conv2d``, ``BatchNorm.normalize``); its rule runs those products in
+reverse and draws the weight site's probes before the activation site's,
+the order of the per-op reference graph (tests/reference_graphs.py), so
+training is bit-identical to it. ``train_teacher`` sweeps the chain into
+the flat gradient buffer of its ``RAdam``.
 """
 
 from __future__ import annotations
@@ -129,7 +131,7 @@ class BatchNorm:
     """Batch normalization with freezable running statistics.
 
     ``normalize`` computes the output and its vector-Jacobian product in
-    numpy; the layer node composes them into its own rule. The gradient
+    numpy; the layer entry composes them into its own rule. The gradient
     is the closed form of Ioffe & Szegedy (arXiv:1502.03167).
     With batch statistics, xhat = (x - mu) / sd and
     dx = (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) / sd, where
@@ -164,9 +166,9 @@ class BatchNorm:
         batch_stats = train and not self.frozen
         if batch_stats:
             inv_n = 1.0 / float(np.prod([xd.shape[ax] for ax in axes]))
-            mu = np.sum(xd, axis=axes, keepdims=True) * inv_n
+            mu = xd.sum(axis=axes, keepdims=True) * inv_n
             centered = xd - mu
-            var = np.sum(centered * centered, axis=axes, keepdims=True) * inv_n
+            var = (centered * centered).sum(axis=axes, keepdims=True) * inv_n
             self.running_mean = ((1 - self.momentum) * self.running_mean
                                  + self.momentum * mu.reshape(-1))
             self.running_var = ((1 - self.momentum) * self.running_var
@@ -183,11 +185,10 @@ class BatchNorm:
         def vjp(g):
             gxhat = g * gamma
             if batch_stats:
-                gxhat = (gxhat - np.mean(gxhat, axis=axes, keepdims=True)
-                         - xhat * np.mean(gxhat * xhat, axis=axes,
-                                          keepdims=True))
-            return (gxhat / sd, np.sum(g * xhat, axis=axes),
-                    np.sum(g, axis=axes))
+                gxhat = (gxhat - gxhat.mean(axis=axes, keepdims=True)
+                         - xhat * (gxhat * xhat).mean(axis=axes,
+                                                      keepdims=True))
+            return gxhat / sd, (g * xhat).sum(axis=axes), g.sum(axis=axes)
 
         return out, vjp
 
@@ -214,32 +215,35 @@ def _conv2d(xd, wd, stride, pad, input_grad):
     return conv2d_forward(xd, wd, stride, pad), vjp
 
 
-def global_avg_pool(h: Tensor) -> Tensor:
-    """The mean of h [B, C, H, W] over H and W as one tape node; its rule
+def global_avg_pool(h: np.ndarray) -> np.ndarray:
+    """The mean of h [B, C, H, W] over H and W as one chain entry; its rule
     spreads each gradient evenly over the H*W positions it averaged."""
     inv_n = 1.0 / float(h.shape[2] * h.shape[3])
 
     def rule(g):
         return (np.broadcast_to((g * inv_n)[:, :, None, None], h.shape),)
 
-    return T._record([h], np.sum(h.data, axis=(2, 3)) * inv_n, rule, "pool")
+    return T.record(h, (), h.sum(axis=(2, 3)) * inv_n, rule, "pool")
 
 
 class _Layer:
     """One linear or conv layer with optional batchnorm and quantizers.
 
-    ``forward`` records the whole layer as one tape node over x, W, b, the
-    batchnorm gamma and beta when present, and the raw parameters of the
-    weight site and then of the activation site. Its forward runs, in
-    numpy: activation fake-quant, weight fake-quant, matmul or conv, bias
-    add, batchnorm, then y * (y > 0) for relu. Its rule composes the
+    ``forward`` records the whole layer as one chain entry over its input
+    array and the parameters W, b, the batchnorm gamma and beta when
+    present, and the raw parameters of the weight site and then of the
+    activation site. Its forward runs, in numpy: activation fake-quant,
+    weight fake-quant, matmul or conv, bias add, batchnorm, then
+    y * (y > 0) for relu. Its rule composes the
     pieces' vector-Jacobian products in reverse: relu mask, batchnorm, bias
     sum, GEMM or conv gradients, then the weight site's STE gradient and
     last the activation site's. That is the order in which the reverse
     sweep of the primitive layer graph (kept in tests/reference_graphs.py)
     draws the Bernoulli probes from the shared rng, so training is
-    bit-identical to that graph. An input whose rank or whose feature or
-    channel count does not fit the layer raises ShapeError.
+    bit-identical to that graph. The rule computes the input's gradient
+    only when the input is quantized or input_grad is set. An input whose
+    rank or whose feature or channel count does not fit the layer raises
+    ShapeError.
     """
 
     def __init__(self, spec, rng, name):
@@ -271,33 +275,34 @@ class _Layer:
         self.act_fq = FakeQuantizer("activation", noise_mode,
                                     name=f"{self.name}/act", rng=rng)
 
-    def forward(self, x: Tensor, train: bool, bypass_quant=False,
-                observer=None, collect_acts=None) -> Tensor:
+    def forward(self, x: np.ndarray, train: bool, bypass_quant=False,
+                observer=None, collect_acts=None,
+                input_grad=False) -> np.ndarray:
         spec, bn = self.spec, self.bn
         if spec.kind == "linear":
             ndim, n_in, what = 2, spec.in_features, "features"
         else:
             ndim, n_in, what = 4, spec.in_channels, "channels"
-        if x.data.ndim != ndim or x.shape[1] != n_in:
+        if x.ndim != ndim or x.shape[1] != n_in:
             raise ShapeError(f"{self.name}: expected a {ndim}-d input with "
                              f"{n_in} {what}, got shape {x.shape}")
         quant = self.weight_fq is not None and not bypass_quant
         if self.act_fq is not None and observer is not None:
             lo, hi = observer.get(self.act_fq.name, (np.inf, -np.inf))
-            observer[self.act_fq.name] = (min(lo, float(x.data.min())),
-                                          max(hi, float(x.data.max())))
-        inputs = [x, self.W, self.b]
+            observer[self.act_fq.name] = (min(lo, float(x.min())),
+                                          max(hi, float(x.max())))
+        params = [self.W, self.b]
         if bn is not None:
-            inputs += [bn.gamma, bn.beta]
-        xd, wd = x.data, self.W.data
+            params += [bn.gamma, bn.beta]
+        xd, wd = x, self.W.data
         if quant:
-            xd, a_inputs, a_vjp = self.act_fq.fake_quant(xd)
-            wd, w_inputs, w_vjp = self.weight_fq.fake_quant(wd)
-            inputs += w_inputs + a_inputs
+            xd, a_params, a_vjp = self.act_fq.fake_quant(xd)
+            wd, w_params, w_vjp = self.weight_fq.fake_quant(wd)
+            params += w_params + a_params
             if collect_acts is not None:
                 collect_acts.setdefault(self.act_fq.name, []).append(xd)
         # the quantized input's gradient also feeds the activation site
-        input_grad = quant or x.requires_grad
+        input_grad = quant or input_grad
         if spec.kind == "linear":
             y, op_vjp = _linear(xd, wd, input_grad)
             axes, bshape = (0,), (1, -1)
@@ -318,7 +323,7 @@ class _Layer:
             bn_grads = ()
             if bn is not None:
                 g, *bn_grads = bn_vjp(g)
-            gb = np.sum(g, axis=axes)
+            gb = g.sum(axis=axes)
             gx, gw = op_vjp(g)
             if not quant:
                 return (gx, gw, gb, *bn_grads)
@@ -326,7 +331,7 @@ class _Layer:
             gx, *a_grads = a_vjp(gx)
             return (gx, gw, gb, *bn_grads, *w_grads, *a_grads)
 
-        return T._record(inputs, y, rule, self.name)
+        return T.record(x, params, y, rule, self.name)
 
 
 class Model:
@@ -390,13 +395,20 @@ class Model:
 
     def forward(self, x, train=True, bypass_quant=False, observer=None,
                 collect_acts=None) -> Tensor:
-        h = T.as_tensor(x)
-        for i, layer in enumerate(self.layers):
-            if layer.spec.kind == "linear" and h.data.ndim == 4:
+        """The logits of x (an array, or a Tensor that requires_grad when
+        the chain should compute its gradient). While recording, each layer
+        and the pool append their chain entry."""
+        input_grad = isinstance(x, Tensor) and x.requires_grad
+        h = x.data if isinstance(x, Tensor) else np.asarray(x, np.float64)
+        recording = T.recording()
+        for layer in self.layers:
+            if layer.spec.kind == "linear" and h.ndim == 4:
                 h = global_avg_pool(h)
             h = layer.forward(h, train, bypass_quant=bypass_quant,
-                              observer=observer, collect_acts=collect_acts)
-        return h
+                              observer=observer, collect_acts=collect_acts,
+                              input_grad=input_grad)
+            input_grad = recording
+        return Tensor(h, requires_grad=recording)
 
     def predict_logits(self, x, bypass_quant=False) -> np.ndarray:
         with T.no_grad():
@@ -460,8 +472,10 @@ def train_teacher(spec: ModelSpec, train_ds, val_ds, epochs=50, lam=0.01,
                   seed=0, batch_size=32):
     """Train the FP reference model with hard-label cross-entropy.
 
-    Returns (model, meta); meta["val_acc"] is the val accuracy after the
-    last epoch (None for 0 epochs) and ends up in checkpoint metadata.
+    Each step records the chain, sweeps it into the optimizer's gradient
+    buffer and steps. Returns (model, meta); meta["val_acc"] is the val
+    accuracy after the last epoch (None for 0 epochs) and ends up in
+    checkpoint metadata.
     """
     model = Model(spec, quantized=False, init_seed=seed)
     opt = RAdam(model.named_parameters(), lr=lam)
@@ -479,8 +493,7 @@ def train_teacher(spec: ModelSpec, train_ds, val_ds, epochs=50, lam=0.01,
                     f"teacher training diverged at epoch {epoch} "
                     f"(loss {float(loss.data)!r})"
                 )
-            opt.zero_grad()
-            loss.backward()
+            T.backward(loss, opt.slots)
             opt.step()
     T.reset_tape()
     val_acc = model.accuracy(val_ds.inputs, val_ds.labels) if epochs else None

@@ -6,11 +6,13 @@ term rho_t <= 4 the step falls back to bias-corrected SGD-with-momentum;
 once rho_t > 4 the adaptive step with the rectification factor r_t is used.
 
 ``RAdam.step`` updates every parameter in one pass over one flat vector
-(the multi-tensor idea of "foreach" optimizers): the moments are two flat
-buffers, the gradients are gathered with one concatenate and checked with
-one isfinite call, and each update expression runs once over the vector.
-The expressions keep the per-parameter operator order and every element
-is rounded on its own, so the result equals a per-parameter update bit for
+(the multi-tensor idea of "foreach" optimizers). The gradients and the
+two moments are flat buffers the optimizer owns; ``slots`` maps each
+parameter to its view of the gradient buffer, which ``tensor.backward``
+writes into. A step checks the buffer with one isfinite call and runs
+each update expression once over the vector, the moments in place. The
+expressions keep the per-parameter operator order and every element is
+rounded on its own, so the result equals a per-parameter update bit for
 bit (tests/reference_graphs.py keeps that loop as the reference).
 
 The learning rate stays constant while bit-widths converge and switches to
@@ -32,9 +34,10 @@ from .errors import ContractError, NumericError
 class RAdam:
     """RAdam over named parameters, updated as one flat vector.
 
-    Each parameter owns one contiguous segment of the flat moment buffers;
-    ``m[name]`` and ``v[name]`` are views of it, shaped like the parameter.
-    A parameter whose grad is None keeps its data and moments in a step.
+    Each parameter owns one contiguous segment of the flat gradient and
+    moment buffers; ``g[name]``, ``m[name]`` and ``v[name]`` are views of
+    it, shaped like the parameter, and ``slots`` maps the parameter tensor
+    to its ``g`` view. ``step`` applies the gradients the buffer holds.
     """
 
     def __init__(self, params, lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -56,68 +59,54 @@ class RAdam:
         self.eps = float(eps)
         self.t = 0
         sizes = [p.data.size for _, p in self.params]
-        self._bounds = np.cumsum([0] + sizes)
-        self._m = np.zeros(self._bounds[-1])
-        self._v = np.zeros(self._bounds[-1])
-        self.m, self.v = {}, {}
-        for k, (name, p) in enumerate(self.params):
-            a, b = self._bounds[k], self._bounds[k + 1]
-            self.m[name] = self._m[a:b].reshape(p.data.shape)
-            self.v[name] = self._v[a:b].reshape(p.data.shape)
+        bounds = np.cumsum([0] + sizes)
+        self._spans = list(zip(bounds[:-1], bounds[1:]))
+        self._g, self.g = self._flat_views()
+        self._m, self.m = self._flat_views()
+        self._v, self.v = self._flat_views()
+        self.slots = {p: self.g[name] for name, p in self.params}
+
+    def _flat_views(self):
+        """A zeroed flat buffer and its per-name views, parameter-shaped."""
+        flat = np.zeros(self._spans[-1][1] if self._spans else 0)
+        return flat, {name: flat[a:b].reshape(p.data.shape)
+                      for (name, p), (a, b) in zip(self.params, self._spans)}
 
     @property
     def rho_inf(self) -> float:
         return 2.0 / (1.0 - self.beta2) - 1.0
 
-    def zero_grad(self):
-        for _, p in self.params:
-            p.grad = None
-
     def step(self):
-        live = [k for k, (_, p) in enumerate(self.params) if p.grad is not None]
-        grads = [np.asarray(self.params[k][1].grad, dtype=np.float64).reshape(-1)
-                 for k in live]
-        g = np.concatenate(grads) if grads else np.zeros(0)
+        g = self._g
         if not np.all(np.isfinite(g)):
-            for k, gk in zip(live, grads):
-                if not np.all(np.isfinite(gk)):
-                    raise NumericError(f"non-finite gradient for "
-                                       f"{self.params[k][0]!r}; step rejected")
+            for name, _ in self.params:
+                if not np.all(np.isfinite(self.g[name])):
+                    raise NumericError(f"non-finite gradient for {name!r}; "
+                                       "step rejected")
         self.t += 1
-        if not live:
-            return
         t = self.t
         b1, b2 = self.beta1, self.beta2
         b1t, b2t = b1 ** t, b2 ** t
         rho_inf = self.rho_inf
         rho_t = rho_inf - 2.0 * t * b2t / (1.0 - b2t)
-        bounds = self._bounds
-        if len(live) == len(self.params):
-            sel = slice(None)
-        else:
-            sel = np.concatenate([np.arange(bounds[k], bounds[k + 1])
-                                  for k in live])
-        m = b1 * self._m[sel] + (1.0 - b1) * g
-        v = b2 * self._v[sel] + (1.0 - b2) * (g * g)
-        self._m[sel] = m
-        self._v[sel] = v
+        m, v = self._m, self._v
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * (g * g)
         m_hat = m / (1.0 - b1t)
-        data = np.concatenate([self.params[k][1].data.reshape(-1) for k in live])
+        data = np.concatenate([p.data.reshape(-1) for _, p in self.params])
         if rho_t > 4.0:
             r_t = math.sqrt(
                 (rho_t - 4.0) * (rho_t - 2.0) * rho_inf
                 / ((rho_inf - 4.0) * (rho_inf - 2.0) * rho_t)
             )
             v_hat = np.sqrt(v / (1.0 - b2t))
-            data = data - self.lr * r_t * m_hat / (v_hat + self.eps)
+            data -= self.lr * r_t * m_hat / (v_hat + self.eps)
         else:
-            data = data - self.lr * m_hat
-        start = 0
-        for k in live:
-            p = self.params[k][1]
-            end = start + p.data.size
-            p.data = data[start:end].reshape(p.data.shape)
-            start = end
+            data -= self.lr * m_hat
+        for (_, p), (a, b) in zip(self.params, self._spans):
+            p.data = data[a:b].reshape(p.data.shape)
 
     def state_arrays(self):
         out = {"t": np.asarray(self.t, dtype=np.int64)}

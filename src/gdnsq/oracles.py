@@ -19,7 +19,8 @@ import numpy as np
 
 from . import tensor as T
 from .errors import DomainError
-from .losses import DISTILL_KINDS, LossState, hard_label_loss, total_loss
+from .losses import (DISTILL_KINDS, LossState, hard_label_loss, teacher_probs,
+                     total_loss)
 from .models import (Conv2d, Linear, Model, ModelSpec, _Layer,
                      global_avg_pool)
 from .optim import RAdam
@@ -201,7 +202,7 @@ def _fd_scalar(f, x0, h=1e-5):
 def ste_gradient_check(seed=0, n=512, kink_radius=1e-3):
     """Clamp-path gradients against finite differences of the clamp
     function (inputs near l, u or grid midpoints excluded), and exact
-    equality of the fake-quant node's input gradient with the clamp's
+    equality of the fake-quant vjp's input gradient with the clamp's
     (1 on [l, u], ties included, else 0) on those inputs plus l and u."""
     rng = np.random.default_rng([seed, 0x535445])
     fq = FakeQuantizer("weight", noise_mode="bernoulli", name="oracle/ste",
@@ -233,7 +234,7 @@ def ste_gradient_check(seed=0, n=512, kink_radius=1e-3):
                                details="clamp-path grads vs central FD")
 
     # noise path contributes exactly zero to the input gradient: the
-    # fake-quant node's x gradient is the clamp's, ties at l and u to x
+    # fake-quant vjp's x gradient is the clamp's, ties at l and u to x
     xz = np.concatenate([x, [l, u]])
     _, _, vjp = fq.fake_quant(xz)
     gxz = vjp(np.ones_like(xz))[0]
@@ -299,26 +300,38 @@ def _relu_margin(layers, x):
     """The smallest |input| of any relu when x runs through layers in train
     mode, with the global average pool ahead of a linear layer that gets
     an image, as in Model.forward (inf without a relu), and the output."""
-    margin, h = np.inf, Tensor(x)
+    margin, h = np.inf, x
     with T.no_grad():
         for layer in layers:
-            if layer.spec.kind == "linear" and h.data.ndim == 4:
+            if layer.spec.kind == "linear" and h.ndim == 4:
                 h = global_avg_pool(h)
             spec = layer.spec
             layer.spec = replace(spec, activation="identity")
-            pre = layer.forward(h, train=True).data
+            pre = layer.forward(h, train=True)
             layer.spec = spec
             if spec.activation == "relu":
                 margin = min(margin, float(np.min(np.abs(pre))))
                 pre = pre * (pre > 0)
-            h = Tensor(pre)
-    return margin, h.data
+            h = pre
+    return margin, h
 
 
-def _weighted_sum(t, coeff):
-    """sum(t * coeff) as one tape node, a scalar loss on a non-scalar t."""
-    return T._record([t], np.sum(t.data * coeff), lambda g: (g * coeff,),
-                     "weighted_sum")
+def _weighted_sum(y, coeff):
+    """sum(y * coeff) as one loss-term chain entry on the chain's output y:
+    a scalar loss on a non-scalar y."""
+    value = T.record(y, (), np.sum(y * coeff), lambda g: (g * coeff,),
+                     "weighted_sum", weight=1.0)
+    return Tensor(value, requires_grad=T.recording())
+
+
+def _chain_grads(loss, x, params):
+    """Gradients of loss(Tensor x) with respect to x and each parameter,
+    from one reverse sweep of the chain the loss records, as training
+    takes them."""
+    slots = {p: np.zeros(p.data.shape) for p in params}
+    gx = T.backward(loss(Tensor(x, requires_grad=True)), slots)
+    T.reset_tape()
+    return [gx] + [slots[p] for p in params]
 
 
 def _max_rel_error(analytic, numeric):
@@ -361,11 +374,11 @@ def _random_fp_model(rng, conv):
 
 
 def gradcheck_random_models(n_models: int = 100, seed=0, rtol=1e-4):
-    """Gradients of random FP Models under hard_label_loss, the forward and
-    backward the training step runs, vs central differences: with respect
-    to the input batch and every parameter (W, b, batchnorm gamma and
-    beta), every third model a conv net (_random_fp_model), every relu
-    input at least 1e-3 from the kink."""
+    """Gradients of random FP Models under hard_label_loss, the chain and
+    the reverse sweep the training step runs, vs central differences:
+    with respect to the input batch and every parameter (W, b, batchnorm
+    gamma and beta), every third model a conv net (_random_fp_model),
+    every relu input at least 1e-3 from the kink."""
     rng = np.random.default_rng([seed, 0x475243])
     worst = 0.0
     for i in range(n_models):
@@ -380,9 +393,7 @@ def gradcheck_random_models(n_models: int = 100, seed=0, rtol=1e-4):
             T.reset_tape()
             return hard_label_loss(model.forward(xt, train=True), labels)
 
-        xt = Tensor(x, requires_grad=True)
-        loss(xt).backward()
-        analytic = [xt.grad] + [p.grad for p in params]
+        analytic = _chain_grads(loss, x, params)
         # the parameter tensors hold these arrays, so FD edits reach them
         numeric = finite_difference_grads(
             lambda arrs: float(loss(Tensor(arrs[0])).data),
@@ -426,25 +437,23 @@ def _random_loss_case(rng):
 
 def gradcheck_total_loss(n_cases: int = 30, seed=0, rtol=1e-4):
     """Gradients of total_loss with respect to the student logits and every
-    quantizer parameter vs central differences, cycling over the three
-    distillation kinds."""
+    quantizer parameter, from the reverse sweep of its two loss terms, vs
+    central differences, cycling over the three distillation kinds."""
     rng = np.random.default_rng([seed, 0x544C47])
     worst = 0.0
     for i in range(n_cases):
         kind = DISTILL_KINDS[i % len(DISTILL_KINDS)]
         logits, teacher, labels, groups, state, params = _random_loss_case(rng)
         (wfqs, _), (afqs, _) = groups
+        probs = teacher_probs(teacher)
 
         def loss(z):
             T.reset_tape()
-            out, _ = total_loss(z, teacher, wfqs, afqs, state, labels=labels,
+            out, _ = total_loss(z, probs, wfqs, afqs, state, labels=labels,
                                 kind=kind)
             return out
 
-        z = Tensor(logits, requires_grad=True)
-        loss(z).backward()
-        analytic = [z.grad] + [p.grad for p in params]
-        T.reset_tape()
+        analytic = _chain_grads(loss, logits, params)
         # the parameter tensors hold these arrays, so FD edits reach them
         arrays = [logits] + [p.data for p in params]
         numeric = finite_difference_grads(
@@ -487,10 +496,10 @@ def _layer_node_case(rng, kind):
 
 
 def gradcheck_layer_nodes(n_cases: int = 12, seed=0, rtol=1e-4):
-    """Gradients of FP layer nodes (_Layer.forward) with respect to x, W, b
-    and the batchnorm gamma and beta vs central differences, cycling over
-    linear + relu, linear + identity and a stride-2, pad-1 conv with
-    batchnorm in train mode."""
+    """Gradients of FP layer entries (_Layer.forward) with respect to x, W,
+    b and the batchnorm gamma and beta, from the reverse sweep, vs central
+    differences, cycling over linear + relu, linear + identity and a
+    stride-2, pad-1 conv with batchnorm in train mode."""
     rng = np.random.default_rng([seed, 0x4C4159])
     worst = 0.0
     for i in range(n_cases):
@@ -499,12 +508,10 @@ def gradcheck_layer_nodes(n_cases: int = 12, seed=0, rtol=1e-4):
 
         def loss(xt):
             T.reset_tape()
-            return _weighted_sum(layer.forward(xt, train=True), coeff)
+            y = layer.forward(xt.data, train=True, input_grad=xt.requires_grad)
+            return _weighted_sum(y, coeff)
 
-        xt = Tensor(x, requires_grad=True)
-        loss(xt).backward()
-        analytic = [xt.grad] + [p.grad for p in params]
-        T.reset_tape()
+        analytic = _chain_grads(loss, x, params)
         # the parameter tensors hold these arrays, so FD edits reach them
         numeric = finite_difference_grads(
             lambda arrs: float(loss(Tensor(arrs[0])).data),
@@ -548,10 +555,9 @@ def radam_reference_check(steps: int = 10, lr: float = 0.1):
     worst = 0.0
     ref = _radam_scalar_reference(1.0, lr, steps)
     for t in range(steps):
-        p.grad = np.asarray(2.0 * float(p.data))
+        opt.g["x"][...] = 2.0 * float(p.data)
         opt.step()
         worst = max(worst, abs(float(p.data) - ref[t]))
-        p.grad = None
     return [OracleReport.make("radam_reference", steps, worst, 0.0, 1e-10,
                               details="trajectory vs independent scalar RAdam")]
 

@@ -8,6 +8,12 @@ validation split; its forward also gives the epoch's val accuracy. It
 drives both the LR phase switch and best-checkpoint selection (best val
 accuracy among audits where max actual <= target).
 
+A QAT step records the student's chain (one entry per layer and the pool,
+then the distance and the potential, ``gdnsq.tensor``), sweeps it once
+into the flat gradient buffer of its ``RAdam`` and steps. The frozen
+teacher's logits, their floored softmax and its log are computed once per
+run, before the first step.
+
 Integer fusion works on the model's own layers: ``fuse_student`` calls
 ``quantizer.integer_fuse`` on each quantized ``models._Layer``, and
 ``fused_model_forward`` is the one integer forward, which runs the fused
@@ -32,7 +38,8 @@ from .data import Dataset, load_idx_dataset, make_synthetic
 from .errors import (DegenerateRangeError, DomainError, FormatError,
                      NumericError, PipelineError)
 from .kernels import round_half_up
-from .losses import DISTILL_KINDS, LossState, total_loss, update_schedule
+from .losses import (DISTILL_KINDS, LossState, teacher_probs, total_loss,
+                     update_schedule)
 from .models import (Model, ModelSpec, logits_accuracy, spec_from_dict,
                      spec_to_dict)
 from .optim import LrPolicy, RAdam, lr_next
@@ -369,7 +376,9 @@ def qat_run(config: RunConfig, teacher: Model, student: Model, out_dir,
     Writes metrics.csv, last.ckpt (every epoch) and best.ckpt (best val
     accuracy among audits where the max actual bit-width meets the target)
     into out_dir. Returns a summary dict. The frozen teacher's logits over
-    the train split are computed once, before the first epoch.
+    the train split, their floored softmax and its log are computed once,
+    before the first epoch; non-finite teacher logits raise NumericError
+    there.
 
     On resume, metrics.csv is cut back to the checkpointed step and the
     best-checkpoint state is read back from the checkpoint, so a run that
@@ -424,8 +433,8 @@ def qat_run(config: RunConfig, teacher: Model, student: Model, out_dir,
         fq.rng = rng
     student.set_bn_frozen(config.batchnorm_frozen)
 
-    train_teacher_logits = teacher_logits(teacher, train_ds.inputs,
-                                          config.batch_size)
+    train_teacher = teacher_probs(teacher_logits(teacher, train_ds.inputs,
+                                                 config.batch_size))
     metrics_path = os.path.join(out_dir, "metrics.csv")
     mode = "a" if (resume_path is not None and os.path.exists(metrics_path)) else "w"
     if mode == "a":
@@ -454,7 +463,7 @@ def qat_run(config: RunConfig, teacher: Model, student: Model, out_dir,
                 state.t_q = state.tq_init + lam * state.step_n
                 T.reset_tape()
                 s_logits = student.forward(xb, train=True)
-                loss, info = total_loss(s_logits, train_teacher_logits[idx],
+                loss, info = total_loss(s_logits, train_teacher.rows(idx),
                                         weight_fqs, act_fqs, state, labels=yb,
                                         kind=config.distill)
                 if not np.isfinite(loss.data):
@@ -462,8 +471,7 @@ def qat_run(config: RunConfig, teacher: Model, student: Model, out_dir,
                         f"non-finite loss at epoch {epoch}, step "
                         f"{state.step_n}; last checkpoint retained"
                     )
-                opt.zero_grad()
-                loss.backward()
+                T.backward(loss, opt.slots)
                 opt.step()
                 writer.writerow([state.step_n, policy.phase, fmt(lam),
                                  fmt(info["t_q"]), fmt(info["c_r"]),
@@ -562,6 +570,5 @@ def fused_model_forward(model: Model, fused: dict, x: np.ndarray) -> np.ndarray:
                 h = np.maximum(h, 0.0)
         else:
             with T.no_grad():
-                t = layer.forward(T.constant(h), train=False, bypass_quant=False)
-            h = t.data
+                h = layer.forward(h, train=False)
     return h

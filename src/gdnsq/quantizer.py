@@ -26,10 +26,10 @@ through a softplus.
 Gradients with respect to these raw parameters are closed-form.
 ``fake_quant`` returns the numpy output with its vector-Jacobian product,
 which takes the STE gradients for (s, l, u) from ``ste_backward`` through
-exp and the softplus; a model layer composes it into its own tape node.
+exp and the softplus; a model layer composes it into its own chain entry.
 ``bitwidth`` returns omega = log2((u - l)/s + 1) with its vector-Jacobian
 product, whose log_s part -ratio/((ratio + 1) ln 2) is the LSQ step-size
-gradient (Esser et al., arXiv:1902.08153); the potential node in
+gradient (Esser et al., arXiv:1902.08153); the potential entry in
 ``losses`` is built on it.
 
 ``integer_fuse`` turns a converged quantized model layer (``models._Layer``)
@@ -121,12 +121,12 @@ class FakeQuantizer:
         self.log_s.data = np.asarray(np.log(s))
         self.initialized = True
 
-    # -- tape nodes ---------------------------------------------------------
+    # -- chain entries ------------------------------------------------------
 
     def _node_view(self):
-        """(l, u, s) as floats, the parameter tensors a tape node over this
-        site takes as inputs, and the map from gradients with respect to
-        (s, l, u) to gradients of those inputs.
+        """(l, u, s) as floats, the parameter tensors a chain entry over
+        this site writes gradients to, and the map from gradients with
+        respect to (s, l, u) to gradients of those tensors.
 
         s = exp(log_s). Weight sites: u = l + exp(log_range). Activation
         sites: l = 0 and u = softplus(raw_u) = max(r, 0) + log(exp(-|r|) +
@@ -151,8 +151,8 @@ class FakeQuantizer:
             lambda gs, gl, gu: (gs * s, gl + gu, gu * e)
 
     def bitwidth(self):
-        """omega = log2((u - l)/s + 1), the node inputs it depends on and
-        its vector-Jacobian product onto them.
+        """omega = log2((u - l)/s + 1), the parameter tensors it depends
+        on and its vector-Jacobian product onto them.
 
         With k = g/((ratio + 1) ln 2), ratio = (u - l)/s: d/du = k/s,
         d/dl = -k/s and d/ds = -k (u - l)/s^2, so d/d log_s = -k ratio (the
@@ -194,17 +194,17 @@ class FakeQuantizer:
         above = x > u
         inside = ~(below | above)
         gx = g_up * inside
-        gl = np.sum(g_up * below)
-        gu = np.sum(g_up * above)
+        gl = (g_up * below).sum()
+        gu = (g_up * above).sum()
         if self.noise_mode == "rounding_residual":
             v = np.clip(x, l, u) / s
             probe = round_half_up(v) - v
         else:
-            probe = self.rng.integers(0, 2, size=x.shape).astype(np.float64) - 0.5
+            probe = self.rng.integers(0, 2, size=x.shape) - 0.5
             if self.noise_mode == "bernoulli_variance_matched":
                 probe *= _INV_SQRT3
-        gs = np.sum(g_up * probe)
-        return gx, np.asarray(gl), np.asarray(gu), np.asarray(gs)
+        probe *= g_up
+        return gx, np.asarray(gl), np.asarray(gu), np.asarray(probe.sum())
 
     # -- numpy-side views --------------------------------------------------
 
@@ -218,7 +218,7 @@ class FakeQuantizer:
         return self.bitwidth()[0]
 
     def quantize_array(self, x: np.ndarray) -> np.ndarray:
-        """Deterministic dequantized-grid values, no tape involvement."""
+        """Deterministic dequantized-grid values, no chain involvement."""
         l, u = self.bound_values()
         return fq_kernel(np.asarray(x, dtype=np.float64), l, u, self.scale_value())
 

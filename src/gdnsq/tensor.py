@@ -1,14 +1,22 @@
-"""The reverse-mode tape: float64 tensors and one reverse sweep.
+"""The training chain: a straight line of entries and one reverse sweep.
 
-A tape node is a closed-form operation: ``_record`` stores its inputs, its
-output and a rule that maps the output's gradient to one gradient per
-input (None for an input that gets none). Training records the model
-layers and the global average pool (``gdnsq.models``) and the two loss
-terms and their weighted sum (``gdnsq.losses``); their rules compose numpy
-vector-Jacobian products. The primitive ops the tests build reference
-graphs from (tests/primitives.py) record on the same tape. Creation
-order is topological order, so one reverse sweep from the scalar root
-visits each node exactly once. The tape is rebuilt per forward pass
+A training step is a fixed line of closed-form operations: each model
+layer and the global average pool (``gdnsq.models``), then the loss terms,
+the distillation distance and the bit-width potential (``gdnsq.losses``).
+``record`` appends one entry per operation: its rule, which maps the
+gradient of its output to the gradient of its input (None where the input
+needs none) followed by one gradient per parameter, and the parameter
+tensors those gradients belong to. Intermediates stay plain ndarrays;
+each entry's input is the output of the entry before it. A loss term
+carries its weight in the loss instead and feeds from the chain's last
+output or, like the potential, from nothing but its parameters.
+
+``backward`` sweeps the entries once in reverse. It seeds each loss term
+with ``np.ones(()) * weight``, hands one gradient array from entry to
+entry, and writes every parameter gradient straight into a caller-owned
+array per parameter (``RAdam.slots``, views of the optimizer's flat
+gradient buffer): the first write of a sweep assigns, later ones add, in
+the order the entries are swept. The chain is rebuilt per forward pass
 (``reset_tape``); nothing is cached between passes.
 """
 
@@ -16,52 +24,71 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractError, ShapeError
+from .errors import ContractError
 
 
-class Tape:
-    """Ordered record of forward operations."""
+class Tensor:
+    """n-d float64 array: a parameter, an input batch or a chain output.
 
-    def __init__(self):
-        self.nodes = []
-        self.epoch = 0
+    ``requires_grad`` marks a tensor that receives a gradient: every
+    parameter, an input batch whose gradient is wanted, and the outputs
+    recorded on the chain.
+    """
 
-    def record(self, node):
-        self.nodes.append(node)
-        return len(self.nodes) - 1
+    __slots__ = ("data", "requires_grad", "name")
 
-    def reset(self):
-        self.nodes.clear()
-        self.epoch += 1
-
-    def __len__(self):
-        return len(self.nodes)
-
-
-class Node:
-    __slots__ = ("inputs", "output", "rule", "name")
-
-    def __init__(self, inputs, output, rule, name):
-        self.inputs = inputs
-        self.output = output
-        self.rule = rule  # rule(g) -> tuple of grads aligned with inputs
+    def __init__(self, data, requires_grad=False, name=None):
+        self.data = np.asarray(data, dtype=np.float64)
+        self.requires_grad = bool(requires_grad)
         self.name = name
 
+    @property
+    def shape(self):
+        return self.data.shape
 
-_TAPE = Tape()
+    def __repr__(self):
+        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
+
+
+class Entry:
+    __slots__ = ("name", "rule", "params", "weight")
+
+    def __init__(self, name, rule, params, weight):
+        self.name = name
+        self.rule = rule  # rule(g) -> (input grad or None, *param grads)
+        self.params = params
+        self.weight = weight  # the loss weight of a loss term, else None
+
+
+class Chain:
+    """The entries of one training step, in forward order."""
+
+    def __init__(self):
+        self.entries = []
+        self.head = None  # output of the last entry that is not a loss term
+
+    def reset(self):
+        self.entries = []
+        self.head = None
+
+    def __len__(self):
+        return len(self.entries)
+
+
+_CHAIN = Chain()
 _GRAD_ENABLED = True
 
 
-def get_tape() -> Tape:
-    return _TAPE
+def get_tape() -> Chain:
+    return _CHAIN
 
 
 def reset_tape():
-    _TAPE.reset()
+    _CHAIN.reset()
 
 
 class no_grad:
-    """Context manager: operations inside record nothing on the tape."""
+    """Context manager: operations inside record nothing on the chain."""
 
     def __enter__(self):
         global _GRAD_ENABLED
@@ -75,94 +102,69 @@ class no_grad:
         return False
 
 
-class Tensor:
-    """n-d float64 array with gradient accumulation.
+def recording() -> bool:
+    return _GRAD_ENABLED
 
-    ``grad`` is accumulated additively by ``backward``; call sites zero it
-    explicitly (the optimizer does). ``node_id`` indexes the producing tape
-    node, None for leaves.
+
+def record(x, params, out, rule, name, weight=None):
+    """Append an entry over input array x (None for none) and params and
+    return out; under no_grad, only return out.
+
+    x must be the chain's last output once the chain has one, so that the
+    entries form one line. With a weight the entry is a loss term: its
+    output is not an input of later entries.
     """
-
-    __slots__ = ("data", "grad", "requires_grad", "node_id", "_epoch", "name")
-
-    def __init__(self, data, requires_grad=False, name=None):
-        self.data = np.asarray(data, dtype=np.float64)
-        self.grad = None
-        self.requires_grad = bool(requires_grad)
-        self.node_id = None
-        self._epoch = -1
-        self.name = name
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-    def backward(self):
-        backward(self)
-
-    def __repr__(self):
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-
-def as_tensor(x) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=np.float64))
-
-
-def constant(data) -> Tensor:
-    """Leaf tensor that never receives gradient (detached constant)."""
-    return Tensor(data, requires_grad=False)
-
-
-def _record(inputs, out_data, rule, name) -> Tensor:
-    req = _GRAD_ENABLED and any(t.requires_grad for t in inputs)
-    out = Tensor(out_data, requires_grad=req)
-    if req:
-        node = Node(tuple(inputs), out, rule, name)
-        out.node_id = _TAPE.record(node)
-        out._epoch = _TAPE.epoch
+    if not _GRAD_ENABLED:
+        return out
+    chain = _CHAIN
+    if x is not None and chain.head is not None and x is not chain.head:
+        raise ContractError(f"{name}: its input is not the output of the "
+                            "chain's last entry; reset_tape() between passes")
+    chain.entries.append(Entry(name, rule, params, weight))
+    if weight is None:
+        chain.head = out
     return out
 
 
-def backward(root: Tensor):
-    """Accumulate d(root)/d(t) into t.grad for every reachable tensor.
+def backward(root: Tensor, slots: dict):
+    """Sweep the chain once in reverse from the scalar loss root.
 
-    Repeated calls add: backward twice equals twice the gradients of one
-    call. Uses a per-call scratch map so intermediate grads from earlier
-    calls are not re-propagated.
+    Writes the gradient of every parameter on the chain into slots[p]
+    (assigned at its first write of the sweep, added after that) and
+    returns the gradient of the first entry's input, or None when that
+    entry computes none. Every array in slots must be written.
     """
     if root.data.shape != ():
         raise ContractError(
-            f"backward root must be scalar, got shape {root.data.shape}"
-        )
-    local = {id(root): np.ones(())}
-    holders = {id(root): root}
-    if root.node_id is not None:
-        if root._epoch != _TAPE.epoch:
-            raise ContractError("backward called on a tensor from a reset tape")
-        for idx in range(root.node_id, -1, -1):
-            node = _TAPE.nodes[idx]
-            g = local.get(id(node.output))
+            f"backward root must be scalar, got shape {root.data.shape}")
+    if not root.requires_grad:
+        raise ContractError("backward root was not recorded on the chain")
+    g = None
+    written = set()
+    for e in reversed(_CHAIN.entries):
+        if e.weight is None:
             if g is None:
-                continue
-            grads = node.rule(g)
-            for inp, gi in zip(node.inputs, grads):
-                if gi is None or not inp.requires_grad:
-                    continue
-                if np.shape(gi) != inp.data.shape:
-                    raise ShapeError(
-                        f"{node.name}: backward produced shape {np.shape(gi)} "
-                        f"for input of shape {inp.data.shape}"
-                    )
-                key = id(inp)
-                if key in local:
-                    local[key] = local[key] + gi
-                else:
-                    local[key] = np.array(gi, dtype=np.float64)
-                    holders[key] = inp
-    for key, g in local.items():
-        t = holders[key]
-        if not t.requires_grad:
-            continue
-        t.grad = g.copy() if t.grad is None else t.grad + g
+                raise ContractError(f"{e.name}: no gradient reaches its output")
+            grads = e.rule(g)
+            g = grads[0]
+        else:
+            grads = e.rule(np.ones(()) * e.weight)
+            if grads[0] is not None:
+                if g is not None:
+                    raise ContractError(f"{e.name}: a second loss term feeds "
+                                        "the chain")
+                g = grads[0]
+        for p, gp in zip(e.params, grads[1:]):
+            slot = slots.get(p)
+            if slot is None:
+                raise ContractError(f"{e.name}: no slot for parameter "
+                                    f"{p.name or p!r}")
+            if p in written:
+                slot += gp
+            else:
+                slot[...] = gp
+                written.add(p)
+    if len(written) != len(slots):
+        missing = [p.name or repr(p) for p in slots if p not in written]
+        raise ContractError(f"no gradient reached {missing}")
+    return g

@@ -1,18 +1,20 @@
 """Primitive tape ops: elementwise arithmetic, matmul, reductions, shaping.
 
-Each op records one node on the ``gdnsq.tensor`` tape with the
-almost-everywhere derivative as its rule. The package does not use them:
-it trains through closed-form nodes. They are the building blocks of the
-reference graphs in ``reference_graphs``, which the closed-form nodes are
-compared against, and ``test_tensor`` checks them against finite
-differences. Broadcasting is restricted to scalar-vs-tensor; use
-``broadcast_to`` / ``sum_`` explicitly for anything else.
+Each op records one node on the general tape of ``reference_tape`` with
+the almost-everywhere derivative as its rule. The package does not use
+them: it trains through closed-form chain entries. They are the building
+blocks of the reference graphs in ``reference_graphs``, which the
+closed-form entries are compared against, and ``test_tensor`` checks them
+against finite differences. Broadcasting is restricted to
+scalar-vs-tensor; use ``broadcast_to`` / ``sum_`` explicitly for anything
+else.
 """
 
 import numpy as np
 
 from gdnsq.errors import NumericError, ShapeError
-from gdnsq.tensor import Tensor, _record, as_tensor, constant
+from gdnsq.tensor import Tensor
+from reference_tape import _record, as_tensor, constant
 
 
 def _is_scalar_shape(shape) -> bool:

@@ -1,17 +1,20 @@
 """Primitive-op graphs of the quantizer parameters, the loss terms,
-batchnorm, a model layer and the global average pool, and the
-per-parameter RAdam loop.
+batchnorm, a model layer, the global average pool and the model forward,
+the per-parameter RAdam loop, and a recorded training chain replayed as
+tape nodes.
 
 These are the compositions of the primitive ops in ``primitives`` that the
-closed-form tape nodes in ``gdnsq.quantizer``, ``gdnsq.losses`` and
+closed-form chain entries in ``gdnsq.quantizer``, ``gdnsq.losses`` and
 ``gdnsq.models`` replace, and the loop that the flat update in
 ``gdnsq.optim`` replaces. They stay here as references: the tests check
-that the nodes give the same values and gradients, and the flat update the
-same bits. Besides the primitives, the layer graph uses three single-op
-nodes built on the package's numpy pieces: fake-quant
+that the entries give the same values and gradients, and the flat update
+the same bits. Besides the primitives, the layer graph uses three
+single-op nodes built on the package's numpy pieces: fake-quant
 (``fake_quant_apply``, over the site's l, u and s), the convolution
 (``conv2d_node``) and batchnorm (``batchnorm_node``, itself checked
-against the primitive graph ``batchnorm_forward``).
+against the primitive graph ``batchnorm_forward``). ``chain_on_tape``
+records a chain's own entries as nodes of the general tape, so the tape's
+gradient accumulation can be compared with the chain's sweep bit for bit.
 """
 
 import math
@@ -19,7 +22,7 @@ import math
 import numpy as np
 
 import primitives as P
-from gdnsq import tensor as T
+import reference_tape as T
 from gdnsq.losses import PROB_FLOOR, floor_normalize, softmax
 from gdnsq.models import _conv2d
 from gdnsq.quantizer import fq_kernel
@@ -79,6 +82,45 @@ def batchnorm_node(bn, x, train):
 
 def global_avg_pool(h):
     return P.mean(h, axis=(2, 3))
+
+
+def model_forward(model, x, train):
+    """Model.forward on the graph: layer_forward per layer, with the pool
+    ahead of a linear layer that gets an image."""
+    h = T.as_tensor(x)
+    for layer in model.layers:
+        if layer.spec.kind == "linear" and h.data.ndim == 4:
+            h = global_avg_pool(h)
+        h = layer_forward(layer, h, train)
+    return h
+
+
+def chain_on_tape(entries, outputs, x):
+    """The entries of a recorded chain as nodes on the general tape.
+
+    outputs holds each entry's output array (the loss terms' scalars) and x
+    is the chain's input tensor. Every entry that is not a loss term
+    becomes a node over (previous output, *params), the distance a node
+    over (logits, *params), the potential a node over its params, and a
+    last node sums the terms with their weights, as the loss node of the
+    tape did. Returns the loss tensor and the chain's output tensor.
+    """
+    h, terms, weights = x, [], []
+    for e, out in zip(entries, outputs):
+        if e.weight is None:
+            h = T._record([h, *e.params], out, e.rule, e.name)
+            continue
+        if e.name == "potential":  # a term on nothing but its parameters
+            node = T._record(list(e.params), out,
+                             lambda g, rule=e.rule: tuple(rule(g)[1:]), e.name)
+        else:
+            node = T._record([h, *e.params], out, e.rule, e.name)
+        terms.append(node)
+        weights.append(e.weight)
+    value = sum(t.data * w for t, w in zip(terms, weights))
+    loss = T._record(terms, value, lambda g: tuple(g * w for w in weights),
+                     "loss")
+    return loss, h
 
 
 def floored_probs_t(p):
@@ -183,7 +225,7 @@ class RAdamLoop:
     """RAdam.step as a loop over the parameters, one update per parameter.
 
     Same hyperparameters and expressions as ``gdnsq.optim.RAdam``, with
-    per-parameter moment arrays.
+    per-parameter moment arrays; ``step`` takes the gradients by name.
     """
 
     def __init__(self, params, lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -193,7 +235,7 @@ class RAdamLoop:
         self.m = {name: np.zeros_like(p.data) for name, p in self.params}
         self.v = {name: np.zeros_like(p.data) for name, p in self.params}
 
-    def step(self):
+    def step(self, grads):
         self.t += 1
         t = self.t
         b1, b2 = self.beta1, self.beta2
@@ -201,10 +243,7 @@ class RAdamLoop:
         rho_inf = 2.0 / (1.0 - b2) - 1.0
         rho_t = rho_inf - 2.0 * t * b2t / (1.0 - b2t)
         for name, p in self.params:
-            g = p.grad
-            if g is None:
-                continue
-            g = np.asarray(g, dtype=np.float64)
+            g = np.asarray(grads[name], dtype=np.float64)
             m = self.m[name] = b1 * self.m[name] + (1.0 - b1) * g
             v = self.v[name] = b2 * self.v[name] + (1.0 - b2) * (g * g)
             m_hat = m / (1.0 - b1t)

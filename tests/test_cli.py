@@ -87,26 +87,36 @@ def test_resume_under_changed_flags_refused(workspace, capsys):
     assert json.loads((out / "run.json").read_text())["epochs"] == 2
 
 
-def test_export_metrics_stdout(workspace, capsys):
+def _qat4(workspace):
+    """A one-epoch QAT run directory, shared by the export tests."""
     root, teacher, student = workspace
     out = root / "qat4"
     if not (out / "metrics.csv").exists():
         main(["qat", "--ckpt", str(student), "--teacher", str(teacher),
               "--wbits", "4", "--abits", "4", "--epochs", "1",
               "--out", str(out)])
-    rc = main(["export-metrics", "--run-dir", str(out)])
+    return out
+
+
+def test_export_metrics_stdout(workspace, capsys):
+    run = _qat4(workspace)
+    capsys.readouterr()  # the summary of a qat run made just now
+    rc = main(["export-metrics", "--run-dir", str(run)])
     assert rc == 0
     first = capsys.readouterr().out.splitlines()[0]
     assert first.startswith("step,phase,lambda,t_q,c_r,loss")
 
 
+def test_export_metrics_creates_out_parent_directory(workspace, tmp_path):
+    run = _qat4(workspace)
+    out = tmp_path / "newdir" / "sub" / "m.csv"
+    assert main(["export-metrics", "--run-dir", str(run),
+                 "--out", str(out)]) == 0
+    assert out.read_text() == (run / "metrics.csv").read_text()
+
+
 def _export_damaged(workspace, tmp_path, damage):
-    root, teacher, student = workspace
-    out = root / "qat4"
-    if not (out / "metrics.csv").exists():
-        main(["qat", "--ckpt", str(student), "--teacher", str(teacher),
-              "--wbits", "4", "--abits", "4", "--epochs", "1",
-              "--out", str(out)])
+    out = _qat4(workspace)
     lines = (out / "metrics.csv").read_text().splitlines(keepends=True)
     run = tmp_path / "damaged"
     run.mkdir()

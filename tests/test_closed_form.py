@@ -1,13 +1,17 @@
-"""The closed-form tape nodes against the primitive-op graphs they replace.
+"""The closed-form chain entries against the primitive-op graphs they
+replace, and the chain's reverse sweep against the general tape.
 
-Each case evaluates the loss once through the nodes (the layer nodes of
-_Layer.forward, the pool node, losses.distill_loss,
-losses.potential_tensor and the loss-sum node of total_loss) and once
-through the reference graphs in ``reference_graphs``, with the same probe
-draws, and compares the loss value and every parameter and logit gradient
-within 1e-12 relative. BatchNorm.normalize and a single layer node are
-compared the same way on their outputs and gradients; a layer node must
-also draw the same probes in the same order.
+Each model case evaluates the loss through the chain (the layer entries of
+_Layer.forward, the pool entry, losses.distill_loss and
+losses.potential_tensor as recorded by total_loss), sweeps it into the
+flat gradient buffer of an RAdam, and compares the buffer bit for bit with
+the gradients the general tape (reference_tape) accumulates when the same
+entries are recorded on it as nodes, with the same probe draws. It also
+compares the loss value and every parameter and logit gradient with the
+primitive-op reference graphs in ``reference_graphs`` within 1e-12
+relative. BatchNorm.normalize and a single layer entry are compared the
+same way on their outputs and gradients; a layer entry must also draw the
+same probes in the same order.
 """
 
 import numpy as np
@@ -15,13 +19,15 @@ import pytest
 
 import primitives as P
 import reference_graphs as ref
-from gdnsq import models
+import reference_tape as R
 from gdnsq import tensor as T
 from gdnsq.data import Dataset
 from gdnsq.losses import (PROB_FLOOR, LossState, distill_loss, hard_label_loss,
-                          potential_tensor, softmax, total_loss)
+                          potential_tensor, softmax, teacher_probs, total_loss)
 from gdnsq.models import (BatchNorm, Conv2d, Linear, Model, _Layer,
                           make_model_spec)
+from gdnsq.optim import RAdam
+from gdnsq.oracles import _weighted_sum
 from gdnsq.pipeline import RunConfig, qat_run
 from gdnsq.quantizer import FakeQuantizer
 from gdnsq.tensor import Tensor
@@ -35,6 +41,10 @@ def assert_close(got, want, what):
     assert got.shape == want.shape, what
     err = float(np.max(np.abs(got - want))) if got.size else 0.0
     assert err <= RTOL * float(np.max(np.abs(want))), (what, err)
+
+
+def zero_slots(params):
+    return {p: np.zeros(p.data.shape) for p in params}
 
 
 def quantized_model(model_id, seed):
@@ -54,37 +64,64 @@ def quantized_model(model_id, seed):
     return model
 
 
-def loss_and_grads(model, x, t_logits, labels, kind, state, seed,
-                   reference):
-    """(loss, logit gradient, parameter gradients) of one step."""
+def use_rng(model, seed):
     rng = np.random.default_rng(seed)
     for fq in model.all_quantizers():
         fq.rng = rng
-    params = model.named_parameters()
-    for _, p in params:
-        p.grad = None
+    return rng
+
+
+def reference_step(model, x, t_logits, labels, kind, state, seed):
+    """(loss, logit gradient, parameter gradients by name) of one step
+    through the primitive-op graphs."""
+    use_rng(model, seed)
+    R.reset_tape()
+    s_logits = ref.model_forward(model, x, train=True)
+    loss = ref.total_loss(s_logits, t_logits, model.weight_quantizers(),
+                          model.act_quantizers(), state, labels, kind)
+    grads = loss.backward()
+    R.reset_tape()
+    return (float(loss.data), grads[s_logits],
+            {name: grads[p] for name, p in model.named_parameters()})
+
+
+def chain_step(model, opt, x, t_logits, labels, kind, state, seed,
+               monkeypatch):
+    """One training step's chain swept into opt's gradient buffer, then the
+    same entries recorded on the general tape and swept with the same
+    probe draws. Returns (loss, logit gradient, the tape's parameter
+    gradients by name)."""
+    rng = use_rng(model, seed)
+    outputs = []
+    record = T.record
+
+    def keeping_outputs(x, params, out, rule, name, weight=None):
+        outputs.append(out)
+        return record(x, params, out, rule, name, weight)
+
     T.reset_tape()
-    with pytest.MonkeyPatch.context() as mp:
-        if reference:
-            mp.setattr(_Layer, "forward", ref.layer_forward)
-            mp.setattr(models, "global_avg_pool", ref.global_avg_pool)
+    with monkeypatch.context() as mp:
+        mp.setattr(T, "record", keeping_outputs)
         s_logits = model.forward(x, train=True)
-        if reference:
-            loss = ref.total_loss(s_logits, t_logits, model.weight_quantizers(),
-                                  model.act_quantizers(), state, labels, kind)
-        else:
-            loss, _ = total_loss(s_logits, t_logits, model.weight_quantizers(),
-                                 model.act_quantizers(), state, labels=labels,
-                                 kind=kind)
-        loss.backward()
+        loss, _ = total_loss(s_logits, teacher_probs(t_logits),
+                             model.weight_quantizers(), model.act_quantizers(),
+                             state, labels=labels, kind=kind)
+    entries = list(T.get_tape().entries)
+    draws = rng.bit_generator.state
+    T.backward(loss, opt.slots)
     T.reset_tape()
-    grads = {name: p.grad.copy() for name, p in params}
-    return float(loss.data), s_logits.grad.copy(), grads
+    rng.bit_generator.state = draws
+    R.reset_tape()
+    tape_loss, tape_logits = ref.chain_on_tape(entries, outputs, R.constant(x))
+    grads = tape_loss.backward()
+    R.reset_tape()
+    return (float(loss.data), grads[tape_logits],
+            {name: grads[p] for name, p in model.named_parameters()})
 
 
 @pytest.mark.parametrize("model_id", ["mlp3", "mlp4", "conv3"])
 @pytest.mark.parametrize("kind", KINDS)
-def test_model_step_matches_reference(model_id, kind):
+def test_model_step_matches_reference(model_id, kind, monkeypatch):
     seed = {"mlp3": 11, "mlp4": 12, "conv3": 13}[model_id]
     model = quantized_model(model_id, seed)
     rng = np.random.default_rng(seed + 100)
@@ -94,15 +131,30 @@ def test_model_step_matches_reference(model_id, kind):
     labels = rng.integers(0, 3, size=16)
     state = LossState(targets=(4.5, 4.5))
     state.t_q, state.c_r = 0.3, 1.7
-    got = loss_and_grads(model, x, t_logits, labels, kind, state, seed, False)
-    want = loss_and_grads(model, x, t_logits, labels, kind, state, seed, True)
-    assert_close(got[0], want[0], "loss")
-    assert_close(got[1], want[1], "logits")
-    for name in want[2]:
-        assert_close(got[2][name], want[2][name], name)
-    # both hinge states and both site kinds were exercised
+    opt = RAdam(model.named_parameters(), lr=1e-3)
+    for step in range(3):
+        want = reference_step(model, x, t_logits, labels, kind, state,
+                              seed + step)
+        got = chain_step(model, opt, x, t_logits, labels, kind, state,
+                         seed + step, monkeypatch)
+        # the buffer holds the tape's accumulation of the same rules: the
+        # potential's share first, raw_u's softplus terms one by one
+        for name, _ in model.named_parameters():
+            np.testing.assert_array_equal(opt.g[name], got[2][name],
+                                          err_msg=name)
+        assert_close(got[0], want[0], "loss")
+        assert_close(got[1], want[1], "logits")
+        for name in want[2]:
+            assert_close(opt.g[name], want[2][name], name)
+        opt.step()
+    # both hinge states and both site kinds were exercised; the last
+    # activation site's hinge is active, so its raw_u gets a share from the
+    # potential as well as from its layer
     omegas = [fq.bitwidth_value() for fq in model.all_quantizers()]
     assert min(omegas) < 4.5 < max(omegas)
+    active = model.act_quantizers()[-1]
+    assert active.bitwidth_value() > 4.5
+    assert float(opt.g[active.raw_u.name]) != 0.0
 
 
 def _floor_logits():
@@ -120,29 +172,32 @@ def test_distill_node_matches_reference_under_floor(kind):
     t = np.array([[1.0, 0.0, -1.0], [0.0, 35.0, 0.0], [2.0, 2.0, -30.0],
                   [0.5, -0.5, 0.0]])
     labels = np.array([0, 2, 1, 1])
-    a = Tensor(z.copy(), requires_grad=True)
-    d = distill_loss(a, t, labels=labels, kind=kind)
-    d.backward()
+    T.reset_tape()
+    d = distill_loss(Tensor(z.copy(), requires_grad=True), teacher_probs(t),
+                     labels=labels, kind=kind)
+    ga = T.backward(d, {})
+    T.reset_tape()
     b = Tensor(z.copy(), requires_grad=True)
     d_ref = P.mean(ref.distill_rows(b, t, labels, kind))
-    d_ref.backward()
-    T.reset_tape()
+    gb = d_ref.backward()[b]
+    R.reset_tape()
     assert_close(d.data, d_ref.data, "d")
-    assert_close(a.grad, b.grad, "logits")
+    assert_close(ga, gb, "logits")
 
 
 def test_hard_label_loss_matches_reference():
     z = _floor_logits()
     labels = np.array([2, 2, 0, 1])
-    a = Tensor(z.copy(), requires_grad=True)
-    loss = hard_label_loss(a, labels)
-    loss.backward()
+    T.reset_tape()
+    loss = hard_label_loss(Tensor(z.copy(), requires_grad=True), labels)
+    ga = T.backward(loss, {})
+    T.reset_tape()
     b = Tensor(z.copy(), requires_grad=True)
     loss_ref = ref.hard_label_loss(b, labels)
-    loss_ref.backward()
-    T.reset_tape()
+    gb = loss_ref.backward()[b]
+    R.reset_tape()
     assert_close(loss.data, loss_ref.data, "loss")
-    assert_close(a.grad, b.grad, "logits")
+    assert_close(ga, gb, "logits")
 
 
 def _sites(seed):
@@ -156,15 +211,19 @@ def _sites(seed):
     return sites[:2], sites[2:]
 
 
-def _potential_grads(build, wfqs, afqs, targets):
-    for fq in wfqs + afqs:
-        for t in fq.raw_params():
-            t.grad = None
-    p = build(wfqs, afqs, targets)
-    p.backward()
+def _potential_grads(wfqs, afqs, targets, reference):
+    params = [t for fq in wfqs + afqs for t in fq.raw_params()]
+    if reference:
+        p = ref.potential_tensor(wfqs, afqs, targets)
+        grads = p.backward()
+        R.reset_tape()
+        return float(p.data), [grads[t] for t in params]
     T.reset_tape()
-    return float(p.data), [t.grad.copy() for fq in wfqs + afqs
-                           for t in fq.raw_params()]
+    p = potential_tensor(wfqs, afqs, targets)
+    slots = zero_slots(params)
+    T.backward(p, slots)
+    T.reset_tape()
+    return float(p.data), [slots[t] for t in params]
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -172,8 +231,8 @@ def test_potential_node_matches_reference(seed):
     wfqs, afqs = _sites(seed)
     # a tie (omega exactly at target counts as active) or a spread target
     targets = (wfqs[1].bitwidth_value() if seed == 0 else 4.5, 4.5)
-    got = _potential_grads(potential_tensor, wfqs, afqs, targets)
-    want = _potential_grads(ref.potential_tensor, wfqs, afqs, targets)
+    got = _potential_grads(wfqs, afqs, targets, reference=False)
+    want = _potential_grads(wfqs, afqs, targets, reference=True)
     assert_close(got[0], want[0], "P")
     for g, w in zip(got[1], want[1]):
         assert_close(g, w, "site parameter")
@@ -186,23 +245,24 @@ def test_fake_quant_node_matches_reference(kind):
     fq = FakeQuantizer(kind, rng=np.random.default_rng(3))
     fq.init_from_minmax(-0.7 if kind == "weight" else 0.0, 1.3, 3.0)
     x = np.random.default_rng(4).uniform(-1.5, 2.0, size=(6, 5))
+    coeff = np.random.default_rng(6).normal(size=x.shape)
+    params = fq.raw_params()
 
-    def node(fq, xt):
-        out, inputs, vjp = fq.fake_quant(xt.data)
-        return T._record([xt, *inputs], out, vjp, "fake_quant")
+    fq.rng = np.random.default_rng(5)
+    T.reset_tape()
+    out, site_params, vjp = fq.fake_quant(x)
+    T.record(x, site_params, out, vjp, "fake_quant")
+    slots = zero_slots(params)
+    gx = T.backward(_weighted_sum(out, coeff), slots)
+    T.reset_tape()
+    gp = [slots[t] for t in params]
 
-    results = []
-    for build in (node, ref.fake_quant_apply):
-        fq.rng = np.random.default_rng(5)
-        for t in fq.raw_params():
-            t.grad = None
-        xt = Tensor(x, requires_grad=True)
-        out = build(fq, xt)
-        P.sum_(P.mul(out, out)).backward()
-        T.reset_tape()
-        results.append((out.data, xt.grad,
-                        [t.grad.copy() for t in fq.raw_params()]))
-    (out, gx, gp), (out_ref, gx_ref, gp_ref) = results
+    fq.rng = np.random.default_rng(5)
+    xt = Tensor(x, requires_grad=True)
+    out_ref = ref.fake_quant_apply(fq, xt)
+    grads = P.sum_(P.mul(out_ref, R.constant(coeff))).backward()
+    R.reset_tape()
+    out_ref, gx_ref, gp_ref = out_ref.data, grads[xt], [grads[t] for t in params]
     np.testing.assert_array_equal(out, out_ref)
     assert_close(gx, gx_ref, "x")
     for g, w in zip(gp, gp_ref):
@@ -228,12 +288,12 @@ def batchnorm_case(ndim, mode, reference):
     if not reference:
         out, vjp = bn.normalize(x.data, train)
         return (out, bn.running_mean, bn.running_var, *vjp(coeff))
-    T.reset_tape()
+    R.reset_tape()
     out = ref.batchnorm_forward(bn, x, train)
-    P.sum_(P.mul(out, T.constant(coeff))).backward()
-    T.reset_tape()
-    return (out.data, bn.running_mean, bn.running_var, x.grad,
-            bn.gamma.grad, bn.beta.grad)
+    grads = P.sum_(P.mul(out, R.constant(coeff))).backward()
+    R.reset_tape()
+    return (out.data, bn.running_mean, bn.running_var, grads[x],
+            grads[bn.gamma], grads[bn.beta])
 
 
 @pytest.mark.parametrize("ndim", [2, 4])
@@ -254,7 +314,8 @@ LAYER_KINDS = ("linear", "conv2d")
 
 def layer_case(kind, quantized, train, x_grad, reference):
     """(output, probe draws, gradients, running statistics) of one layer
-    forward and backward through the layer node or the reference graph."""
+    forward and backward through the layer entry or the reference graph.
+    The first gradient is the input's, None where none was computed."""
     rng = np.random.default_rng([LAYER_KINDS.index(kind), quantized])
     if kind == "linear":
         spec, x_shape = Linear(5, 4), (6, 5)
@@ -282,17 +343,26 @@ def layer_case(kind, quantized, train, x_grad, reference):
         draws.append((fq.name, xv.shape, fq.rng.bit_generator.state))
         return ste(fq, g_up, xv, l, u, s)
 
-    T.reset_tape()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(FakeQuantizer, "ste_backward", recording)
-        forward = ref.layer_forward if reference else _Layer.forward
-        out = forward(layer, x, train)
-        coeff = np.random.default_rng(9).normal(size=out.shape)
-        P.sum_(P.mul(out, T.constant(coeff))).backward()
-    T.reset_tape()
+        if reference:
+            R.reset_tape()
+            out = ref.layer_forward(layer, x, train)
+            coeff = np.random.default_rng(9).normal(size=out.shape)
+            grads = P.sum_(P.mul(out, R.constant(coeff))).backward()
+            R.reset_tape()
+            out, grads = out.data, [grads.get(x)] + [grads[p] for p in params]
+        else:
+            T.reset_tape()
+            out = layer.forward(x.data, train, input_grad=x_grad)
+            coeff = np.random.default_rng(9).normal(size=out.shape)
+            slots = zero_slots(params)
+            gx = T.backward(_weighted_sum(out, coeff), slots)
+            T.reset_tape()
+            grads = [gx] + [slots[p] for p in params]
     stats = ([] if layer.bn is None
              else [layer.bn.running_mean, layer.bn.running_var])
-    return out.data, draws, [x.grad] + [p.grad for p in params], stats
+    return out, draws, grads, stats
 
 
 @pytest.mark.parametrize("kind", LAYER_KINDS)
@@ -308,12 +378,14 @@ def test_layer_node_matches_graph(kind, quantized, train, x_grad):
         ["layer1/weight", "layer1/act"] if quantized else [])
     for got, want in zip(node[3], graph[3]):
         np.testing.assert_array_equal(got, want)
-    for i, (got, want) in enumerate(zip(node[2], graph[2])):
-        if want is None:
-            assert got is None, i
-        else:
-            assert_close(got, want, f"gradient {i}")
-    assert (node[2][0] is None) == (not x_grad)
+    # the entry computes the input's gradient when it is wanted or feeds
+    # the activation site
+    assert (node[2][0] is None) == (not (x_grad or quantized))
+    assert (graph[2][0] is None) == (not x_grad)
+    if x_grad:
+        assert_close(node[2][0], graph[2][0], "input")
+    for i, (got, want) in enumerate(zip(node[2][1:], graph[2][1:])):
+        assert_close(got, want, f"parameter gradient {i}")
 
 
 @pytest.mark.parametrize("model_id,names", [
@@ -326,11 +398,11 @@ def test_layer_is_one_node(model_id, names):
                                         else (4, 2))
     T.reset_tape()
     model.forward(x, train=True)
-    assert [n.name for n in T.get_tape().nodes] == names
+    assert [e.name for e in T.get_tape().entries] == names
     T.reset_tape()
 
 
-STEP_TAIL = ["distill[jeffreys]", "potential", "loss"]
+STEP_TAIL = ["distill[jeffreys]", "potential"]
 
 
 @pytest.mark.parametrize("model_id,names", [
@@ -338,7 +410,7 @@ STEP_TAIL = ["distill[jeffreys]", "potential", "loss"]
     ("conv3", ["layer0", "layer1", "layer2", "pool", "layer3"] + STEP_TAIL),
 ])
 def test_qat_step_nodes(model_id, names, tmp_path, monkeypatch):
-    # the tape that every backward of qat_run's training steps sweeps
+    # the chain that every backward of qat_run's training steps sweeps
     student = quantized_model(model_id, 6)
     teacher = Model(student.spec, init_seed=6)
     rng = np.random.default_rng(6)
@@ -348,9 +420,9 @@ def test_qat_step_nodes(model_id, names, tmp_path, monkeypatch):
     tapes = []
     real = T.backward
 
-    def recording(root):
-        tapes.append([n.name for n in T.get_tape().nodes])
-        return real(root)
+    def recording(root, slots):
+        tapes.append([e.name for e in T.get_tape().entries])
+        return real(root, slots)
 
     monkeypatch.setattr(T, "backward", recording)
     qat_run(RunConfig(model=model_id, epochs=1, batch_size=8), teacher,

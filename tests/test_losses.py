@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from gdnsq import tensor as T
 from gdnsq.errors import DomainError, NumericError, ShapeError
 from gdnsq.losses import (LossState, distill_loss, hard_label_loss, jeffreys,
-                          kl, potential_tensor, softmax, total_loss,
-                          update_schedule)
+                          kl, potential_tensor, softmax, teacher_probs,
+                          total_loss, update_schedule)
 from gdnsq.quantizer import FakeQuantizer
 from gdnsq.tensor import Tensor
 
@@ -18,6 +18,14 @@ def make_fq(kind, lo, hi, bits, seed=0):
     fq = FakeQuantizer(kind, rng=np.random.default_rng(seed))
     fq.init_from_minmax(lo, hi, bits)
     return fq
+
+
+def sweep(root, params):
+    """The gradient of each parameter from one reverse sweep of the chain."""
+    slots = {t: np.zeros(t.data.shape) for t in params}
+    T.backward(root, slots)
+    T.reset_tape()
+    return slots
 
 
 class TestKl:
@@ -86,24 +94,24 @@ class TestPotential:
     def test_under_target_zero_gradient(self):
         wq = make_fq("weight", -1.0, 1.0, 3.0)
         aq = make_fq("activation", 0.0, 1.0, 3.0, seed=1)
+        T.reset_tape()
         p = potential_tensor([wq], [aq], (8.0, 8.0))
         assert float(p.data) == 0.0
-        p.backward()
-        assert float(wq.log_s.grad) == 0.0
-        assert float(aq.log_s.grad) == 0.0
-        T.reset_tape()
+        grads = sweep(p, wq.raw_params() + aq.raw_params())
+        assert float(grads[wq.log_s]) == 0.0
+        assert float(grads[aq.log_s]) == 0.0
 
     def test_group_mean_gradient(self):
         # two weight sites above target: each hinge contributes 1/2
         wqs = [make_fq("weight", -1.0, 1.0, 6.0, seed=i) for i in range(2)]
         aq = make_fq("activation", 0.0, 1.0, 2.0, seed=9)
+        T.reset_tape()
         p = potential_tensor(wqs, [aq], (4.0, 4.0))
-        p.backward()
+        grads = sweep(p, [t for fq in wqs + [aq] for t in fq.raw_params()])
         for wq in wqs:
             ratio = (wq.bound_values()[1] - wq.bound_values()[0]) / wq.scale_value()
             domega = -(1.0 / math.log(2.0)) * ratio / (ratio + 1.0)
-            assert float(wq.log_s.grad) == pytest.approx(0.5 * domega, rel=1e-10)
-        T.reset_tape()
+            assert float(grads[wq.log_s]) == pytest.approx(0.5 * domega, rel=1e-10)
 
     def test_empty_group_rejected(self):
         with pytest.raises(DomainError):
@@ -122,7 +130,8 @@ class TestTotalLoss:
         logits = np.array([[2.0, -1.0], [0.5, 0.5]])
         state = LossState(targets=(8.0, 8.0))
         state.t_q, state.c_r = 5.0, 2.0
-        loss, info = total_loss(Tensor(logits), logits, wfq, afq, state)
+        loss, info = total_loss(Tensor(logits), teacher_probs(logits), wfq,
+                                afq, state)
         assert float(loss.data) == pytest.approx(0.0, abs=1e-12)
         assert info["P"] == 0.0 and info["d"] == pytest.approx(0.0, abs=1e-12)
         T.reset_tape()
@@ -133,7 +142,8 @@ class TestTotalLoss:
         assert state.t_q == 0.0
         s_logits = np.array([[1.0, 0.0]])
         t_logits = np.array([[0.0, 1.0]])
-        loss, info = total_loss(Tensor(s_logits), t_logits, wfq, afq, state)
+        loss, info = total_loss(Tensor(s_logits), teacher_probs(t_logits),
+                                wfq, afq, state)
         expected_d = jeffreys(softmax(s_logits)[0], softmax(t_logits)[0])
         assert float(loss.data) == pytest.approx(expected_d, rel=1e-12)
         T.reset_tape()
@@ -144,7 +154,8 @@ class TestTotalLoss:
         state.t_q, state.c_r = 0.7, 1.3
         s_logits = np.array([[0.2, -0.4]])
         t_logits = np.array([[1.0, 0.3]])
-        loss, _ = total_loss(Tensor(s_logits), t_logits, wfq, afq, state)
+        loss, _ = total_loss(Tensor(s_logits), teacher_probs(t_logits), wfq,
+                             afq, state)
         d = jeffreys(softmax(s_logits)[0], softmax(t_logits)[0])
         hinge = max(0.0, wfq[0].bitwidth_value() - 2.0)
         assert float(loss.data) == pytest.approx(0.7 * 1.3 * hinge + d, rel=1e-10)
@@ -156,7 +167,8 @@ class TestTotalLoss:
         state.t_q, state.c_r = 123.0, 7.0
         s_logits = np.array([[0.3, 0.9], [2.0, -2.0]])
         t_logits = np.array([[0.1, 0.2], [0.5, 0.5]])
-        loss, info = total_loss(Tensor(s_logits), t_logits, wfq, afq, state)
+        loss, info = total_loss(Tensor(s_logits), teacher_probs(t_logits),
+                                wfq, afq, state)
         assert float(loss.data) == pytest.approx(info["d"], rel=1e-12)
         T.reset_tape()
 
@@ -165,7 +177,8 @@ class TestTotalLoss:
         state = LossState(targets=(4.0, 4.0))
         bad = np.array([[0.1, 0.2], [np.nan, 0.3]])
         with pytest.raises(NumericError, match="row"):
-            total_loss(Tensor(bad), np.zeros((2, 2)), wfq, afq, state)
+            total_loss(Tensor(bad), teacher_probs(np.zeros((2, 2))), wfq, afq,
+                       state)
         T.reset_tape()
 
     def test_gradient_reaches_quantizers_and_logits(self):
@@ -173,11 +186,15 @@ class TestTotalLoss:
         state = LossState(targets=(2.0, 2.0))
         state.t_q, state.c_r = 1.0, 1.0
         s = Tensor(np.array([[0.4, -0.2]]), requires_grad=True)
-        loss, _ = total_loss(s, np.array([[1.0, -1.0]]), wfq, afq, state)
-        loss.backward()
-        assert s.grad is not None and np.any(s.grad != 0)
-        assert wfq[0].log_s.grad is not None and float(wfq[0].log_s.grad) != 0.0
         T.reset_tape()
+        loss, _ = total_loss(s, teacher_probs(np.array([[1.0, -1.0]])), wfq,
+                             afq, state)
+        slots = {t: np.zeros(t.data.shape)
+                 for fq in wfq + afq for t in fq.raw_params()}
+        g_logits = T.backward(loss, slots)
+        T.reset_tape()
+        assert g_logits is not None and np.any(g_logits != 0)
+        assert float(slots[wfq[0].log_s]) != 0.0
 
 
 class TestSchedule:
@@ -230,6 +247,8 @@ def test_distill_loss_rejects_bad_arguments():
         distill_loss(z, t, kind="hard_label_ce")
     with pytest.raises(DomainError, match="teacher"):
         distill_loss(z, None, kind="jeffreys")
+    with pytest.raises(DomainError, match="teacher_probs"):
+        distill_loss(z, t, kind="cross_entropy")  # logits, not probabilities
     T.reset_tape()
 
 
@@ -239,7 +258,10 @@ def test_total_loss_names_the_non_finite_side():
     state = LossState(targets=(4.0, 4.0))
     bad = np.array([[0.0, 1.0], [np.inf, 0.0]])
     with pytest.raises(NumericError, match="student logits at batch row 1"):
-        total_loss(Tensor(bad), np.zeros((2, 2)), wfq, afq, state)
+        total_loss(Tensor(bad), teacher_probs(np.zeros((2, 2))), wfq, afq,
+                   state)
+    # the teacher's side is checked once per run, where its probabilities
+    # are computed
     with pytest.raises(NumericError, match="teacher logits at batch row 1"):
-        total_loss(Tensor(np.zeros((2, 2))), bad, wfq, afq, state)
+        teacher_probs(bad)
     T.reset_tape()

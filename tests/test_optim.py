@@ -18,15 +18,9 @@ class TestRAdam:
     def test_zero_gradient_leaves_params(self):
         p = make_param([1.0, -2.0])
         opt = RAdam([("p", p)], lr=0.1)
-        p.grad = np.zeros(2)
+        opt.g["p"][...] = 0.0
         opt.step()
         np.testing.assert_array_equal(p.data, [1.0, -2.0])
-
-    def test_none_gradient_skipped(self):
-        p = make_param([1.0])
-        opt = RAdam([("p", p)], lr=0.1)
-        opt.step()
-        np.testing.assert_array_equal(p.data, [1.0])
 
     def test_rho_inf_default(self):
         opt = RAdam([("p", make_param(0.0))])
@@ -37,10 +31,9 @@ class TestRAdam:
         opt = RAdam([("x", p)], lr=0.1)
         ref = _radam_scalar_reference(1.0, 0.1, 10)
         for t in range(10):
-            p.grad = np.asarray(2.0 * float(p.data))
+            opt.g["x"][...] = 2.0 * float(p.data)
             opt.step()
             assert abs(float(p.data) - ref[t]) < 1e-10
-            p.grad = None
 
     def test_reference_oracle_passes(self):
         (report,) = radam_reference_check(steps=10, lr=0.1)
@@ -54,28 +47,26 @@ class TestRAdam:
         x = 1.0
         for t in range(1, 5):
             g = 2.0 * x
-            p.grad = np.asarray(g)
+            opt.g["x"][...] = g
             opt.step()
             m = 0.9 * m + 0.1 * g
             x = x - 0.05 * m / (1.0 - 0.9 ** t)
             assert float(p.data) == pytest.approx(x, abs=1e-14)
-            p.grad = None
 
     def test_beta_zero_reduces_to_plain_sgd(self):
         p = make_param(1.0)
         opt = RAdam([("x", p)], lr=0.1, beta1=0.0, beta2=0.0)
         x = 1.0
         for _ in range(6):
-            p.grad = np.asarray(2.0 * float(p.data))
+            opt.g["x"][...] = 2.0 * float(p.data)
             opt.step()
             x = x - 0.1 * 2.0 * x
             assert float(p.data) == pytest.approx(x, abs=1e-14)
-            p.grad = None
 
     def test_non_finite_gradient_rejected(self):
         p = make_param(1.0)
         opt = RAdam([("x", p)], lr=0.1)
-        p.grad = np.asarray(np.nan)
+        opt.g["x"][...] = np.nan
         with pytest.raises(NumericError, match="x"):
             opt.step()
 
@@ -84,7 +75,7 @@ class TestRAdam:
         p1 = make_param(rng.normal(size=4))
         opt1 = RAdam([("p", p1)], lr=0.02)
         for _ in range(7):
-            p1.grad = rng.normal(size=4)
+            opt1.g["p"][...] = rng.normal(size=4)
             opt1.step()
         saved = {k: v.copy() for k, v in opt1.state_arrays().items()}
         p2 = make_param(p1.data.copy())
@@ -95,8 +86,8 @@ class TestRAdam:
         np.testing.assert_array_equal(opt2.v["p"], opt1.v["p"])
         follow = np.random.default_rng(1).normal(size=(5, 4))
         for g in follow:
-            p1.grad = g.copy()
-            p2.grad = g.copy()
+            opt1.g["p"][...] = g
+            opt2.g["p"][...] = g
             opt1.step()
             opt2.step()
         np.testing.assert_array_equal(p1.data, p2.data)
@@ -129,41 +120,35 @@ class TestFlatRAdam:
         loop = ref.RAdamLoop(loop_params, lr=0.1)
         rng = np.random.default_rng(1)
         for step in range(1, 13):  # rho_t <= 4 up to step 4, > 4 after
-            for (name, p), (_, q) in zip(flat_params, loop_params):
-                skip = name == "b" and step in (2, 3, 7, 11)
-                g = None if skip else rng.normal(size=SHAPES[name])
-                p.grad = q.grad = g
+            grads = {name: rng.normal(size=shape)
+                     for name, shape in SHAPES.items()}
+            for name, g in grads.items():
+                opt.g[name][...] = g
             opt.step()
-            loop.step()
+            loop.step(grads)
             for (name, p), (_, q) in zip(flat_params, loop_params):
                 np.testing.assert_array_equal(p.data, q.data, err_msg=name)
                 np.testing.assert_array_equal(opt.m[name], loop.m[name])
                 np.testing.assert_array_equal(opt.v[name], loop.v[name])
                 assert p.data.shape == SHAPES[name]
 
-    def test_none_gradient_keeps_data_and_moments(self):
+    def test_gradient_buffer_views(self):
         params = three_params(2)
         opt = RAdam(params, lr=0.1)
-        for _, p in params:
-            p.grad = np.ones(p.data.shape)
-        opt.step()
-        b = params[1][1]
-        kept = (b.data.copy(), opt.m["b"].copy(), opt.v["b"].copy())
-        params[0][1].grad, b.grad = np.ones(SHAPES["w"]), None
-        params[2][1].grad = np.ones(())
-        opt.step()
-        for want, got in zip(kept, (b.data, opt.m["b"], opt.v["b"])):
-            np.testing.assert_array_equal(got, want)
+        for name, p in params:
+            assert opt.slots[p] is opt.g[name]
+            assert opt.g[name].shape == SHAPES[name]
+        opt.slots[params[1][1]][...] = 7.0
+        np.testing.assert_array_equal(opt._g[48:53], np.full(5, 7.0))
 
     def test_non_finite_gradient_rejected_before_any_change(self):
         params = three_params(3)
         opt = RAdam(params, lr=0.1)
-        for _, p in params:
-            p.grad = np.ones(p.data.shape)
+        opt._g[...] = 1.0
         opt.step()
         before = {k: v.copy() for k, v in opt.state_arrays().items()}
         data = [p.data.copy() for _, p in params]
-        params[1][1].grad = np.array([1.0, np.inf, 0.0, 1.0, 1.0])
+        opt.g["b"][...] = [1.0, np.inf, 0.0, 1.0, 1.0]
         with pytest.raises(NumericError, match="'b'"):
             opt.step()
         for k, v in opt.state_arrays().items():
@@ -176,9 +161,8 @@ class TestFlatRAdam:
         opt = RAdam(params, lr=0.02)
         rng = np.random.default_rng(5)
         for step in range(6):
-            for name, p in params:
-                p.grad = (None if name == "w" and step == 3
-                          else rng.normal(size=SHAPES[name]))
+            for name, _ in params:
+                opt.g[name][...] = rng.normal(size=SHAPES[name])
             opt.step()
         saved = opt.state_arrays()
         again = RAdam(three_params(4), lr=0.02)

@@ -7,7 +7,7 @@ from gdnsq import pipeline
 from gdnsq import tensor as T
 from gdnsq.checkpoint import load_arrays, save_arrays
 from gdnsq.data import make_synthetic
-from gdnsq.errors import DegenerateRangeError, PipelineError
+from gdnsq.errors import DegenerateRangeError, NumericError, PipelineError
 from gdnsq.models import Model, make_model_spec, train_teacher
 from gdnsq.pipeline import (METRICS_HEADER, RunConfig, audit_bitwidth,
                             build_student_arrays, fuse_student,
@@ -116,6 +116,19 @@ class TestQatLoop:
         with pytest.raises(PipelineError, match="initialized"):
             qat_run(self._config(), teacher, student, tmp_path / "run",
                     train, val)
+
+    def test_non_finite_teacher_rejected_before_any_output(self, small_world,
+                                                           tmp_path):
+        train, val, spec, teacher, _ = small_world
+        student = fresh_student(spec, teacher)
+        ptq_minmax(student, train)
+        broken = Model(spec, init_seed=0)
+        broken.copy_weights_from(teacher)
+        broken.layers[-1].b.data = np.array([np.nan, 0.0])
+        with pytest.raises(NumericError, match="non-finite teacher logits"):
+            qat_run(self._config(), broken, student, tmp_path / "run", train,
+                    val)
+        assert not (tmp_path / "run" / "metrics.csv").exists()
 
     def test_metrics_row_count(self, small_world, tmp_path):
         train, val, spec, teacher, _ = small_world

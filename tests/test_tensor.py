@@ -1,10 +1,13 @@
-"""The tape (gdnsq.tensor) and the primitive ops the reference graphs are
-built from (primitives), against finite differences."""
+"""The general tape (reference_tape) and the primitive ops the reference
+graphs are built from (primitives), against finite differences, and the
+training chain of gdnsq.tensor: its line check, its write order and its
+refusals."""
 
 import numpy as np
 import pytest
 
 import primitives as P
+import reference_tape as R
 from gdnsq import tensor as T
 from gdnsq.errors import ContractError, NumericError, ShapeError
 from gdnsq.oracles import finite_difference_grads
@@ -15,21 +18,21 @@ def make_loss(build):
     """Wrap a graph builder so finite differences can re-evaluate it."""
 
     def f(arrays):
-        T.reset_tape()
+        R.reset_tape()
         val = float(build([Tensor(a, requires_grad=True) for a in arrays]).data)
-        T.reset_tape()
+        R.reset_tape()
         return val
 
     return f
 
 
 def analytic_grads(build, arrays):
-    T.reset_tape()
+    R.reset_tape()
     params = [Tensor(a, requires_grad=True) for a in arrays]
     loss = build(params)
-    loss.backward()
-    out = [p.grad.copy() for p in params]
-    T.reset_tape()
+    grads = loss.backward()
+    out = [grads[p].copy() for p in params]
+    R.reset_tape()
     return out
 
 
@@ -68,13 +71,13 @@ class TestElementwise:
 
     def test_relu_backward_ae(self):
         x = Tensor([-1.0, 2.0], requires_grad=True)
-        P.sum_(P.relu(x)).backward()
-        np.testing.assert_array_equal(x.grad, [0.0, 1.0])
+        grads = P.sum_(P.relu(x)).backward()
+        np.testing.assert_array_equal(grads[x], [0.0, 1.0])
 
     def test_log_gradient(self):
         x = Tensor(2.0, requires_grad=True)
-        P.log(x).backward()
-        assert x.grad == pytest.approx(0.5, rel=1e-12)
+        grads = P.log(x).backward()
+        assert grads[x] == pytest.approx(0.5, rel=1e-12)
         assert_matches_fd(lambda p: P.log(p[0]), [np.asarray(2.0)])
 
     def test_log_domain_error_names_index(self):
@@ -98,9 +101,9 @@ class TestElementwise:
     def test_minimum_ties_go_to_first_operand(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         u = Tensor(2.0, requires_grad=True)
-        P.sum_(P.minimum(x, u)).backward()
-        np.testing.assert_array_equal(x.grad, [1.0, 1.0])
-        assert u.grad == 0.0
+        grads = P.sum_(P.minimum(x, u)).backward()
+        np.testing.assert_array_equal(grads[x], [1.0, 1.0])
+        assert grads[u] == 0.0
 
 
 class TestReductionsAndShaping:
@@ -130,15 +133,15 @@ class TestReductionsAndShaping:
         x = rng.normal(size=(3, 4)) * 3
         coeff = rng.normal(size=(3, 4))
         assert_matches_fd(
-            lambda p: P.sum_(P.mul(P.softmax_rows(p[0]), T.constant(coeff))),
+            lambda p: P.sum_(P.mul(P.softmax_rows(p[0]), R.constant(coeff))),
             [x], rtol=1e-5)
 
     def test_select_columns(self):
         x = Tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
         out = P.select_columns(x, [1, 0])
         np.testing.assert_array_equal(out.data, [2.0, 3.0])
-        P.sum_(out).backward()
-        np.testing.assert_array_equal(x.grad, [[0.0, 1.0], [1.0, 0.0]])
+        grads = P.sum_(out).backward()
+        np.testing.assert_array_equal(grads[x], [[0.0, 1.0], [1.0, 0.0]])
 
 
 def custom_node(forward_fn, backward_fn):
@@ -146,7 +149,7 @@ def custom_node(forward_fn, backward_fn):
     closed-form nodes are recorded."""
 
     def op(x):
-        return T._record([x], forward_fn(x.data),
+        return R._record([x], forward_fn(x.data),
                          lambda g: (backward_fn(g, x.data),), "custom")
 
     return op
@@ -156,23 +159,23 @@ class TestCustomBackward:
     def test_identity_forward_zero_backward(self):
         op = custom_node(lambda x: x, lambda g, x: np.zeros_like(x))
         x = Tensor([1.0, 2.0], requires_grad=True)
-        P.sum_(op(x)).backward()
-        np.testing.assert_array_equal(x.grad, [0.0, 0.0])
+        grads = P.sum_(op(x)).backward()
+        np.testing.assert_array_equal(grads[x], [0.0, 0.0])
 
     def test_classic_ste_round(self):
         op = custom_node(lambda x: np.floor(x + 0.5), lambda g, x: g)
         x = Tensor([0.3, 1.7], requires_grad=True)
         out = op(x)
         np.testing.assert_array_equal(out.data, [0.0, 2.0])
-        P.sum_(out).backward()
-        np.testing.assert_array_equal(x.grad, [1.0, 1.0])
+        grads = P.sum_(out).backward()
+        np.testing.assert_array_equal(grads[x], [1.0, 1.0])
 
     def test_zero_override_blocks_downstream(self):
         op = custom_node(lambda x: x * x, lambda g, x: np.zeros_like(x))
         x = Tensor([3.0], requires_grad=True)
         y = P.sum_(P.mul(op(x), 2.0))
-        y.backward()
-        np.testing.assert_array_equal(x.grad, [0.0])
+        grads = y.backward()
+        np.testing.assert_array_equal(grads[x], [0.0])
 
     def test_bad_backward_shape_raises_at_backward_time(self):
         op = custom_node(lambda x: x, lambda g, x: np.zeros(5))
@@ -184,23 +187,23 @@ class TestCustomBackward:
 
 class TestBackward:
     def setup_method(self):
-        T.reset_tape()
+        R.reset_tape()
 
     def test_sum_gives_ones(self):
         x = Tensor([1.0, 5.0, -2.0], requires_grad=True)
-        P.sum_(x).backward()
-        np.testing.assert_array_equal(x.grad, [1.0, 1.0, 1.0])
+        grads = P.sum_(x).backward()
+        np.testing.assert_array_equal(grads[x], [1.0, 1.0, 1.0])
 
     def test_scalar_chain_rule(self):
         x = Tensor(2.0, requires_grad=True)
         y = Tensor(3.0, requires_grad=True)
-        P.mul(x, y).backward()
-        assert x.grad == 3.0 and y.grad == 2.0
+        grads = P.mul(x, y).backward()
+        assert grads[x] == 3.0 and grads[y] == 2.0
 
     def test_non_scalar_root_rejected(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         with pytest.raises(ContractError):
-            T.backward(x)
+            R.backward(x)
 
     def test_two_layer_mlp_matches_fd(self):
         rng = np.random.default_rng(21)
@@ -216,20 +219,20 @@ class TestBackward:
     def test_accumulation_is_additive(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         loss = P.sum_(P.mul(x, x))
-        loss.backward()
-        once = x.grad.copy()
-        loss.backward()
-        np.testing.assert_allclose(x.grad, 2.0 * once, rtol=0, atol=0)
+        grads = loss.backward()
+        once = grads[x].copy()
+        loss.backward(grads)
+        np.testing.assert_allclose(grads[x], 2.0 * once, rtol=0, atol=0)
 
     def test_deterministic_given_tape(self):
         rng = np.random.default_rng(22)
         arrays = [rng.normal(size=(4, 4)), rng.normal(size=(2, 4))]
 
         def run():
-            T.reset_tape()
+            R.reset_tape()
             w, x = [Tensor(a, requires_grad=True) for a in arrays]
-            P.sum_(P.matmul(x, w)).backward()
-            return w.grad.copy()
+            grads = P.sum_(P.matmul(x, w)).backward()
+            return grads[w].copy()
 
         np.testing.assert_array_equal(run(), run())
 
@@ -240,25 +243,25 @@ class TestBackward:
         x = Tensor([1.0], requires_grad=True)
         y = op(x)
         # diamond: y feeds two consumers that rejoin
-        P.sum_(P.add(P.mul(y, 3.0), P.mul(y, 4.0))).backward()
+        grads = P.sum_(P.add(P.mul(y, 3.0), P.mul(y, 4.0))).backward()
         assert len(calls) == 1
-        np.testing.assert_array_equal(x.grad, [14.0])
+        np.testing.assert_array_equal(grads[x], [14.0])
 
     def test_stale_tape_rejected(self):
         x = Tensor([1.0], requires_grad=True)
         y = P.sum_(x)
-        T.reset_tape()
+        R.reset_tape()
         z = P.sum_(x)  # fresh tape: fine
         z.backward()
         with pytest.raises(ContractError):
             y.backward()
 
     def test_no_grad_records_nothing(self):
-        before = len(T.get_tape())
-        with T.no_grad():
+        before = len(R.get_tape())
+        with R.no_grad():
             x = Tensor([1.0, 2.0], requires_grad=True)
             y = P.sum_(P.mul(x, x))
-        assert len(T.get_tape()) == before
+        assert len(R.get_tape()) == before
         assert not y.requires_grad
 
 
@@ -275,7 +278,64 @@ def test_random_graph_gradients_match_fd(seed):
         h = P.relu(P.matmul(x, w1))
         z = P.matmul(h, w2)
         q = P.softmax_rows(z)
-        return P.mean(P.mul(P.log(P.maximum(q, 1e-9)), T.constant(
+        return P.mean(P.mul(P.log(P.maximum(q, 1e-9)), R.constant(
             np.random.default_rng(seed + 1).normal(size=(2, 2)))))
 
     assert_matches_fd(build, arrays, rtol=1e-4)
+
+
+class TestChain:
+    def setup_method(self):
+        T.reset_tape()
+
+    def teardown_method(self):
+        T.reset_tape()
+
+    def test_first_write_assigns_later_writes_add_in_sweep_order(self):
+        p = Tensor(0.0, requires_grad=True, name="p")
+        h = T.record(np.zeros(2), [p], np.ones(2),
+                     lambda g: (None, np.asarray(-1e16)), "layer")
+        # a loss term that writes p twice: swept first, so 1e16 is p's
+        # first write, then + 1.0 (absorbed), then the layer's -1e16
+        T.record(h, [p, p], np.asarray(2.0),
+                 lambda g: (g * np.ones(2), np.asarray(1e16),
+                            np.asarray(1.0)), "term", weight=0.5)
+        slots = {p: np.asarray(99.0)}  # stale content is overwritten
+        assert T.backward(Tensor(1.0, requires_grad=True), slots) is None
+        assert float(slots[p]) == 0.0  # (1e16 + 1) - 1e16; -1e16 first gives 1
+
+    def test_term_weight_seeds_the_sweep(self):
+        seen = []
+        T.record(np.zeros(3), (), np.asarray(1.0),
+                 lambda g: (seen.append(g) or 2.0 * g,), "term", weight=0.25)
+        assert T.backward(Tensor(1.0, requires_grad=True), {}) == 0.5
+        assert seen == [0.25]
+
+    def test_input_must_be_the_last_output(self):
+        out = T.record(np.zeros(2), (), np.ones(2), lambda g: (g,), "a")
+        T.record(out, (), np.ones(2), lambda g: (g,), "b")
+        with pytest.raises(ContractError, match="c: its input"):
+            T.record(out, (), np.ones(2), lambda g: (g,), "c")
+
+    def test_parameter_without_gradient_rejected(self):
+        p = Tensor(1.0, requires_grad=True, name="p")
+        q = Tensor(2.0, requires_grad=True, name="q")
+        T.record(None, [p], np.asarray(1.0), lambda g: (None, g), "term",
+                 weight=1.0)
+        with pytest.raises(ContractError, match="no gradient reached.*'q'"):
+            T.backward(Tensor(1.0, requires_grad=True),
+                       {p: np.zeros(()), q: np.zeros(())})
+
+    def test_root_must_be_a_recorded_scalar(self):
+        T.record(None, (), np.asarray(1.0), lambda g: (None,), "term",
+                 weight=1.0)
+        with pytest.raises(ContractError, match="scalar"):
+            T.backward(Tensor([1.0, 2.0], requires_grad=True), {})
+        with pytest.raises(ContractError, match="not recorded"):
+            T.backward(Tensor(1.0), {})
+
+    def test_no_grad_records_nothing(self):
+        with T.no_grad():
+            out = T.record(np.zeros(2), (), np.ones(2), lambda g: (g,), "a")
+        assert len(T.get_tape()) == 0
+        np.testing.assert_array_equal(out, np.ones(2))
