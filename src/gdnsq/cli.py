@@ -67,8 +67,9 @@ def _write_run_json(out_dir, merged: dict):
 
 
 def _add_data_flags(p):
-    p.add_argument("--data", help="dataset id: two_gaussians, concentric_rings "
-                                  "or idx:<train_img>:<train_lbl>:<val_img>:<val_lbl>")
+    p.add_argument("--data", dest="dataset", help="dataset id: two_gaussians, "
+                   "concentric_rings or idx:<train_img>:<train_lbl>:"
+                   "<val_img>:<val_lbl>")
     p.add_argument("--data-seed", type=int, dest="data_seed",
                    help="generator seed for synthetic datasets")
     p.add_argument("--n-train", type=int, dest="n_train")
@@ -161,8 +162,6 @@ def cmd_train_fp(args) -> int:
                 "n_train": 1024, "n_val": 512, "seed": None, "epochs": 60,
                 "lr": 0.01, "batch_size": 32}
     merged = _merge_config(args, defaults, list(defaults))
-    if args.data:
-        merged["dataset"] = args.data
     train, val = _resolve_dataset(merged)
     spec = make_model_spec(merged["model"], input_features(train),
                            train.num_classes)
@@ -171,7 +170,7 @@ def cmd_train_fp(args) -> int:
                                 batch_size=merged["batch_size"])
     meta.update({k: merged[k] for k in ("model", "dataset", "data_seed",
                                         "seed", "epochs", "lr")})
-    save_teacher(args.out, spec, model, meta)
+    save_teacher(args.out, model, meta)
     _write_run_json(os.path.dirname(os.path.abspath(args.out)), merged)
     print(f"teacher saved to {args.out} (val acc {meta['val_acc']:.4f})")
     return 0
@@ -187,8 +186,6 @@ def cmd_ptq(args) -> int:
                           ("n_train", 1024), ("n_val", 512)):
         if merged.get(key) is None:
             merged[key] = fallback
-    if args.data:
-        merged["dataset"] = args.data
     train, val = _resolve_dataset(merged)
     config = RunConfig(model=meta.get("model", "custom"),
                        dataset=merged["dataset"],
@@ -199,7 +196,7 @@ def cmd_ptq(args) -> int:
     student.copy_weights_from(teacher)
     ptq_minmax(student, train)
     acc = student.accuracy(val.inputs, val.labels)
-    arrays = build_student_arrays(config, spec, student, val_acc=acc)
+    arrays = build_student_arrays(config, student, val_acc=acc)
     save_arrays(args.out, arrays)
     _write_run_json(os.path.dirname(os.path.abspath(args.out)),
                     config.to_dict())
@@ -211,18 +208,17 @@ def cmd_ptq(args) -> int:
 def cmd_qat(args) -> int:
     base = RunConfig().to_dict()
     if args.ckpt and not args.no_ptq:
-        cfg0, spec, student, _ = load_student(args.ckpt)
+        cfg0, _, student, _ = load_student(args.ckpt)
         base.update(cfg0.to_dict())
     elif not args.no_ptq:
         raise GdnsqError("qat needs --ckpt (a PTQ student) unless --no-ptq")
     else:
-        spec = student = None
+        student = None
     keys = ["wbits", "abits", "lr0", "epochs", "noise_mode", "distill",
-            "tq_init", "seed", "batch_size", "data_seed", "n_train", "n_val"]
+            "tq_init", "seed", "batch_size", "dataset", "data_seed", "n_train",
+            "n_val"]
     base["seed"] = None
     merged = _merge_config(args, base, keys)
-    if args.data:
-        merged["dataset"] = args.data
     if args.freeze_bn is not None:
         merged["batchnorm_frozen"] = bool(args.freeze_bn)
     merged["ptq_enabled"] = not args.no_ptq
@@ -230,8 +226,8 @@ def cmd_qat(args) -> int:
     _, teacher, _ = load_teacher(args.teacher)
     train, val = _resolve_dataset(merged)
     if args.no_ptq:
-        spec = teacher.spec
-        student = Model(spec, quantized=True, noise_mode=config.noise_mode)
+        student = Model(teacher.spec, quantized=True,
+                        noise_mode=config.noise_mode)
         student.copy_weights_from(teacher)
         ptq_minmax(student, train, bits=NO_PTQ_INIT_BITS)
     else:
@@ -247,13 +243,8 @@ def cmd_qat(args) -> int:
 
 def cmd_audit(args) -> int:
     config, _, student, _ = load_student(args.ckpt)
-    merged = {"dataset": args.data or config.dataset,
-              "data_seed": args.data_seed if args.data_seed is not None
-              else config.data_seed,
-              "n_train": args.n_train or config.n_train,
-              "n_val": args.n_val or config.n_val}
-    _, val = load_dataset(merged["dataset"], merged["data_seed"],
-                          merged["n_train"], merged["n_val"])
+    _, val = _resolve_dataset(_merge_config(
+        args, config.to_dict(), ["dataset", "data_seed", "n_train", "n_val"]))
     report = audit_bitwidth(student, val.inputs, val.labels)
     print(report.format())
     print(f"val accuracy: {report.val_acc:.4f}")
@@ -315,7 +306,7 @@ def cmd_export_metrics(args) -> int:
 
 
 def cmd_fuse(args) -> int:
-    config, spec, student, _ = load_student(args.ckpt)
+    _, _, student, _ = load_student(args.ckpt)
     snap_weights(student)
     fused = fuse_student(student)
     arrays = {}

@@ -15,6 +15,10 @@ reverse and draws the weight site's probes before the activation site's,
 the order of the per-op reference graph (tests/reference_graphs.py), so
 training is bit-identical to it. ``train_teacher`` sweeps the chain into
 the flat gradient buffer of its ``RAdam``.
+
+``Model.named_parameters`` is the one list of a model's tensors; its
+checkpoint state (``state_arrays``, ``load_state_arrays``) and the copy of
+a teacher's weights are derived from it.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .errors import NumericError, ShapeError, SpecError
+from .errors import FormatError, NumericError, ShapeError, SpecError
 from .kernels import conv2d_backward_input, conv2d_backward_weight, conv2d_forward
 from .losses import hard_label_loss
 from .optim import RAdam
@@ -230,10 +234,9 @@ class _Layer:
     """One linear or conv layer with optional batchnorm and quantizers.
 
     ``forward`` records the whole layer as one chain entry over its input
-    array and the parameters W, b, the batchnorm gamma and beta when
-    present, and the raw parameters of the weight site and then of the
-    activation site. Its forward runs, in numpy: activation fake-quant,
-    weight fake-quant, matmul or conv, bias add, batchnorm, then
+    array, its ``params()`` and the raw parameters of the weight site and
+    then of the activation site. Its forward runs, in numpy: activation
+    fake-quant, weight fake-quant, matmul or conv, bias add, batchnorm, then
     y * (y > 0) for relu. Its rule composes the
     pieces' vector-Jacobian products in reverse: relu mask, batchnorm, bias
     sum, GEMM or conv gradients, then the weight site's STE gradient and
@@ -269,6 +272,13 @@ class _Layer:
             n_out = spec.out_channels
         self.bn = BatchNorm(n_out) if spec.batchnorm else None
 
+    def params(self):
+        """W, b, then the batchnorm gamma and beta when present."""
+        ps = [self.W, self.b]
+        if self.bn is not None:
+            ps += [self.bn.gamma, self.bn.beta]
+        return ps
+
     def attach_quantizers(self, noise_mode, rng):
         self.weight_fq = FakeQuantizer("weight", noise_mode,
                                        name=f"{self.name}/weight", rng=rng)
@@ -276,8 +286,7 @@ class _Layer:
                                     name=f"{self.name}/act", rng=rng)
 
     def forward(self, x: np.ndarray, train: bool, bypass_quant=False,
-                observer=None, collect_acts=None,
-                input_grad=False) -> np.ndarray:
+                sites=None, input_grad=False) -> np.ndarray:
         spec, bn = self.spec, self.bn
         if spec.kind == "linear":
             ndim, n_in, what = 2, spec.in_features, "features"
@@ -287,20 +296,14 @@ class _Layer:
             raise ShapeError(f"{self.name}: expected a {ndim}-d input with "
                              f"{n_in} {what}, got shape {x.shape}")
         quant = self.weight_fq is not None and not bypass_quant
-        if self.act_fq is not None and observer is not None:
-            lo, hi = observer.get(self.act_fq.name, (np.inf, -np.inf))
-            observer[self.act_fq.name] = (min(lo, float(x.min())),
-                                          max(hi, float(x.max())))
-        params = [self.W, self.b]
-        if bn is not None:
-            params += [bn.gamma, bn.beta]
+        params = self.params()
         xd, wd = x, self.W.data
         if quant:
             xd, a_params, a_vjp = self.act_fq.fake_quant(xd)
             wd, w_params, w_vjp = self.weight_fq.fake_quant(wd)
             params += w_params + a_params
-            if collect_acts is not None:
-                collect_acts.setdefault(self.act_fq.name, []).append(xd)
+        if sites is not None and self.act_fq is not None:
+            sites(self.act_fq, x, xd)
         # the quantized input's gradient also feeds the activation site
         input_grad = quant or input_grad
         if spec.kind == "linear":
@@ -364,23 +367,15 @@ class Model:
         return [l.act_fq for l in self.inner_layers()]
 
     def all_quantizers(self):
-        out = []
-        for l in self.inner_layers():
-            out.extend([l.weight_fq, l.act_fq])
-        return out
+        return [fq for l in self.inner_layers() for fq in (l.weight_fq, l.act_fq)]
 
     def named_parameters(self):
-        ps = []
-        for i, l in enumerate(self.layers):
-            ps.append((f"model/{i}/W", l.W))
-            ps.append((f"model/{i}/b", l.b))
-            if l.bn is not None:
-                ps.append((f"model/{i}/bn_gamma", l.bn.gamma))
-                ps.append((f"model/{i}/bn_beta", l.bn.beta))
-        for l in self.inner_layers():
-            for fq in (l.weight_fq, l.act_fq):
-                ps.extend(fq.parameters())
-        return ps
+        """(name, tensor) in optimizer order: each layer's params() as
+        model/{i}/W ..., then each quantizer's raw_params() by tensor name."""
+        ps = [(f"model/{i}/{name}", p) for i, l in enumerate(self.layers)
+              for name, p in zip(("W", "b", "bn_gamma", "bn_beta"), l.params())]
+        return ps + [(t.name, t) for fq in self.all_quantizers()
+                     for t in fq.raw_params()]
 
     def set_bn_frozen(self, frozen: bool):
         for l in self.layers:
@@ -393,11 +388,12 @@ class Model:
 
     # -- forward -------------------------------------------------------------
 
-    def forward(self, x, train=True, bypass_quant=False, observer=None,
-                collect_acts=None) -> Tensor:
+    def forward(self, x, train=True, bypass_quant=False, sites=None) -> Tensor:
         """The logits of x (an array, or a Tensor that requires_grad when
         the chain should compute its gradient). While recording, each layer
-        and the pool append their chain entry."""
+        and the pool append their chain entry. Each activation site calls
+        ``sites(fq, x, xq)``, if given, with its input and fake-quantized
+        input (x itself under bypass_quant)."""
         input_grad = isinstance(x, Tensor) and x.requires_grad
         h = x.data if isinstance(x, Tensor) else np.asarray(x, np.float64)
         recording = T.recording()
@@ -405,8 +401,7 @@ class Model:
             if layer.spec.kind == "linear" and h.ndim == 4:
                 h = global_avg_pool(h)
             h = layer.forward(h, train, bypass_quant=bypass_quant,
-                              observer=observer, collect_acts=collect_acts,
-                              input_grad=input_grad)
+                              sites=sites, input_grad=input_grad)
             input_grad = recording
         return Tensor(h, requires_grad=recording)
 
@@ -419,48 +414,47 @@ class Model:
 
     # -- persistence -----------------------------------------------------------
 
-    def state_arrays(self):
-        out = {}
+    def _state(self):
+        """(section, owner, attribute) of each state array: the named
+        parameters (a quantizer's under quant/), then the running stats."""
+        for name, p in self.named_parameters():
+            yield (name if name.startswith("model/") else f"quant/{name}",
+                   p, "data")
         for i, l in enumerate(self.layers):
-            out[f"model/{i}/W"] = l.W.data
-            out[f"model/{i}/b"] = l.b.data
             if l.bn is not None:
-                out[f"model/{i}/bn_gamma"] = l.bn.gamma.data
-                out[f"model/{i}/bn_beta"] = l.bn.beta.data
-                out[f"model/{i}/bn_rmean"] = l.bn.running_mean
-                out[f"model/{i}/bn_rvar"] = l.bn.running_var
-        for l in self.inner_layers():
-            for fq in (l.weight_fq, l.act_fq):
-                for k, v in fq.state_arrays().items():
-                    out[f"quant/{fq.name}/{k}"] = v
+                yield f"model/{i}/bn_rmean", l.bn, "running_mean"
+                yield f"model/{i}/bn_rvar", l.bn, "running_var"
+
+    def state_arrays(self):
+        """The sections of _state, by reference, and the quantizers'
+        initialized flags."""
+        out = {key: getattr(owner, attr) for key, owner, attr in self._state()}
+        for fq in self.all_quantizers():
+            out[f"quant/{fq.name}/initialized"] = np.asarray(
+                int(fq.initialized), dtype=np.int64)
         return out
 
     def load_state_arrays(self, arrays):
-        for i, l in enumerate(self.layers):
-            l.W.data = np.asarray(arrays[f"model/{i}/W"]).reshape(l.W.data.shape)
-            l.b.data = np.asarray(arrays[f"model/{i}/b"]).reshape(l.b.data.shape)
-            if l.bn is not None:
-                l.bn.gamma.data = np.asarray(arrays[f"model/{i}/bn_gamma"])
-                l.bn.beta.data = np.asarray(arrays[f"model/{i}/bn_beta"])
-                l.bn.running_mean = np.asarray(arrays[f"model/{i}/bn_rmean"])
-                l.bn.running_var = np.asarray(arrays[f"model/{i}/bn_rvar"])
-        for l in self.inner_layers():
-            for fq in (l.weight_fq, l.act_fq):
-                prefix = f"quant/{fq.name}/"
-                sub = {k[len(prefix):]: v for k, v in arrays.items()
-                       if k.startswith(prefix)}
-                if sub:
-                    fq.load_state_arrays(sub)
+        """Hold the arrays state_arrays names; without quant/ sections (a
+        teacher's state) the quantizers stay as they are. A missing section
+        raises FormatError naming it."""
+        student = any(key.startswith("quant/") for key in arrays)
+
+        def section(key, shape):
+            if key not in arrays:
+                raise FormatError(f"model state has no section {key!r}")
+            return np.asarray(arrays[key], dtype=np.float64).reshape(shape)
+
+        for key, owner, attr in self._state():
+            if student or not key.startswith("quant/"):
+                setattr(owner, attr, section(key, getattr(owner, attr).shape))
+        for fq in self.all_quantizers() if student else ():
+            fq.initialized = bool(section(f"quant/{fq.name}/initialized", ()))
 
     def copy_weights_from(self, other: "Model"):
-        for mine, theirs in zip(self.layers, other.layers):
-            mine.W.data = theirs.W.data.copy()
-            mine.b.data = theirs.b.data.copy()
-            if mine.bn is not None and theirs.bn is not None:
-                mine.bn.gamma.data = theirs.bn.gamma.data.copy()
-                mine.bn.beta.data = theirs.bn.beta.data.copy()
-                mine.bn.running_mean = theirs.bn.running_mean.copy()
-                mine.bn.running_var = theirs.bn.running_var.copy()
+        """Load copies of other's state (a teacher's)."""
+        self.load_state_arrays({key: np.array(arr) for key, arr
+                                in other.state_arrays().items()})
 
 
 def logits_accuracy(logits: np.ndarray, labels) -> float:

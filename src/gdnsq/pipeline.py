@@ -14,6 +14,9 @@ into the flat gradient buffer of its ``RAdam`` and steps. The frozen
 teacher's logits, their floored softmax and its log are computed once per
 run, before the first step.
 
+A student checkpoint is the model's ``state_arrays`` plus the run config,
+the spec and, from QAT, the optimizer, schedule, LR and rng state.
+
 Integer fusion works on the model's own layers: ``fuse_student`` calls
 ``quantizer.integer_fuse`` on each quantized ``models._Layer``, and
 ``fused_model_forward`` is the one integer forward, which runs the fused
@@ -35,13 +38,11 @@ from . import tensor as T
 from .checkpoint import (array_to_json, config_hash, json_to_array, load_arrays,
                          pack_rng_state, save_arrays, unpack_rng_state)
 from .data import Dataset, load_idx_dataset, make_synthetic
-from .errors import (DegenerateRangeError, DomainError, FormatError,
-                     NumericError, PipelineError)
+from .errors import DomainError, FormatError, NumericError, PipelineError
 from .kernels import round_half_up
 from .losses import (DISTILL_KINDS, LossState, teacher_probs, total_loss,
                      update_schedule)
-from .models import (Model, ModelSpec, logits_accuracy, spec_from_dict,
-                     spec_to_dict)
+from .models import Model, logits_accuracy, spec_from_dict, spec_to_dict
 from .optim import LrPolicy, RAdam, lr_next
 from .quantizer import FusedLinear, integer_fuse
 
@@ -126,35 +127,25 @@ def ptq_minmax(student: Model, train_ds: Dataset, bits: float = PTQ_BITS,
 
     Weight ranges come straight from the tensors; activation ranges are the
     min/max of each site's pre-quantization input over one full pass with
-    the quantizers bypassed. Weights are untouched, only quantizer
-    parameters are set.
+    the quantizers bypassed, folded batch by batch. Weights are untouched,
+    only quantizer parameters are set.
     """
     if not student.inner_layers():
         raise PipelineError("model has no quantized layers to calibrate")
-    observer = {}
-    n = len(train_ds)
+    ranges = {}
+
+    def fold(fq, x, xq):
+        lo, hi = ranges.get(fq, (np.inf, -np.inf))
+        ranges[fq] = (min(lo, float(x.min())), max(hi, float(x.max())))
+
     with T.no_grad():
-        for start in range(0, n, batch_size):
+        for start in range(0, len(train_ds), batch_size):
             student.forward(train_ds.inputs[start:start + batch_size],
-                            train=False, bypass_quant=True, observer=observer)
+                            train=False, bypass_quant=True, sites=fold)
     for layer in student.inner_layers():
         w = layer.W.data
-        lo, hi = float(w.min()), float(w.max())
-        if not hi > lo:
-            raise DegenerateRangeError(
-                f"{layer.weight_fq.name}: constant weight tensor (min == max "
-                f"== {lo})"
-            )
-        layer.weight_fq.init_from_minmax(lo, hi, bits)
-        alo, ahi = observer[layer.act_fq.name]
-        if layer.act_fq.lower_fixed_zero:
-            alo = 0.0
-        if not ahi > alo:
-            raise DegenerateRangeError(
-                f"{layer.act_fq.name}: degenerate activation range "
-                f"[{alo}, {ahi}]"
-            )
-        layer.act_fq.init_from_minmax(alo, ahi, bits)
+        layer.weight_fq.init_from_minmax(float(w.min()), float(w.max()), bits)
+        layer.act_fq.init_from_minmax(*ranges[layer.act_fq], bits)
     return student
 
 
@@ -218,10 +209,11 @@ def audit_bitwidth(model: Model, val_inputs, val_labels=None) -> BitWidthReport:
     logits, the same value ``Model.accuracy`` gives, without a second pass.
     """
     sites = []
-    collect = {}
+    acts = {}
     with T.no_grad():
-        logits = model.forward(val_inputs, train=False,
-                               collect_acts=collect).data
+        logits = model.forward(
+            val_inputs, train=False,
+            sites=lambda fq, x, xq: acts.setdefault(fq, []).append(xq)).data
     for layer in model.inner_layers():
         wq = layer.weight_fq
         levels = int(np.unique(wq.quantize_array(layer.W.data)).size)
@@ -229,7 +221,7 @@ def audit_bitwidth(model: Model, val_inputs, val_labels=None) -> BitWidthReport:
                                levels, _actual_bits(levels),
                                degenerate=levels <= 1))
         aq = layer.act_fq
-        vals = np.concatenate([a.reshape(-1) for a in collect[aq.name]])
+        vals = np.concatenate([a.reshape(-1) for a in acts[aq]])
         alevels = int(np.unique(vals).size)
         sites.append(SiteAudit(aq.name, "activation", aq.bitwidth_value(),
                                alevels, _actual_bits(alevels),
@@ -246,7 +238,7 @@ def audit_bitwidth(model: Model, val_inputs, val_labels=None) -> BitWidthReport:
 # -- checkpoints ---------------------------------------------------------------
 
 
-def build_student_arrays(config: RunConfig, spec: ModelSpec, model: Model,
+def build_student_arrays(config: RunConfig, model: Model,
                          opt: RAdam = None, state: LossState = None,
                          policy: LrPolicy = None, rng=None, epoch=0,
                          reached_ever=False, val_acc=None, best=None,
@@ -254,14 +246,11 @@ def build_student_arrays(config: RunConfig, spec: ModelSpec, model: Model,
     cfg = config.to_dict()
     arrays = {
         "config/json": json_to_array(cfg),
-        "spec/json": json_to_array(spec_to_dict(spec)),
+        "spec/json": json_to_array(spec_to_dict(model.spec)),
         "meta/config_hash": config_hash(cfg),
         "meta/epoch": np.asarray(epoch, dtype=np.int64),
     }
     arrays.update(model.state_arrays())
-    for fq in model.all_quantizers():
-        arrays[f"quant/{fq.name}/initialized"] = np.asarray(
-            int(fq.initialized), dtype=np.int64)
     if val_acc is not None:
         arrays["meta/val_acc"] = np.asarray(float(val_acc))
     if opt is not None:
@@ -290,24 +279,23 @@ def build_student_arrays(config: RunConfig, spec: ModelSpec, model: Model,
 
 
 def load_student(path):
-    """Rebuild (config, spec, model, arrays) from a student checkpoint."""
+    """Rebuild (config, spec, model, arrays) from a student checkpoint;
+    PipelineError if its config is not a RunConfig (a teacher's, say)."""
     arrays = load_arrays(path)
-    config = RunConfig.from_dict(array_to_json(arrays["config/json"]))
+    saved = array_to_json(arrays["config/json"]) if "config/json" in arrays else {}
+    if set(saved) != set(RunConfig().to_dict()):
+        raise PipelineError(f"{path} is not a student checkpoint")
+    config = RunConfig.from_dict(saved)
     spec = spec_from_dict(array_to_json(arrays["spec/json"]))
     model = Model(spec, quantized=True, noise_mode=config.noise_mode)
     model.load_state_arrays(arrays)
-    for fq in model.all_quantizers():
-        key = f"quant/{fq.name}/initialized"
-        if key in arrays:
-            fq.initialized = bool(int(arrays[key]))
-    model.set_bn_frozen(config.batchnorm_frozen)
     return config, spec, model, arrays
 
 
-def save_teacher(path, spec: ModelSpec, model: Model, meta: dict):
+def save_teacher(path, model: Model, meta: dict):
     arrays = {
         "config/json": json_to_array(meta),
-        "spec/json": json_to_array(spec_to_dict(spec)),
+        "spec/json": json_to_array(spec_to_dict(model.spec)),
         "meta/config_hash": config_hash(meta),
     }
     arrays.update(model.state_arrays())
@@ -393,7 +381,6 @@ def qat_run(config: RunConfig, teacher: Model, student: Model, out_dir,
                 "explicit init before QAT"
             )
     os.makedirs(out_dir, exist_ok=True)
-    spec = student.spec
     targets = (config.wbits, config.abits)
     state = LossState(targets=targets, tq_init=config.tq_init)
     policy = LrPolicy(lam0=config.lr0)
@@ -405,6 +392,10 @@ def qat_run(config: RunConfig, teacher: Model, student: Model, out_dir,
     reached_epoch = None
     if resume_path is not None:
         arrays = load_arrays(resume_path)
+        if "opt/t" not in arrays or "sched/step_n" not in arrays:
+            raise PipelineError(
+                f"{resume_path} has no optimizer or schedule state; resume "
+                "from a qat last.ckpt")
         _check_resume_config(resume_path, arrays, config)
         student.load_state_arrays(arrays)
         opt.load_state_arrays(
@@ -506,7 +497,7 @@ def qat_run(config: RunConfig, teacher: Model, student: Model, out_dir,
             if improved:
                 best = {"val_acc": val_acc, "epoch": epoch}
             ckpt = build_student_arrays(
-                config, spec, student, opt=opt, state=state, policy=policy,
+                config, student, opt=opt, state=state, policy=policy,
                 rng=rng, epoch=epoch + 1, reached_ever=reached_ever,
                 val_acc=val_acc, best=best, reached_epoch=reached_epoch)
             # best.ckpt first: a crash between the two saves resumes from

@@ -21,7 +21,8 @@ flows to x on [l, u] (ties included), to l below, to u above.
 Positivity and ordering constraints are carried by the parameterization:
 s = exp(log_s); weight sites learn l and log_range with u = l +
 exp(log_range); activation sites following relu keep l = 0 and learn u
-through a softplus.
+through a softplus. ``raw_params`` lists these tensors; the model names,
+optimizes and checkpoints them (``models.Model.named_parameters``).
 
 Gradients with respect to these raw parameters are closed-form.
 ``fake_quant`` returns the numpy output with its vector-Jacobian product,
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, FusionError
+from .errors import DegenerateRangeError, DomainError, FusionError
 from .kernels import fake_quant as fq_kernel
 from .kernels import round_half_up
 from .tensor import Tensor
@@ -100,15 +101,13 @@ class FakeQuantizer:
             return [self.log_s, self.raw_u]
         return [self.log_s, self.l_param, self.log_range]
 
-    def parameters(self):
-        return [(t.name, t) for t in self.raw_params()]
-
     def init_from_minmax(self, lo: float, hi: float, bits: float):
-        """Set (l, u) to the observed range and s so the bit-width is `bits`."""
+        """Set (l, u) to the observed range and s so the bit-width is `bits`;
+        raise DegenerateRangeError unless hi > l (l = 0 at activations)."""
         if self.lower_fixed_zero:
             lo = 0.0
         if not hi > lo:
-            raise DomainError(
+            raise DegenerateRangeError(
                 f"{self.name}: cannot initialize from degenerate range "
                 f"[{lo}, {hi}]"
             )
@@ -221,25 +220,6 @@ class FakeQuantizer:
         """Deterministic dequantized-grid values, no chain involvement."""
         l, u = self.bound_values()
         return fq_kernel(np.asarray(x, dtype=np.float64), l, u, self.scale_value())
-
-    def state_arrays(self):
-        """Named parameter arrays for checkpointing."""
-        out = {"log_s": self.log_s.data}
-        if self.lower_fixed_zero:
-            out["raw_u"] = self.raw_u.data
-        else:
-            out["l"] = self.l_param.data
-            out["log_range"] = self.log_range.data
-        return out
-
-    def load_state_arrays(self, arrays):
-        self.log_s.data = np.asarray(arrays["log_s"], dtype=np.float64)
-        if self.lower_fixed_zero:
-            self.raw_u.data = np.asarray(arrays["raw_u"], dtype=np.float64)
-        else:
-            self.l_param.data = np.asarray(arrays["l"], dtype=np.float64)
-            self.log_range.data = np.asarray(arrays["log_range"], dtype=np.float64)
-        self.initialized = True
 
 
 @dataclass

@@ -191,20 +191,12 @@ def batchnorm_forward(bn, x, train):
     return P.add(P.mul(xhat, g), b)
 
 
-def layer_forward(layer, x, train, bypass_quant=False, observer=None,
-                  collect_acts=None):
+def layer_forward(layer, x, train):
     """_Layer.forward as a graph of one node per op: the fake-quant nodes,
     matmul or conv, bias reshape, broadcast and add, batchnorm and relu."""
-    quant = layer.weight_fq is not None and not bypass_quant
-    if layer.act_fq is not None and observer is not None:
-        lo, hi = observer.get(layer.act_fq.name, (np.inf, -np.inf))
-        observer[layer.act_fq.name] = (min(lo, float(x.data.min())),
-                                       max(hi, float(x.data.max())))
-    if quant:
+    if layer.weight_fq is not None:
         x = fake_quant_apply(layer.act_fq, x)
         w = fake_quant_apply(layer.weight_fq, layer.W)
-        if collect_acts is not None:
-            collect_acts.setdefault(layer.act_fq.name, []).append(x.data)
     else:
         w = layer.W
     if layer.spec.kind == "linear":

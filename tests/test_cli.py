@@ -188,8 +188,7 @@ def test_fuse_refuses_conv_student(tmp_path, capsys):
                      np.arange(8) % 2, "train", num_classes=2)
     ptq_minmax(student, images)
     ckpt = tmp_path / "conv3.ckpt"
-    save_arrays(ckpt, build_student_arrays(RunConfig(model="conv3"), spec,
-                                           student))
+    save_arrays(ckpt, build_student_arrays(RunConfig(model="conv3"), student))
     out = tmp_path / "fused.ckpt"
     rc = main(["fuse", "--ckpt", str(ckpt), "--out", str(out)])
     assert rc == 1
@@ -290,3 +289,40 @@ def test_help_documents_symbols():
 def test_runtime_failure_exits_one(tmp_path):
     rc = main(["audit", "--ckpt", str(tmp_path / "missing.ckpt")])
     assert rc == 1
+
+
+@pytest.mark.parametrize("command", ["audit", "fuse", "qat"])
+def test_teacher_checkpoint_refused_where_a_student_is_read(workspace, tmp_path,
+                                                           capsys, command):
+    _, teacher, _ = workspace
+    argv = {"audit": ["audit", "--ckpt", str(teacher)],
+            "fuse": ["fuse", "--ckpt", str(teacher),
+                     "--out", str(tmp_path / "fused.ckpt")],
+            "qat": ["qat", "--ckpt", str(teacher), "--teacher", str(teacher),
+                    "--out", str(tmp_path / "run")]}[command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(teacher) in err
+    assert "not a student checkpoint" in err
+
+
+def test_resume_from_a_ptq_checkpoint_refused(workspace, tmp_path, capsys):
+    _, teacher, student = workspace
+    rc = main(["qat", "--ckpt", str(student), "--teacher", str(teacher),
+               "--epochs", "1", "--resume", str(student),
+               "--out", str(tmp_path / "run")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(student) in err
+    assert "no optimizer or schedule state" in err
+
+
+def test_missing_model_section_is_named(workspace, tmp_path, capsys):
+    _, _, student = workspace
+    arrays = load_arrays(student)
+    del arrays["model/1/W"]
+    cut = tmp_path / "cut.ckpt"
+    save_arrays(cut, arrays)
+    assert main(["audit", "--ckpt", str(cut)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'model/1/W'" in err

@@ -358,7 +358,7 @@ class TestStudentPersistence:
         student = fresh_student(spec, teacher)
         ptq_minmax(student, train)
         cfg = RunConfig(model="mlp3", n_train=256, n_val=128)
-        arrays = build_student_arrays(cfg, spec, student)
+        arrays = build_student_arrays(cfg, student)
         path = tmp_path / "student.ckpt"
         save_arrays(path, arrays)
         cfg2, spec2, student2, _ = load_student(path)
