@@ -20,7 +20,10 @@ pixels. Then
   the padded input gradient (batch-last too) that the forward read it
   from, and the padding is cut off.
 
-Results are copied back to [b, c, h, w] order.
+Results are copied back to [b, c, h, w] order. The forward and the
+weight gradient multiply the same im2col matrix: a caller that runs both
+on one input builds it once with ``im2col`` and passes it to each as
+``cols`` (``models._conv2d`` does); without ``cols`` each builds its own.
 """
 
 from __future__ import annotations
@@ -72,11 +75,13 @@ def im2col(x, kh, kw, stride=1, pad=0):
     return win.transpose(0, 4, 5, 1, 2, 3).reshape(c * kh * kw, -1)
 
 
-def conv2d_forward(x, w, stride=1, pad=0):
+def conv2d_forward(x, w, stride=1, pad=0, cols=None):
     b, _, h, wd = x.shape
     o, _, kh, kw = w.shape
     ho, wo = _out_hw(h, wd, kh, kw, stride, pad)
-    out = w.reshape(o, -1) @ im2col(x, kh, kw, stride, pad)
+    if cols is None:
+        cols = im2col(x, kh, kw, stride, pad)
+    out = w.reshape(o, -1) @ cols
     return _batch_first(out.reshape(o, ho, wo, b))
 
 
@@ -94,7 +99,8 @@ def conv2d_backward_input(g, w, x_shape, stride=1, pad=0):
     return _batch_first(gxp[:, pad:pad + h, pad:pad + wd])
 
 
-def conv2d_backward_weight(g, x, w_shape, stride=1, pad=0):
+def conv2d_backward_weight(g, x, w_shape, stride=1, pad=0, cols=None):
     o, _, kh, kw = w_shape
-    cols = im2col(x, kh, kw, stride, pad)
+    if cols is None:
+        cols = im2col(x, kh, kw, stride, pad)
     return (_batch_last(g).reshape(o, -1) @ cols.T).reshape(w_shape)

@@ -29,7 +29,8 @@ import numpy as np
 
 from . import tensor as T
 from .errors import FormatError, NumericError, ShapeError, SpecError
-from .kernels import conv2d_backward_input, conv2d_backward_weight, conv2d_forward
+from .kernels import (conv2d_backward_input, conv2d_backward_weight,
+                      conv2d_forward, im2col)
 from .losses import hard_label_loss
 from .optim import RAdam
 from .quantizer import FakeQuantizer
@@ -209,14 +210,17 @@ def _linear(xd, wd, input_grad):
 
 def _conv2d(xd, wd, stride, pad, input_grad):
     """The convolution of xd by wd and its vector-Jacobian product onto
-    (x, w); the x gradient is None unless input_grad."""
+    (x, w); the x gradient is None unless input_grad. The forward and the
+    weight gradient share one im2col matrix of xd."""
+    cols = im2col(xd, wd.shape[2], wd.shape[3], stride, pad)
 
     def vjp(g):
         gx = (conv2d_backward_input(g, wd, xd.shape, stride, pad)
               if input_grad else None)
-        return gx, conv2d_backward_weight(g, xd, wd.shape, stride, pad)
+        return gx, conv2d_backward_weight(g, xd, wd.shape, stride, pad,
+                                          cols=cols)
 
-    return conv2d_forward(xd, wd, stride, pad), vjp
+    return conv2d_forward(xd, wd, stride, pad, cols=cols), vjp
 
 
 def global_avg_pool(h: np.ndarray) -> np.ndarray:
@@ -435,9 +439,11 @@ class Model:
         return out
 
     def load_state_arrays(self, arrays):
-        """Hold the arrays state_arrays names; without quant/ sections (a
-        teacher's state) the quantizers stay as they are. A missing section
-        raises FormatError naming it."""
+        """Hold the arrays state_arrays names, written into the arrays the
+        model holds, so a parameter stays a view of its optimizer's flat
+        buffer (``optim.RAdam``); without quant/ sections (a teacher's
+        state) the quantizers stay as they are. A missing section raises
+        FormatError naming it."""
         student = any(key.startswith("quant/") for key in arrays)
 
         def section(key, shape):
@@ -447,7 +453,8 @@ class Model:
 
         for key, owner, attr in self._state():
             if student or not key.startswith("quant/"):
-                setattr(owner, attr, section(key, getattr(owner, attr).shape))
+                held = getattr(owner, attr)
+                held[...] = section(key, held.shape)
         for fq in self.all_quantizers() if student else ():
             fq.initialized = bool(section(f"quant/{fq.name}/initialized", ()))
 

@@ -6,14 +6,20 @@ term rho_t <= 4 the step falls back to bias-corrected SGD-with-momentum;
 once rho_t > 4 the adaptive step with the rectification factor r_t is used.
 
 ``RAdam.step`` updates every parameter in one pass over one flat vector
-(the multi-tensor idea of "foreach" optimizers). The gradients and the
-two moments are flat buffers the optimizer owns; ``slots`` maps each
-parameter to its view of the gradient buffer, which ``tensor.backward``
-writes into. A step checks the buffer with one isfinite call and runs
-each update expression once over the vector, the moments in place. The
-expressions keep the per-parameter operator order and every element is
-rounded on its own, so the result equals a per-parameter update bit for
-bit (tests/reference_graphs.py keeps that loop as the reference).
+(the multi-tensor idea of "foreach" optimizers). The parameters, their
+gradients and the two moments are flat buffers the optimizer owns: at
+construction each parameter's values are copied into the flat parameter
+buffer ``data`` and its ``p.data`` is rebound to its view of it, and
+``slots`` maps each parameter to its view of the gradient buffer, which
+``tensor.backward`` writes into. A step checks the gradient buffer with
+one isfinite call and runs each update expression once over the vector,
+the moments and the parameters in place. Whoever sets a parameter after
+that writes into its view (``p.data[...] = ...``, as
+``models.Model.load_state_arrays`` does); a rebound ``p.data`` would no
+longer be stepped. The expressions keep the per-parameter operator order
+and every element is rounded on its own, so the result equals a
+per-parameter update bit for bit (tests/reference_graphs.py keeps that
+loop as the reference).
 
 The learning rate stays constant while bit-widths converge and switches to
 exact exponential decay (lambda *= 0.9985 per batch) after the first audit
@@ -34,10 +40,11 @@ from .errors import ContractError, NumericError
 class RAdam:
     """RAdam over named parameters, updated as one flat vector.
 
-    Each parameter owns one contiguous segment of the flat gradient and
-    moment buffers; ``g[name]``, ``m[name]`` and ``v[name]`` are views of
-    it, shaped like the parameter, and ``slots`` maps the parameter tensor
-    to its ``g`` view. ``step`` applies the gradients the buffer holds.
+    Each parameter owns one contiguous segment of the flat parameter,
+    gradient and moment buffers; ``p.data``, ``g[name]``, ``m[name]`` and
+    ``v[name]`` are views of it, shaped like the parameter, and ``slots``
+    maps the parameter tensor to its ``g`` view. ``step`` applies the
+    gradients the buffer holds to ``data`` in place.
     """
 
     def __init__(self, params, lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -61,6 +68,10 @@ class RAdam:
         sizes = [p.data.size for _, p in self.params]
         bounds = np.cumsum([0] + sizes)
         self._spans = list(zip(bounds[:-1], bounds[1:]))
+        self.data, views = self._flat_views()
+        for name, p in self.params:
+            views[name][...] = p.data
+            p.data = views[name]
         self._g, self.g = self._flat_views()
         self._m, self.m = self._flat_views()
         self._v, self.v = self._flat_views()
@@ -95,7 +106,7 @@ class RAdam:
         v *= b2
         v += (1.0 - b2) * (g * g)
         m_hat = m / (1.0 - b1t)
-        data = np.concatenate([p.data.reshape(-1) for _, p in self.params])
+        data = self.data
         if rho_t > 4.0:
             r_t = math.sqrt(
                 (rho_t - 4.0) * (rho_t - 2.0) * rho_inf
@@ -105,8 +116,6 @@ class RAdam:
             data -= self.lr * r_t * m_hat / (v_hat + self.eps)
         else:
             data -= self.lr * m_hat
-        for (_, p), (a, b) in zip(self.params, self._spans):
-            p.data = data[a:b].reshape(p.data.shape)
 
     def state_arrays(self):
         out = {"t": np.asarray(self.t, dtype=np.int64)}

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from gdnsq.kernels import (conv2d_backward_input, conv2d_backward_weight,
-                           conv2d_forward)
+                           conv2d_forward, im2col)
 
 ATOL = 1e-12
 
@@ -75,3 +75,19 @@ def test_kernels_match_loops(stride, pad, k):
         conv2d_backward_weight(g, x, w.shape, stride, pad),
         loop_backward_weight(g, x, w.shape, stride, pad), rtol=0, atol=ATOL)
 
+
+
+@pytest.mark.parametrize("stride,pad,k", CASES)
+def test_shared_cols_give_the_same_bytes(stride, pad, k):
+    # models._conv2d builds the im2col matrix once and hands it to both
+    rng = np.random.default_rng([k, pad, stride])
+    x = rng.normal(size=(3, 2, 6, 5))
+    w = rng.normal(size=(4, 2, k, k))
+    cols = im2col(x, k, k, stride, pad)
+    out = conv2d_forward(x, w, stride, pad)
+    np.testing.assert_array_equal(conv2d_forward(x, w, stride, pad, cols=cols),
+                                  out)
+    g = rng.normal(size=out.shape)
+    np.testing.assert_array_equal(
+        conv2d_backward_weight(g, x, w.shape, stride, pad, cols=cols),
+        conv2d_backward_weight(g, x, w.shape, stride, pad))

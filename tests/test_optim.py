@@ -141,6 +141,21 @@ class TestFlatRAdam:
         opt.slots[params[1][1]][...] = 7.0
         np.testing.assert_array_equal(opt._g[48:53], np.full(5, 7.0))
 
+    def test_parameters_are_views_of_the_flat_buffer(self):
+        params = three_params(6)
+        values = [p.data.copy() for _, p in params]
+        opt = RAdam(params, lr=0.1)
+        held = [p.data for _, p in params]
+        np.testing.assert_array_equal(
+            opt.data, np.concatenate([v.reshape(-1) for v in values]))
+        opt._g[...] = 1.0
+        opt.step()
+        for (name, p), v, h in zip(params, values, held):
+            # stepped in place: the same view, new values
+            assert p.data is h and np.shares_memory(p.data, opt.data)
+            assert p.data.shape == SHAPES[name]
+            assert not np.array_equal(p.data, v)
+
     def test_non_finite_gradient_rejected_before_any_change(self):
         params = three_params(3)
         opt = RAdam(params, lr=0.1)

@@ -179,6 +179,33 @@ class TestQatLoop:
         assert len(tail) >= 10
         assert full[-len(tail):] == tail  # losses etc. bit-identical as text
 
+    def test_resumed_parameters_are_views_of_the_optimizer_buffer(
+            self, small_world, tmp_path, monkeypatch):
+        # resume loads the checkpoint into the parameters the optimizer
+        # already holds; a rebound p.data would drop out of its steps
+        train, val, spec, teacher, _ = small_world
+        opts = []
+
+        class Recorded(pipeline.RAdam):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                opts.append(self)
+
+        monkeypatch.setattr(pipeline, "RAdam", Recorded)
+        student = fresh_student(spec, teacher, seed=6)
+        ptq_minmax(student, train)
+        qat_run(self._config(epochs=1, seed=6), teacher, student,
+                tmp_path / "a", train, val)
+        resumed = fresh_student(spec, teacher, seed=6)
+        ptq_minmax(resumed, train)
+        qat_run(self._config(epochs=2, seed=6), teacher, resumed,
+                tmp_path / "a", train, val,
+                resume_path=str(tmp_path / "a" / "last.ckpt"))
+        opt = opts[-1]
+        assert opt.t == 16
+        for name, p in resumed.named_parameters():
+            assert np.shares_memory(p.data, opt.data), name
+
     def test_checkpoint_files_byte_stable(self, small_world, tmp_path):
         train, val, spec, teacher, _ = small_world
 
