@@ -16,7 +16,6 @@ go through a temp file and an atomic rename.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import struct
@@ -101,11 +100,6 @@ def json_to_array(obj) -> np.ndarray:
 
 def array_to_json(arr: np.ndarray):
     return json.loads(bytes(np.asarray(arr, dtype=np.uint8)).decode("utf-8"))
-
-
-def config_hash(obj) -> np.ndarray:
-    raw = json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    return np.frombuffer(hashlib.sha256(raw).digest(), dtype=np.uint8).copy()
 
 
 def pack_rng_state(gen: np.random.Generator) -> np.ndarray:

@@ -169,7 +169,8 @@ def cmd_train_fp(args) -> int:
                                 lam=merged["lr"], seed=merged["seed"],
                                 batch_size=merged["batch_size"])
     meta.update({k: merged[k] for k in ("model", "dataset", "data_seed",
-                                        "seed", "epochs", "lr")})
+                                        "n_train", "n_val", "seed", "epochs",
+                                        "lr")})
     save_teacher(args.out, model, meta)
     _write_run_json(os.path.dirname(os.path.abspath(args.out)), merged)
     print(f"teacher saved to {args.out} (val acc {meta['val_acc']:.4f})")
@@ -181,9 +182,12 @@ def cmd_ptq(args) -> int:
                 "n_val": None, "noise_mode": "bernoulli", "seed": None}
     merged = _merge_config(args, defaults, list(defaults))
     spec, teacher, meta = load_teacher(args.ckpt)
+    # the teacher's own splits; a teacher written before train-fp recorded
+    # its split sizes falls back to the train-fp defaults
     for key, fallback in (("dataset", meta.get("dataset")),
                           ("data_seed", meta.get("data_seed", 0)),
-                          ("n_train", 1024), ("n_val", 512)):
+                          ("n_train", meta.get("n_train", 1024)),
+                          ("n_val", meta.get("n_val", 512))):
         if merged.get(key) is None:
             merged[key] = fallback
     train, val = _resolve_dataset(merged)
@@ -196,8 +200,7 @@ def cmd_ptq(args) -> int:
     student.copy_weights_from(teacher)
     ptq_minmax(student, train)
     acc = student.accuracy(val.inputs, val.labels)
-    arrays = build_student_arrays(config, student, val_acc=acc)
-    save_arrays(args.out, arrays)
+    save_arrays(args.out, build_student_arrays(config, student))
     _write_run_json(os.path.dirname(os.path.abspath(args.out)),
                     config.to_dict())
     print(f"ptq student saved to {args.out} (val acc {acc:.4f}, "

@@ -220,17 +220,17 @@ class LossState:
         self.t_q = self.tq_init
 
 
-def update_schedule(state: LossState, lam: float, batch_d: float) -> LossState:
-    """Advance the temperature policy after one batch.
+def update_schedule(state: LossState, batch_d: float) -> LossState:
+    """Advance the schedule counters after one batch.
 
-    Increments n, sets t_q = lambda_n * n (plus the fixed offset) and folds
-    the batch's distillation distance into the running mean c_r. The
-    updated c_r is what the *next* batch's loss uses: c_r(n) averages the
-    distances of batches 0..n-1 only.
+    Increments n and folds the batch's distillation distance into the
+    running mean c_r. The updated c_r is what the *next* batch's loss uses:
+    c_r(n) averages the distances of batches 0..n-1 only. t_q is not set
+    here: the training loop sets t_q = lambda_n * n (plus the fixed offset)
+    before each batch's loss, from that batch's learning rate.
     """
     state.c_r_sum += float(batch_d)
     state.step_n += 1
-    state.t_q = state.tq_init + lam * state.step_n
     state.c_r = state.c_r_sum / state.step_n
     return state
 

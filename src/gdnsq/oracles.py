@@ -249,12 +249,20 @@ def ste_gradient_check(seed=0, n=512, kink_radius=1e-3):
 def bernoulli_clt_check(m: int = 100, trials: int = 10_000, seed=0):
     """Batch means of the variance-matched Bernoulli probe behave like
     N(0, (1/12)/m), and match true uniform rounding noise at the same
-    variance."""
+    variance.
+
+    The probes are the ones training draws: each trial calls
+    ``FakeQuantizer.ste_backward`` on m inputs inside [l, u] with upstream
+    gradient 1/m, so its scale gradient is the batch mean of the probe.
+    """
     if m < 1:
         raise DomainError("batch size must be >= 1")
     rng = np.random.default_rng([seed, 0x434C54])
-    probes = (rng.integers(0, 2, size=(trials, m)) - 0.5) / math.sqrt(3.0)
-    means = probes.mean(axis=1)
+    fq = FakeQuantizer("weight", "bernoulli_variance_matched",
+                       name="oracle/clt", rng=rng)
+    x, g = np.zeros(m), np.full(m, 1.0 / m)
+    means = np.array([float(fq.ste_backward(g, x, -1.0, 1.0, 1.0)[3])
+                      for _ in range(trials)])
     var_target = (1.0 / 12.0) / m
     sd = float(means.std(ddof=1))
     reports = [

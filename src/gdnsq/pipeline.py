@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .checkpoint import (array_to_json, config_hash, json_to_array, load_arrays,
+from .checkpoint import (array_to_json, json_to_array, load_arrays,
                          pack_rng_state, save_arrays, unpack_rng_state)
 from .data import Dataset, load_idx_dataset, make_synthetic
 from .errors import DomainError, FormatError, NumericError, PipelineError
@@ -241,24 +241,19 @@ def audit_bitwidth(model: Model, val_inputs, val_labels=None) -> BitWidthReport:
 def build_student_arrays(config: RunConfig, model: Model,
                          opt: RAdam = None, state: LossState = None,
                          policy: LrPolicy = None, rng=None, epoch=0,
-                         reached_ever=False, val_acc=None, best=None,
+                         reached_ever=False, best=None,
                          reached_epoch=None) -> dict:
-    cfg = config.to_dict()
     arrays = {
-        "config/json": json_to_array(cfg),
+        "config/json": json_to_array(config.to_dict()),
         "spec/json": json_to_array(spec_to_dict(model.spec)),
-        "meta/config_hash": config_hash(cfg),
         "meta/epoch": np.asarray(epoch, dtype=np.int64),
     }
     arrays.update(model.state_arrays())
-    if val_acc is not None:
-        arrays["meta/val_acc"] = np.asarray(float(val_acc))
     if opt is not None:
         for k, v in opt.state_arrays().items():
             arrays[f"opt/{k}"] = v
     if state is not None:
         arrays["sched/step_n"] = np.asarray(state.step_n, dtype=np.int64)
-        arrays["sched/t_q"] = np.asarray(state.t_q)
         arrays["sched/c_r"] = np.asarray(state.c_r)
         arrays["sched/c_r_sum"] = np.asarray(state.c_r_sum)
     if policy is not None:
@@ -293,19 +288,22 @@ def load_student(path):
 
 
 def save_teacher(path, model: Model, meta: dict):
+    """The teacher's state, with meta (its val accuracy, how it was trained)
+    and its spec as JSON."""
     arrays = {
         "config/json": json_to_array(meta),
         "spec/json": json_to_array(spec_to_dict(model.spec)),
-        "meta/config_hash": config_hash(meta),
     }
     arrays.update(model.state_arrays())
-    if meta.get("val_acc") is not None:
-        arrays["meta/val_acc"] = np.asarray(float(meta["val_acc"]))
     save_arrays(path, arrays)
 
 
 def load_teacher(path):
+    """(spec, model, meta) of a teacher checkpoint; PipelineError for a
+    student's (one with quant/ sections)."""
     arrays = load_arrays(path)
+    if any(key.startswith("quant/") for key in arrays):
+        raise PipelineError(f"{path} is a student checkpoint, not a teacher")
     meta = array_to_json(arrays["config/json"])
     spec = spec_from_dict(array_to_json(arrays["spec/json"]))
     model = Model(spec, quantized=False)
@@ -402,7 +400,6 @@ def qat_run(config: RunConfig, teacher: Model, student: Model, out_dir,
             {k[len("opt/"):]: v for k, v in arrays.items()
              if k.startswith("opt/")})
         state.step_n = int(arrays["sched/step_n"])
-        state.t_q = float(arrays["sched/t_q"])
         state.c_r = float(arrays["sched/c_r"])
         state.c_r_sum = float(arrays["sched/c_r_sum"])
         policy.phase = "annealing" if int(arrays["lr/phase"]) else "constant"
@@ -468,7 +465,7 @@ def qat_run(config: RunConfig, teacher: Model, student: Model, out_dir,
                                  fmt(info["t_q"]), fmt(info["c_r"]),
                                  fmt(float(loss.data)), fmt(info["d"]),
                                  fmt(info["P"]), "", "", "", "", "", "", ""])
-                update_schedule(state, lam, info["d"])
+                update_schedule(state, info["d"])
             T.reset_tape()
 
             report = audit_bitwidth(student, val_ds.inputs, val_ds.labels)
@@ -499,7 +496,7 @@ def qat_run(config: RunConfig, teacher: Model, student: Model, out_dir,
             ckpt = build_student_arrays(
                 config, student, opt=opt, state=state, policy=policy,
                 rng=rng, epoch=epoch + 1, reached_ever=reached_ever,
-                val_acc=val_acc, best=best, reached_epoch=reached_epoch)
+                best=best, reached_epoch=reached_epoch)
             # best.ckpt first: a crash between the two saves resumes from
             # the previous last.ckpt and writes the same best.ckpt again
             if improved:

@@ -15,6 +15,13 @@ a per-element probe whose distribution is picked by ``noise_mode``:
   its variance matches uniform rounding noise on [-1/2, 1/2),
 * ``rounding_residual``: the true clipped residual r(q(x)).
 
+The Bernoulli probe of n elements is read from the raw stream of the
+site's bit generator (PCG64 by default): ceil(n/64) 64-bit words from
+``bit_generator.random_raw``, taken as little-endian bytes, each byte
+giving eight signs most significant bit first, +1/2 for a set bit and
+-1/2 for a clear one; the first n signs are the probe, in the C order of
+x, and the unused bits of the last word are dropped.
+
 Clamp-path gradients are ordinary almost-everywhere derivatives: gradient
 flows to x on [l, u] (ties included), to l below, to u above.
 
@@ -55,6 +62,11 @@ NOISE_MODES = ("bernoulli", "bernoulli_variance_matched", "rounding_residual")
 
 _INV_SQRT3 = 1.0 / np.sqrt(3.0)
 _INV_LN2 = 1.0 / np.log(2.0)
+
+# row b: the eight probe signs of byte b, most significant bit first
+_SIGNS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1) - 0.5
+_PROBE_TABLES = {"bernoulli": _SIGNS,
+                 "bernoulli_variance_matched": _SIGNS * _INV_SQRT3}
 
 
 def softplus_inv(y: float) -> float:
@@ -184,26 +196,29 @@ class FakeQuantizer:
         return fq_kernel(xv, l, u, s), inputs, vjp
 
     def ste_backward(self, g_up, x, l, u, s):
-        """Gradients of the fake-quant output for (x, s, l, u).
+        """Gradients of the fake-quant output: (gx, gl, gu, gs).
 
         The clamp path is differentiated as usual; the noise path gives
-        exactly zero for x and the noise-mode probe for s.
+        exactly zero for x and the noise-mode probe for s, gs = probe . g.
+        A Bernoulli probe takes ceil(x.size/64) words of this site's raw
+        stream (module docstring).
         """
         below = x < l
         above = x > u
-        inside = ~(below | above)
-        gx = g_up * inside
-        gl = (g_up * below).sum()
-        gu = (g_up * above).sum()
+        gx = g_up * ~(below | above)
+        g = g_up.reshape(-1)
+        gl = g @ below.reshape(-1)
+        gu = g @ above.reshape(-1)
         if self.noise_mode == "rounding_residual":
             v = np.clip(x, l, u) / s
-            probe = round_half_up(v) - v
+            probe = (round_half_up(v) - v).reshape(-1)
         else:
-            probe = self.rng.integers(0, 2, size=x.shape) - 0.5
-            if self.noise_mode == "bernoulli_variance_matched":
-                probe *= _INV_SQRT3
-        probe *= g_up
-        return gx, np.asarray(gl), np.asarray(gu), np.asarray(probe.sum())
+            n = x.size
+            words = self.rng.bit_generator.random_raw(-(-n // 64))
+            probe = _PROBE_TABLES[self.noise_mode].take(
+                words.astype("<u8", copy=False).view(np.uint8),
+                axis=0).reshape(-1)[:n]
+        return gx, np.asarray(gl), np.asarray(gu), np.asarray(probe @ g)
 
     # -- numpy-side views --------------------------------------------------
 

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from gdnsq.checkpoint import (array_to_json, config_hash, json_to_array,
-                              load_arrays, pack_rng_state, save_arrays,
-                              unpack_rng_state)
+from gdnsq.checkpoint import (array_to_json, json_to_array, load_arrays,
+                              pack_rng_state, save_arrays, unpack_rng_state)
 from gdnsq.errors import FormatError
 
 
@@ -64,13 +63,6 @@ def test_unsupported_dtype_rejected(tmp_path):
 def test_json_round_trip():
     obj = {"model": "mlp3", "targets": [4.0, 4.0], "flag": True}
     assert array_to_json(json_to_array(obj)) == obj
-
-
-def test_config_hash_is_stable():
-    a = config_hash({"x": 1, "y": 2})
-    b = config_hash({"y": 2, "x": 1})
-    np.testing.assert_array_equal(a, b)
-    assert a.shape == (32,)
 
 
 def test_rng_state_round_trip():

@@ -6,7 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from gdnsq.checkpoint import load_arrays, save_arrays
+from gdnsq.checkpoint import (array_to_json, json_to_array, load_arrays,
+                              save_arrays)
 from gdnsq.cli import build_parser, main
 from gdnsq.data import Dataset
 from gdnsq.losses import DISTILL_KINDS
@@ -304,6 +305,53 @@ def test_teacher_checkpoint_refused_where_a_student_is_read(workspace, tmp_path,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(teacher) in err
     assert "not a student checkpoint" in err
+
+
+@pytest.mark.parametrize("command", ["ptq", "qat"])
+def test_student_checkpoint_refused_where_a_teacher_is_read(workspace,
+                                                           tmp_path, capsys,
+                                                           command):
+    _, teacher, student = workspace
+    argv = {"ptq": ["ptq", "--ckpt", str(student),
+                    "--out", str(tmp_path / "ptq2.ckpt")],
+            "qat": ["qat", "--ckpt", str(student), "--teacher", str(student),
+                    "--epochs", "1", "--out", str(tmp_path / "run")]}[command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(student) in err
+    assert "not a teacher" in err
+    assert not (tmp_path / "ptq2.ckpt").exists()
+    assert not (tmp_path / "run").exists()
+
+
+def test_ptq_calibrates_on_the_teachers_splits(workspace, tmp_path):
+    # the workspace teacher trained on 256/128 samples; ptq without split
+    # flags reads the sizes from its meta
+    _, teacher, _ = workspace
+    out = tmp_path / "ptq" / "student.ckpt"
+    assert main(["ptq", "--ckpt", str(teacher), "--out", str(out)]) == 0
+    run = json.loads((tmp_path / "ptq" / "run.json").read_text())
+    assert (run["n_train"], run["n_val"]) == (256, 128)
+    with_flags = tmp_path / "flags.ckpt"
+    assert main(["ptq", "--ckpt", str(teacher), "--n-train", "256",
+                 "--n-val", "128", "--out", str(with_flags)]) == 0
+    assert out.read_bytes() == with_flags.read_bytes()
+
+
+def test_ptq_of_an_older_teacher_falls_back_to_the_defaults(workspace,
+                                                            tmp_path):
+    # a teacher written before train-fp recorded its split sizes
+    _, teacher, _ = workspace
+    arrays = load_arrays(teacher)
+    meta = array_to_json(arrays["config/json"])
+    meta.pop("n_train", None), meta.pop("n_val", None)
+    arrays["config/json"] = json_to_array(meta)
+    old = tmp_path / "old" / "teacher.ckpt"
+    save_arrays(old, arrays)
+    out = tmp_path / "ptq" / "student.ckpt"
+    assert main(["ptq", "--ckpt", str(old), "--out", str(out)]) == 0
+    run = json.loads((tmp_path / "ptq" / "run.json").read_text())
+    assert (run["n_train"], run["n_val"]) == (1024, 512)
 
 
 def test_resume_from_a_ptq_checkpoint_refused(workspace, tmp_path, capsys):

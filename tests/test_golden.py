@@ -46,15 +46,15 @@ RUNS = {
 GOLDEN = {
     "mlp4": {
         "metrics.csv":
-            "22cea089bd0a99879fcbe638ec1f52b814fb5c810ac94d229e8e874954b24d85",
+            "3747b9ac62c757e18aa76aed8b10fd54aaeadb0a0fc786c24e52df29ae05da37",
         "last.ckpt":
-            "3efa430b34e690dccd02ce971411d39f1681bdf47a013882f8fdc7009500c26f",
+            "87158c3154f2a9b8c3901c8749080ea811c88d6da81866c639c238b9cf663df1",
     },
     "conv3": {
         "metrics.csv":
-            "2a1a0d155e5cd33d56876ac59cde869634373203d55f5cbed06a8e36a90b6176",
+            "520c0021d7faa1fc889e97ea9b495f2b2104b9c753063f53ae7a2edaed70e9e9",
         "last.ckpt":
-            "9469b85c0578b4fb2c229c0be16f88203bde5cd413f9eded3617ed9c9879bda4",
+            "be6af01b8d9024f871e1d7b0de5c053f232b2e6358140f775ddcafb9eef92872",
     },
 }
 

@@ -19,8 +19,7 @@ from gdnsq.pipeline import ptq_minmax
 
 F8, I8, U1 = "float64", "int64", "uint8"
 
-HEADER = {"config/json": U1, "spec/json": U1, "meta/config_hash": U1,
-          "meta/val_acc": F8}
+HEADER = {"config/json": U1, "spec/json": U1}
 
 WEIGHT_SITE = ("log_s", "l", "log_range")
 ACT_SITE = ("log_s", "raw_u")
@@ -65,7 +64,7 @@ CONV3_PARAMS = [
 MLP4_QAT = {
     **MLP4_PTQ, "opt/t": I8,
     **{f"opt/{mv}/{name}": F8 for mv in "mv" for name in MLP4_PARAMS},
-    "sched/step_n": I8, "sched/t_q": F8, "sched/c_r": F8, "sched/c_r_sum": F8,
+    "sched/step_n": I8, "sched/c_r": F8, "sched/c_r_sum": F8,
     "lr/phase": I8, "lr/lam": F8, "lr/reached": I8,
     "best/val_acc": F8, "best/epoch": I8, "meta/reached_epoch": I8,
     "rng/state": U1,

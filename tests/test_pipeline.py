@@ -291,7 +291,7 @@ class TestQatLoop:
         spec = make_model_spec("mlp3", 2, 2)
         teacher, _ = train_teacher(spec, train, val, epochs=3, lam=0.01,
                                    seed=0)
-        cfg = self._config(dataset="concentric_rings", epochs=4, seed=1,
+        cfg = self._config(dataset="concentric_rings", epochs=4, seed=2,
                            wbits=10.0, abits=10.0)
         saved_epochs = []
 

@@ -135,6 +135,66 @@ class TestSteBackward:
         assert abs(mean) <= 4 * 0.5 / math.sqrt(m)
 
 
+def reference_signs(words, n):
+    """The first n probe signs of raw words: each word's bytes
+    least significant first, each byte's bits most significant first,
+    +1/2 for a set bit and -1/2 for a clear one."""
+    bits = [(int(w) >> (8 * byte + 7 - bit)) & 1
+            for w in words for byte in range(8) for bit in range(8)]
+    return np.array(bits[:n]) - 0.5
+
+
+class TestProbeStream:
+    """The Bernoulli probe is pinned to the raw stream of the site's rng."""
+
+    @pytest.mark.parametrize("shape", [(1,), (64,), (65,), (7, 9),
+                                       (3, 2, 4, 5)])
+    @pytest.mark.parametrize("mode,scale", [
+        ("bernoulli", 1.0),
+        ("bernoulli_variance_matched", 1.0 / np.sqrt(3.0))])
+    def test_probe_is_the_raw_stream(self, shape, mode, scale):
+        n = int(np.prod(shape))
+        fq = make_fq(seed=21, noise_mode=mode)
+        l, u = fq.bound_values()
+        gen = np.random.default_rng(22)
+        x = gen.uniform(l, u, size=shape)
+        g = gen.normal(size=shape)
+        twin = np.random.default_rng(21)
+        words = twin.bit_generator.random_raw(-(-n // 64))
+        _, _, _, gs = fq.ste_backward(g, x, l, u, fq.scale_value())
+        assert float(gs) == pytest.approx(
+            float(reference_signs(words, n) * scale @ g.reshape(-1)),
+            rel=1e-12, abs=1e-12)
+        # exactly ceil(n/64) words were taken
+        assert fq.rng.bit_generator.state == twin.bit_generator.state
+
+    def test_every_sign_is_half(self):
+        # a one-hot upstream gradient reads one probe sign at a time
+        n = 130
+        x = np.zeros(n)
+        signs = []
+        for i in range(n):
+            fq = FakeQuantizer("weight", "bernoulli",
+                               rng=np.random.default_rng(23))
+            g = np.zeros(n)
+            g[i] = 1.0
+            signs.append(float(fq.ste_backward(g, x, -1.0, 1.0, 1.0)[3]))
+        words = np.random.default_rng(23).bit_generator.random_raw(3)
+        np.testing.assert_array_equal(signs, reference_signs(words, n))
+        assert set(signs) == {-0.5, 0.5}
+
+    def test_consecutive_calls_continue_the_stream(self):
+        fq = FakeQuantizer("weight", "bernoulli",
+                           rng=np.random.default_rng(24))
+        x, g = np.zeros(100), np.ones(100)
+        got = [float(fq.ste_backward(g, x, -1.0, 1.0, 1.0)[3])
+               for _ in range(3)]
+        words = np.random.default_rng(24).bit_generator.random_raw(6)
+        want = [float(reference_signs(words[2 * k:2 * k + 2], 100).sum())
+                for k in range(3)]
+        assert got == want
+
+
 class TestBitwidth:
     def test_two_levels(self):
         fq = make_fq("activation", 0.0, 1.0, 1.0)
