@@ -459,9 +459,9 @@ class Model:
             fq.initialized = bool(section(f"quant/{fq.name}/initialized", ()))
 
     def copy_weights_from(self, other: "Model"):
-        """Load copies of other's state (a teacher's)."""
-        self.load_state_arrays({key: np.array(arr) for key, arr
-                                in other.state_arrays().items()})
+        """Load other's state (a teacher's); the values are copied into
+        this model's own arrays."""
+        self.load_state_arrays(other.state_arrays())
 
 
 def logits_accuracy(logits: np.ndarray, labels) -> float:
