@@ -173,7 +173,8 @@ def cmd_train_fp(args) -> int:
                                         "lr")})
     save_teacher(args.out, model, meta)
     _write_run_json(os.path.dirname(os.path.abspath(args.out)), merged)
-    print(f"teacher saved to {args.out} (val acc {meta['val_acc']:.4f})")
+    acc = "n/a" if meta["val_acc"] is None else f"{meta['val_acc']:.4f}"
+    print(f"teacher saved to {args.out} (val acc {acc})")
     return 0
 
 
@@ -196,7 +197,7 @@ def cmd_ptq(args) -> int:
                        data_seed=merged["data_seed"],
                        n_train=merged["n_train"], n_val=merged["n_val"],
                        noise_mode=merged["noise_mode"], seed=merged["seed"])
-    student = Model(spec, quantized=True, noise_mode=config.noise_mode)
+    student = Model(spec, quantized=True)
     student.copy_weights_from(teacher)
     ptq_minmax(student, train)
     acc = student.accuracy(val.inputs, val.labels)
@@ -229,12 +230,9 @@ def cmd_qat(args) -> int:
     _, teacher, _ = load_teacher(args.teacher)
     train, val = _resolve_dataset(merged)
     if args.no_ptq:
-        student = Model(teacher.spec, quantized=True,
-                        noise_mode=config.noise_mode)
+        student = Model(teacher.spec, quantized=True)
         student.copy_weights_from(teacher)
         ptq_minmax(student, train, bits=NO_PTQ_INIT_BITS)
-    else:
-        student.set_noise_mode(config.noise_mode)
     summary = qat_run(config, teacher, student, args.out, train, val,
                       resume_path=args.resume)
     # written after the run, like train-fp and ptq do, so that a refused

@@ -1,15 +1,14 @@
-"""Distillation distance, exterior-point potential and the temperature schedule.
+"""Distillation distance and exterior-point potential.
 
-The training loss is  L = t_q * c_r * P + t_r * d  with
+The training loss is  L = w_p * P + d  with
 
 * d: batch-mean Jeffreys divergence J(p, q) = KL(p||q) + KL(q||p) between
   student and teacher softmax outputs (nats),
 * P: mean hinge excess of the smooth bit-width estimates over their
   targets, weight sites and activation sites averaged separately and
   summed,
-* t_q(n) = lambda_n * n and t_r = 1, n the batch index,
-* c_r(n): running mean of the d values observed on batches 0..n-1
-  (defined as 1 at n = 0, where the sum is empty).
+* w_p: the potential's weight t_q * c_r, which the QAT run
+  (``pipeline.QatRun``) keeps from batch to batch.
 
 Probabilities are floored at 1e-12 and renormalized before any log so the
 divergence stays finite for near-one-hot teachers. ``teacher_probs``
@@ -17,8 +16,8 @@ computes the teacher's floored softmax and its log once, over a whole
 split, and checks the teacher logits for non-finite values there.
 
 Each loss term is one chain entry (``gdnsq.tensor``) with a closed-form
-gradient and its weight in the loss: ``total_loss`` records d with weight
-t_r and P with weight t_q * c_r, and the reverse sweep seeds each with
+gradient and its weight in the loss: ``total_loss`` records d with weight 1
+and P with weight w_p, and the reverse sweep seeds each with
 ``np.ones(()) * weight``. ``distill_loss`` maps the student logits to d
 for each ``--distill`` kind (it also serves as the teacher's hard-label
 loss); its gradient goes back through the renormalization, the floor and
@@ -34,7 +33,6 @@ reproduce those graphs' metrics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -204,54 +202,19 @@ def potential_tensor(weight_fqs, act_fqs, targets, weight=1.0) -> Tensor:
                            weight=weight), requires_grad=T.recording())
 
 
-@dataclass
-class LossState:
-    """Schedule counters shared by consecutive batches."""
-
-    targets: tuple  # (omega_w*, omega_a*)
-    tq_init: float = 0.0  # large value disables gradual scaling (ablation)
-    step_n: int = 0
-    t_q: float = 0.0
-    t_r: float = 1.0
-    c_r: float = 1.0  # neutral before any distance is observed
-    c_r_sum: float = 0.0
-
-    def __post_init__(self):
-        self.t_q = self.tq_init
-
-
-def update_schedule(state: LossState, batch_d: float) -> LossState:
-    """Advance the schedule counters after one batch.
-
-    Increments n and folds the batch's distillation distance into the
-    running mean c_r. The updated c_r is what the *next* batch's loss uses:
-    c_r(n) averages the distances of batches 0..n-1 only. t_q is not set
-    here: the training loop sets t_q = lambda_n * n (plus the fixed offset)
-    before each batch's loss, from that batch's learning rate.
-    """
-    state.c_r_sum += float(batch_d)
-    state.step_n += 1
-    state.c_r = state.c_r_sum / state.step_n
-    return state
-
-
 def total_loss(student_logits: Tensor, teacher: TeacherProbs,
-               weight_fqs, act_fqs, state: LossState,
-               labels=None, kind="jeffreys"):
-    """Exterior-point loss t_q*c_r*P + t_r*d for one batch.
+               weight_fqs, act_fqs, targets, w_p, labels=None,
+               kind="jeffreys"):
+    """Exterior-point loss w_p*P + d for one batch.
 
     teacher holds the batch rows of ``teacher_probs`` (None for
-    hard_label_ce). Records d and P as loss terms with weights t_r and
-    t_q*c_r and returns (loss tensor, info dict); info carries the scalar
-    d and P values for the schedule update and metrics.
+    hard_label_ce); targets is (omega_w*, omega_a*). Records d and P as
+    loss terms with weights 1 and w_p and returns (loss tensor, info
+    dict); info carries the scalar d and P values for the metrics and the
+    running mean of d.
     """
     _check_finite(student_logits.data, "student")
-    w_p, w_d = state.t_q * state.c_r, state.t_r
-    d = distill_loss(student_logits, teacher, labels=labels, kind=kind,
-                     weight=w_d)
-    p_t = potential_tensor(weight_fqs, act_fqs, state.targets, weight=w_p)
-    loss = Tensor(p_t.data * w_p + d.data * w_d,
-                  requires_grad=T.recording())
-    info = {"d": float(d.data), "P": float(p_t.data),
-            "t_q": state.t_q, "c_r": state.c_r}
-    return loss, info
+    d = distill_loss(student_logits, teacher, labels=labels, kind=kind)
+    p_t = potential_tensor(weight_fqs, act_fqs, targets, weight=w_p)
+    loss = Tensor(p_t.data * w_p + d.data, requires_grad=T.recording())
+    return loss, {"d": float(d.data), "P": float(p_t.data)}

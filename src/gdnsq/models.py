@@ -19,6 +19,11 @@ the flat gradient buffer of its ``RAdam``.
 ``Model.named_parameters`` is the one list of a model's tensors; its
 checkpoint state (``state_arrays``, ``load_state_arrays``) and the copy of
 a teacher's weights are derived from it.
+
+The noise mode of the scale-gradient probe is not a model property: a
+quantized model's sites start with the quantizer's default, and the QAT
+run that trains them (``pipeline.QatRun``) sets its configured mode and
+probe rng on every site.
 """
 
 from __future__ import annotations
@@ -28,7 +33,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .errors import FormatError, NumericError, ShapeError, SpecError
+from .errors import (DomainError, FormatError, NumericError, ShapeError,
+                     SpecError)
 from .kernels import (conv2d_backward_input, conv2d_backward_weight,
                       conv2d_forward, im2col)
 from .losses import hard_label_loss
@@ -283,11 +289,11 @@ class _Layer:
             ps += [self.bn.gamma, self.bn.beta]
         return ps
 
-    def attach_quantizers(self, noise_mode, rng):
-        self.weight_fq = FakeQuantizer("weight", noise_mode,
-                                       name=f"{self.name}/weight", rng=rng)
-        self.act_fq = FakeQuantizer("activation", noise_mode,
-                                    name=f"{self.name}/act", rng=rng)
+    def attach_quantizers(self, rng):
+        self.weight_fq = FakeQuantizer("weight", name=f"{self.name}/weight",
+                                       rng=rng)
+        self.act_fq = FakeQuantizer("activation", name=f"{self.name}/act",
+                                    rng=rng)
 
     def forward(self, x: np.ndarray, train: bool, bypass_quant=False,
                 sites=None, input_grad=False) -> np.ndarray:
@@ -342,8 +348,8 @@ class _Layer:
 
 
 class Model:
-    def __init__(self, spec: ModelSpec, quantized=False, noise_mode="bernoulli",
-                 init_seed=0, quant_rng=None):
+    def __init__(self, spec: ModelSpec, quantized=False, init_seed=0,
+                 quant_rng=None):
         self.spec = spec
         self.quantized = quantized
         rng = np.random.default_rng([init_seed, 0x6D6F64])
@@ -357,7 +363,7 @@ class Model:
                 )
             qrng = quant_rng if quant_rng is not None else np.random.default_rng()
             for i in range(1, len(self.layers) - 1):
-                self.layers[i].attach_quantizers(noise_mode, qrng)
+                self.layers[i].attach_quantizers(qrng)
 
     # -- structure ---------------------------------------------------------
 
@@ -385,10 +391,6 @@ class Model:
         for l in self.layers:
             if l.bn is not None:
                 l.bn.frozen = frozen
-
-    def set_noise_mode(self, mode: str):
-        for fq in self.all_quantizers():
-            fq.noise_mode = mode
 
     # -- forward -------------------------------------------------------------
 
@@ -476,8 +478,10 @@ def train_teacher(spec: ModelSpec, train_ds, val_ds, epochs=50, lam=0.01,
     Each step records the chain, sweeps it into the optimizer's gradient
     buffer and steps. Returns (model, meta); meta["val_acc"] is the val
     accuracy after the last epoch (None for 0 epochs) and ends up in
-    checkpoint metadata.
+    checkpoint metadata. A batch size below 1 raises DomainError.
     """
+    if batch_size < 1:
+        raise DomainError(f"batch size must be >= 1, got {batch_size}")
     model = Model(spec, quantized=False, init_seed=seed)
     opt = RAdam(model.named_parameters(), lr=lam)
     shuffle_rng = np.random.default_rng([seed, 0x7368])

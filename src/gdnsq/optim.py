@@ -1,4 +1,4 @@
-"""RAdam optimizer and the two-phase learning-rate policy.
+"""RAdam optimizer over one flat parameter vector.
 
 RAdam follows the rectified-Adam recipe with defaults beta1=0.9,
 beta2=0.999, eps=1e-8 and no weight decay. While the variance-rectification
@@ -21,16 +21,14 @@ and every element is rounded on its own, so the result equals a
 per-parameter update bit for bit (tests/reference_graphs.py keeps that
 loop as the reference).
 
-The learning rate stays constant while bit-widths converge and switches to
-exact exponential decay (lambda *= 0.9985 per batch) after the first audit
-where the max actual bit-width meets the target everywhere. The switch is
-one-way.
+The optimizer's ``lr`` is whatever its owner sets before a step; the QAT
+learning-rate policy lives with the rest of a run's state in
+``pipeline.QatRun``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -132,23 +130,3 @@ class RAdam:
             self.v[name][...] = np.asarray(
                 arrays[f"v/{name}"], dtype=np.float64).reshape(p.data.shape)
 
-
-@dataclass
-class LrPolicy:
-    lam0: float
-    alpha: float = 0.9985
-    phase: str = "constant"
-    lam: float = None
-
-    def __post_init__(self):
-        if self.lam is None:
-            self.lam = self.lam0
-
-
-def lr_next(policy: LrPolicy, audit_reached_target: bool) -> float:
-    """Learning rate for the upcoming batch; switches phase at most once."""
-    if policy.phase == "constant" and audit_reached_target:
-        policy.phase = "annealing"
-    if policy.phase == "annealing":
-        policy.lam = policy.lam * policy.alpha
-    return policy.lam

@@ -19,8 +19,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import DomainError
-from .losses import (DISTILL_KINDS, LossState, hard_label_loss, teacher_probs,
-                     total_loss)
+from .losses import DISTILL_KINDS, hard_label_loss, teacher_probs, total_loss
 from .models import (Conv2d, Linear, Model, ModelSpec, _Layer,
                      global_avg_pool)
 from .optim import RAdam
@@ -94,9 +93,7 @@ def noise_uniformity(fq: FakeQuantizer, input_dist="gaussian", m=200_000,
     rng = np.random.default_rng([seed, 0x4E4F49])
     l, u = fq.bound_values()
     s = fq.scale_value()
-    if callable(input_dist):
-        x = input_dist(rng, m)
-    elif input_dist == "gaussian":
+    if input_dist == "gaussian":
         x = rng.normal((l + u) / 2.0, (u - l) / 6.0, size=m)
     elif input_dist == "uniform":
         x = rng.uniform(l, u, size=m)
@@ -350,6 +347,25 @@ def _max_rel_error(analytic, numeric):
     return worst
 
 
+def _gradcheck(name, n_cases, case, rtol, details):
+    """The report of the largest relative error, over the cases case(i) =
+    (loss, x, params) for i < n_cases, of the gradients of loss(Tensor x)
+    from one reverse sweep (_chain_grads) against central differences,
+    with respect to x and each parameter."""
+    worst = 0.0
+    for i in range(n_cases):
+        loss, x, params = case(i)
+        analytic = _chain_grads(loss, x, params)
+        # the parameter tensors hold these arrays, so FD edits reach them
+        numeric = finite_difference_grads(
+            lambda arrs: float(loss(Tensor(arrs[0])).data),
+            [x] + [p.data for p in params])
+        T.reset_tape()
+        worst = max(worst, _max_rel_error(analytic, numeric))
+    return [OracleReport.make(name, n_cases, worst, 0.0, rtol,
+                              details=details)]
+
+
 def _randomize_bias_and_bn(layer, rng):
     """A nonzero bias and, with batchnorm, random gamma and beta."""
     n_out = layer.b.data.size
@@ -388,34 +404,28 @@ def gradcheck_random_models(n_models: int = 100, seed=0, rtol=1e-4):
     gamma and beta), every third model a conv net (_random_fp_model),
     every relu input at least 1e-3 from the kink."""
     rng = np.random.default_rng([seed, 0x475243])
-    worst = 0.0
-    for i in range(n_models):
+
+    def case(i):
         model, x_shape, c = _random_fp_model(rng, conv=i % 3 == 2)
         x = rng.normal(size=x_shape)
         while _relu_margin(model.layers, x)[0] < 1e-3:
             x = rng.normal(size=x_shape)
         labels = rng.integers(0, c, size=x_shape[0])
-        params = [p for _, p in model.named_parameters()]
 
         def loss(xt):
             T.reset_tape()
             return hard_label_loss(model.forward(xt, train=True), labels)
 
-        analytic = _chain_grads(loss, x, params)
-        # the parameter tensors hold these arrays, so FD edits reach them
-        numeric = finite_difference_grads(
-            lambda arrs: float(loss(Tensor(arrs[0])).data),
-            [x] + [p.data for p in params])
-        T.reset_tape()
-        worst = max(worst, _max_rel_error(analytic, numeric))
-    return [OracleReport.make("gradcheck_random_models", n_models, worst,
-                              0.0, rtol,
-                              details="max relative error vs central FD")]
+        return loss, x, [p for _, p in model.named_parameters()]
+
+    return _gradcheck("gradcheck_random_models", n_models, case, rtol,
+                      "max relative error vs central FD")
 
 
 def _random_loss_case(rng):
-    """Logits, teacher logits, labels, quantizer sites of both kinds and a
-    schedule state, with every hinge at least 1e-3 bits from its target."""
+    """Logits, teacher logits, labels, quantizer sites of both kinds, their
+    targets and the potential's weight, with every hinge at least 1e-3
+    bits from its target."""
     b, c = int(rng.integers(2, 5)), int(rng.integers(2, 5))
     logits = rng.normal(scale=2.0, size=(b, c))
     teacher = rng.normal(scale=2.0, size=(b, c))
@@ -437,10 +447,8 @@ def _random_loss_case(rng):
         while np.min(np.abs(omegas - target)) < 1e-3:
             target = rng.uniform(2.0, 8.0)
         groups.append((fqs, target))
-    state = LossState(targets=(groups[0][1], groups[1][1]))
-    state.t_q, state.c_r = rng.uniform(0.0, 2.0), rng.uniform(0.1, 2.0)
-    params = [t for fqs, _ in groups for fq in fqs for t in fq.raw_params()]
-    return logits, teacher, labels, groups, state, params
+    t_q, c_r = rng.uniform(0.0, 2.0), rng.uniform(0.1, 2.0)
+    return logits, teacher, labels, groups, t_q * c_r
 
 
 def gradcheck_total_loss(n_cases: int = 30, seed=0, rtol=1e-4):
@@ -448,30 +456,23 @@ def gradcheck_total_loss(n_cases: int = 30, seed=0, rtol=1e-4):
     quantizer parameter, from the reverse sweep of its two loss terms, vs
     central differences, cycling over the three distillation kinds."""
     rng = np.random.default_rng([seed, 0x544C47])
-    worst = 0.0
-    for i in range(n_cases):
+
+    def case(i):
         kind = DISTILL_KINDS[i % len(DISTILL_KINDS)]
-        logits, teacher, labels, groups, state, params = _random_loss_case(rng)
-        (wfqs, _), (afqs, _) = groups
+        logits, teacher, labels, groups, w_p = _random_loss_case(rng)
+        (wfqs, wbits), (afqs, abits) = groups
         probs = teacher_probs(teacher)
 
         def loss(z):
             T.reset_tape()
-            out, _ = total_loss(z, probs, wfqs, afqs, state, labels=labels,
-                                kind=kind)
-            return out
+            return total_loss(z, probs, wfqs, afqs, (wbits, abits), w_p,
+                              labels=labels, kind=kind)[0]
 
-        analytic = _chain_grads(loss, logits, params)
-        # the parameter tensors hold these arrays, so FD edits reach them
-        arrays = [logits] + [p.data for p in params]
-        numeric = finite_difference_grads(
-            lambda arrs: float(loss(Tensor(arrs[0])).data), arrays)
-        T.reset_tape()
-        worst = max(worst, _max_rel_error(analytic, numeric))
-    return [OracleReport.make("gradcheck_total_loss", n_cases, worst, 0.0,
-                              rtol,
-                              details="logit and quantizer-parameter grads of "
-                                      "the loss vs central FD")]
+        return loss, logits, [t for fq in wfqs + afqs for t in fq.raw_params()]
+
+    return _gradcheck("gradcheck_total_loss", n_cases, case, rtol,
+                      "logit and quantizer-parameter grads of the loss vs "
+                      "central FD")
 
 
 LAYER_NODE_KINDS = ("linear_relu", "linear_identity", "conv_bn_train")
@@ -509,8 +510,8 @@ def gradcheck_layer_nodes(n_cases: int = 12, seed=0, rtol=1e-4):
     differences, cycling over linear + relu, linear + identity and a
     stride-2, pad-1 conv with batchnorm in train mode."""
     rng = np.random.default_rng([seed, 0x4C4159])
-    worst = 0.0
-    for i in range(n_cases):
+
+    def case(i):
         layer, x, params, coeff = _layer_node_case(
             rng, LAYER_NODE_KINDS[i % len(LAYER_NODE_KINDS)])
 
@@ -519,18 +520,11 @@ def gradcheck_layer_nodes(n_cases: int = 12, seed=0, rtol=1e-4):
             y = layer.forward(xt.data, train=True, input_grad=xt.requires_grad)
             return _weighted_sum(y, coeff)
 
-        analytic = _chain_grads(loss, x, params)
-        # the parameter tensors hold these arrays, so FD edits reach them
-        numeric = finite_difference_grads(
-            lambda arrs: float(loss(Tensor(arrs[0])).data),
-            [x] + [p.data for p in params])
-        T.reset_tape()
-        worst = max(worst, _max_rel_error(analytic, numeric))
-    return [OracleReport.make("gradcheck_layer_nodes", n_cases, worst, 0.0,
-                              rtol,
-                              details="FP layer-node grads (linear relu/"
-                                      "identity, conv + batchnorm) vs "
-                                      "central FD")]
+        return loss, x, params
+
+    return _gradcheck("gradcheck_layer_nodes", n_cases, case, rtol,
+                      "FP layer-node grads (linear relu/identity, conv + "
+                      "batchnorm) vs central FD")
 
 
 # -- optimizer cross-check ----------------------------------------------------------

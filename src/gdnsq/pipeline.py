@@ -14,8 +14,22 @@ into the flat gradient buffer of its ``RAdam`` and steps. The frozen
 teacher's logits, their floored softmax and its log are computed once per
 run, before the first step.
 
-A student checkpoint is the model's ``state_arrays`` plus the run config,
-the spec and, from QAT, the optimizer, schedule, LR and rng state.
+A QAT run's state between steps and epochs is one ``QatRun``: its
+``RAdam``, the probe rng, the step n, c_r (the mean distillation distance
+of the batches before n, 1 at n = 0) and its sum, the learning rate lambda
+and its phase, whether an audit has met the targets, the epoch and the
+best record. Batch n trains with lambda and t_q = tq_init + lambda * n;
+lambda stays lr0 until the first batch after an audit where the max
+actual bit-width meets every target, then decays by 0.9985 per batch, a
+one-way switch. The run sets its rng, ``noise_mode`` and batchnorm
+freezing on the student it trains.
+
+A student checkpoint holds the run config, the spec, the model's
+``state_arrays`` and ``meta/epoch`` (0 after PTQ). QAT adds the run's
+sections, which ``QatRun.state_arrays`` writes and ``load_state_arrays``
+reads: ``opt/*``, ``rng/state``, ``meta/epoch``,
+``sched/step_n|c_r|c_r_sum``, ``lr/phase|lam|reached``,
+``best/val_acc|epoch`` and ``meta/reached_epoch`` (an epoch of -1: none).
 
 Integer fusion works on the model's own layers: ``fuse_student`` calls
 ``quantizer.integer_fuse`` on each quantized ``models._Layer``, and
@@ -40,11 +54,10 @@ from .checkpoint import (array_to_json, json_to_array, load_arrays,
 from .data import Dataset, load_idx_dataset, make_synthetic
 from .errors import DomainError, FormatError, NumericError, PipelineError
 from .kernels import round_half_up
-from .losses import (DISTILL_KINDS, LossState, teacher_probs, total_loss,
-                     update_schedule)
+from .losses import DISTILL_KINDS, teacher_probs, total_loss
 from .models import Model, logits_accuracy, spec_from_dict, spec_to_dict
-from .optim import LrPolicy, RAdam, lr_next
-from .quantizer import FusedLinear, integer_fuse
+from .optim import RAdam
+from .quantizer import NOISE_MODES, FusedLinear, integer_fuse
 
 logger = logging.getLogger("gdnsq")
 
@@ -56,6 +69,7 @@ METRICS_HEADER = [
 
 PTQ_BITS = 10.0
 NO_PTQ_INIT_BITS = 24.0  # near-FP warm start for the no-PTQ ablation
+LR_DECAY = 0.9985  # per-batch learning-rate factor of the annealing phase
 
 
 @dataclass
@@ -82,6 +96,10 @@ class RunConfig:
             raise DomainError("target bit-widths must be >= 1")
         if self.distill not in DISTILL_KINDS:
             raise DomainError(f"unknown distill loss {self.distill!r}")
+        if self.noise_mode not in NOISE_MODES:
+            raise DomainError(f"unknown noise_mode {self.noise_mode!r}")
+        if self.batch_size < 1:
+            raise DomainError(f"batch size must be >= 1, got {self.batch_size}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -238,38 +256,17 @@ def audit_bitwidth(model: Model, val_inputs, val_labels=None) -> BitWidthReport:
 # -- checkpoints ---------------------------------------------------------------
 
 
-def build_student_arrays(config: RunConfig, model: Model,
-                         opt: RAdam = None, state: LossState = None,
-                         policy: LrPolicy = None, rng=None, epoch=0,
-                         reached_ever=False, best=None,
-                         reached_epoch=None) -> dict:
+def build_student_arrays(config: RunConfig, model: Model, run=None) -> dict:
+    """The student checkpoint of config and model, with the sections of
+    the QAT run when one is given."""
     arrays = {
         "config/json": json_to_array(config.to_dict()),
         "spec/json": json_to_array(spec_to_dict(model.spec)),
-        "meta/epoch": np.asarray(epoch, dtype=np.int64),
+        "meta/epoch": np.asarray(0, dtype=np.int64),
     }
     arrays.update(model.state_arrays())
-    if opt is not None:
-        for k, v in opt.state_arrays().items():
-            arrays[f"opt/{k}"] = v
-    if state is not None:
-        arrays["sched/step_n"] = np.asarray(state.step_n, dtype=np.int64)
-        arrays["sched/c_r"] = np.asarray(state.c_r)
-        arrays["sched/c_r_sum"] = np.asarray(state.c_r_sum)
-    if policy is not None:
-        arrays["lr/phase"] = np.asarray(
-            0 if policy.phase == "constant" else 1, dtype=np.int64)
-        arrays["lr/lam"] = np.asarray(policy.lam)
-        arrays["lr/reached"] = np.asarray(int(reached_ever), dtype=np.int64)
-    if best is not None:
-        # -1 stands for "none yet" in the epoch fields
-        arrays["best/val_acc"] = np.asarray(float(best["val_acc"]))
-        arrays["best/epoch"] = np.asarray(
-            -1 if best["epoch"] is None else best["epoch"], dtype=np.int64)
-        arrays["meta/reached_epoch"] = np.asarray(
-            -1 if reached_epoch is None else reached_epoch, dtype=np.int64)
-    if rng is not None:
-        arrays["rng/state"] = pack_rng_state(rng)
+    if run is not None:
+        arrays.update(run.state_arrays())
     return arrays
 
 
@@ -282,7 +279,7 @@ def load_student(path):
         raise PipelineError(f"{path} is not a student checkpoint")
     config = RunConfig.from_dict(saved)
     spec = spec_from_dict(array_to_json(arrays["spec/json"]))
-    model = Model(spec, quantized=True, noise_mode=config.noise_mode)
+    model = Model(spec, quantized=True)
     model.load_state_arrays(arrays)
     return config, spec, model, arrays
 
@@ -355,6 +352,105 @@ def _truncate_metrics(path, step: int):
         "does not belong to the run being resumed")
 
 
+def _epoch_array(epoch):
+    return np.asarray(-1 if epoch is None else epoch, dtype=np.int64)
+
+
+def _epoch_or_none(arr):
+    return None if int(arr) < 0 else int(arr)
+
+
+class QatRun:
+    """The state a QAT run of config carries between steps and epochs
+    (module docstring), over the student it trains."""
+
+    def __init__(self, config: RunConfig, student: Model):
+        self.config = config
+        self.student = student
+        self.opt = RAdam(student.named_parameters(), lr=config.lr0)
+        self.rng = np.random.default_rng([config.seed, 0x514154])
+        self.step_n = 0
+        self.c_r = 1.0  # neutral before any distance is observed
+        self.c_r_sum = 0.0
+        self.lam = config.lr0
+        self.phase = "constant"
+        self.reached = False  # some audit has met the targets
+        self.epoch = 0
+        self.best_val_acc = -1.0
+        self.best_epoch = None
+        self.reached_epoch = None
+        for fq in student.all_quantizers():
+            fq.rng = self.rng
+            fq.noise_mode = config.noise_mode
+        student.set_bn_frozen(config.batchnorm_frozen)
+
+    def next_batch(self):
+        """(lambda, t_q) of the next batch; lambda is also the optimizer's
+        learning rate for its step."""
+        if self.phase == "constant" and self.reached:
+            self.phase = "annealing"
+        if self.phase == "annealing":
+            self.lam = self.lam * LR_DECAY
+        self.opt.lr = self.lam
+        return self.lam, self.config.tq_init + self.lam * self.step_n
+
+    def fold_distance(self, d: float):
+        """Count one more batch and fold its distance d into c_r, the mean
+        that the next batch's loss uses."""
+        self.c_r_sum += float(d)
+        self.step_n += 1
+        self.c_r = self.c_r_sum / self.step_n
+
+    def state_arrays(self) -> dict:
+        arrays = {f"opt/{k}": v for k, v in self.opt.state_arrays().items()}
+        arrays.update({
+            "rng/state": pack_rng_state(self.rng),
+            "meta/epoch": np.asarray(self.epoch, dtype=np.int64),
+            "sched/step_n": np.asarray(self.step_n, dtype=np.int64),
+            "sched/c_r": np.asarray(self.c_r),
+            "sched/c_r_sum": np.asarray(self.c_r_sum),
+            "lr/phase": np.asarray(int(self.phase == "annealing"),
+                                   dtype=np.int64),
+            "lr/lam": np.asarray(self.lam),
+            "lr/reached": np.asarray(int(self.reached), dtype=np.int64),
+            "best/val_acc": np.asarray(float(self.best_val_acc)),
+            "best/epoch": _epoch_array(self.best_epoch),
+            "meta/reached_epoch": _epoch_array(self.reached_epoch),
+        })
+        return arrays
+
+    def load_state_arrays(self, arrays, path):
+        """Resume from the checkpoint arrays read from path: the student's
+        state and the run's sections. PipelineError for a checkpoint
+        without run state or written under another config
+        (``_check_resume_config``); one without the best-checkpoint state
+        restarts best.ckpt selection at its epoch."""
+        if "opt/t" not in arrays or "sched/step_n" not in arrays:
+            raise PipelineError(
+                f"{path} has no optimizer or schedule state; resume from a "
+                "qat last.ckpt")
+        _check_resume_config(path, arrays, self.config)
+        self.student.load_state_arrays(arrays)
+        self.opt.load_state_arrays({k[4:]: v for k, v in arrays.items()
+                                    if k.startswith("opt/")})
+        self.rng.bit_generator.state = unpack_rng_state(
+            arrays["rng/state"]).bit_generator.state
+        self.epoch = int(arrays["meta/epoch"])
+        self.step_n = int(arrays["sched/step_n"])
+        self.c_r = float(arrays["sched/c_r"])
+        self.c_r_sum = float(arrays["sched/c_r_sum"])
+        self.phase = "annealing" if int(arrays["lr/phase"]) else "constant"
+        self.lam = float(arrays["lr/lam"])
+        self.reached = bool(int(arrays["lr/reached"]))
+        if "best/epoch" in arrays:
+            self.best_val_acc = float(arrays["best/val_acc"])
+            self.best_epoch = _epoch_or_none(arrays["best/epoch"])
+            self.reached_epoch = _epoch_or_none(arrays["meta/reached_epoch"])
+        else:
+            logger.warning("%s carries no best-checkpoint state; best.ckpt "
+                           "selection restarts at epoch %d", path, self.epoch)
+
+
 def qat_run(config: RunConfig, teacher: Model, student: Model, out_dir,
             train_ds: Dataset, val_ds: Dataset, resume_path=None):
     """Gradual bit-width convergence plus final LR annealing.
@@ -367,10 +463,10 @@ def qat_run(config: RunConfig, teacher: Model, student: Model, out_dir,
     there.
 
     On resume, metrics.csv is cut back to the checkpointed step and the
-    best-checkpoint state is read back from the checkpoint, so a run that
-    crashes and resumes writes the same files as one that does not. A
-    checkpoint written under a config that differs in anything but
-    `epochs` is refused with PipelineError.
+    run's state, the best-checkpoint record included, is read back from
+    the checkpoint, so a run that crashes and resumes writes the same
+    files as one that does not. A checkpoint written under a config that
+    differs in anything but `epochs` is refused with PipelineError.
     """
     for fq in student.all_quantizers():
         if not fq.initialized:
@@ -380,53 +476,16 @@ def qat_run(config: RunConfig, teacher: Model, student: Model, out_dir,
             )
     os.makedirs(out_dir, exist_ok=True)
     targets = (config.wbits, config.abits)
-    state = LossState(targets=targets, tq_init=config.tq_init)
-    policy = LrPolicy(lam0=config.lr0)
-    opt = RAdam(student.named_parameters(), lr=config.lr0)
-    rng = np.random.default_rng([config.seed, 0x514154])
-    start_epoch = 0
-    reached_ever = False
-    best = {"val_acc": -1.0, "epoch": None}
-    reached_epoch = None
+    run = QatRun(config, student)
     if resume_path is not None:
-        arrays = load_arrays(resume_path)
-        if "opt/t" not in arrays or "sched/step_n" not in arrays:
-            raise PipelineError(
-                f"{resume_path} has no optimizer or schedule state; resume "
-                "from a qat last.ckpt")
-        _check_resume_config(resume_path, arrays, config)
-        student.load_state_arrays(arrays)
-        opt.load_state_arrays(
-            {k[len("opt/"):]: v for k, v in arrays.items()
-             if k.startswith("opt/")})
-        state.step_n = int(arrays["sched/step_n"])
-        state.c_r = float(arrays["sched/c_r"])
-        state.c_r_sum = float(arrays["sched/c_r_sum"])
-        policy.phase = "annealing" if int(arrays["lr/phase"]) else "constant"
-        policy.lam = float(arrays["lr/lam"])
-        reached_ever = bool(int(arrays["lr/reached"]))
-        rng = unpack_rng_state(arrays["rng/state"])
-        start_epoch = int(arrays["meta/epoch"])
-        if "best/epoch" in arrays:
-            best_epoch = int(arrays["best/epoch"])
-            best = {"val_acc": float(arrays["best/val_acc"]),
-                    "epoch": None if best_epoch < 0 else best_epoch}
-            reached = int(arrays["meta/reached_epoch"])
-            reached_epoch = None if reached < 0 else reached
-        else:
-            logger.warning("%s carries no best-checkpoint state; best.ckpt "
-                           "selection restarts at epoch %d", resume_path,
-                           start_epoch)
-    for fq in student.all_quantizers():
-        fq.rng = rng
-    student.set_bn_frozen(config.batchnorm_frozen)
+        run.load_state_arrays(load_arrays(resume_path), resume_path)
 
     train_teacher = teacher_probs(teacher_logits(teacher, train_ds.inputs,
                                                  config.batch_size))
     metrics_path = os.path.join(out_dir, "metrics.csv")
     mode = "a" if (resume_path is not None and os.path.exists(metrics_path)) else "w"
     if mode == "a":
-        _truncate_metrics(metrics_path, state.step_n)
+        _truncate_metrics(metrics_path, run.step_n)
     mfile = open(metrics_path, mode, newline="")
     writer = csv.writer(mfile)
     if mode == "w":
@@ -439,47 +498,45 @@ def qat_run(config: RunConfig, teacher: Model, student: Model, out_dir,
     act_fqs = student.act_quantizers()
     n = len(train_ds)
     prev_max = {"weight": None, "activation": None}
-    summary = {}
     try:
-        for epoch in range(start_epoch, config.epochs):
-            order = rng.permutation(n)
+        for epoch in range(run.epoch, config.epochs):
+            order = run.rng.permutation(n)
             for start in range(0, n, config.batch_size):
                 idx = order[start:start + config.batch_size]
                 xb, yb = train_ds.inputs[idx], train_ds.labels[idx]
-                lam = lr_next(policy, reached_ever)
-                opt.lr = lam
-                state.t_q = state.tq_init + lam * state.step_n
+                lam, t_q = run.next_batch()
                 T.reset_tape()
                 s_logits = student.forward(xb, train=True)
                 loss, info = total_loss(s_logits, train_teacher.rows(idx),
-                                        weight_fqs, act_fqs, state, labels=yb,
+                                        weight_fqs, act_fqs, targets,
+                                        t_q * run.c_r, labels=yb,
                                         kind=config.distill)
                 if not np.isfinite(loss.data):
                     raise NumericError(
                         f"non-finite loss at epoch {epoch}, step "
-                        f"{state.step_n}; last checkpoint retained"
+                        f"{run.step_n}; last checkpoint retained"
                     )
-                T.backward(loss, opt.slots)
-                opt.step()
-                writer.writerow([state.step_n, policy.phase, fmt(lam),
-                                 fmt(info["t_q"]), fmt(info["c_r"]),
-                                 fmt(float(loss.data)), fmt(info["d"]),
-                                 fmt(info["P"]), "", "", "", "", "", "", ""])
-                update_schedule(state, info["d"])
+                T.backward(loss, run.opt.slots)
+                run.opt.step()
+                writer.writerow([run.step_n, run.phase, fmt(lam), fmt(t_q),
+                                 fmt(run.c_r), fmt(float(loss.data)),
+                                 fmt(info["d"]), fmt(info["P"]),
+                                 "", "", "", "", "", "", ""])
+                run.fold_distance(info["d"])
             T.reset_tape()
 
             report = audit_bitwidth(student, val_ds.inputs, val_ds.labels)
             val_acc = report.val_acc
             wagg = report.aggregates("weight")
             aagg = report.aggregates("activation")
-            writer.writerow([state.step_n, policy.phase, fmt(policy.lam),
+            writer.writerow([run.step_n, run.phase, fmt(run.lam),
                              "", "", "", "", "", fmt(val_acc),
                              fmt(wagg["mean_est"]), fmt(wagg["mean_act"]),
                              wagg["max_act"], fmt(aagg["mean_est"]),
                              fmt(aagg["mean_act"]), aagg["max_act"]])
             mfile.flush()
             for kind, agg in (("weight", wagg), ("activation", aagg)):
-                if reached_ever and prev_max[kind] is not None \
+                if run.reached and prev_max[kind] is not None \
                         and agg["max_act"] > prev_max[kind]:
                     logger.warning(
                         "max actual bit-width for %ss rose %d -> %d after "
@@ -487,16 +544,14 @@ def qat_run(config: RunConfig, teacher: Model, student: Model, out_dir,
                         agg["max_act"])
                 prev_max[kind] = agg["max_act"]
             reached_now = report.reached(targets)
-            if reached_now and reached_epoch is None:
-                reached_epoch = epoch
-            reached_ever = reached_ever or reached_now
-            improved = reached_now and val_acc > best["val_acc"]
+            if reached_now and run.reached_epoch is None:
+                run.reached_epoch = epoch
+            run.reached = run.reached or reached_now
+            improved = reached_now and val_acc > run.best_val_acc
             if improved:
-                best = {"val_acc": val_acc, "epoch": epoch}
-            ckpt = build_student_arrays(
-                config, student, opt=opt, state=state, policy=policy,
-                rng=rng, epoch=epoch + 1, reached_ever=reached_ever,
-                best=best, reached_epoch=reached_epoch)
+                run.best_val_acc, run.best_epoch = val_acc, epoch
+            run.epoch = epoch + 1
+            ckpt = build_student_arrays(config, student, run)
             # best.ckpt first: a crash between the two saves resumes from
             # the previous last.ckpt and writes the same best.ckpt again
             if improved:
@@ -504,19 +559,18 @@ def qat_run(config: RunConfig, teacher: Model, student: Model, out_dir,
             save_arrays(os.path.join(out_dir, "last.ckpt"), ckpt)
     finally:
         mfile.close()
-    summary.update({
-        "best_val_acc": best["val_acc"] if best["epoch"] is not None else None,
-        "best_epoch": best["epoch"],
-        "reached_epoch": reached_epoch,
-        "final_lambda": policy.lam,
-        "phase": policy.phase,
-        "steps": state.step_n,
+    found = run.best_epoch is not None
+    return {
+        "best_val_acc": run.best_val_acc if found else None,
+        "best_epoch": run.best_epoch,
+        "reached_epoch": run.reached_epoch,
+        "final_lambda": run.lam,
+        "phase": run.phase,
+        "steps": run.step_n,
         "last_ckpt": os.path.join(out_dir, "last.ckpt"),
-        "best_ckpt": (os.path.join(out_dir, "best.ckpt")
-                      if best["epoch"] is not None else None),
+        "best_ckpt": os.path.join(out_dir, "best.ckpt") if found else None,
         "metrics": metrics_path,
-    })
-    return summary
+    }
 
 
 # -- integer fusion at model level ------------------------------------------------

@@ -159,11 +159,11 @@ def potential_tensor(weight_fqs, act_fqs, targets):
     return P.add(group(weight_fqs, targets[0]), group(act_fqs, targets[1]))
 
 
-def total_loss(student_logits, teacher_logits, weight_fqs, act_fqs, state,
-               labels=None, kind="jeffreys"):
+def total_loss(student_logits, teacher_logits, weight_fqs, act_fqs, targets,
+               w_p, labels=None, kind="jeffreys"):
     d = P.mean(distill_rows(student_logits, teacher_logits, labels, kind))
-    p_t = potential_tensor(weight_fqs, act_fqs, state.targets)
-    return P.add(P.mul(p_t, state.t_q * state.c_r), P.mul(d, state.t_r))
+    p_t = potential_tensor(weight_fqs, act_fqs, targets)
+    return P.add(P.mul(p_t, w_p), d)
 
 
 def batchnorm_forward(bn, x, train):

@@ -374,3 +374,36 @@ def test_missing_model_section_is_named(workspace, tmp_path, capsys):
     assert main(["audit", "--ckpt", str(cut)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "'model/1/W'" in err
+
+
+@pytest.mark.parametrize("case", ["bad_noise_mode", "zero_batch",
+                                  "negative_batch"])
+def test_bad_qat_settings_refused_before_any_output(workspace, tmp_path,
+                                                    capsys, case):
+    _, teacher, student = workspace
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"noise_mode": "bogus"}))
+    extra = {"bad_noise_mode": ["--config", str(cfg)],
+             "zero_batch": ["--batch-size", "0"],
+             "negative_batch": ["--batch-size", "-4"]}[case]
+    out = tmp_path / "run"
+    assert main(["qat", "--ckpt", str(student), "--teacher", str(teacher),
+                 "--epochs", "1", *extra, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (out / "metrics.csv").exists()
+
+
+def test_train_fp_zero_batch_size_refused(tmp_path, capsys):
+    assert main(["train-fp", "--model", "mlp2", "--epochs", "1",
+                 "--batch-size", "0", "--n-train", "128", "--n-val", "128",
+                 "--out", str(tmp_path / "teacher.ckpt")]) == 1
+    assert capsys.readouterr().err.startswith("error: batch size")
+    assert not (tmp_path / "teacher.ckpt").exists()
+
+
+def test_train_fp_zero_epochs_reports_no_accuracy(tmp_path, capsys):
+    assert main(["train-fp", "--model", "mlp2", "--epochs", "0",
+                 "--n-train", "128", "--n-val", "128",
+                 "--out", str(tmp_path / "teacher.ckpt")]) == 0
+    assert "(val acc n/a)" in capsys.readouterr().out
+    assert json.loads((tmp_path / "run.json").read_text())["epochs"] == 0

@@ -22,7 +22,7 @@ import reference_graphs as ref
 import reference_tape as R
 from gdnsq import tensor as T
 from gdnsq.data import Dataset
-from gdnsq.losses import (PROB_FLOOR, LossState, distill_loss, hard_label_loss,
+from gdnsq.losses import (PROB_FLOOR, distill_loss, hard_label_loss,
                           potential_tensor, softmax, teacher_probs, total_loss)
 from gdnsq.models import (BatchNorm, Conv2d, Linear, Model, _Layer,
                           make_model_spec)
@@ -71,21 +71,21 @@ def use_rng(model, seed):
     return rng
 
 
-def reference_step(model, x, t_logits, labels, kind, state, seed):
+def reference_step(model, x, t_logits, labels, kind, weights, seed):
     """(loss, logit gradient, parameter gradients by name) of one step
     through the primitive-op graphs."""
     use_rng(model, seed)
     R.reset_tape()
     s_logits = ref.model_forward(model, x, train=True)
     loss = ref.total_loss(s_logits, t_logits, model.weight_quantizers(),
-                          model.act_quantizers(), state, labels, kind)
+                          model.act_quantizers(), *weights, labels, kind)
     grads = loss.backward()
     R.reset_tape()
     return (float(loss.data), grads[s_logits],
             {name: grads[p] for name, p in model.named_parameters()})
 
 
-def chain_step(model, opt, x, t_logits, labels, kind, state, seed,
+def chain_step(model, opt, x, t_logits, labels, kind, weights, seed,
                monkeypatch):
     """One training step's chain swept into opt's gradient buffer, then the
     same entries recorded on the general tape and swept with the same
@@ -105,7 +105,7 @@ def chain_step(model, opt, x, t_logits, labels, kind, state, seed,
         s_logits = model.forward(x, train=True)
         loss, _ = total_loss(s_logits, teacher_probs(t_logits),
                              model.weight_quantizers(), model.act_quantizers(),
-                             state, labels=labels, kind=kind)
+                             *weights, labels=labels, kind=kind)
     entries = list(T.get_tape().entries)
     draws = rng.bit_generator.state
     T.backward(loss, opt.slots)
@@ -129,13 +129,12 @@ def test_model_step_matches_reference(model_id, kind, monkeypatch):
     t_logits = rng.normal(scale=3.0, size=(16, 3))
     t_logits[0] = [40.0, 0.0, -40.0]  # teacher probabilities under the floor
     labels = rng.integers(0, 3, size=16)
-    state = LossState(targets=(4.5, 4.5))
-    state.t_q, state.c_r = 0.3, 1.7
+    weights = ((4.5, 4.5), 0.3 * 1.7)  # the targets and w_p = t_q * c_r
     opt = RAdam(model.named_parameters(), lr=1e-3)
     for step in range(3):
-        want = reference_step(model, x, t_logits, labels, kind, state,
+        want = reference_step(model, x, t_logits, labels, kind, weights,
                               seed + step)
-        got = chain_step(model, opt, x, t_logits, labels, kind, state,
+        got = chain_step(model, opt, x, t_logits, labels, kind, weights,
                          seed + step, monkeypatch)
         # the buffer holds the tape's accumulation of the same rules: the
         # potential's share first, raw_u's softplus terms one by one
@@ -330,7 +329,7 @@ def layer_case(kind, quantized, train, x_grad, reference):
         layer.bn.running_var = rng.uniform(0.5, 2.0, size=3)
         params += [layer.bn.gamma, layer.bn.beta]
     if quantized:
-        layer.attach_quantizers("bernoulli", np.random.default_rng(7))
+        layer.attach_quantizers(np.random.default_rng(7))
         w = layer.W.data
         layer.weight_fq.init_from_minmax(0.8 * w.min(), 0.8 * w.max(), 3.0)
         layer.act_fq.init_from_minmax(0.0, 1.2, 3.0)

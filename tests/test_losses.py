@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from gdnsq import tensor as T
 from gdnsq.errors import DomainError, NumericError, ShapeError
-from gdnsq.losses import (LossState, distill_loss, hard_label_loss, jeffreys,
-                          kl, potential_tensor, softmax, teacher_probs,
-                          total_loss, update_schedule)
+from gdnsq.losses import (distill_loss, hard_label_loss, jeffreys, kl,
+                          potential_tensor, softmax, teacher_probs, total_loss)
+from gdnsq.models import Model, make_model_spec
+from gdnsq.pipeline import QatRun, RunConfig
 from gdnsq.quantizer import FakeQuantizer
 from gdnsq.tensor import Tensor
 
@@ -128,34 +129,29 @@ class TestTotalLoss:
     def test_zero_when_feasible_and_matched(self):
         wfq, afq = self._sites()
         logits = np.array([[2.0, -1.0], [0.5, 0.5]])
-        state = LossState(targets=(8.0, 8.0))
-        state.t_q, state.c_r = 5.0, 2.0
         loss, info = total_loss(Tensor(logits), teacher_probs(logits), wfq,
-                                afq, state)
+                                afq, (8.0, 8.0), 5.0 * 2.0)
         assert float(loss.data) == pytest.approx(0.0, abs=1e-12)
         assert info["P"] == 0.0 and info["d"] == pytest.approx(0.0, abs=1e-12)
         T.reset_tape()
 
     def test_step_zero_is_pure_distillation(self):
         wfq, afq = self._sites(wbits=6.0, abits=6.0)
-        state = LossState(targets=(2.0, 2.0))  # constraint active
-        assert state.t_q == 0.0
+        # the constraint is active, but t_q = 0 at step 0
         s_logits = np.array([[1.0, 0.0]])
         t_logits = np.array([[0.0, 1.0]])
         loss, info = total_loss(Tensor(s_logits), teacher_probs(t_logits),
-                                wfq, afq, state)
+                                wfq, afq, (2.0, 2.0), 0.0 * 1.0)
         expected_d = jeffreys(softmax(s_logits)[0], softmax(t_logits)[0])
         assert float(loss.data) == pytest.approx(expected_d, rel=1e-12)
         T.reset_tape()
 
     def test_hand_built_two_class_single_site(self):
         wfq, afq = self._sites(wbits=3.0, abits=2.0)
-        state = LossState(targets=(2.0, 2.0))
-        state.t_q, state.c_r = 0.7, 1.3
         s_logits = np.array([[0.2, -0.4]])
         t_logits = np.array([[1.0, 0.3]])
         loss, _ = total_loss(Tensor(s_logits), teacher_probs(t_logits), wfq,
-                             afq, state)
+                             afq, (2.0, 2.0), 0.7 * 1.3)
         d = jeffreys(softmax(s_logits)[0], softmax(t_logits)[0])
         hinge = max(0.0, wfq[0].bitwidth_value() - 2.0)
         assert float(loss.data) == pytest.approx(0.7 * 1.3 * hinge + d, rel=1e-10)
@@ -163,32 +159,27 @@ class TestTotalLoss:
 
     def test_infinite_targets_reduce_to_distillation(self):
         wfq, afq = self._sites()
-        state = LossState(targets=(1e9, 1e9))
-        state.t_q, state.c_r = 123.0, 7.0
         s_logits = np.array([[0.3, 0.9], [2.0, -2.0]])
         t_logits = np.array([[0.1, 0.2], [0.5, 0.5]])
         loss, info = total_loss(Tensor(s_logits), teacher_probs(t_logits),
-                                wfq, afq, state)
+                                wfq, afq, (1e9, 1e9), 123.0 * 7.0)
         assert float(loss.data) == pytest.approx(info["d"], rel=1e-12)
         T.reset_tape()
 
     def test_nan_logits_rejected_with_row(self):
         wfq, afq = self._sites()
-        state = LossState(targets=(4.0, 4.0))
         bad = np.array([[0.1, 0.2], [np.nan, 0.3]])
         with pytest.raises(NumericError, match="row"):
             total_loss(Tensor(bad), teacher_probs(np.zeros((2, 2))), wfq, afq,
-                       state)
+                       (4.0, 4.0), 1.0)
         T.reset_tape()
 
     def test_gradient_reaches_quantizers_and_logits(self):
         wfq, afq = self._sites(wbits=6.0, abits=6.0)
-        state = LossState(targets=(2.0, 2.0))
-        state.t_q, state.c_r = 1.0, 1.0
         s = Tensor(np.array([[0.4, -0.2]]), requires_grad=True)
         T.reset_tape()
         loss, _ = total_loss(s, teacher_probs(np.array([[1.0, -1.0]])), wfq,
-                             afq, state)
+                             afq, (2.0, 2.0), 1.0 * 1.0)
         slots = {t: np.zeros(t.data.shape)
                  for fq in wfq + afq for t in fq.raw_params()}
         g_logits = T.backward(loss, slots)
@@ -197,36 +188,40 @@ class TestTotalLoss:
         assert float(slots[wfq[0].log_s]) != 0.0
 
 
+def make_run(**config):
+    """A QAT run over a fresh quantized mlp3."""
+    student = Model(make_model_spec("mlp3", 2, 2), quantized=True)
+    return QatRun(RunConfig(**config), student)
+
+
 class TestSchedule:
+    """The temperature and c_r schedule of a QAT run (pipeline.QatRun)."""
+
     def test_first_step(self):
-        # t_q is set by the training loop before each loss, not here
-        state = LossState(targets=(4.0, 4.0))
-        update_schedule(state, batch_d=0.5)
-        assert state.step_n == 1
-        assert state.t_q == 0.0
+        # t_q = tq_init + lambda * n, with n = 0 on the first batch
+        run = make_run(lr0=0.01)
+        assert run.next_batch() == (0.01, 0.0)
+        run.fold_distance(0.5)
+        assert run.step_n == 1
+        assert run.next_batch() == (0.01, 0.01 * 1)
 
     def test_running_mean(self):
-        state = LossState(targets=(4.0, 4.0))
-        update_schedule(state, 2.0)
-        update_schedule(state, 4.0)
-        assert state.c_r == pytest.approx(3.0)
-        assert state.c_r == pytest.approx(state.c_r_sum / state.step_n)
-
-    def test_t_r_stays_one(self):
-        state = LossState(targets=(4.0, 4.0))
-        for i in range(50):
-            update_schedule(state, float(i))
-            assert state.t_r == 1.0
+        run = make_run()
+        run.fold_distance(2.0)
+        run.fold_distance(4.0)
+        assert run.c_r == pytest.approx(3.0)
+        assert run.c_r == pytest.approx(run.c_r_sum / run.step_n)
 
     def test_neutral_c_r_before_first_batch(self):
-        state = LossState(targets=(4.0, 4.0))
-        assert state.c_r == 1.0 and state.step_n == 0
+        run = make_run()
+        assert run.c_r == 1.0 and run.step_n == 0
 
     def test_tq_init_offset(self):
-        state = LossState(targets=(4.0, 4.0), tq_init=100.0)
-        assert state.t_q == 100.0
-        update_schedule(state, 1.0)
-        assert state.t_q == 100.0
+        run = make_run(lr0=0.01, tq_init=100.0)
+        assert run.next_batch()[1] == 100.0
+        for d in (1.0, 2.0, 3.0):
+            run.fold_distance(d)
+        assert run.next_batch()[1] == 100.0 + 0.01 * 3
 
 
 def test_hard_label_loss_matches_direct_formula():
@@ -256,11 +251,10 @@ def test_distill_loss_rejects_bad_arguments():
 def test_total_loss_names_the_non_finite_side():
     wfq = [make_fq("weight", -1.0, 1.0, 6.0)]
     afq = [make_fq("activation", 0.0, 1.0, 6.0, seed=1)]
-    state = LossState(targets=(4.0, 4.0))
     bad = np.array([[0.0, 1.0], [np.inf, 0.0]])
     with pytest.raises(NumericError, match="student logits at batch row 1"):
         total_loss(Tensor(bad), teacher_probs(np.zeros((2, 2))), wfq, afq,
-                   state)
+                   (4.0, 4.0), 0.0)
     # the teacher's side is checked once per run, where its probabilities
     # are computed
     with pytest.raises(NumericError, match="teacher logits at batch row 1"):

@@ -5,8 +5,10 @@ import pytest
 
 import reference_graphs as ref
 from gdnsq.errors import ContractError, NumericError
-from gdnsq.optim import LrPolicy, RAdam, lr_next
+from gdnsq.models import Model, make_model_spec
+from gdnsq.optim import RAdam
 from gdnsq.oracles import _radam_scalar_reference, radam_reference_check
+from gdnsq.pipeline import QatRun, RunConfig
 from gdnsq.tensor import Tensor
 
 
@@ -191,34 +193,51 @@ class TestFlatRAdam:
 
 
 class TestLrPolicy:
+    """The learning rate a QAT run (pipeline.QatRun) gives each batch and
+    sets on its optimizer."""
+
+    @staticmethod
+    def lam_after(run, reached):
+        # an audit before this batch set the run's reached flag
+        run.reached = run.reached or reached
+        lam, _ = run.next_batch()
+        assert run.opt.lr == lam
+        return lam
+
+    @staticmethod
+    def make_run(lr0):
+        student = Model(make_model_spec("mlp3", 2, 2), quantized=True)
+        return QatRun(RunConfig(lr0=lr0), student)
+
     def test_constant_until_trigger(self):
-        policy = LrPolicy(lam0=0.01)
+        run = self.make_run(0.01)
         for _ in range(100):
-            assert lr_next(policy, audit_reached_target=False) == 0.01
-        assert policy.phase == "constant"
+            assert self.lam_after(run, reached=False) == 0.01
+        assert run.phase == "constant"
 
     def test_first_annealing_step(self):
-        policy = LrPolicy(lam0=0.01)
-        lam = lr_next(policy, audit_reached_target=True)
-        assert policy.phase == "annealing"
+        run = self.make_run(0.01)
+        lam = self.lam_after(run, reached=True)
+        assert run.phase == "annealing"
         assert lam == pytest.approx(0.009985, abs=1e-15)
 
     def test_geometric_decay_closed_form(self):
-        policy = LrPolicy(lam0=1.0)
+        run = self.make_run(1.0)
         lam = None
         for _ in range(1000):
-            lam = lr_next(policy, audit_reached_target=True)
+            lam = self.lam_after(run, reached=True)
         assert lam == pytest.approx(0.9985 ** 1000, rel=1e-9)
         assert lam == pytest.approx(0.22287902884342548, rel=1e-9)
 
     def test_switch_is_one_way(self):
-        policy = LrPolicy(lam0=0.5)
-        lr_next(policy, True)
-        lam = lr_next(policy, False)  # stays annealing even if audit regresses
-        assert policy.phase == "annealing"
+        run = self.make_run(0.5)
+        self.lam_after(run, True)
+        run.reached = False  # stays annealing even if the flag were cleared
+        lam = self.lam_after(run, False)
+        assert run.phase == "annealing"
         assert lam == pytest.approx(0.5 * 0.9985 ** 2, rel=1e-12)
 
     def test_nonincreasing_across_run(self):
-        policy = LrPolicy(lam0=0.3)
-        vals = [lr_next(policy, i > 40) for i in range(100)]
+        run = self.make_run(0.3)
+        vals = [self.lam_after(run, i > 40) for i in range(100)]
         assert all(a >= b for a, b in zip(vals, vals[1:]))

@@ -9,10 +9,10 @@ from gdnsq.checkpoint import load_arrays, save_arrays
 from gdnsq.data import make_synthetic
 from gdnsq.errors import DegenerateRangeError, NumericError, PipelineError
 from gdnsq.models import Model, make_model_spec, train_teacher
-from gdnsq.pipeline import (METRICS_HEADER, RunConfig, audit_bitwidth,
-                            build_student_arrays, fuse_student,
-                            fused_model_forward, load_student, ptq_minmax,
-                            qat_run, snap_weights)
+from gdnsq.pipeline import (METRICS_HEADER, QatRun, RunConfig,
+                            audit_bitwidth, build_student_arrays,
+                            fuse_student, fused_model_forward, load_student,
+                            ptq_minmax, qat_run, snap_weights)
 
 
 @pytest.fixture(scope="module")
@@ -359,6 +359,42 @@ class TestQatLoop:
             audit_row = list(csv.reader(f))[-1]
         monkeypatch.undo()
         assert float(audit_row[8]) == student.accuracy(val.inputs, val.labels)
+
+    def test_run_state_writer_and_reader_agree(self, small_world, tmp_path):
+        # 10-bit targets are met from epoch 0 on, so after two epochs each
+        # section of the run but the per-parameter moments differs from a
+        # fresh run's, and one that is written but not read shows up
+        train, val, spec, teacher, _ = small_world
+        student = fresh_student(spec, teacher, seed=8)
+        ptq_minmax(student, train)
+        cfg = self._config(epochs=2, seed=8, wbits=10.0, abits=10.0)
+        qat_run(cfg, teacher, student, tmp_path / "a", train, val)
+        path = tmp_path / "a" / "last.ckpt"
+        saved = load_arrays(path)
+        run = QatRun(cfg, fresh_student(spec, teacher))
+        # copies: the moments are views of buffers the load writes into
+        fresh = {k: np.array(v) for k, v in run.state_arrays().items()}
+        run.load_state_arrays(saved, path)
+        for key, arr in run.state_arrays().items():
+            assert arr.tobytes() == saved[key].tobytes(), key
+            if key == "opt/t" or not key.startswith("opt/"):
+                assert arr.tobytes() != fresh[key].tobytes(), key
+        save_arrays(tmp_path / "again.ckpt",
+                    build_student_arrays(cfg, run.student, run))
+        assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
+
+    def test_run_sets_the_noise_mode(self, small_world, tmp_path):
+        # the student is built with the quantizers' default mode; the run
+        # sets the configured one on every site
+        train, val, spec, teacher, _ = small_world
+        student = fresh_student(spec, teacher)
+        ptq_minmax(student, train)
+        assert {fq.noise_mode for fq in student.all_quantizers()} \
+            == {"bernoulli"}
+        qat_run(self._config(epochs=1, noise_mode="rounding_residual"),
+                teacher, student, tmp_path / "run", train, val)
+        assert {fq.noise_mode for fq in student.all_quantizers()} \
+            == {"rounding_residual"}
 
     @pytest.mark.parametrize("change", [{"wbits": 3.0}, {"lr0": 0.02},
                                         {"distill": "cross_entropy"},

@@ -72,27 +72,39 @@ class TestFakeQuantForward:
         assert np.max(np.abs(out - np.clip(xs, l, u))) <= s / 2 + 1e-12
 
 
+def probe_by_one_hot(mode, n, seed):
+    """The first n probe values of a site whose rng is seeded with seed,
+    each read from ste_backward's scale gradient under a one-hot upstream
+    gradient."""
+    x = np.zeros(n)
+    probe = []
+    for i in range(n):
+        fq = FakeQuantizer("weight", mode, rng=np.random.default_rng(seed))
+        g = np.zeros(n)
+        g[i] = 1.0
+        probe.append(float(fq.ste_backward(g, x, -1.0, 1.0, 1.0)[3]))
+    return np.array(probe)
+
+
 class TestSteBackward:
+    # the probe is read from the scale gradient ste_backward returns
     def test_bernoulli_samples_are_half_magnitude(self):
-        fq = make_fq(seed=1)
-        l, u = fq.bound_values()
-        x = np.random.default_rng(2).uniform(l, u, size=1000)
-        _, _, _, _ = fq.ste_backward(np.ones_like(x), x, l, u, fq.scale_value())
-        # inspect raw probes by re-sampling with a fresh but identical rng
-        probes = np.random.default_rng(1).integers(0, 2, size=1000) - 0.5
-        assert set(np.unique(probes)) == {-0.5, 0.5}
+        probe = probe_by_one_hot("bernoulli", 200, seed=1)
+        assert set(probe) == {-0.5, 0.5}
 
     def test_bernoulli_zero_mean_monte_carlo(self):
         m = 1_000_000
-        rng = np.random.default_rng(3)
-        probes = rng.integers(0, 2, size=m) - 0.5
-        assert abs(probes.mean()) <= 3 * (0.5 / 1e3)
+        fq = FakeQuantizer("weight", "bernoulli", rng=np.random.default_rng(3))
+        _, _, _, gs = fq.ste_backward(np.full(m, 1.0 / m), np.zeros(m), -1.0,
+                                      1.0, 1.0)
+        assert abs(float(gs)) <= 3 * (0.5 / 1e3)  # the probe's mean
 
     def test_variance_matched_probe_variance(self):
-        m = 1_000_000
-        rng = np.random.default_rng(4)
-        probes = (rng.integers(0, 2, size=m) - 0.5) / np.sqrt(3.0)
-        assert probes.var() == pytest.approx(1.0 / 12.0, abs=1e-3)
+        probe = probe_by_one_hot("bernoulli_variance_matched", 200, seed=4)
+        assert set(np.sign(probe)) == {-1.0, 1.0}
+        np.testing.assert_allclose(np.abs(probe), 0.5 / np.sqrt(3.0),
+                                   rtol=1e-15, atol=0)
+        assert np.mean(probe * probe) == pytest.approx(1.0 / 12.0, rel=1e-12)
 
     def test_noise_path_x_gradient_exactly_zero(self):
         fq = make_fq(seed=7)
@@ -170,17 +182,9 @@ class TestProbeStream:
 
     def test_every_sign_is_half(self):
         # a one-hot upstream gradient reads one probe sign at a time
-        n = 130
-        x = np.zeros(n)
-        signs = []
-        for i in range(n):
-            fq = FakeQuantizer("weight", "bernoulli",
-                               rng=np.random.default_rng(23))
-            g = np.zeros(n)
-            g[i] = 1.0
-            signs.append(float(fq.ste_backward(g, x, -1.0, 1.0, 1.0)[3]))
+        signs = probe_by_one_hot("bernoulli", 130, seed=23)
         words = np.random.default_rng(23).bit_generator.random_raw(3)
-        np.testing.assert_array_equal(signs, reference_signs(words, n))
+        np.testing.assert_array_equal(signs, reference_signs(words, 130))
         assert set(signs) == {-0.5, 0.5}
 
     def test_consecutive_calls_continue_the_stream(self):
@@ -278,7 +282,7 @@ def make_layer(w, w_range, a_range, wbits, abits, activation="relu", seed=0):
     layer = _Layer(Linear(*w.shape, activation), np.random.default_rng(seed),
                    "layer1")
     layer.W.data = w
-    layer.attach_quantizers("bernoulli", np.random.default_rng(seed + 1))
+    layer.attach_quantizers(np.random.default_rng(seed + 1))
     layer.weight_fq.init_from_minmax(*w_range, wbits)
     layer.act_fq.init_from_minmax(*a_range, abits)
     return layer
@@ -346,7 +350,7 @@ class TestIntegerFuse:
 
     def test_conv_layer_rejected(self):
         layer = _Layer(Conv2d(2, 3), np.random.default_rng(0), "layer1")
-        layer.attach_quantizers("bernoulli", np.random.default_rng(1))
+        layer.attach_quantizers(np.random.default_rng(1))
         with pytest.raises(FusionError, match="integer fusion covers linear"):
             integer_fuse(layer)
 
