@@ -23,15 +23,14 @@ import sys
 import numpy as np
 
 from .checkpoint import save_arrays
-from .errors import GdnsqError
+from .errors import DomainError, GdnsqError
 from .losses import DISTILL_KINDS
 from .models import Model, make_model_spec, train_teacher
 from .oracles import run_all
 from .pipeline import (METRICS_HEADER, NO_PTQ_INIT_BITS, RunConfig,
                        audit_bitwidth, build_student_arrays, fuse_student,
-                       input_features, load_dataset, load_student,
-                       load_teacher, ptq_minmax, qat_run, save_teacher,
-                       snap_weights)
+                       load_dataset, load_student, load_teacher, ptq_minmax,
+                       qat_run, save_teacher, snap_weights)
 from .quantizer import NOISE_MODES
 
 
@@ -163,7 +162,7 @@ def cmd_train_fp(args) -> int:
                 "lr": 0.01, "batch_size": 32}
     merged = _merge_config(args, defaults, list(defaults))
     train, val = _resolve_dataset(merged)
-    spec = make_model_spec(merged["model"], input_features(train),
+    spec = make_model_spec(merged["model"], train.inputs.shape[1],
                            train.num_classes)
     model, meta = train_teacher(spec, train, val, epochs=merged["epochs"],
                                 lam=merged["lr"], seed=merged["seed"],
@@ -182,7 +181,7 @@ def cmd_ptq(args) -> int:
     defaults = {"dataset": None, "data_seed": None, "n_train": None,
                 "n_val": None, "noise_mode": "bernoulli", "seed": None}
     merged = _merge_config(args, defaults, list(defaults))
-    spec, teacher, meta = load_teacher(args.ckpt)
+    teacher, meta = load_teacher(args.ckpt)
     # the teacher's own splits; a teacher written before train-fp recorded
     # its split sizes falls back to the train-fp defaults
     for key, fallback in (("dataset", meta.get("dataset")),
@@ -191,13 +190,13 @@ def cmd_ptq(args) -> int:
                           ("n_val", meta.get("n_val", 512))):
         if merged.get(key) is None:
             merged[key] = fallback
-    train, val = _resolve_dataset(merged)
     config = RunConfig(model=meta.get("model", "custom"),
                        dataset=merged["dataset"],
                        data_seed=merged["data_seed"],
                        n_train=merged["n_train"], n_val=merged["n_val"],
                        noise_mode=merged["noise_mode"], seed=merged["seed"])
-    student = Model(spec, quantized=True)
+    train, val = _resolve_dataset(merged)
+    student = Model(teacher.spec, quantized=True)
     student.copy_weights_from(teacher)
     ptq_minmax(student, train)
     acc = student.accuracy(val.inputs, val.labels)
@@ -226,8 +225,8 @@ def cmd_qat(args) -> int:
     if args.freeze_bn is not None:
         merged["batchnorm_frozen"] = bool(args.freeze_bn)
     merged["ptq_enabled"] = not args.no_ptq
-    config = RunConfig.from_dict(merged)
-    _, teacher, _ = load_teacher(args.teacher)
+    config = RunConfig(**merged)
+    teacher, _ = load_teacher(args.teacher)
     train, val = _resolve_dataset(merged)
     if args.no_ptq:
         student = Model(teacher.spec, quantized=True)
@@ -254,6 +253,8 @@ def cmd_audit(args) -> int:
 
 def cmd_verify(args) -> int:
     seed = args.seed if args.seed is not None else (_env_seed() or 0)
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     reports = run_all(name_filter=args.filter, seed=seed)
     for r in reports:
         print(r.format())

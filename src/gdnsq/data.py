@@ -2,7 +2,8 @@
 
 ``make_synthetic`` produces one split per call; the val split draws from an
 independent substream of the same seed, so train and val are disjoint with
-probability one and both are bit-reproducible.
+probability one and both are bit-reproducible. A ``Dataset`` holds inputs,
+labels and the class count; which split it is stays with the caller.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ SYNTHETIC_KINDS = ("two_gaussians", "concentric_rings")
 class Dataset:
     inputs: np.ndarray  # [N, ...] float64
     labels: np.ndarray  # [N] int64
-    split: str
     num_classes: int
 
     def __post_init__(self):
@@ -42,6 +42,8 @@ def make_synthetic(kind: str, n: int, seed: int, split: str = "train") -> Datase
         raise DomainError(f"unknown synthetic kind {kind!r}")
     if n < 100:
         raise DomainError(f"need n >= 100, got {n}")
+    if seed < 0:
+        raise DomainError(f"data seed must be >= 0, got {seed}")
     if split not in ("train", "val"):
         raise DomainError(f"unknown split {split!r}")
     rng = np.random.default_rng([int(seed), 0 if split == "train" else 1])
@@ -60,7 +62,7 @@ def make_synthetic(kind: str, n: int, seed: int, split: str = "train") -> Datase
     inputs = np.concatenate([x0, x1])
     labels = np.concatenate([np.zeros(n0, np.int64), np.ones(n1, np.int64)])
     order = rng.permutation(n)
-    return Dataset(inputs[order], labels[order], split, num_classes=2)
+    return Dataset(inputs[order], labels[order], num_classes=2)
 
 
 IDX_UBYTE = 0x08
@@ -102,8 +104,7 @@ def read_idx(path, scale: bool = True) -> np.ndarray:
     return arr.astype(np.int64)
 
 
-def load_idx_dataset(images_path, labels_path, split="train",
-                     num_classes=None) -> Dataset:
+def load_idx_dataset(images_path, labels_path, num_classes=None) -> Dataset:
     """Combine an image IDX file and a label IDX file into a Dataset."""
     images = read_idx(images_path, scale=True)
     labels = read_idx(labels_path, scale=False)
@@ -116,4 +117,4 @@ def load_idx_dataset(images_path, labels_path, split="train",
     if images.ndim == 3:  # [N, H, W] -> single channel
         images = images[:, None, :, :]
     nc = int(num_classes if num_classes is not None else labels.max() + 1)
-    return Dataset(images, labels.astype(np.int64), split, num_classes=nc)
+    return Dataset(images, labels.astype(np.int64), num_classes=nc)

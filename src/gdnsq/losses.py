@@ -98,9 +98,9 @@ def teacher_probs(teacher_logits) -> TeacherProbs:
 
 
 def distill_loss(student_logits: Tensor, teacher: TeacherProbs = None,
-                 labels=None, kind="jeffreys", weight=1.0) -> Tensor:
+                 labels=None, kind="jeffreys") -> Tensor:
     """Batch-mean distance d between the student and its reference, as one
-    loss-term chain entry on the student logits with the given weight.
+    loss-term chain entry on the student logits with weight 1.
 
     The student distribution is pf = max(p, floor) / sum(max(p, floor))
     with p = softmax(logits). Per row, ``jeffreys`` is sum (pf - q)(log pf -
@@ -159,7 +159,7 @@ def distill_loss(student_logits: Tensor, teacher: TeacherProbs = None,
             axis=1, keepdims=True)
         return (g_e * e,)
 
-    return Tensor(T.record(z, (), d, rule, f"distill[{kind}]", weight=weight),
+    return Tensor(T.record(z, (), d, rule, f"distill[{kind}]", weight=1.0),
                   requires_grad=T.recording())
 
 

@@ -4,7 +4,8 @@ A model is an ordered list of linear / conv2d layers. When built quantized,
 every inner layer (all but the first and last) gets a weight quantizer on
 its kernel and an activation quantizer on its input; first and last layers
 stay floating point. Conv blocks are conv-bn-relu; a global average pool
-bridges the last conv layer to the linear head.
+bridges the last conv layer to the linear head. Batchnorm uses momentum 0.1
+and eps 1e-5, constants of ``BatchNorm``.
 
 A training forward records one chain entry per layer and one for the pool
 (``gdnsq.tensor``) and passes plain ndarrays from layer to layer. A layer's
@@ -14,7 +15,8 @@ vector-Jacobian product (``FakeQuantizer.fake_quant``, ``_linear`` or
 reverse and draws the weight site's probes before the activation site's,
 the order of the per-op reference graph (tests/reference_graphs.py), so
 training is bit-identical to it. ``train_teacher`` sweeps the chain into
-the flat gradient buffer of its ``RAdam``.
+the flat gradient buffer of its ``RAdam``. A forward hands every site, weight
+and activation alike, to its ``sites`` callback.
 
 ``Model.named_parameters`` is the one list of a model's tensors; its
 checkpoint state (``state_arrays``, ``load_state_arrays``) and the copy of
@@ -154,11 +156,12 @@ class BatchNorm:
     the running-statistic update match that graph bit for bit.
     """
 
-    def __init__(self, num_features, momentum=0.1, eps=1e-5, frozen=False):
+    momentum = 0.1
+    eps = 1e-5
+    frozen = False  # Model.set_bn_frozen sets it per instance
+
+    def __init__(self, num_features):
         self.num_features = num_features
-        self.momentum = momentum
-        self.eps = eps
-        self.frozen = frozen
         self.gamma = Tensor(np.ones(num_features), requires_grad=True)
         self.beta = Tensor(np.zeros(num_features), requires_grad=True)
         self.running_mean = np.zeros(num_features)
@@ -312,7 +315,8 @@ class _Layer:
             xd, a_params, a_vjp = self.act_fq.fake_quant(xd)
             wd, w_params, w_vjp = self.weight_fq.fake_quant(wd)
             params += w_params + a_params
-        if sites is not None and self.act_fq is not None:
+        if sites is not None and self.weight_fq is not None:
+            sites(self.weight_fq, self.W.data, wd)
             sites(self.act_fq, x, xd)
         # the quantized input's gradient also feeds the activation site
         input_grad = quant or input_grad
@@ -397,9 +401,10 @@ class Model:
     def forward(self, x, train=True, bypass_quant=False, sites=None) -> Tensor:
         """The logits of x (an array, or a Tensor that requires_grad when
         the chain should compute its gradient). While recording, each layer
-        and the pool append their chain entry. Each activation site calls
-        ``sites(fq, x, xq)``, if given, with its input and fake-quantized
-        input (x itself under bypass_quant)."""
+        and the pool append their chain entry. Each quantized layer calls
+        ``sites(fq, x, xq)``, if given, for its weight site with the
+        weights and then for its activation site with its input, each with
+        their fake-quantized values (x itself under bypass_quant)."""
         input_grad = isinstance(x, Tensor) and x.requires_grad
         h = x.data if isinstance(x, Tensor) else np.asarray(x, np.float64)
         recording = T.recording()
@@ -411,9 +416,9 @@ class Model:
             input_grad = recording
         return Tensor(h, requires_grad=recording)
 
-    def predict_logits(self, x, bypass_quant=False) -> np.ndarray:
+    def predict_logits(self, x) -> np.ndarray:
         with T.no_grad():
-            return self.forward(x, train=False, bypass_quant=bypass_quant).data
+            return self.forward(x, train=False).data
 
     def accuracy(self, inputs, labels) -> float:
         return logits_accuracy(self.predict_logits(inputs), labels)
@@ -471,15 +476,22 @@ def logits_accuracy(logits: np.ndarray, labels) -> float:
     return float(np.mean(np.argmax(logits, axis=1) == labels))
 
 
-def train_teacher(spec: ModelSpec, train_ds, val_ds, epochs=50, lam=0.01,
-                  seed=0, batch_size=32):
+def train_teacher(spec: ModelSpec, train_ds, val_ds, *, epochs, lam, seed,
+                  batch_size):
     """Train the FP reference model with hard-label cross-entropy.
 
     Each step records the chain, sweeps it into the optimizer's gradient
     buffer and steps. Returns (model, meta); meta["val_acc"] is the val
     accuracy after the last epoch (None for 0 epochs) and ends up in
-    checkpoint metadata. A batch size below 1 raises DomainError.
+    checkpoint metadata. Negative epochs or seed, a learning rate that is
+    not positive and a batch size below 1 raise DomainError.
     """
+    if epochs < 0:
+        raise DomainError(f"epochs must be >= 0, got {epochs}")
+    if not lam > 0:
+        raise DomainError(f"learning rate must be > 0, got {lam}")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     if batch_size < 1:
         raise DomainError(f"batch size must be >= 1, got {batch_size}")
     model = Model(spec, quantized=False, init_seed=seed)

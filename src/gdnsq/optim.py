@@ -1,9 +1,10 @@
 """RAdam optimizer over one flat parameter vector.
 
-RAdam follows the rectified-Adam recipe with defaults beta1=0.9,
-beta2=0.999, eps=1e-8 and no weight decay. While the variance-rectification
-term rho_t <= 4 the step falls back to bias-corrected SGD-with-momentum;
-once rho_t > 4 the adaptive step with the rectification factor r_t is used.
+RAdam follows the rectified-Adam recipe with beta1=0.9, beta2=0.999 and
+eps=1e-8 (class constants of ``RAdam``) and no weight decay. While the
+variance-rectification term rho_t <= 4 the step falls back to
+bias-corrected SGD-with-momentum; once rho_t > 4 the adaptive step with
+the rectification factor r_t is used.
 
 ``RAdam.step`` updates every parameter in one pass over one flat vector
 (the multi-tensor idea of "foreach" optimizers). The parameters, their
@@ -45,7 +46,11 @@ class RAdam:
     gradients the buffer holds to ``data`` in place.
     """
 
-    def __init__(self, params, lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, params, lr):
         # params: iterable of (name, Tensor) with requires_grad set
         self.params = list(params)
         names, owner = set(), {}
@@ -59,9 +64,6 @@ class RAdam:
             names.add(name)
             owner[id(p)] = name
         self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.t = 0
         sizes = [p.data.size for _, p in self.params]
         bounds = np.cumsum([0] + sizes)

@@ -6,7 +6,9 @@ then exponential LR annealing once the audited max bit-width meets the
 target at every site. The unique-value auditor runs once per epoch on the
 validation split; its forward also gives the epoch's val accuracy. It
 drives both the LR phase switch and best-checkpoint selection (best val
-accuracy among audits where max actual <= target).
+accuracy among audits where max actual <= target). PTQ and the audit
+read every site, weight and activation alike, from the ``sites`` callback
+of one forward.
 
 A QAT step records the student's chain (one entry per layer and the pool,
 then the distance and the potential, ``gdnsq.tensor``), sweeps it once
@@ -68,6 +70,7 @@ METRICS_HEADER = [
 ]
 
 PTQ_BITS = 10.0
+PTQ_BATCH = 256  # rows per calibration forward
 NO_PTQ_INIT_BITS = 24.0  # near-FP warm start for the no-PTQ ablation
 LR_DECAY = 0.9985  # per-batch learning-rate factor of the annealing phase
 
@@ -92,8 +95,18 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.wbits < 1 or self.abits < 1:
-            raise DomainError("target bit-widths must be >= 1")
+        if not (self.wbits >= 1 and self.abits >= 1):
+            raise DomainError("target bit-widths must be >= 1, got "
+                              f"{self.wbits} and {self.abits}")
+        if self.epochs < 0:
+            raise DomainError(f"epochs must be >= 0, got {self.epochs}")
+        if not self.lr0 > 0:
+            raise DomainError(f"lr0 must be > 0, got {self.lr0}")
+        if not self.tq_init >= 0:
+            raise DomainError(f"tq_init must be >= 0, got {self.tq_init}")
+        if self.seed < 0 or self.data_seed < 0:
+            raise DomainError(f"seeds must be >= 0, got seed {self.seed} "
+                              f"and data_seed {self.data_seed}")
         if self.distill not in DISTILL_KINDS:
             raise DomainError(f"unknown distill loss {self.distill!r}")
         if self.noise_mode not in NOISE_MODES:
@@ -103,10 +116,6 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunConfig":
-        return cls(**d)
 
 
 def load_dataset(dataset: str, data_seed: int, n_train: int, n_val: int):
@@ -122,8 +131,8 @@ def load_dataset(dataset: str, data_seed: int, n_train: int, n_val: int):
                 "idx dataset id must be idx:<train_images>:<train_labels>"
                 ":<val_images>:<val_labels>"
             )
-        train = load_idx_dataset(parts[1], parts[2], split="train")
-        val = load_idx_dataset(parts[3], parts[4], split="val",
+        train = load_idx_dataset(parts[1], parts[2])
+        val = load_idx_dataset(parts[3], parts[4],
                                num_classes=train.num_classes)
         return train, val
     train = make_synthetic(dataset, n_train, data_seed, split="train")
@@ -131,22 +140,16 @@ def load_dataset(dataset: str, data_seed: int, n_train: int, n_val: int):
     return train, val
 
 
-def input_features(ds: Dataset) -> int:
-    # flat feature count for MLPs, channel count for image tensors
-    return ds.inputs.shape[1]
-
-
 # -- PTQ ----------------------------------------------------------------------
 
 
-def ptq_minmax(student: Model, train_ds: Dataset, bits: float = PTQ_BITS,
-               batch_size: int = 256) -> Model:
+def ptq_minmax(student: Model, train_ds: Dataset,
+               bits: float = PTQ_BITS) -> Model:
     """Min-max calibration over the training set, then bit-width = `bits`.
 
-    Weight ranges come straight from the tensors; activation ranges are the
-    min/max of each site's pre-quantization input over one full pass with
-    the quantizers bypassed, folded batch by batch. Weights are untouched,
-    only quantizer parameters are set.
+    A site's range is the min/max of its weights or of its inputs over one
+    pass with the quantizers bypassed, folded batch by batch. Weights are
+    untouched, only quantizer parameters are set.
     """
     if not student.inner_layers():
         raise PipelineError("model has no quantized layers to calibrate")
@@ -157,13 +160,11 @@ def ptq_minmax(student: Model, train_ds: Dataset, bits: float = PTQ_BITS,
         ranges[fq] = (min(lo, float(x.min())), max(hi, float(x.max())))
 
     with T.no_grad():
-        for start in range(0, len(train_ds), batch_size):
-            student.forward(train_ds.inputs[start:start + batch_size],
+        for start in range(0, len(train_ds), PTQ_BATCH):
+            student.forward(train_ds.inputs[start:start + PTQ_BATCH],
                             train=False, bypass_quant=True, sites=fold)
-    for layer in student.inner_layers():
-        w = layer.W.data
-        layer.weight_fq.init_from_minmax(float(w.min()), float(w.max()), bits)
-        layer.act_fq.init_from_minmax(*ranges[layer.act_fq], bits)
+    for fq in student.all_quantizers():
+        fq.init_from_minmax(*ranges[fq], bits)
     return student
 
 
@@ -176,20 +177,23 @@ class SiteAudit:
     kind: str  # weight | activation
     estimated: float
     levels: int
-    actual: int
-    degenerate: bool = False
+
+    @property
+    def actual(self) -> int:  # bits that hold `levels` values
+        return 0 if self.levels <= 1 else math.ceil(math.log2(self.levels))
+
+    @property
+    def degenerate(self) -> bool:
+        return self.levels <= 1
 
 
 @dataclass
 class BitWidthReport:
     sites: list
-    val_acc: float = None  # of the audit forward, when labels were given
-
-    def _group(self, kind):
-        return [s for s in self.sites if s.kind == kind]
+    val_acc: float  # of the audit forward
 
     def aggregates(self, kind):
-        g = self._group(kind)
+        g = [s for s in self.sites if s.kind == kind]
         return {
             "mean_est": float(np.mean([s.estimated for s in g])),
             "mean_act": float(np.mean([s.actual for s in g])),
@@ -216,41 +220,27 @@ class BitWidthReport:
         return "\n".join(lines)
 
 
-def _actual_bits(count: int) -> int:
-    return 0 if count <= 1 else int(math.ceil(math.log2(count)))
-
-
-def audit_bitwidth(model: Model, val_inputs, val_labels=None) -> BitWidthReport:
+def audit_bitwidth(model: Model, val_inputs, val_labels) -> BitWidthReport:
     """Count unique dequantized values per site in a deterministic forward.
 
-    With labels, the report also carries the accuracy of that forward's
-    logits, the same value ``Model.accuracy`` gives, without a second pass.
+    The report also carries the accuracy of that forward's logits, the
+    same value ``Model.accuracy`` gives, without a second pass.
     """
-    sites = []
-    acts = {}
+    seen = {}
     with T.no_grad():
         logits = model.forward(
             val_inputs, train=False,
-            sites=lambda fq, x, xq: acts.setdefault(fq, []).append(xq)).data
-    for layer in model.inner_layers():
-        wq = layer.weight_fq
-        levels = int(np.unique(wq.quantize_array(layer.W.data)).size)
-        sites.append(SiteAudit(wq.name, "weight", wq.bitwidth_value(),
-                               levels, _actual_bits(levels),
-                               degenerate=levels <= 1))
-        aq = layer.act_fq
-        vals = np.concatenate([a.reshape(-1) for a in acts[aq]])
-        alevels = int(np.unique(vals).size)
-        sites.append(SiteAudit(aq.name, "activation", aq.bitwidth_value(),
-                               alevels, _actual_bits(alevels),
-                               degenerate=alevels <= 1))
-    for s in sites:
-        if s.degenerate:
+            sites=lambda fq, x, xq: seen.setdefault(fq, []).append(xq)).data
+    sites = []
+    for fq in model.all_quantizers():
+        vals = np.concatenate([v.reshape(-1) for v in seen[fq]])
+        site = SiteAudit(fq.name, fq.site_kind, fq.bitwidth_value(),
+                         int(np.unique(vals).size))
+        if site.degenerate:
             logger.debug("degenerate site %s: %d unique value(s)",
-                         s.name, s.levels)
-    val_acc = (None if val_labels is None
-               else logits_accuracy(logits, val_labels))
-    return BitWidthReport(sites, val_acc)
+                         site.name, site.levels)
+        sites.append(site)
+    return BitWidthReport(sites, logits_accuracy(logits, val_labels))
 
 
 # -- checkpoints ---------------------------------------------------------------
@@ -277,7 +267,7 @@ def load_student(path):
     saved = array_to_json(arrays["config/json"]) if "config/json" in arrays else {}
     if set(saved) != set(RunConfig().to_dict()):
         raise PipelineError(f"{path} is not a student checkpoint")
-    config = RunConfig.from_dict(saved)
+    config = RunConfig(**saved)
     spec = spec_from_dict(array_to_json(arrays["spec/json"]))
     model = Model(spec, quantized=True)
     model.load_state_arrays(arrays)
@@ -296,16 +286,15 @@ def save_teacher(path, model: Model, meta: dict):
 
 
 def load_teacher(path):
-    """(spec, model, meta) of a teacher checkpoint; PipelineError for a
+    """(model, meta) of a teacher checkpoint; PipelineError for a
     student's (one with quant/ sections)."""
     arrays = load_arrays(path)
     if any(key.startswith("quant/") for key in arrays):
         raise PipelineError(f"{path} is a student checkpoint, not a teacher")
     meta = array_to_json(arrays["config/json"])
-    spec = spec_from_dict(array_to_json(arrays["spec/json"]))
-    model = Model(spec, quantized=False)
+    model = Model(spec_from_dict(array_to_json(arrays["spec/json"])))
     model.load_state_arrays(arrays)
-    return spec, model, meta
+    return model, meta
 
 
 # -- the QAT loop ----------------------------------------------------------------

@@ -60,6 +60,8 @@ from .tensor import Tensor
 
 NOISE_MODES = ("bernoulli", "bernoulli_variance_matched", "rounding_residual")
 
+FUSE_TOL = 1e-9  # grid steps a fused weight may sit off its level
+
 _INV_SQRT3 = 1.0 / np.sqrt(3.0)
 _INV_LN2 = 1.0 / np.log(2.0)
 
@@ -253,14 +255,15 @@ class FusedLinear:
     activation_fn: str = "relu"
 
 
-def integer_fuse(layer, tol: float = 1e-9) -> FusedLinear:
+def integer_fuse(layer) -> FusedLinear:
     """Extract integer weights and scales from a converged quantized model
     layer (``models._Layer``: ``W``, ``weight_fq``, ``act_fq``, ``spec``).
 
     The stored weights must already sit on the dequantized grid (within
-    `tol` grid steps); anything farther signals a non-converged quantizer.
-    Snap weights first (w := quantize_array(w)) when exporting, which is
-    observationally identical by idempotence of the fake quantizer.
+    FUSE_TOL grid steps); anything farther signals a non-converged
+    quantizer. Snap weights first (w := quantize_array(w)) when exporting,
+    which is observationally identical by idempotence of the fake
+    quantizer.
     """
     if layer.spec.kind != "linear":
         raise FusionError("integer fusion covers linear layers only")
@@ -271,10 +274,10 @@ def integer_fuse(layer, tol: float = 1e-9) -> FusedLinear:
     v = layer.W.data / s_w
     k = round_half_up(v)
     residual = np.max(np.abs(v - k)) if v.size else 0.0
-    if residual > tol:
+    if residual > FUSE_TOL:
         raise FusionError(
             f"{wq.name}: weights off the quantization grid by up to "
-            f"{residual:.3e} steps (> {tol}); quantizer not converged"
+            f"{residual:.3e} steps (> {FUSE_TOL}); quantizer not converged"
         )
     # achievable levels are round(l/s) .. round(u/s); anything outside means
     # the stored weights disagree with the clamp range

@@ -186,7 +186,7 @@ def test_fuse_refuses_conv_student(tmp_path, capsys):
                     quant_rng=np.random.default_rng(0))
     rng = np.random.default_rng(1)
     images = Dataset(rng.uniform(0.0, 1.0, size=(8, 1, 8, 8)),
-                     np.arange(8) % 2, "train", num_classes=2)
+                     np.arange(8) % 2, num_classes=2)
     ptq_minmax(student, images)
     ckpt = tmp_path / "conv3.ckpt"
     save_arrays(ckpt, build_student_arrays(RunConfig(model="conv3"), student))
@@ -377,7 +377,10 @@ def test_missing_model_section_is_named(workspace, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("case", ["bad_noise_mode", "zero_batch",
-                                  "negative_batch"])
+                                  "negative_batch", "negative_epochs",
+                                  "negative_lr0", "nan_wbits", "nan_abits",
+                                  "negative_tq_init", "negative_seed",
+                                  "negative_data_seed"])
 def test_bad_qat_settings_refused_before_any_output(workspace, tmp_path,
                                                     capsys, case):
     _, teacher, student = workspace
@@ -385,12 +388,53 @@ def test_bad_qat_settings_refused_before_any_output(workspace, tmp_path,
     cfg.write_text(json.dumps({"noise_mode": "bogus"}))
     extra = {"bad_noise_mode": ["--config", str(cfg)],
              "zero_batch": ["--batch-size", "0"],
-             "negative_batch": ["--batch-size", "-4"]}[case]
+             "negative_batch": ["--batch-size", "-4"],
+             "negative_epochs": ["--epochs", "-2"],
+             "negative_lr0": ["--lr0", "-0.5"],
+             "nan_wbits": ["--wbits", "nan"],
+             "nan_abits": ["--abits", "nan"],
+             "negative_tq_init": ["--tq-init", "-5"],
+             "negative_seed": ["--seed", "-2"],
+             "negative_data_seed": ["--data-seed", "-1"]}[case]
     out = tmp_path / "run"
     assert main(["qat", "--ckpt", str(student), "--teacher", str(teacher),
                  "--epochs", "1", *extra, "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
-    assert not (out / "metrics.csv").exists()
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra", [["--epochs", "-1"], ["--lr", "0"],
+                                   ["--seed", "-3"], ["--data-seed", "-1"]],
+                         ids=["negative_epochs", "zero_lr", "negative_seed",
+                              "negative_data_seed"])
+def test_bad_train_fp_settings_refused_before_any_output(tmp_path, capsys,
+                                                         extra):
+    out = tmp_path / "fp" / "teacher.ckpt"
+    assert main(["train-fp", "--model", "mlp2", "--epochs", "1",
+                 "--n-train", "128", "--n-val", "128", *extra,
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("case", ["negative_data_seed", "negative_seed"])
+def test_bad_ptq_settings_refused_before_any_output(workspace, tmp_path,
+                                                    capsys, case):
+    _, teacher, _ = workspace
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"seed": -1}))
+    extra = {"negative_data_seed": ["--data-seed", "-1"],
+             "negative_seed": ["--config", str(cfg)]}[case]
+    out = tmp_path / "ptq" / "student.ckpt"
+    assert main(["ptq", "--ckpt", str(teacher), *extra,
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.parent.exists()
+
+
+def test_verify_negative_seed_refused(capsys):
+    assert main(["verify", "--filter", "lemma", "--seed", "-1"]) == 1
+    assert capsys.readouterr().err.startswith("error: seed")
 
 
 def test_train_fp_zero_batch_size_refused(tmp_path, capsys):

@@ -278,7 +278,8 @@ def batchnorm_case(ndim, mode, reference):
     shape = (6, 3) if ndim == 2 else (4, 3, 5, 2)
     x = Tensor(rng.normal(0.5, 2.0, size=shape), requires_grad=True)
     coeff = rng.normal(size=shape)
-    bn = BatchNorm(3, frozen=mode == "frozen")
+    bn = BatchNorm(3)
+    bn.frozen = mode == "frozen"
     bn.gamma.data = 1.0 + 0.3 * rng.normal(size=3)
     bn.beta.data = rng.normal(size=3)
     bn.running_mean = rng.normal(size=3)
@@ -414,7 +415,7 @@ def test_qat_step_nodes(model_id, names, tmp_path, monkeypatch):
     teacher = Model(student.spec, init_seed=6)
     rng = np.random.default_rng(6)
     shape = (16, 2, 6, 6) if model_id == "conv3" else (16, 2)
-    ds = Dataset(rng.normal(size=shape), rng.integers(0, 3, size=16), "train",
+    ds = Dataset(rng.normal(size=shape), rng.integers(0, 3, size=16),
                  num_classes=3)
     tapes = []
     real = T.backward

@@ -136,7 +136,7 @@ def conv3_pair():
     quantized conv3 student calibrated on the same images."""
     rng = np.random.default_rng(3)
     images = Dataset(rng.uniform(0.0, 1.0, size=(16, 1, 8, 8)),
-                     np.arange(16) % 2, "train", num_classes=2)
+                     np.arange(16) % 2, num_classes=2)
     spec = make_model_spec("conv3", 1, 2)
     teacher = Model(spec, init_seed=1)
     student = Model(spec, quantized=True, init_seed=2,

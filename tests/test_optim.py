@@ -25,7 +25,7 @@ class TestRAdam:
         np.testing.assert_array_equal(p.data, [1.0, -2.0])
 
     def test_rho_inf_default(self):
-        opt = RAdam([("p", make_param(0.0))])
+        opt = RAdam([("p", make_param(0.0))], lr=0.01)
         assert opt.rho_inf == pytest.approx(1999.0, rel=1e-12)
 
     def test_matches_independent_reference_on_quadratic(self):
@@ -57,7 +57,8 @@ class TestRAdam:
 
     def test_beta_zero_reduces_to_plain_sgd(self):
         p = make_param(1.0)
-        opt = RAdam([("x", p)], lr=0.1, beta1=0.0, beta2=0.0)
+        opt = RAdam([("x", p)], lr=0.1)
+        opt.beta1 = opt.beta2 = 0.0
         x = 1.0
         for _ in range(6):
             opt.g["x"][...] = 2.0 * float(p.data)
@@ -107,12 +108,12 @@ def three_params(seed, scale=1.0):
 class TestFlatRAdam:
     def test_duplicate_name_rejected(self):
         with pytest.raises(ContractError, match="duplicate parameter name 'p'"):
-            RAdam([("p", make_param(1.0)), ("p", make_param(2.0))])
+            RAdam([("p", make_param(1.0)), ("p", make_param(2.0))], lr=0.01)
 
     def test_one_tensor_under_two_names_rejected(self):
         p = make_param([1.0, 2.0])
         with pytest.raises(ContractError, match="'a' and 'b' are one tensor"):
-            RAdam([("a", p), ("c", make_param(0.0)), ("b", p)])
+            RAdam([("a", p), ("c", make_param(0.0)), ("b", p)], lr=0.01)
 
     def test_matches_per_parameter_loop(self):
         # steps as large as the parameters, so a last-bit change in the

@@ -6,7 +6,7 @@ import pytest
 from gdnsq import pipeline
 from gdnsq import tensor as T
 from gdnsq.checkpoint import load_arrays, save_arrays
-from gdnsq.data import make_synthetic
+from gdnsq.data import Dataset, make_synthetic
 from gdnsq.errors import DegenerateRangeError, NumericError, PipelineError
 from gdnsq.models import Model, make_model_spec, train_teacher
 from gdnsq.pipeline import (METRICS_HEADER, QatRun, RunConfig,
@@ -20,7 +20,8 @@ def small_world():
     train = make_synthetic("two_gaussians", 256, seed=0)
     val = make_synthetic("two_gaussians", 128, seed=0, split="val")
     spec = make_model_spec("mlp3", 2, 2)
-    teacher, meta = train_teacher(spec, train, val, epochs=25, lam=0.01, seed=0)
+    teacher, meta = train_teacher(spec, train, val, epochs=25, lam=0.01, seed=0,
+                                  batch_size=32)
     return train, val, spec, teacher, meta
 
 
@@ -67,7 +68,7 @@ class TestAudit:
         train, val, spec, teacher, _ = small_world
         student = fresh_student(spec, teacher)
         ptq_minmax(student, train)
-        report = audit_bitwidth(student, val.inputs)
+        report = audit_bitwidth(student, val.inputs, val.labels)
         for s in report.sites:
             assert s.actual <= 10
         assert report.aggregates("weight")["max_act"] <= 10
@@ -78,7 +79,7 @@ class TestAudit:
         ptq_minmax(student, train)
         # blow the scale up so every weight lands on one level
         student.layers[1].weight_fq.log_s.data = np.asarray(8.0)
-        report = audit_bitwidth(student, val.inputs)
+        report = audit_bitwidth(student, val.inputs, val.labels)
         site = next(s for s in report.sites if s.name == "layer1/weight")
         assert site.levels == 1 and site.actual == 0 and site.degenerate
 
@@ -89,7 +90,7 @@ class TestAudit:
         wq = student.layers[1].weight_fq
         l, u = wq.bound_values()
         wq.init_from_minmax(l, u, 1.0)
-        report = audit_bitwidth(student, val.inputs)
+        report = audit_bitwidth(student, val.inputs, val.labels)
         site = next(s for s in report.sites if s.name == "layer1/weight")
         assert site.levels <= 2 and site.actual <= 1
 
@@ -97,9 +98,46 @@ class TestAudit:
         train, val, spec, teacher, _ = small_world
         student = fresh_student(spec, teacher)
         ptq_minmax(student, train)
-        report = audit_bitwidth(student, val.inputs)
+        report = audit_bitwidth(student, val.inputs, val.labels)
         for s in report.sites:
             assert s.actual <= np.ceil(s.estimated) + 1
+
+
+def site_walk_world(spec_id):
+    """A quantized mlp4 or conv3 student, calibrated by PTQ, and its data."""
+    rng = np.random.default_rng(5)
+    if spec_id == "mlp4":
+        data = make_synthetic("two_gaussians", 128, seed=5)
+    else:
+        data = Dataset(rng.uniform(0.0, 1.0, size=(24, 1, 8, 8)),
+                       np.arange(24) % 2, num_classes=2)
+    spec = make_model_spec(spec_id, data.inputs.shape[1], 2)
+    student = Model(spec, quantized=True, init_seed=3, quant_rng=rng)
+    return ptq_minmax(student, data), data
+
+
+@pytest.mark.parametrize("spec_id", ["mlp4", "conv3"])
+class TestSiteWalk:
+    def test_ptq_weight_range_is_the_weights_min_and_max(self, spec_id):
+        student, _ = site_walk_world(spec_id)
+        for layer in student.inner_layers():
+            w = layer.W.data
+            l, u = layer.weight_fq.bound_values()
+            assert l == w.min()
+            assert u == pytest.approx(w.max(), rel=1e-12)
+
+    def test_audit_weight_levels_count_the_quantized_weights(self, spec_id):
+        student, data = site_walk_world(spec_id)
+        wq = student.layers[1].weight_fq
+        wq.init_from_minmax(*wq.bound_values(), 3.0)  # fewer levels than W
+        report = audit_bitwidth(student, data.inputs, data.labels)
+        sites = {s.name: s for s in report.sites}
+        for layer in student.inner_layers():
+            wq = layer.weight_fq
+            expected = np.unique(wq.quantize_array(layer.W.data)).size
+            assert sites[wq.name].kind == "weight"
+            assert sites[wq.name].levels == expected
+        assert sites["layer1/weight"].levels <= 8
 
 
 class TestQatLoop:
@@ -290,7 +328,7 @@ class TestQatLoop:
         val = make_synthetic("concentric_rings", 128, seed=0, split="val")
         spec = make_model_spec("mlp3", 2, 2)
         teacher, _ = train_teacher(spec, train, val, epochs=3, lam=0.01,
-                                   seed=0)
+                                   seed=0, batch_size=32)
         cfg = self._config(dataset="concentric_rings", epochs=4, seed=2,
                            wbits=10.0, abits=10.0)
         saved_epochs = []

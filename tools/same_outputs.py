@@ -1,0 +1,151 @@
+"""Run one fixed CLI scenario on two source trees and compare what it leaves.
+
+    python tools/same_outputs.py <src A> <src B>
+
+Each argument is a directory that holds the ``gdnsq`` package (the ``src``
+of a checkout). The scenario runs once per tree, each in its own temporary
+directory, through ``python -m gdnsq.cli`` with that tree first on
+PYTHONPATH, BLAS on one thread and the same relative paths. It covers:
+
+* mlp4 on two_gaussians: train-fp; ptq, and ptq with rounding_residual
+  probes; a 30-epoch qat; qat with bernoulli_variance_matched probes and
+  cross-entropy distillation; qat without PTQ; a 21-epoch qat resumed to
+  30; audit; fuse; export-metrics;
+* conv3 on the benchmark's bar images (IDX files of seed 1): train-fp;
+  ptq; qat at 8/8; qat with frozen batchnorm at 10/10; audit; and fuse,
+  which the program refuses for conv layers;
+* ``gdnsq verify``.
+
+Every command's exit code and stdout and every file left in the run
+directory are compared byte for byte. Prints each difference and exits 1
+if there is any, else prints a one-line summary and exits 0.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "pipebench"))
+
+from workloads import WORKLOADS, prepare_inputs  # noqa: E402
+
+ONE_THREAD = {k: "1" for k in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                               "MKL_NUM_THREADS")}
+
+
+def scenario(bars: str):
+    """The commands, in order; bars is the --data id of the bar images."""
+    mlp = ["--n-train", "512", "--n-val", "256"]
+    fp, ptq = "mlp/teacher.ckpt", "mlp/ptq.ckpt"
+    qat = ["qat", "--ckpt", ptq, "--teacher", fp, "--seed", "1"]
+    conv = ["--data", bars]
+    cfp, cptq = "conv/teacher.ckpt", "conv/ptq.ckpt"
+    cqat = ["qat", "--ckpt", cptq, "--teacher", cfp, "--seed", "1",
+            "--lr0", "0.07", *conv]
+    return [
+        ["train-fp", "--model", "mlp4", "--seed", "1", "--epochs", "20",
+         *mlp, "--out", fp],
+        ["ptq", "--ckpt", fp, "--out", ptq],
+        ["ptq", "--ckpt", fp, "--noise-mode", "rounding_residual",
+         "--out", "mlp/ptq_rr.ckpt"],
+        [*qat, "--epochs", "30", "--out", "mlp/qat"],
+        [*qat, "--epochs", "10", "--noise-mode", "bernoulli_variance_matched",
+         "--distill", "cross_entropy", "--out", "mlp/qat_vm"],
+        ["qat", "--no-ptq", "--teacher", fp, "--seed", "1", "--epochs", "10",
+         *mlp, "--out", "mlp/qat_noptq"],
+        [*qat, "--epochs", "21", "--out", "mlp/qat_resume"],
+        [*qat, "--epochs", "30", "--resume", "mlp/qat_resume/last.ckpt",
+         "--out", "mlp/qat_resume"],
+        ["audit", "--ckpt", "mlp/qat/last.ckpt"],
+        ["fuse", "--ckpt", "mlp/qat/last.ckpt", "--out", "mlp/fused.ckpt"],
+        ["export-metrics", "--run-dir", "mlp/qat", "--out",
+         "mlp/export/metrics.csv"],
+        ["train-fp", "--model", "conv3", *conv, "--seed", "1", "--epochs",
+         "6", "--lr", "0.03", "--out", cfp],
+        ["ptq", "--ckpt", cfp, *conv, "--out", cptq],
+        [*cqat, "--wbits", "8", "--abits", "8", "--epochs", "6",
+         "--out", "conv/qat"],
+        [*cqat, "--wbits", "10", "--abits", "10", "--epochs", "3",
+         "--freeze-bn", "--out", "conv/qat_fbn"],
+        ["audit", "--ckpt", "conv/qat/last.ckpt", *conv],
+        ["fuse", "--ckpt", "conv/qat/last.ckpt", "--out", "conv/fused.ckpt"],
+        ["verify"],
+    ]
+
+
+def run_tree(src: str, work: str):
+    """Run the scenario with src's package in work; return the
+    (argv, exit code, stdout) of each command and {path: bytes} of every
+    file left under work."""
+    os.makedirs(os.path.join(work, "bars"))
+    data = prepare_inputs(WORKLOADS["conv3_bars"], 1,
+                          os.path.join(work, "bars"))
+    bars = "idx:" + ":".join(os.path.relpath(p, work)
+                             for p in data.split(":")[1:])
+    env = {k: v for k, v in os.environ.items() if k != "GDNSQ_SEED"}
+    env.update(ONE_THREAD, PYTHONPATH=os.path.abspath(src))
+    runs = []
+    for argv in scenario(bars):
+        proc = subprocess.run([sys.executable, "-m", "gdnsq.cli", *argv],
+                              cwd=work, env=env, capture_output=True)
+        runs.append((argv, proc.returncode, proc.stdout))
+    files = {}
+    for dirpath, _, names in os.walk(work):
+        for name in names:
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as f:
+                files[os.path.relpath(path, work)] = f.read()
+    return runs, files
+
+
+def differences(a, b):
+    """Each way in which run_tree's result a differs from b."""
+    (runs_a, files_a), (runs_b, files_b) = a, b
+    out = []
+    for (argv, rc_a, out_a), (_, rc_b, out_b) in zip(runs_a, runs_b):
+        cmd = " ".join(argv)
+        if rc_a != rc_b:
+            out.append(f"exit code of `{cmd}`: {rc_a} vs {rc_b}")
+        if out_a != out_b:
+            out.append(f"stdout of `{cmd}` differs")
+    for path in sorted(set(files_a) | set(files_b)):
+        if path not in files_b:
+            out.append(f"{path}: only in A")
+        elif path not in files_a:
+            out.append(f"{path}: only in B")
+        elif files_a[path] != files_b[path]:
+            out.append(f"{path}: contents differ")
+    return out
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 2:
+        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
+        return 2
+    for src in args:
+        if not os.path.isfile(os.path.join(src, "gdnsq", "cli.py")):
+            print(f"{src}: no gdnsq package here", file=sys.stderr)
+            return 2
+    results = []
+    for src in args:
+        with tempfile.TemporaryDirectory(prefix="same_outputs-") as work:
+            results.append(run_tree(src, work))
+    found = differences(*results)
+    for line in found:
+        print(line)
+    if found:
+        return 1
+    runs, files = results[0]
+    codes = " ".join(str(rc) for _, rc, _ in runs)
+    print(f"identical: {len(runs)} commands (exit codes {codes}) and "
+          f"{len(files)} files")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
