@@ -23,10 +23,9 @@ import sys
 import numpy as np
 
 from .checkpoint import save_arrays
-from .errors import DomainError, GdnsqError
+from .errors import DomainError, FormatError, GdnsqError
 from .losses import DISTILL_KINDS
 from .models import Model, make_model_spec, train_teacher
-from .oracles import run_all
 from .pipeline import (METRICS_HEADER, NO_PTQ_INIT_BITS, RunConfig,
                        audit_bitwidth, build_student_arrays, fuse_student,
                        load_dataset, load_student, load_teacher, ptq_minmax,
@@ -36,7 +35,12 @@ from .quantizer import NOISE_MODES
 
 def _env_seed():
     v = os.environ.get("GDNSQ_SEED")
-    return int(v) if v else None
+    if not v:
+        return None
+    try:
+        return int(v)
+    except ValueError:
+        raise DomainError(f"GDNSQ_SEED must be an integer, got {v!r}") from None
 
 
 def _merge_config(args, defaults: dict, keys) -> dict:
@@ -45,7 +49,13 @@ def _merge_config(args, defaults: dict, keys) -> dict:
     cfg_path = getattr(args, "config", None)
     if cfg_path:
         with open(cfg_path) as f:
-            file_cfg = json.load(f)
+            try:
+                file_cfg = json.load(f)
+            except ValueError as e:
+                raise FormatError(f"{cfg_path}: not valid JSON ({e})") from None
+        if not isinstance(file_cfg, dict):
+            raise FormatError(f"{cfg_path}: expected a JSON object of "
+                              "settings")
         unknown = set(file_cfg) - set(defaults)
         if unknown:
             raise GdnsqError(f"unknown config keys: {sorted(unknown)}")
@@ -252,6 +262,9 @@ def cmd_audit(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # the oracle suite is imported here: no other command uses it
+    from .oracles import run_all
+
     seed = args.seed if args.seed is not None else (_env_seed() or 0)
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")

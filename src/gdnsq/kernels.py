@@ -18,12 +18,20 @@ pixels. Then
   gradient, giving patch gradients [kh, kw, c, ho, wo, b], then col2im:
   each tap (i, j) adds its [c, ho, wo, b] slab into the strided slice of
   the padded input gradient (batch-last too) that the forward read it
-  from, and the padding is cut off.
+  from, and the padding is cut off (one contiguous copy, still
+  batch-last).
 
-Results are copied back to [b, c, h, w] order. The forward and the
-weight gradient multiply the same im2col matrix: a caller that runs both
-on one input builds it once with ``im2col`` and passes it to each as
-``cols`` (``models._conv2d`` does); without ``cols`` each builds its own.
+The forward and the input gradient return [b, c, h, w]-shaped views of
+their batch-last results: nothing is copied back to [b, c, h, w] memory.
+Elementwise numpy ops keep that layout, so the next layer's activations
+stay batch-last, ``im2col`` and the output-gradient reads of the two
+backward kernels take contiguous [c, h, w, b] blocks from them without a
+transposing copy, and a reduction over the batch and spatial axes (bias,
+batchnorm) runs over one contiguous block per channel. Any layout is
+accepted as input. The forward and the weight gradient multiply the same
+im2col matrix: a caller that runs both on one input builds it once with
+``im2col`` and passes it to each as ``cols`` (``models._conv2d`` does);
+without ``cols`` each builds its own.
 """
 
 from __future__ import annotations
@@ -56,13 +64,9 @@ def _out_hw(h, w, kh, kw, stride, pad):
 
 
 def _batch_last(a):
-    """[b, c, h, w] -> [c, h, w, b], copied."""
+    """[b, c, h, w] -> contiguous [c, h, w, b]; no copy when a already is
+    a view of batch-last memory."""
     return np.ascontiguousarray(a.transpose(1, 2, 3, 0))
-
-
-def _batch_first(a):
-    """[c, h, w, b] -> [b, c, h, w], copied."""
-    return np.ascontiguousarray(a.transpose(3, 0, 1, 2))
 
 
 def im2col(x, kh, kw, stride=1, pad=0):
@@ -82,7 +86,7 @@ def conv2d_forward(x, w, stride=1, pad=0, cols=None):
     if cols is None:
         cols = im2col(x, kh, kw, stride, pad)
     out = w.reshape(o, -1) @ cols
-    return _batch_first(out.reshape(o, ho, wo, b))
+    return out.reshape(o, ho, wo, b).transpose(3, 0, 1, 2)
 
 
 def conv2d_backward_input(g, w, x_shape, stride=1, pad=0):
@@ -96,7 +100,8 @@ def conv2d_backward_input(g, w, x_shape, stride=1, pad=0):
         for j in range(kw):
             gxp[:, i:i + stride * ho:stride, j:j + stride * wo:stride] += (
                 gcols[i, j])
-    return _batch_first(gxp[:, pad:pad + h, pad:pad + wd])
+    return np.ascontiguousarray(gxp[:, pad:pad + h, pad:pad + wd]).transpose(
+        3, 0, 1, 2)
 
 
 def conv2d_backward_weight(g, x, w_shape, stride=1, pad=0, cols=None):

@@ -8,15 +8,17 @@ bridges the last conv layer to the linear head. Batchnorm uses momentum 0.1
 and eps 1e-5, constants of ``BatchNorm``.
 
 A training forward records one chain entry per layer and one for the pool
-(``gdnsq.tensor``) and passes plain ndarrays from layer to layer. A layer's
+(``gdnsq.tensor``) and passes plain ndarrays from layer to layer; a conv
+layer's arrays stay batch-last in memory (``gdnsq.kernels``). A layer's
 forward composes numpy pieces that return their output with a
 vector-Jacobian product (``FakeQuantizer.fake_quant``, ``_linear`` or
-``_conv2d``, ``BatchNorm.normalize``); its rule runs those products in
-reverse and draws the weight site's probes before the activation site's,
-the order of the per-op reference graph (tests/reference_graphs.py), so
-training is bit-identical to it. ``train_teacher`` sweeps the chain into
-the flat gradient buffer of its ``RAdam``. A forward hands every site, weight
-and activation alike, to its ``sites`` callback.
+``_conv2d``, ``_bias``, ``BatchNorm.normalize``); its rule runs those
+products in reverse and draws the weight site's probes before the
+activation site's, the order of the per-op reference graph
+(tests/reference_graphs.py), so training is bit-identical to it.
+``train_teacher`` sweeps the chain into the flat gradient buffer of its
+``RAdam``. A forward hands every site, weight and activation alike, to its
+``sites`` callback.
 
 ``Model.named_parameters`` is the one list of a model's tensors; its
 checkpoint state (``state_arrays``, ``load_state_arrays``) and the copy of
@@ -145,15 +147,17 @@ class BatchNorm:
 
     ``normalize`` computes the output and its vector-Jacobian product in
     numpy; the layer entry composes them into its own rule. The gradient
-    is the closed form of Ioffe & Szegedy (arXiv:1502.03167).
-    With batch statistics, xhat = (x - mu) / sd and
-    dx = (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) / sd, where
-    dxhat = g * gamma and the means run over the batch (and spatial) axes;
+    is the closed form of Ioffe & Szegedy (arXiv:1502.03167), written on
+    the two sums the parameter gradients need anyway: with N elements per
+    feature and the sums over the batch (and spatial) axes,
+    dgamma = sum(g * xhat) and dbeta = sum(g). With batch statistics,
+    xhat = (x - mu) / sd and
+    dx = (g - dbeta / N - xhat * dgamma / N) * gamma / sd;
     with running statistics (eval mode or frozen) mu and sd are constants
-    and dx = dxhat / sd. In both, dgamma = sum(g * xhat) and
-    dbeta = sum(g). The forward runs the numpy ops of the primitive-op
-    graph in tests/reference_graphs.py in the same order, so its values and
-    the running-statistic update match that graph bit for bit.
+    and dx = g * gamma / sd. The forward runs the numpy ops of the
+    primitive-op graph in tests/reference_graphs.py in the same order, so
+    its values and the running-statistic update match that graph bit for
+    bit.
     """
 
     momentum = 0.1
@@ -178,8 +182,8 @@ class BatchNorm:
         else:
             raise ShapeError(f"batchnorm expects 2-d or 4-d input, got {xd.shape}")
         batch_stats = train and not self.frozen
+        inv_n = 1.0 / float(np.prod([xd.shape[ax] for ax in axes]))
         if batch_stats:
-            inv_n = 1.0 / float(np.prod([xd.shape[ax] for ax in axes]))
             mu = xd.sum(axis=axes, keepdims=True) * inv_n
             centered = xd - mu
             var = (centered * centered).sum(axis=axes, keepdims=True) * inv_n
@@ -197,14 +201,24 @@ class BatchNorm:
         out = xhat * gamma + self.beta.data.reshape(pshape)
 
         def vjp(g):
-            gxhat = g * gamma
+            g_gamma = (g * xhat).sum(axis=axes, keepdims=True)
+            g_beta = g.sum(axis=axes, keepdims=True)
             if batch_stats:
-                gxhat = (gxhat - gxhat.mean(axis=axes, keepdims=True)
-                         - xhat * (gxhat * xhat).mean(axis=axes,
-                                                      keepdims=True))
-            return gxhat / sd, (g * xhat).sum(axis=axes), g.sum(axis=axes)
+                g = g - g_beta * inv_n - xhat * (g_gamma * inv_n)
+            return g * (gamma / sd), g_gamma.reshape(-1), g_beta.reshape(-1)
 
         return out, vjp
+
+
+def _bias(y, b):
+    """y plus the bias b on its feature or channel axis (axis 1), and the
+    vector-Jacobian product onto (y, b)."""
+    axes = (0,) if y.ndim == 2 else (0, 2, 3)
+
+    def vjp(g):
+        return g, g.sum(axis=axes)
+
+    return y + b.reshape((1, -1) + (1,) * (y.ndim - 2)), vjp
 
 
 def _linear(xd, wd, input_grad):
@@ -322,11 +336,9 @@ class _Layer:
         input_grad = quant or input_grad
         if spec.kind == "linear":
             y, op_vjp = _linear(xd, wd, input_grad)
-            axes, bshape = (0,), (1, -1)
         else:
             y, op_vjp = _conv2d(xd, wd, spec.stride, spec.padding, input_grad)
-            axes, bshape = (0, 2, 3), (1, -1, 1, 1)
-        y = y + self.b.data.reshape(bshape)
+        y, bias_vjp = _bias(y, self.b.data)
         if bn is not None:
             y, bn_vjp = bn.normalize(y, train)
         relu = spec.activation == "relu"
@@ -340,7 +352,7 @@ class _Layer:
             bn_grads = ()
             if bn is not None:
                 g, *bn_grads = bn_vjp(g)
-            gb = g.sum(axis=axes)
+            g, gb = bias_vjp(g)
             gx, gw = op_vjp(g)
             if not quant:
                 return (gx, gw, gb, *bn_grads)

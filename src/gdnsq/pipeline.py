@@ -233,7 +233,7 @@ def audit_bitwidth(model: Model, val_inputs, val_labels) -> BitWidthReport:
             sites=lambda fq, x, xq: seen.setdefault(fq, []).append(xq)).data
     sites = []
     for fq in model.all_quantizers():
-        vals = np.concatenate([v.reshape(-1) for v in seen[fq]])
+        vals = np.concatenate([v.ravel(order="K") for v in seen[fq]])
         site = SiteAudit(fq.name, fq.site_kind, fq.bitwidth_value(),
                          int(np.unique(vals).size))
         if site.degenerate:

@@ -19,8 +19,12 @@ The Bernoulli probe of n elements is read from the raw stream of the
 site's bit generator (PCG64 by default): ceil(n/64) 64-bit words from
 ``bit_generator.random_raw``, taken as little-endian bytes, each byte
 giving eight signs most significant bit first, +1/2 for a set bit and
--1/2 for a clear one; the first n signs are the probe, in the C order of
-x, and the unused bits of the last word are dropped.
+-1/2 for a clear one; the first n signs are the probe, in the memory order
+of x, and the unused bits of the last word are dropped. Memory order runs
+over x's axes from the largest stride to the smallest: the C order of a
+C-contiguous x (every weight and every MLP activation), and channel, row,
+column, image of a conv activation, which is batch-last in memory
+(``gdnsq.kernels``).
 
 Clamp-path gradients are ordinary almost-everywhere derivatives: gradient
 flows to x on [l, u] (ties included), to l below, to u above.
@@ -202,18 +206,24 @@ class FakeQuantizer:
 
         The clamp path is differentiated as usual; the noise path gives
         exactly zero for x and the noise-mode probe for s, gs = probe . g.
-        A Bernoulli probe takes ceil(x.size/64) words of this site's raw
-        stream (module docstring).
+        The sums run over x's elements in x's memory order, the order the
+        probe follows; a g laid out otherwise is first copied into x's
+        layout. A Bernoulli probe takes ceil(x.size/64) words of this
+        site's raw stream (module docstring).
         """
         below = x < l
         above = x > u
         gx = g_up * ~(below | above)
-        g = g_up.reshape(-1)
-        gl = g @ below.reshape(-1)
-        gu = g @ above.reshape(-1)
+        g = g_up
+        if g.strides != x.strides:  # lay g out like x
+            g = np.empty_like(x)
+            g[...] = g_up
+        g = g.ravel(order="K")
+        gl = g @ below.ravel(order="K")
+        gu = g @ above.ravel(order="K")
         if self.noise_mode == "rounding_residual":
             v = np.clip(x, l, u) / s
-            probe = (round_half_up(v) - v).reshape(-1)
+            probe = (round_half_up(v) - v).ravel(order="K")
         else:
             n = x.size
             words = self.rng.bit_generator.random_raw(-(-n // 64))

@@ -8,13 +8,17 @@ closed-form chain entries in ``gdnsq.quantizer``, ``gdnsq.losses`` and
 ``gdnsq.models`` replace, and the loop that the flat update in
 ``gdnsq.optim`` replaces. They stay here as references: the tests check
 that the entries give the same values and gradients, and the flat update
-the same bits. Besides the primitives, the layer graph uses three
+the same bits. Besides the primitives, the layer graph uses four
 single-op nodes built on the package's numpy pieces: fake-quant
 (``fake_quant_apply``, over the site's l, u and s), the convolution
-(``conv2d_node``) and batchnorm (``batchnorm_node``, itself checked
-against the primitive graph ``batchnorm_forward``). ``chain_on_tape``
-records a chain's own entries as nodes of the general tape, so the tape's
-gradient accumulation can be compared with the chain's sweep bit for bit.
+(``conv2d_node``), the bias add (``bias_node``) and batchnorm
+(``batchnorm_node``, itself checked against the primitive graph
+``batchnorm_forward``). The bias node shares the layer's own sum: behind
+a batchnorm with batch statistics the bias gradient is zero up to
+rounding, and only the same sum over the same array gives the same
+rounding. ``chain_on_tape`` records a chain's own entries as nodes of the
+general tape, so the tape's gradient accumulation can be compared with the
+chain's sweep bit for bit.
 """
 
 import math
@@ -24,7 +28,7 @@ import numpy as np
 import primitives as P
 import reference_tape as T
 from gdnsq.losses import PROB_FLOOR, floor_normalize, softmax
-from gdnsq.models import _conv2d
+from gdnsq.models import _bias, _conv2d
 from gdnsq.quantizer import fq_kernel
 
 
@@ -72,6 +76,12 @@ def conv2d_node(x, w, stride, pad):
     unless x requires one (the input batch does not)."""
     out, vjp = _conv2d(x.data, w.data, stride, pad, x.requires_grad)
     return T._record([x, w], out, vjp, "conv2d")
+
+
+def bias_node(y, b):
+    """The bias add of a layer as one node over (y, b)."""
+    out, vjp = _bias(y.data, b.data)
+    return T._record([y, b], out, vjp, "bias")
 
 
 def batchnorm_node(bn, x, train):
@@ -193,7 +203,7 @@ def batchnorm_forward(bn, x, train):
 
 def layer_forward(layer, x, train):
     """_Layer.forward as a graph of one node per op: the fake-quant nodes,
-    matmul or conv, bias reshape, broadcast and add, batchnorm and relu."""
+    matmul or conv, bias add, batchnorm and relu."""
     if layer.weight_fq is not None:
         x = fake_quant_apply(layer.act_fq, x)
         w = fake_quant_apply(layer.weight_fq, layer.W)
@@ -201,11 +211,9 @@ def layer_forward(layer, x, train):
         w = layer.W
     if layer.spec.kind == "linear":
         y = P.matmul(x, w)
-        bb = P.broadcast_to(P.reshape(layer.b, (1, -1)), y.shape)
     else:
         y = conv2d_node(x, w, layer.spec.stride, layer.spec.padding)
-        bb = P.broadcast_to(P.reshape(layer.b, (1, -1, 1, 1)), y.shape)
-    y = P.add(y, bb)
+    y = bias_node(y, layer.b)
     if layer.bn is not None:
         y = batchnorm_node(layer.bn, y, train)
     if layer.spec.activation == "relu":

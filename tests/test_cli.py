@@ -221,6 +221,19 @@ def test_verify_runs_from_the_package_alone(tmp_path):
         assert "PASS" in out and "FAIL" not in out
 
 
+def test_cli_import_leaves_the_oracles_out():
+    # only verify runs the oracle suite; the other commands do not load it
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, gdnsq.cli; print('gdnsq.oracles' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_unknown_flag_is_usage_error():
     with pytest.raises(SystemExit) as e:
         main(["qat", "--nonsense", "1"])
@@ -255,6 +268,26 @@ def test_env_seed_fallback(tmp_path, monkeypatch):
     assert rc == 0
     run = json.loads((tmp_path / "run.json").read_text())
     assert run["seed"] == 77
+
+
+def test_env_seed_not_an_integer_refused(monkeypatch, capsys):
+    monkeypatch.setenv("GDNSQ_SEED", "abc")
+    assert main(["verify", "--filter", "lemma"]) == 1
+    assert capsys.readouterr().err.startswith("error: GDNSQ_SEED")
+
+
+@pytest.mark.parametrize("content", ["{\"epochs\": 2,", "3"],
+                         ids=["not_json", "not_an_object"])
+def test_bad_config_file_refused_before_any_output(tmp_path, capsys,
+                                                   content):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(content)
+    out = tmp_path / "fp" / "teacher.ckpt"
+    assert main(["train-fp", "--model", "mlp2", "--config", str(cfg),
+                 "--n-train", "128", "--n-val", "128",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {cfg}")
+    assert not out.parent.exists()
 
 
 def test_train_fp_lr_flag_reaches_config(tmp_path):

@@ -270,14 +270,21 @@ def test_fake_quant_node_matches_reference(kind):
 BN_MODES = ("train", "frozen", "eval")
 
 
-def batchnorm_case(ndim, mode, reference):
+def batch_last(a):
+    """a's values as a [b, c, h, w] view of [c, h, w, b] memory, the layout
+    of a conv layer's activations and their gradients in training."""
+    return np.ascontiguousarray(a.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
+
+
+def batchnorm_case(ndim, mode, reference, layout=np.asarray):
     """(output, running mean, running var, x/gamma/beta gradients) of one
     batchnorm forward and backward through BatchNorm.normalize or the
-    reference graph."""
+    reference graph; layout lays out the input and the output's
+    coefficients."""
     rng = np.random.default_rng([ndim, BN_MODES.index(mode)])
     shape = (6, 3) if ndim == 2 else (4, 3, 5, 2)
-    x = Tensor(rng.normal(0.5, 2.0, size=shape), requires_grad=True)
-    coeff = rng.normal(size=shape)
+    x = Tensor(layout(rng.normal(0.5, 2.0, size=shape)), requires_grad=True)
+    coeff = layout(rng.normal(size=shape))
     bn = BatchNorm(3)
     bn.frozen = mode == "frozen"
     bn.gamma.data = 1.0 + 0.3 * rng.normal(size=3)
@@ -299,8 +306,17 @@ def batchnorm_case(ndim, mode, reference):
 @pytest.mark.parametrize("ndim", [2, 4])
 @pytest.mark.parametrize("mode", BN_MODES)
 def test_batchnorm_node_matches_graph(ndim, mode):
-    node = batchnorm_case(ndim, mode, reference=False)
-    graph = batchnorm_case(ndim, mode, reference=True)
+    assert_batchnorm_node_matches_graph(ndim, mode, np.asarray)
+
+
+@pytest.mark.parametrize("mode", BN_MODES)
+def test_batchnorm_node_matches_graph_on_batch_last_input(mode):
+    assert_batchnorm_node_matches_graph(4, mode, batch_last)
+
+
+def assert_batchnorm_node_matches_graph(ndim, mode, layout):
+    node = batchnorm_case(ndim, mode, False, layout)
+    graph = batchnorm_case(ndim, mode, True, layout)
     # the forward values and the running-statistic update are the same ops
     for what, got, want in zip(("out", "running_mean", "running_var"),
                                node[:3], graph[:3]):
@@ -312,10 +328,11 @@ def test_batchnorm_node_matches_graph(ndim, mode):
 LAYER_KINDS = ("linear", "conv2d")
 
 
-def layer_case(kind, quantized, train, x_grad, reference):
+def layer_case(kind, quantized, train, x_grad, reference, layout=np.asarray):
     """(output, probe draws, gradients, running statistics) of one layer
-    forward and backward through the layer entry or the reference graph.
-    The first gradient is the input's, None where none was computed."""
+    forward and backward through the layer entry or the reference graph;
+    layout lays out the input. The first gradient is the input's, None
+    where none was computed."""
     rng = np.random.default_rng([LAYER_KINDS.index(kind), quantized])
     if kind == "linear":
         spec, x_shape = Linear(5, 4), (6, 5)
@@ -335,7 +352,8 @@ def layer_case(kind, quantized, train, x_grad, reference):
         layer.weight_fq.init_from_minmax(0.8 * w.min(), 0.8 * w.max(), 3.0)
         layer.act_fq.init_from_minmax(0.0, 1.2, 3.0)
         params += layer.weight_fq.raw_params() + layer.act_fq.raw_params()
-    x = Tensor(rng.normal(0.3, 1.0, size=x_shape), requires_grad=x_grad)
+    x = Tensor(layout(rng.normal(0.3, 1.0, size=x_shape)),
+               requires_grad=x_grad)
     draws = []
     ste = FakeQuantizer.ste_backward
 
@@ -370,8 +388,22 @@ def layer_case(kind, quantized, train, x_grad, reference):
 @pytest.mark.parametrize("train", [False, True])
 @pytest.mark.parametrize("x_grad", [False, True])
 def test_layer_node_matches_graph(kind, quantized, train, x_grad):
-    node = layer_case(kind, quantized, train, x_grad, reference=False)
-    graph = layer_case(kind, quantized, train, x_grad, reference=True)
+    assert_layer_node_matches_graph(kind, quantized, train, x_grad,
+                                    np.asarray)
+
+
+@pytest.mark.parametrize("quantized", [False, True])
+@pytest.mark.parametrize("train", [False, True])
+@pytest.mark.parametrize("x_grad", [False, True])
+def test_conv_layer_node_matches_graph_on_batch_last_input(quantized, train,
+                                                           x_grad):
+    assert_layer_node_matches_graph("conv2d", quantized, train, x_grad,
+                                    batch_last)
+
+
+def assert_layer_node_matches_graph(kind, quantized, train, x_grad, layout):
+    node = layer_case(kind, quantized, train, x_grad, False, layout)
+    graph = layer_case(kind, quantized, train, x_grad, True, layout)
     np.testing.assert_array_equal(node[0], graph[0])
     assert node[1] == graph[1]
     assert [d[0] for d in node[1]] == (

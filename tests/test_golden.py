@@ -52,9 +52,9 @@ GOLDEN = {
     },
     "conv3": {
         "metrics.csv":
-            "520c0021d7faa1fc889e97ea9b495f2b2104b9c753063f53ae7a2edaed70e9e9",
+            "6db945a0f031ddf50350a8f334c6b5c8d0afd017e4d32096ea7b2a793f06318d",
         "last.ckpt":
-            "be6af01b8d9024f871e1d7b0de5c053f232b2e6358140f775ddcafb9eef92872",
+            "08516fb31631e685d602e3960601d0d65f2ffde0787d066d57ad94e2bef9c62d",
     },
 }
 

@@ -2,7 +2,9 @@
 
 The references below visit every (image, output channel, output pixel,
 input channel, tap) and read or write the unpadded input only where the
-tap lands inside it, which is what zero padding means.
+tap lands inside it, which is what zero padding means. The kernels must
+match them on C-ordered inputs and on batch-last views, the layout the
+kernels return and training feeds back to them.
 """
 
 import itertools
@@ -56,18 +58,32 @@ def loop_backward_weight(g, x, w_shape, stride, pad):
     return gw
 
 
+def batch_last(a):
+    """a's values as a [b, c, h, w] view of [c, h, w, b] memory."""
+    return np.ascontiguousarray(a.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
+
+
+def is_batch_last(a):
+    return a.transpose(1, 2, 3, 0).flags.c_contiguous
+
+
 CASES = list(itertools.product((1, 2), (0, 1), (1, 3)))
 
 
-@pytest.mark.parametrize("stride,pad,k", CASES)
-def test_kernels_match_loops(stride, pad, k):
+def conv_case(stride, pad, k):
+    """(x, w, g) of one case: an input of non-square, odd sizes, a kernel
+    and an output gradient, all C-ordered."""
     rng = np.random.default_rng([stride, pad, k])
-    x = rng.normal(size=(2, 3, 7, 5))  # non-square, odd sizes
+    x = rng.normal(size=(2, 3, 7, 5))
     w = rng.normal(size=(4, 3, k, k))
-    out = conv2d_forward(x, w, stride, pad)
-    np.testing.assert_allclose(out, loop_forward(x, w, stride, pad),
+    g = rng.normal(size=loop_forward(x, w, stride, pad).shape)
+    return x, w, g
+
+
+def assert_kernels_match_loops(x, w, g, stride, pad):
+    np.testing.assert_allclose(conv2d_forward(x, w, stride, pad),
+                               loop_forward(x, w, stride, pad),
                                rtol=0, atol=ATOL)
-    g = rng.normal(size=out.shape)
     np.testing.assert_allclose(
         conv2d_backward_input(g, w, x.shape, stride, pad),
         loop_backward_input(g, w, x.shape, stride, pad), rtol=0, atol=ATOL)
@@ -75,6 +91,33 @@ def test_kernels_match_loops(stride, pad, k):
         conv2d_backward_weight(g, x, w.shape, stride, pad),
         loop_backward_weight(g, x, w.shape, stride, pad), rtol=0, atol=ATOL)
 
+
+@pytest.mark.parametrize("stride,pad,k", CASES)
+def test_kernels_match_loops(stride, pad, k):
+    x, w, g = conv_case(stride, pad, k)
+    assert_kernels_match_loops(x, w, g, stride, pad)
+
+
+@pytest.mark.parametrize("stride,pad,k", CASES)
+def test_kernels_match_loops_on_batch_last_views(stride, pad, k):
+    x, w, g = conv_case(stride, pad, k)
+    x, g = batch_last(x), batch_last(g)
+    assert is_batch_last(x) and not x.flags.c_contiguous
+    assert_kernels_match_loops(x, w, g, stride, pad)
+
+
+@pytest.mark.parametrize("stride,pad,k", CASES)
+def test_results_are_batch_last_in_memory(stride, pad, k):
+    # [b, c, h, w]-shaped views of [c, h, w, b] memory, so the next layer
+    # reads them without a transposing copy
+    rng = np.random.default_rng([pad, stride, k])
+    x = rng.normal(size=(3, 2, 6, 5))
+    w = rng.normal(size=(4, 2, k, k))
+    out = conv2d_forward(x, w, stride, pad)
+    assert out.shape == (3, 4) + out.shape[2:] and is_batch_last(out)
+    gx = conv2d_backward_input(rng.normal(size=out.shape), w, x.shape, stride,
+                               pad)
+    assert gx.shape == x.shape and is_batch_last(gx)
 
 
 @pytest.mark.parametrize("stride,pad,k", CASES)

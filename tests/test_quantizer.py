@@ -180,6 +180,26 @@ class TestProbeStream:
         # exactly ceil(n/64) words were taken
         assert fq.rng.bit_generator.state == twin.bit_generator.state
 
+    @pytest.mark.parametrize("mode", ["bernoulli", "rounding_residual"])
+    @pytest.mark.parametrize("g_layout", ["batch_last", "c_order"])
+    def test_probe_follows_the_memory_order_of_x(self, mode, g_layout):
+        # a batch-last x (a [b, c, h, w] view of [c, h, w, b] memory) gets
+        # the gradients of its [c, h, w, b] copy, whatever g's layout
+        fq = make_fq("activation", 0.0, 1.2, 3.0, seed=25, noise_mode=mode)
+        l, u = fq.bound_values()
+        gen = np.random.default_rng(26)
+        x_mem = gen.uniform(-0.4, 1.6, size=(3, 4, 2, 5))  # [c, h, w, b]
+        g_mem = gen.normal(size=x_mem.shape)
+        x, g = x_mem.transpose(3, 0, 1, 2), g_mem.transpose(3, 0, 1, 2)
+        if g_layout == "c_order":
+            g = np.ascontiguousarray(g)
+        got = fq.ste_backward(g, x, l, u, fq.scale_value())
+        fq.rng = np.random.default_rng(25)
+        want = fq.ste_backward(g_mem, x_mem, l, u, fq.scale_value())
+        np.testing.assert_array_equal(got[0], want[0].transpose(3, 0, 1, 2))
+        assert [float(v) for v in got[1:]] == [float(v) for v in want[1:]]
+        assert float(got[1]) != 0.0 and float(got[2]) != 0.0
+
     def test_every_sign_is_half(self):
         # a one-hot upstream gradient reads one probe sign at a time
         signs = probe_by_one_hot("bernoulli", 130, seed=23)
