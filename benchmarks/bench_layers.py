@@ -1,7 +1,7 @@
 """Per-layer times of the training chains, written to BENCH_layers.json.
 
     python benchmarks/bench_layers.py --tree NAME=SRC [--tree NAME=SRC ...]
-        [--rounds 11] [--steps 200] [--out BENCH_layers.json]
+        [--out BENCH_layers.json]
 
 Each SRC is a directory holding the ``gdnsq`` package (the ``src`` of a
 checkout); to time another commit, unpack it first with
@@ -26,12 +26,11 @@ mlp4 runs on two_gaussians, conv3 on the benchmark's bar images of seed 1
 the entry before it (or the start of the step) to its own record, and
 its rule time in the reverse sweep; for the step, the whole forward, the
 sweep, the optimizer step and their total. Each of these is the 10th
-percentile over ``--steps`` timed steps, after 30 steps of warm-up; the
-file holds its smallest value over the rounds, in microseconds, one
-column per tree. The host's speed changes from second to second (shared
+percentile over 200 timed steps, after 30 steps of warm-up; the file
+holds its smallest value over 11 rounds, in microseconds, one column per
+tree. The host's speed changes from second to second (shared
 CPUs), and like pipebench's stage times (``spans.fast_stage_time``) this
-reads every tree at the host's fast speed. Columns of other names already
-in the file are kept.
+reads every tree at the host's fast speed. The file is written afresh.
 """
 
 from __future__ import annotations
@@ -54,6 +53,8 @@ import numpy as np  # noqa: E402
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BATCH = 32
 WARMUP = 30
+STEPS = 200
+ROUNDS = 11
 PERCENTILE = 10
 TARGETS = (4.0, 4.0)
 W_P = 0.1  # the potential's weight, t_q * c_r
@@ -103,7 +104,7 @@ def load_chain(model_id, qat, work):
     return model, opt, inputs
 
 
-def time_chain(model_id, qat, steps, work):
+def time_chain(model_id, qat, work):
     from gdnsq import tensor as T
     from gdnsq.losses import hard_label_loss, total_loss
 
@@ -130,7 +131,7 @@ def time_chain(model_id, qat, steps, work):
 
     T.record = timed_record
     try:
-        for step in range(WARMUP + steps):
+        for step in range(WARMUP + STEPS):
             x, labels, teacher = inputs(step)
             marks.clear()
             rule_s.clear()
@@ -170,11 +171,11 @@ CHAINS = {"mlp4_train_fp": ("mlp4", False), "mlp4_qat": ("mlp4", True),
           "conv3_train_fp": ("conv3", False), "conv3_qat": ("conv3", True)}
 
 
-def worker(src, chain, steps) -> int:
+def worker(src, chain) -> int:
     """Time one chain with the package in src; print its times as JSON."""
     sys.path[:0] = [os.path.abspath(src), os.path.join(ROOT, "pipebench")]
     with tempfile.TemporaryDirectory(prefix="bench_layers-") as work:
-        print(json.dumps(time_chain(*CHAINS[chain], int(steps), work)))
+        print(json.dumps(time_chain(*CHAINS[chain], work)))
     return 0
 
 
@@ -190,43 +191,38 @@ def main(argv=None) -> int:
     parser.add_argument("--tree", action="append", required=True,
                         metavar="NAME=SRC", help="a column name and the "
                         "directory holding its gdnsq package (repeatable)")
-    parser.add_argument("--rounds", type=int, default=11)
-    parser.add_argument("--steps", type=int, default=200)
     parser.add_argument("--out",
                         default=os.path.join(ROOT, "BENCH_layers.json"))
     args = parser.parse_args(argv)
     trees = dict(t.split("=", 1) for t in args.tree)
     samples = {name: [] for name in trees}
-    for r in range(args.rounds):
+    for r in range(ROUNDS):
         times = {name: {} for name in trees}
         for chain in CHAINS:
             for name in (list(trees) if r % 2 == 0 else list(trees)[::-1]):
                 proc = subprocess.run(
                     [sys.executable, os.path.abspath(__file__), "--worker",
-                     trees[name], chain, str(args.steps)],
+                     trees[name], chain],
                     capture_output=True, text=True, check=True)
                 times[name][chain] = json.loads(proc.stdout)
         for name in trees:
             samples[name].append(times[name])
             totals = {c: v["step/total"] for c, v in times[name].items()}
             print(f"round {r + 1} {name}: step/total {totals}", flush=True)
-    result = {"columns": {}}
-    if os.path.exists(args.out):
-        with open(args.out) as f:
-            result = json.load(f)
-    result.update({
+    result = {
+        "columns": {},
         "unit": "us",
         "statistic": f"smallest over rounds of the {PERCENTILE}th "
                      "percentile over one round's timed steps",
         "batch": BATCH,
-    })
+    }
     for name in trees:
         result["columns"][name] = {
             "numpy": np.__version__,
             "host": f"{platform.machine()}, {os.cpu_count()} CPUs, "
                     f"{platform.python_implementation()} "
                     f"{platform.python_version()}, BLAS on one thread",
-            "rounds": args.rounds, "steps": args.steps,
+            "rounds": ROUNDS, "steps": STEPS,
             "chains": fastest_round(samples[name]),
         }
     with open(args.out, "w") as f:

@@ -182,8 +182,8 @@ class BatchNorm:
         else:
             raise ShapeError(f"batchnorm expects 2-d or 4-d input, got {xd.shape}")
         batch_stats = train and not self.frozen
-        inv_n = 1.0 / float(np.prod([xd.shape[ax] for ax in axes]))
         if batch_stats:
+            inv_n = 1.0 / float(np.prod([xd.shape[ax] for ax in axes]))
             mu = xd.sum(axis=axes, keepdims=True) * inv_n
             centered = xd - mu
             var = (centered * centered).sum(axis=axes, keepdims=True) * inv_n
@@ -248,7 +248,9 @@ def _conv2d(xd, wd, stride, pad, input_grad):
 
 def global_avg_pool(h: np.ndarray) -> np.ndarray:
     """The mean of h [B, C, H, W] over H and W as one chain entry; its rule
-    spreads each gradient evenly over the H*W positions it averaged."""
+    spreads each gradient evenly over the H*W positions it averaged. A
+    batch-last h gives a channel-major [B, C] result, which the linear head
+    (never quantized) reads as it is."""
     inv_n = 1.0 / float(h.shape[2] * h.shape[3])
 
     def rule(g):

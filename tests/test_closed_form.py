@@ -9,9 +9,9 @@ the gradients the general tape (reference_tape) accumulates when the same
 entries are recorded on it as nodes, with the same probe draws. It also
 compares the loss value and every parameter and logit gradient with the
 primitive-op reference graphs in ``reference_graphs`` within 1e-12
-relative. BatchNorm.normalize and a single layer entry are compared the
-same way on their outputs and gradients; a layer entry must also draw the
-same probes in the same order.
+relative. BatchNorm.normalize, the bias add and a single layer entry are
+compared the same way on their outputs and gradients; a layer entry must
+also draw the same probes in the same order.
 """
 
 import numpy as np
@@ -24,7 +24,7 @@ from gdnsq import tensor as T
 from gdnsq.data import Dataset
 from gdnsq.losses import (PROB_FLOOR, distill_loss, hard_label_loss,
                           potential_tensor, softmax, teacher_probs, total_loss)
-from gdnsq.models import (BatchNorm, Conv2d, Linear, Model, _Layer,
+from gdnsq.models import (BatchNorm, Conv2d, Linear, Model, _bias, _Layer,
                           make_model_spec)
 from gdnsq.optim import RAdam
 from gdnsq.oracles import _weighted_sum
@@ -323,6 +323,28 @@ def assert_batchnorm_node_matches_graph(ndim, mode, layout):
         np.testing.assert_array_equal(got, want, err_msg=what)
     for what, got, want in zip(("x", "gamma", "beta"), node[3:], graph[3:]):
         assert_close(got, want, what)
+
+
+@pytest.mark.parametrize("ndim", [2, 4])
+def test_bias_matches_graph(ndim):
+    """models._bias, which the reference layer graph reuses, against the
+    primitive reshape, broadcast and add; a 4-d input is batch-last."""
+    rng = np.random.default_rng([ndim])
+    shape = (6, 3) if ndim == 2 else (4, 3, 5, 2)
+    layout = np.asarray if ndim == 2 else batch_last
+    y = Tensor(layout(rng.normal(size=shape)), requires_grad=True)
+    b = Tensor(rng.normal(size=3), requires_grad=True)
+    coeff = layout(rng.normal(size=shape))
+    out, vjp = _bias(y.data, b.data)
+    gy, gb = vjp(coeff)
+    R.reset_tape()
+    bb = P.broadcast_to(P.reshape(b, (1, -1) + (1,) * (ndim - 2)), shape)
+    graph = P.add(y, bb)
+    grads = P.sum_(P.mul(graph, R.constant(coeff))).backward()
+    R.reset_tape()
+    np.testing.assert_array_equal(out, graph.data)
+    assert_close(gy, grads[y], "y")
+    assert_close(gb, grads[b], "b")
 
 
 LAYER_KINDS = ("linear", "conv2d")
