@@ -139,14 +139,12 @@ def time_chain(model_id, qat, work):
             t0 = clock()
             logits = model.forward(x, train=True)
             if qat:
-                loss, _ = total_loss(logits, teacher,
-                                     model.weight_quantizers(),
-                                     model.act_quantizers(), TARGETS, W_P,
-                                     labels=labels)
+                total_loss(logits, teacher, model.weight_quantizers(),
+                           model.act_quantizers(), TARGETS, W_P, labels=labels)
             else:
-                loss = hard_label_loss(logits, labels)
+                hard_label_loss(logits, labels)
             t1 = clock()
-            T.backward(loss, opt.slots)
+            T.backward(opt.slots)
             t2 = clock()
             opt.step()
             t3 = clock()

@@ -43,8 +43,37 @@ def _env_seed():
         raise DomainError(f"GDNSQ_SEED must be an integer, got {v!r}") from None
 
 
-def _merge_config(args, defaults: dict, keys) -> dict:
-    """defaults < --config file < explicitly passed flags."""
+# train-fp's settings, and ptq's fallback for a teacher without its splits
+TRAIN_FP_DEFAULTS = {"model": "mlp3", "dataset": "two_gaussians",
+                     "data_seed": 0, "n_train": 1024, "n_val": 512,
+                     "seed": None, "epochs": 60, "lr": 0.01, "batch_size": 32}
+
+
+def _check_file_value(cfg_path, key, value, flag):
+    """Raise FormatError unless the --config value of key has the type of
+    the flag that sets key: a bool for a store-true flag, one of the
+    choices of a flag that has them, an integer for an int flag, an
+    integer or a float for a float flag, else a string. Only a store-true
+    flag takes a bool."""
+    if flag.nargs == 0:
+        want, ok = "true or false", isinstance(value, bool)
+    elif flag.choices is not None:
+        want, ok = f"one of {list(flag.choices)}", value in flag.choices
+    elif flag.type is int:
+        want, ok = "an integer", isinstance(value, int)
+    elif flag.type is float:
+        want, ok = "a number", isinstance(value, (int, float))
+    else:
+        want, ok = "a string", isinstance(value, str)
+    if not ok or (isinstance(value, bool) and flag.nargs != 0):
+        raise FormatError(f"{cfg_path}: {key} must be {want}, got "
+                          f"{json.dumps(value)}")
+
+
+def _merge_config(args, defaults: dict) -> dict:
+    """defaults < --config file < explicitly passed flags, for the keys of
+    defaults. A file value must have the type of the key's flag
+    (_check_file_value)."""
     merged = dict(defaults)
     cfg_path = getattr(args, "config", None)
     if cfg_path:
@@ -59,8 +88,14 @@ def _merge_config(args, defaults: dict, keys) -> dict:
         unknown = set(file_cfg) - set(defaults)
         if unknown:
             raise GdnsqError(f"unknown config keys: {sorted(unknown)}")
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        flags = {a.dest: a for a in sub.choices[args.command]._actions}
+        for key, value in file_cfg.items():
+            if key in flags:
+                _check_file_value(cfg_path, key, value, flags[key])
         merged.update(file_cfg)
-    for key in keys:
+    for key in defaults:
         val = getattr(args, key, None)
         if val is not None:
             merged[key] = val
@@ -128,7 +163,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-ptq", action="store_true", dest="no_ptq",
                    help="skip PTQ: near-FP quantizer init straight from the "
                         "teacher (ablation)")
-    p.add_argument("--freeze-bn", action="store_true", dest="freeze_bn",
+    p.add_argument("--freeze-bn", action="store_true",
+                   dest="batchnorm_frozen",
                    default=None, help="freeze batchnorm running statistics "
                                       "during QAT (ablation)")
     p.add_argument("--tq-init", type=float, dest="tq_init",
@@ -167,10 +203,7 @@ def _resolve_dataset(merged):
 
 
 def cmd_train_fp(args) -> int:
-    defaults = {"model": "mlp3", "dataset": "two_gaussians", "data_seed": 0,
-                "n_train": 1024, "n_val": 512, "seed": None, "epochs": 60,
-                "lr": 0.01, "batch_size": 32}
-    merged = _merge_config(args, defaults, list(defaults))
+    merged = _merge_config(args, TRAIN_FP_DEFAULTS)
     train, val = _resolve_dataset(merged)
     spec = make_model_spec(merged["model"], train.inputs.shape[1],
                            train.num_classes)
@@ -190,16 +223,13 @@ def cmd_train_fp(args) -> int:
 def cmd_ptq(args) -> int:
     defaults = {"dataset": None, "data_seed": None, "n_train": None,
                 "n_val": None, "noise_mode": "bernoulli", "seed": None}
-    merged = _merge_config(args, defaults, list(defaults))
+    merged = _merge_config(args, defaults)
     teacher, meta = load_teacher(args.ckpt)
     # the teacher's own splits; a teacher written before train-fp recorded
-    # its split sizes falls back to the train-fp defaults
-    for key, fallback in (("dataset", meta.get("dataset")),
-                          ("data_seed", meta.get("data_seed", 0)),
-                          ("n_train", meta.get("n_train", 1024)),
-                          ("n_val", meta.get("n_val", 512))):
-        if merged.get(key) is None:
-            merged[key] = fallback
+    # them falls back to the train-fp defaults
+    for key in ("dataset", "data_seed", "n_train", "n_val"):
+        if merged[key] is None:
+            merged[key] = meta.get(key, TRAIN_FP_DEFAULTS[key])
     config = RunConfig(model=meta.get("model", "custom"),
                        dataset=merged["dataset"],
                        data_seed=merged["data_seed"],
@@ -227,13 +257,8 @@ def cmd_qat(args) -> int:
         raise GdnsqError("qat needs --ckpt (a PTQ student) unless --no-ptq")
     else:
         student = None
-    keys = ["wbits", "abits", "lr0", "epochs", "noise_mode", "distill",
-            "tq_init", "seed", "batch_size", "dataset", "data_seed", "n_train",
-            "n_val"]
     base["seed"] = None
-    merged = _merge_config(args, base, keys)
-    if args.freeze_bn is not None:
-        merged["batchnorm_frozen"] = bool(args.freeze_bn)
+    merged = _merge_config(args, base)
     merged["ptq_enabled"] = not args.no_ptq
     config = RunConfig(**merged)
     teacher, _ = load_teacher(args.teacher)
@@ -253,8 +278,7 @@ def cmd_qat(args) -> int:
 
 def cmd_audit(args) -> int:
     config, _, student, _ = load_student(args.ckpt)
-    _, val = _resolve_dataset(_merge_config(
-        args, config.to_dict(), ["dataset", "data_seed", "n_train", "n_val"]))
+    _, val = _resolve_dataset(_merge_config(args, config.to_dict()))
     report = audit_bitwidth(student, val.inputs, val.labels)
     print(report.format())
     print(f"val accuracy: {report.val_acc:.4f}")

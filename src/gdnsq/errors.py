@@ -14,8 +14,8 @@ class NumericError(GdnsqError):
 
 
 class ContractError(GdnsqError):
-    """API contract violated (non-scalar backward root, an entry off the
-    chain's line, a parameter the sweep never reached, ...)."""
+    """API contract violated (an entry off the chain's line, a parameter
+    the sweep never reached, ...)."""
 
 
 class DomainError(GdnsqError):

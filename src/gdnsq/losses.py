@@ -29,6 +29,9 @@ none (max(p, floor) sends ties to p), and a hinge whose omega equals its
 target is active. The rules evaluate their products in the order the
 primitive graphs did, so they round the same way and training runs
 reproduce those graphs' metrics.
+
+The loss functions take ndarray logits and return float64 values; the
+chain, not the value, carries the gradient.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ import numpy as np
 
 from . import tensor as T
 from .errors import DomainError, NumericError, ShapeError
-from .tensor import Tensor
 
 PROB_FLOOR = 1e-12
 
@@ -97,8 +99,8 @@ def teacher_probs(teacher_logits) -> TeacherProbs:
     return TeacherProbs(q, np.log(q))
 
 
-def distill_loss(student_logits: Tensor, teacher: TeacherProbs = None,
-                 labels=None, kind="jeffreys") -> Tensor:
+def distill_loss(student_logits: np.ndarray, teacher: TeacherProbs = None,
+                 labels=None, kind="jeffreys") -> np.float64:
     """Batch-mean distance d between the student and its reference, as one
     loss-term chain entry on the student logits with weight 1.
 
@@ -110,7 +112,7 @@ def distill_loss(student_logits: Tensor, teacher: TeacherProbs = None,
     floor (to p where p >= floor, as a maximum() with ties to its first
     operand would route it) and the softmax.
     """
-    z = student_logits.data
+    z = np.asarray(student_logits, dtype=np.float64)
     if kind not in DISTILL_KINDS:
         raise DomainError(f"unknown distillation kind {kind!r}")
     if kind == "hard_label_ce":
@@ -159,16 +161,15 @@ def distill_loss(student_logits: Tensor, teacher: TeacherProbs = None,
             axis=1, keepdims=True)
         return (g_e * e,)
 
-    return Tensor(T.record(z, (), d, rule, f"distill[{kind}]", weight=1.0),
-                  requires_grad=T.recording())
+    return T.record(z, (), d, rule, f"distill[{kind}]", weight=1.0)
 
 
-def hard_label_loss(logits: Tensor, labels) -> Tensor:
+def hard_label_loss(logits: np.ndarray, labels) -> np.float64:
     """Mean cross-entropy against integer class labels."""
     return distill_loss(logits, labels=labels, kind="hard_label_ce")
 
 
-def potential_tensor(weight_fqs, act_fqs, targets, weight=1.0) -> Tensor:
+def potential_tensor(weight_fqs, act_fqs, targets, weight=1.0) -> np.float64:
     """The potential P as one loss-term chain entry over every site's raw
     parameters, with the given weight.
 
@@ -198,23 +199,22 @@ def potential_tensor(weight_fqs, act_fqs, targets, weight=1.0) -> Tensor:
             grads.extend(vjp(g * inv_n * active))
         return grads
 
-    return Tensor(T.record(None, params, value, rule, "potential",
-                           weight=weight), requires_grad=T.recording())
+    return T.record(None, params, np.float64(value), rule, "potential",
+                    weight=weight)
 
 
-def total_loss(student_logits: Tensor, teacher: TeacherProbs,
+def total_loss(student_logits: np.ndarray, teacher: TeacherProbs,
                weight_fqs, act_fqs, targets, w_p, labels=None,
                kind="jeffreys"):
     """Exterior-point loss w_p*P + d for one batch.
 
     teacher holds the batch rows of ``teacher_probs`` (None for
     hard_label_ce); targets is (omega_w*, omega_a*). Records d and P as
-    loss terms with weights 1 and w_p and returns (loss tensor, info
+    loss terms with weights 1 and w_p and returns (loss value, info
     dict); info carries the scalar d and P values for the metrics and the
     running mean of d.
     """
-    _check_finite(student_logits.data, "student")
+    _check_finite(student_logits, "student")
     d = distill_loss(student_logits, teacher, labels=labels, kind=kind)
-    p_t = potential_tensor(weight_fqs, act_fqs, targets, weight=w_p)
-    loss = Tensor(p_t.data * w_p + d.data, requires_grad=T.recording())
-    return loss, {"d": float(d.data), "P": float(p_t.data)}
+    p = potential_tensor(weight_fqs, act_fqs, targets, weight=w_p)
+    return p * w_p + d, {"d": float(d), "P": float(p)}

@@ -7,9 +7,11 @@ stay floating point. Conv blocks are conv-bn-relu; a global average pool
 bridges the last conv layer to the linear head. Batchnorm uses momentum 0.1
 and eps 1e-5, constants of ``BatchNorm``.
 
-A training forward records one chain entry per layer and one for the pool
-(``gdnsq.tensor``) and passes plain ndarrays from layer to layer; a conv
-layer's arrays stay batch-last in memory (``gdnsq.kernels``). A layer's
+A forward records exactly when it trains: with ``train=True`` it appends
+one chain entry per layer and one for the pool (``gdnsq.tensor``), with
+``train=False`` it appends nothing. Either way it takes and returns plain
+ndarrays and passes them from layer to layer; a conv layer's arrays stay
+batch-last in memory (``gdnsq.kernels``). A layer's
 forward composes numpy pieces that return their output with a
 vector-Jacobian product (``FakeQuantizer.fake_quant``, ``_linear`` or
 ``_conv2d``, ``_bias``, ``BatchNorm.normalize``); its rule runs those
@@ -246,25 +248,29 @@ def _conv2d(xd, wd, stride, pad, input_grad):
     return conv2d_forward(xd, wd, stride, pad, cols=cols), vjp
 
 
-def global_avg_pool(h: np.ndarray) -> np.ndarray:
-    """The mean of h [B, C, H, W] over H and W as one chain entry; its rule
-    spreads each gradient evenly over the H*W positions it averaged. A
-    batch-last h gives a channel-major [B, C] result, which the linear head
-    (never quantized) reads as it is."""
+def global_avg_pool(h: np.ndarray, train: bool) -> np.ndarray:
+    """The mean of h [B, C, H, W] over H and W; in training also one chain
+    entry, whose rule spreads each gradient evenly over the H*W positions
+    it averaged. A batch-last h gives a channel-major [B, C] result, which
+    the linear head (never quantized) reads as it is."""
     inv_n = 1.0 / float(h.shape[2] * h.shape[3])
+    out = h.sum(axis=(2, 3)) * inv_n
+    if not train:
+        return out
 
     def rule(g):
         return (np.broadcast_to((g * inv_n)[:, :, None, None], h.shape),)
 
-    return T.record(h, (), h.sum(axis=(2, 3)) * inv_n, rule, "pool")
+    return T.record(h, (), out, rule, "pool")
 
 
 class _Layer:
     """One linear or conv layer with optional batchnorm and quantizers.
 
-    ``forward`` records the whole layer as one chain entry over its input
-    array, its ``params()`` and the raw parameters of the weight site and
-    then of the activation site. Its forward runs, in numpy: activation
+    A training ``forward`` records the whole layer as one chain entry over
+    its input array, its ``params()`` and the raw parameters of the weight
+    site and then of the activation site; an eval forward records nothing.
+    Its forward runs, in numpy: activation
     fake-quant, weight fake-quant, matmul or conv, bias add, batchnorm, then
     y * (y > 0) for relu. Its rule composes the
     pieces' vector-Jacobian products in reverse: relu mask, batchnorm, bias
@@ -347,6 +353,8 @@ class _Layer:
         if relu:
             mask = y > 0
             y = y * mask
+        if not train:
+            return y
 
         def rule(g):
             if relu:
@@ -412,27 +420,25 @@ class Model:
 
     # -- forward -------------------------------------------------------------
 
-    def forward(self, x, train=True, bypass_quant=False, sites=None) -> Tensor:
-        """The logits of x (an array, or a Tensor that requires_grad when
-        the chain should compute its gradient). While recording, each layer
-        and the pool append their chain entry. Each quantized layer calls
+    def forward(self, x, train=True, bypass_quant=False, sites=None,
+                input_grad=False) -> np.ndarray:
+        """The logits of the array x. In training each layer and the pool
+        append their chain entry, and the sweep also returns the gradient
+        of x when input_grad is set. Each quantized layer calls
         ``sites(fq, x, xq)``, if given, for its weight site with the
         weights and then for its activation site with its input, each with
         their fake-quantized values (x itself under bypass_quant)."""
-        input_grad = isinstance(x, Tensor) and x.requires_grad
-        h = x.data if isinstance(x, Tensor) else np.asarray(x, np.float64)
-        recording = T.recording()
+        h = np.asarray(x, np.float64)
         for layer in self.layers:
             if layer.spec.kind == "linear" and h.ndim == 4:
-                h = global_avg_pool(h)
+                h = global_avg_pool(h, train)
             h = layer.forward(h, train, bypass_quant=bypass_quant,
                               sites=sites, input_grad=input_grad)
-            input_grad = recording
-        return Tensor(h, requires_grad=recording)
+            input_grad = train
+        return h
 
     def predict_logits(self, x) -> np.ndarray:
-        with T.no_grad():
-            return self.forward(x, train=False).data
+        return self.forward(x, train=False)
 
     def accuracy(self, inputs, labels) -> float:
         return logits_accuracy(self.predict_logits(inputs), labels)
@@ -519,12 +525,12 @@ def train_teacher(spec: ModelSpec, train_ds, val_ds, *, epochs, lam, seed,
             T.reset_tape()
             logits = model.forward(train_ds.inputs[idx], train=True)
             loss = hard_label_loss(logits, train_ds.labels[idx])
-            if not np.isfinite(loss.data):
+            if not np.isfinite(loss):
                 raise NumericError(
                     f"teacher training diverged at epoch {epoch} "
-                    f"(loss {float(loss.data)!r})"
+                    f"(loss {float(loss)!r})"
                 )
-            T.backward(loss, opt.slots)
+            T.backward(opt.slots)
             opt.step()
     T.reset_tape()
     val_acc = model.accuracy(val_ds.inputs, val_ds.labels) if epochs else None

@@ -7,7 +7,8 @@ The rounding-lemma and Jeffreys-Hamming oracles use their own scalar
 arithmetic so they stay independent of the quantizer code paths they
 cross-check. Two distinct deltas appear: fd_delta is the finite-difference
 half-step of the rounding lemma, jeffreys_delta the per-flipped-bit
-divergence constant of the binary channel.
+divergence constant of the binary channel. The gradient checks sweep
+the chain that a forward records when it trains (``gdnsq.tensor``).
 """
 
 from __future__ import annotations
@@ -97,19 +98,10 @@ def noise_uniformity(fq: FakeQuantizer, input_dist="gaussian", m=200_000,
         x = rng.normal((l + u) / 2.0, (u - l) / 6.0, size=m)
     elif input_dist == "uniform":
         x = rng.uniform(l, u, size=m)
-    elif input_dist == "grid":
-        x = s * rng.integers(0, int(round((u - l) / s)) + 1, size=m)
     else:
         raise DomainError(f"unknown input_dist {input_dist!r}")
     v = np.clip(x, l, u) / s
     r = _round_half_up(v) - v
-    if float(np.max(np.abs(r))) < 1e-9:
-        return [OracleReport.make(
-            f"noise_mean[{input_dist}]", m, 0.0, 0.0, 0.0,
-            details="inconclusive: degenerate input (all residuals zero)"),
-            OracleReport.make(
-            f"noise_variance[{input_dist}]", m, 0.0, 0.0, 0.0,
-            details="inconclusive: degenerate input (all residuals zero)")]
     sd = float(r.std(ddof=1))
     return [
         OracleReport.make(f"noise_mean[{input_dist}]", m, float(r.mean()),
@@ -304,37 +296,38 @@ def finite_difference_grads(f, arrays, h=1e-5):
 def _relu_margin(layers, x):
     """The smallest |input| of any relu when x runs through layers in train
     mode, with the global average pool ahead of a linear layer that gets
-    an image, as in Model.forward (inf without a relu), and the output."""
+    an image, as in Model.forward (inf without a relu), and the output.
+    The relu runs off the chain, so each layer records on a fresh one."""
     margin, h = np.inf, x
-    with T.no_grad():
-        for layer in layers:
-            if layer.spec.kind == "linear" and h.ndim == 4:
-                h = global_avg_pool(h)
-            spec = layer.spec
-            layer.spec = replace(spec, activation="identity")
-            pre = layer.forward(h, train=True)
-            layer.spec = spec
-            if spec.activation == "relu":
-                margin = min(margin, float(np.min(np.abs(pre))))
-                pre = pre * (pre > 0)
-            h = pre
+    for layer in layers:
+        if layer.spec.kind == "linear" and h.ndim == 4:
+            h = global_avg_pool(h, False)
+        spec = layer.spec
+        layer.spec = replace(spec, activation="identity")
+        T.reset_tape()
+        pre = layer.forward(h, train=True)
+        layer.spec = spec
+        if spec.activation == "relu":
+            margin = min(margin, float(np.min(np.abs(pre))))
+            pre = pre * (pre > 0)
+        h = pre
     return margin, h
 
 
 def _weighted_sum(y, coeff):
     """sum(y * coeff) as one loss-term chain entry on the chain's output y:
     a scalar loss on a non-scalar y."""
-    value = T.record(y, (), np.sum(y * coeff), lambda g: (g * coeff,),
-                     "weighted_sum", weight=1.0)
-    return Tensor(value, requires_grad=T.recording())
+    return T.record(y, (), np.sum(y * coeff), lambda g: (g * coeff,),
+                    "weighted_sum", weight=1.0)
 
 
 def _chain_grads(loss, x, params):
-    """Gradients of loss(Tensor x) with respect to x and each parameter,
+    """Gradients of loss(x, True) with respect to x and each parameter,
     from one reverse sweep of the chain the loss records, as training
     takes them."""
     slots = {p: np.zeros(p.data.shape) for p in params}
-    gx = T.backward(loss(Tensor(x, requires_grad=True)), slots)
+    loss(x, True)
+    gx = T.backward(slots)
     T.reset_tape()
     return [gx] + [slots[p] for p in params]
 
@@ -349,16 +342,16 @@ def _max_rel_error(analytic, numeric):
 
 def _gradcheck(name, n_cases, case, rtol, details):
     """The report of the largest relative error, over the cases case(i) =
-    (loss, x, params) for i < n_cases, of the gradients of loss(Tensor x)
-    from one reverse sweep (_chain_grads) against central differences,
-    with respect to x and each parameter."""
+    (loss, x, params) for i < n_cases, of the gradients of loss(x,
+    input_grad) from one reverse sweep (_chain_grads) against central
+    differences, with respect to x and each parameter."""
     worst = 0.0
     for i in range(n_cases):
         loss, x, params = case(i)
         analytic = _chain_grads(loss, x, params)
         # the parameter tensors hold these arrays, so FD edits reach them
         numeric = finite_difference_grads(
-            lambda arrs: float(loss(Tensor(arrs[0])).data),
+            lambda arrs: float(loss(arrs[0], False)),
             [x] + [p.data for p in params])
         T.reset_tape()
         worst = max(worst, _max_rel_error(analytic, numeric))
@@ -412,9 +405,10 @@ def gradcheck_random_models(n_models: int = 100, seed=0, rtol=1e-4):
             x = rng.normal(size=x_shape)
         labels = rng.integers(0, c, size=x_shape[0])
 
-        def loss(xt):
+        def loss(x, input_grad):
             T.reset_tape()
-            return hard_label_loss(model.forward(xt, train=True), labels)
+            return hard_label_loss(
+                model.forward(x, train=True, input_grad=input_grad), labels)
 
         return loss, x, [p for _, p in model.named_parameters()]
 
@@ -463,7 +457,7 @@ def gradcheck_total_loss(n_cases: int = 30, seed=0, rtol=1e-4):
         (wfqs, wbits), (afqs, abits) = groups
         probs = teacher_probs(teacher)
 
-        def loss(z):
+        def loss(z, input_grad):
             T.reset_tape()
             return total_loss(z, probs, wfqs, afqs, (wbits, abits), w_p,
                               labels=labels, kind=kind)[0]
@@ -515,9 +509,9 @@ def gradcheck_layer_nodes(n_cases: int = 12, seed=0, rtol=1e-4):
         layer, x, params, coeff = _layer_node_case(
             rng, LAYER_NODE_KINDS[i % len(LAYER_NODE_KINDS)])
 
-        def loss(xt):
+        def loss(x, input_grad):
             T.reset_tape()
-            y = layer.forward(xt.data, train=True, input_grad=xt.requires_grad)
+            y = layer.forward(x, train=True, input_grad=input_grad)
             return _weighted_sum(y, coeff)
 
         return loss, x, params

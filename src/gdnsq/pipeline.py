@@ -12,9 +12,10 @@ of one forward.
 
 A QAT step records the student's chain (one entry per layer and the pool,
 then the distance and the potential, ``gdnsq.tensor``), sweeps it once
-into the flat gradient buffer of its ``RAdam`` and steps. The frozen
-teacher's logits, their floored softmax and its log are computed once per
-run, before the first step.
+into the flat gradient buffer of its ``RAdam`` and steps; the forwards of
+PTQ, the audit and the teacher run with ``train=False`` and record nothing.
+The frozen teacher's logits, their floored softmax and its log are
+computed once per run, before the first step.
 
 A QAT run's state between steps and epochs is one ``QatRun``: its
 ``RAdam``, the probe rng, the step n, c_r (the mean distillation distance
@@ -57,7 +58,8 @@ from .data import Dataset, load_idx_dataset, make_synthetic
 from .errors import DomainError, FormatError, NumericError, PipelineError
 from .kernels import round_half_up
 from .losses import DISTILL_KINDS, teacher_probs, total_loss
-from .models import Model, logits_accuracy, spec_from_dict, spec_to_dict
+from .models import (Model, global_avg_pool, logits_accuracy, spec_from_dict,
+                     spec_to_dict)
 from .optim import RAdam
 from .quantizer import NOISE_MODES, FusedLinear, integer_fuse
 
@@ -159,10 +161,9 @@ def ptq_minmax(student: Model, train_ds: Dataset,
         lo, hi = ranges.get(fq, (np.inf, -np.inf))
         ranges[fq] = (min(lo, float(x.min())), max(hi, float(x.max())))
 
-    with T.no_grad():
-        for start in range(0, len(train_ds), PTQ_BATCH):
-            student.forward(train_ds.inputs[start:start + PTQ_BATCH],
-                            train=False, bypass_quant=True, sites=fold)
+    for start in range(0, len(train_ds), PTQ_BATCH):
+        student.forward(train_ds.inputs[start:start + PTQ_BATCH],
+                        train=False, bypass_quant=True, sites=fold)
     for fq in student.all_quantizers():
         fq.init_from_minmax(*ranges[fq], bits)
     return student
@@ -227,10 +228,9 @@ def audit_bitwidth(model: Model, val_inputs, val_labels) -> BitWidthReport:
     same value ``Model.accuracy`` gives, without a second pass.
     """
     seen = {}
-    with T.no_grad():
-        logits = model.forward(
-            val_inputs, train=False,
-            sites=lambda fq, x, xq: seen.setdefault(fq, []).append(xq)).data
+    logits = model.forward(
+        val_inputs, train=False,
+        sites=lambda fq, x, xq: seen.setdefault(fq, []).append(xq))
     sites = []
     for fq in model.all_quantizers():
         vals = np.concatenate([v.ravel(order="K") for v in seen[fq]])
@@ -303,10 +303,9 @@ def load_teacher(path):
 def teacher_logits(teacher: Model, inputs, batch_size: int):
     """Eval-mode logits of the frozen teacher over a whole split, one
     training batch's worth of rows at a time."""
-    with T.no_grad():
-        return np.concatenate([
-            teacher.forward(inputs[i:i + batch_size], train=False).data
-            for i in range(0, len(inputs), batch_size)])
+    return np.concatenate([
+        teacher.forward(inputs[i:i + batch_size], train=False)
+        for i in range(0, len(inputs), batch_size)])
 
 
 def _check_resume_config(path, arrays, config: RunConfig):
@@ -500,15 +499,15 @@ def qat_run(config: RunConfig, teacher: Model, student: Model, out_dir,
                                         weight_fqs, act_fqs, targets,
                                         t_q * run.c_r, labels=yb,
                                         kind=config.distill)
-                if not np.isfinite(loss.data):
+                if not np.isfinite(loss):
                     raise NumericError(
                         f"non-finite loss at epoch {epoch}, step "
                         f"{run.step_n}; last checkpoint retained"
                     )
-                T.backward(loss, run.opt.slots)
+                T.backward(run.opt.slots)
                 run.opt.step()
                 writer.writerow([run.step_n, run.phase, fmt(lam), fmt(t_q),
-                                 fmt(run.c_r), fmt(float(loss.data)),
+                                 fmt(run.c_r), fmt(float(loss)),
                                  fmt(info["d"]), fmt(info["P"]),
                                  "", "", "", "", "", "", ""])
                 run.fold_distance(info["d"])
@@ -592,7 +591,7 @@ def fused_model_forward(model: Model, fused: dict, x: np.ndarray) -> np.ndarray:
     h = np.asarray(x, dtype=np.float64)
     for i, layer in enumerate(model.layers):
         if layer.spec.kind == "linear" and h.ndim == 4:
-            h = h.mean(axis=(2, 3))
+            h = global_avg_pool(h, False)
         if i in fused:
             f: FusedLinear = fused[i]
             ka = round_half_up(np.clip(h, f.a_lo, f.a_hi) / f.s_a)
@@ -600,6 +599,5 @@ def fused_model_forward(model: Model, fused: dict, x: np.ndarray) -> np.ndarray:
             if f.activation_fn == "relu":
                 h = np.maximum(h, 0.0)
         else:
-            with T.no_grad():
-                h = layer.forward(h, train=False)
+            h = layer.forward(h, train=False)
     return h

@@ -18,6 +18,10 @@ array per parameter (``RAdam.slots``, views of the optimizer's flat
 gradient buffer): the first write of a sweep assigns, later ones add, in
 the order the entries are swept. The chain is rebuilt per forward pass
 (``reset_tape``); nothing is cached between passes.
+
+A forward records exactly when it trains: with ``train=True`` each layer
+appends its entry, an eval forward appends nothing. ``backward`` needs no
+loss root; it starts from the loss terms on the chain.
 """
 
 from __future__ import annotations
@@ -28,11 +32,10 @@ from .errors import ContractError
 
 
 class Tensor:
-    """n-d float64 array: a parameter, an input batch or a chain output.
+    """n-d float64 array of a model or quantizer parameter.
 
-    ``requires_grad`` marks a tensor that receives a gradient: every
-    parameter, an input batch whose gradient is wanted, and the outputs
-    recorded on the chain.
+    ``requires_grad`` marks a tensor that receives a gradient; every
+    parameter sets it.
     """
 
     __slots__ = ("data", "requires_grad", "name")
@@ -76,7 +79,6 @@ class Chain:
 
 
 _CHAIN = Chain()
-_GRAD_ENABLED = True
 
 
 def get_tape() -> Chain:
@@ -87,35 +89,14 @@ def reset_tape():
     _CHAIN.reset()
 
 
-class no_grad:
-    """Context manager: operations inside record nothing on the chain."""
-
-    def __enter__(self):
-        global _GRAD_ENABLED
-        self._prev = _GRAD_ENABLED
-        _GRAD_ENABLED = False
-        return self
-
-    def __exit__(self, *exc):
-        global _GRAD_ENABLED
-        _GRAD_ENABLED = self._prev
-        return False
-
-
-def recording() -> bool:
-    return _GRAD_ENABLED
-
-
 def record(x, params, out, rule, name, weight=None):
     """Append an entry over input array x (None for none) and params and
-    return out; under no_grad, only return out.
+    return out.
 
     x must be the chain's last output once the chain has one, so that the
     entries form one line. With a weight the entry is a loss term: its
     output is not an input of later entries.
     """
-    if not _GRAD_ENABLED:
-        return out
     chain = _CHAIN
     if x is not None and chain.head is not None and x is not chain.head:
         raise ContractError(f"{name}: its input is not the output of the "
@@ -126,19 +107,14 @@ def record(x, params, out, rule, name, weight=None):
     return out
 
 
-def backward(root: Tensor, slots: dict):
-    """Sweep the chain once in reverse from the scalar loss root.
+def backward(slots: dict):
+    """Sweep the chain once in reverse, from its loss terms.
 
     Writes the gradient of every parameter on the chain into slots[p]
     (assigned at its first write of the sweep, added after that) and
     returns the gradient of the first entry's input, or None when that
     entry computes none. Every array in slots must be written.
     """
-    if root.data.shape != ():
-        raise ContractError(
-            f"backward root must be scalar, got shape {root.data.shape}")
-    if not root.requires_grad:
-        raise ContractError("backward root was not recorded on the chain")
     g = None
     written = set()
     for e in reversed(_CHAIN.entries):

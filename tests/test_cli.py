@@ -290,6 +290,26 @@ def test_bad_config_file_refused_before_any_output(tmp_path, capsys,
     assert not out.parent.exists()
 
 
+@pytest.mark.parametrize("command,setting", [
+    ("train-fp", {"epochs": "3"}), ("train-fp", {"lr": "0.1"}),
+    ("train-fp", {"lr": True}), ("qat", {"wbits": True})],
+    ids=["string_epochs", "string_lr", "bool_lr", "bool_wbits"])
+def test_config_value_of_the_wrong_type_refused(workspace, tmp_path, capsys,
+                                                command, setting):
+    _, teacher, student = workspace
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(setting))
+    out = tmp_path / "out"
+    argv = {"train-fp": ["train-fp", "--model", "mlp2", "--n-train", "128",
+                         "--n-val", "128", "--out", str(out / "fp.ckpt")],
+            "qat": ["qat", "--ckpt", str(student), "--teacher", str(teacher),
+                    "--epochs", "1", "--out", str(out)]}[command]
+    assert main([*argv, "--config", str(cfg)]) == 1
+    (key,) = setting
+    assert capsys.readouterr().err.startswith(f"error: {cfg}: {key} must be")
+    assert not out.exists()
+
+
 def test_train_fp_lr_flag_reaches_config(tmp_path):
     out = tmp_path / "teacher.ckpt"
     rc = main(["train-fp", "--model", "mlp2", "--data", "two_gaussians",

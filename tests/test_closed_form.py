@@ -108,14 +108,14 @@ def chain_step(model, opt, x, t_logits, labels, kind, weights, seed,
                              *weights, labels=labels, kind=kind)
     entries = list(T.get_tape().entries)
     draws = rng.bit_generator.state
-    T.backward(loss, opt.slots)
+    T.backward(opt.slots)
     T.reset_tape()
     rng.bit_generator.state = draws
     R.reset_tape()
     tape_loss, tape_logits = ref.chain_on_tape(entries, outputs, R.constant(x))
     grads = tape_loss.backward()
     R.reset_tape()
-    return (float(loss.data), grads[tape_logits],
+    return (float(loss), grads[tape_logits],
             {name: grads[p] for name, p in model.named_parameters()})
 
 
@@ -172,15 +172,14 @@ def test_distill_node_matches_reference_under_floor(kind):
                   [0.5, -0.5, 0.0]])
     labels = np.array([0, 2, 1, 1])
     T.reset_tape()
-    d = distill_loss(Tensor(z.copy(), requires_grad=True), teacher_probs(t),
-                     labels=labels, kind=kind)
-    ga = T.backward(d, {})
+    d = distill_loss(z.copy(), teacher_probs(t), labels=labels, kind=kind)
+    ga = T.backward({})
     T.reset_tape()
     b = Tensor(z.copy(), requires_grad=True)
     d_ref = P.mean(ref.distill_rows(b, t, labels, kind))
     gb = d_ref.backward()[b]
     R.reset_tape()
-    assert_close(d.data, d_ref.data, "d")
+    assert_close(d, d_ref.data, "d")
     assert_close(ga, gb, "logits")
 
 
@@ -188,14 +187,14 @@ def test_hard_label_loss_matches_reference():
     z = _floor_logits()
     labels = np.array([2, 2, 0, 1])
     T.reset_tape()
-    loss = hard_label_loss(Tensor(z.copy(), requires_grad=True), labels)
-    ga = T.backward(loss, {})
+    loss = hard_label_loss(z.copy(), labels)
+    ga = T.backward({})
     T.reset_tape()
     b = Tensor(z.copy(), requires_grad=True)
     loss_ref = ref.hard_label_loss(b, labels)
     gb = loss_ref.backward()[b]
     R.reset_tape()
-    assert_close(loss.data, loss_ref.data, "loss")
+    assert_close(loss, loss_ref.data, "loss")
     assert_close(ga, gb, "logits")
 
 
@@ -220,9 +219,9 @@ def _potential_grads(wfqs, afqs, targets, reference):
     T.reset_tape()
     p = potential_tensor(wfqs, afqs, targets)
     slots = zero_slots(params)
-    T.backward(p, slots)
+    T.backward(slots)
     T.reset_tape()
-    return float(p.data), [slots[t] for t in params]
+    return float(p), [slots[t] for t in params]
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -252,7 +251,8 @@ def test_fake_quant_node_matches_reference(kind):
     out, site_params, vjp = fq.fake_quant(x)
     T.record(x, site_params, out, vjp, "fake_quant")
     slots = zero_slots(params)
-    gx = T.backward(_weighted_sum(out, coeff), slots)
+    _weighted_sum(out, coeff)
+    gx = T.backward(slots)
     T.reset_tape()
     gp = [slots[t] for t in params]
 
@@ -350,11 +350,13 @@ def test_bias_matches_graph(ndim):
 LAYER_KINDS = ("linear", "conv2d")
 
 
-def layer_case(kind, quantized, train, x_grad, reference, layout=np.asarray):
-    """(output, probe draws, gradients, running statistics) of one layer
-    forward and backward through the layer entry or the reference graph;
-    layout lays out the input. The first gradient is the input's, None
-    where none was computed."""
+def layer_case(kind, quantized, batch_stats, x_grad, reference,
+               layout=np.asarray):
+    """(output, probe draws, gradients, running statistics) of one training
+    layer forward and backward through the layer entry or the reference
+    graph; a batchnorm normalizes with the batch statistics or, frozen,
+    with its running statistics. layout lays out the input. The first
+    gradient is the input's, None where none was computed."""
     rng = np.random.default_rng([LAYER_KINDS.index(kind), quantized])
     if kind == "linear":
         spec, x_shape = Linear(5, 4), (6, 5)
@@ -367,6 +369,7 @@ def layer_case(kind, quantized, train, x_grad, reference, layout=np.asarray):
         layer.bn.gamma.data = 1.0 + 0.3 * rng.normal(size=3)
         layer.bn.beta.data = rng.normal(size=3)
         layer.bn.running_var = rng.uniform(0.5, 2.0, size=3)
+        layer.bn.frozen = not batch_stats
         params += [layer.bn.gamma, layer.bn.beta]
     if quantized:
         layer.attach_quantizers(np.random.default_rng(7))
@@ -387,17 +390,18 @@ def layer_case(kind, quantized, train, x_grad, reference, layout=np.asarray):
         mp.setattr(FakeQuantizer, "ste_backward", recording)
         if reference:
             R.reset_tape()
-            out = ref.layer_forward(layer, x, train)
+            out = ref.layer_forward(layer, x, True)
             coeff = np.random.default_rng(9).normal(size=out.shape)
             grads = P.sum_(P.mul(out, R.constant(coeff))).backward()
             R.reset_tape()
             out, grads = out.data, [grads.get(x)] + [grads[p] for p in params]
         else:
             T.reset_tape()
-            out = layer.forward(x.data, train, input_grad=x_grad)
+            out = layer.forward(x.data, True, input_grad=x_grad)
             coeff = np.random.default_rng(9).normal(size=out.shape)
             slots = zero_slots(params)
-            gx = T.backward(_weighted_sum(out, coeff), slots)
+            _weighted_sum(out, coeff)
+            gx = T.backward(slots)
             T.reset_tape()
             grads = [gx] + [slots[p] for p in params]
     stats = ([] if layer.bn is None
@@ -405,27 +409,31 @@ def layer_case(kind, quantized, train, x_grad, reference, layout=np.asarray):
     return out, draws, grads, stats
 
 
+# batch_stats False freezes the batchnorm: its running statistics, the rule
+# of an eval forward, reached in training through --freeze-bn
 @pytest.mark.parametrize("kind", LAYER_KINDS)
 @pytest.mark.parametrize("quantized", [False, True])
-@pytest.mark.parametrize("train", [False, True])
+@pytest.mark.parametrize("batch_stats", [False, True])
 @pytest.mark.parametrize("x_grad", [False, True])
-def test_layer_node_matches_graph(kind, quantized, train, x_grad):
-    assert_layer_node_matches_graph(kind, quantized, train, x_grad,
+def test_layer_node_matches_graph(kind, quantized, batch_stats, x_grad):
+    assert_layer_node_matches_graph(kind, quantized, batch_stats, x_grad,
                                     np.asarray)
 
 
 @pytest.mark.parametrize("quantized", [False, True])
-@pytest.mark.parametrize("train", [False, True])
+@pytest.mark.parametrize("batch_stats", [False, True])
 @pytest.mark.parametrize("x_grad", [False, True])
-def test_conv_layer_node_matches_graph_on_batch_last_input(quantized, train,
+def test_conv_layer_node_matches_graph_on_batch_last_input(quantized,
+                                                           batch_stats,
                                                            x_grad):
-    assert_layer_node_matches_graph("conv2d", quantized, train, x_grad,
+    assert_layer_node_matches_graph("conv2d", quantized, batch_stats, x_grad,
                                     batch_last)
 
 
-def assert_layer_node_matches_graph(kind, quantized, train, x_grad, layout):
-    node = layer_case(kind, quantized, train, x_grad, False, layout)
-    graph = layer_case(kind, quantized, train, x_grad, True, layout)
+def assert_layer_node_matches_graph(kind, quantized, batch_stats, x_grad,
+                                    layout):
+    node = layer_case(kind, quantized, batch_stats, x_grad, False, layout)
+    graph = layer_case(kind, quantized, batch_stats, x_grad, True, layout)
     np.testing.assert_array_equal(node[0], graph[0])
     assert node[1] == graph[1]
     assert [d[0] for d in node[1]] == (
@@ -474,9 +482,9 @@ def test_qat_step_nodes(model_id, names, tmp_path, monkeypatch):
     tapes = []
     real = T.backward
 
-    def recording(root, slots):
+    def recording(slots):
         tapes.append([e.name for e in T.get_tape().entries])
-        return real(root, slots)
+        return real(slots)
 
     monkeypatch.setattr(T, "backward", recording)
     qat_run(RunConfig(model=model_id, epochs=1, batch_size=8), teacher,

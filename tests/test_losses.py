@@ -12,7 +12,6 @@ from gdnsq.losses import (distill_loss, hard_label_loss, jeffreys, kl,
 from gdnsq.models import Model, make_model_spec
 from gdnsq.pipeline import QatRun, RunConfig
 from gdnsq.quantizer import FakeQuantizer
-from gdnsq.tensor import Tensor
 
 
 def make_fq(kind, lo, hi, bits, seed=0):
@@ -21,10 +20,10 @@ def make_fq(kind, lo, hi, bits, seed=0):
     return fq
 
 
-def sweep(root, params):
+def sweep(params):
     """The gradient of each parameter from one reverse sweep of the chain."""
     slots = {t: np.zeros(t.data.shape) for t in params}
-    T.backward(root, slots)
+    T.backward(slots)
     T.reset_tape()
     return slots
 
@@ -83,22 +82,22 @@ class TestPotential:
         wqs = [make_fq("weight", -1.0, 1.0, 2.0, seed=i) for i in range(2)]
         aq = make_fq("activation", 0.0, 1.0, 3.0, seed=2)
         targets = (max(wq.bitwidth_value() for wq in wqs), aq.bitwidth_value())
-        assert float(potential_tensor(wqs, [aq], targets).data) == 0.0
+        assert float(potential_tensor(wqs, [aq], targets)) == 0.0
 
     def test_single_active_hinge(self):
         # one weight site at 3 over target 2, activation at target
         wq = make_fq("weight", -1.0, 1.0, 3.0)
         aq = make_fq("activation", 0.0, 1.0, 4.0, seed=1)
         p = potential_tensor([wq], [aq], (2.0, aq.bitwidth_value()))
-        assert float(p.data) == pytest.approx(1.0)
+        assert float(p) == pytest.approx(1.0)
 
     def test_under_target_zero_gradient(self):
         wq = make_fq("weight", -1.0, 1.0, 3.0)
         aq = make_fq("activation", 0.0, 1.0, 3.0, seed=1)
         T.reset_tape()
         p = potential_tensor([wq], [aq], (8.0, 8.0))
-        assert float(p.data) == 0.0
-        grads = sweep(p, wq.raw_params() + aq.raw_params())
+        assert float(p) == 0.0
+        grads = sweep(wq.raw_params() + aq.raw_params())
         assert float(grads[wq.log_s]) == 0.0
         assert float(grads[aq.log_s]) == 0.0
 
@@ -108,7 +107,7 @@ class TestPotential:
         aq = make_fq("activation", 0.0, 1.0, 2.0, seed=9)
         T.reset_tape()
         p = potential_tensor(wqs, [aq], (4.0, 4.0))
-        grads = sweep(p, [t for fq in wqs + [aq] for t in fq.raw_params()])
+        grads = sweep([t for fq in wqs + [aq] for t in fq.raw_params()])
         for wq in wqs:
             ratio = (wq.bound_values()[1] - wq.bound_values()[0]) / wq.scale_value()
             domega = -(1.0 / math.log(2.0)) * ratio / (ratio + 1.0)
@@ -129,9 +128,9 @@ class TestTotalLoss:
     def test_zero_when_feasible_and_matched(self):
         wfq, afq = self._sites()
         logits = np.array([[2.0, -1.0], [0.5, 0.5]])
-        loss, info = total_loss(Tensor(logits), teacher_probs(logits), wfq,
+        loss, info = total_loss(logits, teacher_probs(logits), wfq,
                                 afq, (8.0, 8.0), 5.0 * 2.0)
-        assert float(loss.data) == pytest.approx(0.0, abs=1e-12)
+        assert float(loss) == pytest.approx(0.0, abs=1e-12)
         assert info["P"] == 0.0 and info["d"] == pytest.approx(0.0, abs=1e-12)
         T.reset_tape()
 
@@ -140,49 +139,49 @@ class TestTotalLoss:
         # the constraint is active, but t_q = 0 at step 0
         s_logits = np.array([[1.0, 0.0]])
         t_logits = np.array([[0.0, 1.0]])
-        loss, info = total_loss(Tensor(s_logits), teacher_probs(t_logits),
+        loss, info = total_loss(s_logits, teacher_probs(t_logits),
                                 wfq, afq, (2.0, 2.0), 0.0 * 1.0)
         expected_d = jeffreys(softmax(s_logits)[0], softmax(t_logits)[0])
-        assert float(loss.data) == pytest.approx(expected_d, rel=1e-12)
+        assert float(loss) == pytest.approx(expected_d, rel=1e-12)
         T.reset_tape()
 
     def test_hand_built_two_class_single_site(self):
         wfq, afq = self._sites(wbits=3.0, abits=2.0)
         s_logits = np.array([[0.2, -0.4]])
         t_logits = np.array([[1.0, 0.3]])
-        loss, _ = total_loss(Tensor(s_logits), teacher_probs(t_logits), wfq,
+        loss, _ = total_loss(s_logits, teacher_probs(t_logits), wfq,
                              afq, (2.0, 2.0), 0.7 * 1.3)
         d = jeffreys(softmax(s_logits)[0], softmax(t_logits)[0])
         hinge = max(0.0, wfq[0].bitwidth_value() - 2.0)
-        assert float(loss.data) == pytest.approx(0.7 * 1.3 * hinge + d, rel=1e-10)
+        assert float(loss) == pytest.approx(0.7 * 1.3 * hinge + d, rel=1e-10)
         T.reset_tape()
 
     def test_infinite_targets_reduce_to_distillation(self):
         wfq, afq = self._sites()
         s_logits = np.array([[0.3, 0.9], [2.0, -2.0]])
         t_logits = np.array([[0.1, 0.2], [0.5, 0.5]])
-        loss, info = total_loss(Tensor(s_logits), teacher_probs(t_logits),
+        loss, info = total_loss(s_logits, teacher_probs(t_logits),
                                 wfq, afq, (1e9, 1e9), 123.0 * 7.0)
-        assert float(loss.data) == pytest.approx(info["d"], rel=1e-12)
+        assert float(loss) == pytest.approx(info["d"], rel=1e-12)
         T.reset_tape()
 
     def test_nan_logits_rejected_with_row(self):
         wfq, afq = self._sites()
         bad = np.array([[0.1, 0.2], [np.nan, 0.3]])
         with pytest.raises(NumericError, match="row"):
-            total_loss(Tensor(bad), teacher_probs(np.zeros((2, 2))), wfq, afq,
+            total_loss(bad, teacher_probs(np.zeros((2, 2))), wfq, afq,
                        (4.0, 4.0), 1.0)
         T.reset_tape()
 
     def test_gradient_reaches_quantizers_and_logits(self):
         wfq, afq = self._sites(wbits=6.0, abits=6.0)
-        s = Tensor(np.array([[0.4, -0.2]]), requires_grad=True)
+        s = np.array([[0.4, -0.2]])
         T.reset_tape()
         loss, _ = total_loss(s, teacher_probs(np.array([[1.0, -1.0]])), wfq,
                              afq, (2.0, 2.0), 1.0 * 1.0)
         slots = {t: np.zeros(t.data.shape)
                  for fq in wfq + afq for t in fq.raw_params()}
-        g_logits = T.backward(loss, slots)
+        g_logits = T.backward(slots)
         T.reset_tape()
         assert g_logits is not None and np.any(g_logits != 0)
         assert float(slots[wfq[0].log_s]) != 0.0
@@ -227,15 +226,15 @@ class TestSchedule:
 def test_hard_label_loss_matches_direct_formula():
     logits = np.array([[2.0, 0.0], [0.0, 1.0]])
     labels = np.array([0, 0])
-    loss = hard_label_loss(Tensor(logits), labels)
+    loss = hard_label_loss(logits, labels)
     p = softmax(logits)
     expected = -np.mean(np.log([p[0, 0], p[1, 0]]))
-    assert float(loss.data) == pytest.approx(expected, rel=1e-12)
+    assert float(loss) == pytest.approx(expected, rel=1e-12)
     T.reset_tape()
 
 
 def test_distill_loss_rejects_bad_arguments():
-    z = Tensor(np.array([[0.1, 0.2], [0.3, -0.1]]), requires_grad=True)
+    z = np.array([[0.1, 0.2], [0.3, -0.1]])
     t = np.zeros((2, 2))
     with pytest.raises(DomainError, match="unknown"):
         distill_loss(z, t, kind="kl")
@@ -253,7 +252,7 @@ def test_total_loss_names_the_non_finite_side():
     afq = [make_fq("activation", 0.0, 1.0, 6.0, seed=1)]
     bad = np.array([[0.0, 1.0], [np.inf, 0.0]])
     with pytest.raises(NumericError, match="student logits at batch row 1"):
-        total_loss(Tensor(bad), teacher_probs(np.zeros((2, 2))), wfq, afq,
+        total_loss(bad, teacher_probs(np.zeros((2, 2))), wfq, afq,
                    (4.0, 4.0), 0.0)
     # the teacher's side is checked once per run, where its probabilities
     # are computed

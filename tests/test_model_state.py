@@ -141,10 +141,11 @@ def conv3_pair():
     teacher = Model(spec, init_seed=1)
     student = Model(spec, quantized=True, init_seed=2,
                     quant_rng=np.random.default_rng(0))
-    with T.no_grad():
-        for model in (teacher, student):
-            for _ in range(3):
-                model.forward(images.inputs, train=True)
+    for model in (teacher, student):
+        for _ in range(3):
+            T.reset_tape()
+            model.forward(images.inputs, train=True)
+    T.reset_tape()
     ptq_minmax(student, images)
     return teacher, student, images.inputs
 

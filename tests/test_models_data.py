@@ -11,7 +11,6 @@ from gdnsq.models import (Conv2d, Linear, Model, ModelSpec, make_model_spec,
                           spec_from_dict, spec_to_dict, train_teacher)
 from gdnsq.oracles import finite_difference_grads
 from gdnsq.pipeline import ptq_minmax
-from gdnsq.tensor import Tensor
 
 
 def linear_probe_accuracy(X, y, iters=800, lr=0.5):
@@ -124,9 +123,22 @@ class TestBuildModel:
         b = Model(spec, quantized=True, init_seed=4,
                   quant_rng=np.random.default_rng(0))
         x = np.random.default_rng(1).normal(size=(6, 2))
-        with T.no_grad():
-            bypassed = b.forward(x, train=False, bypass_quant=True).data
+        bypassed = b.forward(x, train=False, bypass_quant=True)
         np.testing.assert_array_equal(a.predict_logits(x), bypassed)
+
+    @pytest.mark.parametrize("spec_id,shape", [("mlp4", (8, 2)),
+                                               ("conv3", (8, 2, 8, 8))])
+    def test_eval_forward_returns_an_array_and_records_nothing(self, spec_id,
+                                                               shape):
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=shape)
+        model = Model(make_model_spec(spec_id, 2, 3), quantized=True,
+                      quant_rng=np.random.default_rng(0))
+        ptq_minmax(model, Dataset(x, np.arange(8) % 3, num_classes=3))
+        T.reset_tape()
+        logits = model.forward(x, train=False)
+        assert type(logits) is np.ndarray and logits.shape == (8, 3)
+        assert len(T.get_tape()) == 0
 
     @pytest.mark.parametrize("spec_id,shape", [("mlp4", (2, 5)),
                                                ("conv3", (2, 5, 8, 8))])
@@ -188,19 +200,20 @@ class TestConv:
 
         monkeypatch.setattr(models, "conv2d_backward_input", counting)
 
-        def step_grads(inputs):
+        def step_grads(input_grad):
             model = Model(make_model_spec("conv3", 1, 2),
                           quantized=False, init_seed=0)
             calls.clear()
             slots = {p: np.zeros(p.shape) for _, p in model.named_parameters()}
             T.reset_tape()
-            T.backward(hard_label_loss(model.forward(inputs, train=True),
-                                       labels), slots)
+            hard_label_loss(model.forward(x, train=True,
+                                          input_grad=input_grad), labels)
+            T.backward(slots)
             T.reset_tape()
             return len(calls), [slots[l.W] for l in model.layers]
 
-        n_plain, plain = step_grads(x)
-        n_full, full = step_grads(Tensor(x, requires_grad=True))
+        n_plain, plain = step_grads(False)
+        n_full, full = step_grads(True)
         assert (n_plain, n_full) == (2, 3)
         for a, b in zip(plain, full):
             np.testing.assert_array_equal(a, b)

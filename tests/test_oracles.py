@@ -47,13 +47,6 @@ class TestNoiseUniformity:
                                   m=200_000, seed=0):
             assert r.passed, r.format()
 
-    def test_grid_input_is_inconclusive_not_failure(self):
-        reports = noise_uniformity(default_noise_quantizer(), "grid",
-                                   m=10_000, seed=0)
-        for r in reports:
-            assert r.passed
-            assert "inconclusive" in r.details
-
 
 class TestJeffreysHamming:
     def test_equality_to_1e9(self):

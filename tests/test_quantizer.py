@@ -247,7 +247,8 @@ class TestBitwidth:
         # dP/dlog_s is d omega/dlog_s of the weight site
         T.reset_tape()
         slots = {t: np.zeros(()) for t in fq.raw_params() + aq.raw_params()}
-        T.backward(potential_tensor([fq], [aq], (1.0, 8.0)), slots)
+        potential_tensor([fq], [aq], (1.0, 8.0))
+        T.backward(slots)
         T.reset_tape()
         # d omega / d log_s = -(1/ln2) * ratio/(ratio+1), ratio = (u-l)/s
         ratio = 2.0 / fq.scale_value()
