@@ -22,7 +22,7 @@ four chains:
 
 mlp4 runs on two_gaussians, conv3 on the benchmark's bar images of seed 1
 (``prepare_inputs`` of pipebench/workloads.py). For every chain entry
-(layer, pool, loss term) it records its forward time, from the record of
+(layer, loss) it records its forward time, from the record of
 the entry before it (or the start of the step) to its own record, and
 its rule time in the reverse sweep; for the step, the whole forward, the
 sweep, the optimizer step and their total. Each of these is the 10th
@@ -113,7 +113,9 @@ def time_chain(model_id, qat, work):
     marks, rule_s = [], {}
     record = T.record
 
-    def timed_record(x, params, out, rule, name, weight=None):
+    # **weight passes on the loss-term weight of a tree whose chain ended
+    # in weighted loss terms, so such a tree can be timed as a column too
+    def timed_record(x, params, out, rule, name, **weight):
         marks.append((name, clock()))
 
         def timed_rule(g):
@@ -122,7 +124,7 @@ def time_chain(model_id, qat, work):
             rule_s[name] = clock() - t0
             return grads
 
-        return record(x, params, out, timed_rule, name, weight)
+        return record(x, params, out, timed_rule, name, **weight)
 
     samples = {}
 

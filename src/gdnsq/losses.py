@@ -15,15 +15,18 @@ divergence stays finite for near-one-hot teachers. ``teacher_probs``
 computes the teacher's floored softmax and its log once, over a whole
 split, and checks the teacher logits for non-finite values there.
 
-Each loss term is one chain entry (``gdnsq.tensor``) with a closed-form
-gradient and its weight in the loss: ``total_loss`` records d with weight 1
-and P with weight w_p, and the reverse sweep seeds each with
-``np.ones(()) * weight``. ``distill_loss`` maps the student logits to d
-for each ``--distill`` kind (it also serves as the teacher's hard-label
-loss); its gradient goes back through the renormalization, the floor and
-the softmax. ``potential_tensor`` maps every site's raw quantizer
-parameters to P through d omega (``FakeQuantizer.bitwidth``), the hinges
-and the group means. Two conventions of the primitive graphs are kept: a
+The loss is the chain's last entry (``gdnsq.tensor``), one scalar with a
+closed-form gradient. ``distill_loss`` and ``potential`` are its numpy
+pieces: each returns its value with a vector-Jacobian product, like
+``FakeQuantizer.fake_quant``. ``distill_loss`` maps the student logits to
+d for each ``--distill`` kind (it also serves as the teacher's hard-label
+loss, ``hard_label_loss``); its gradient goes back through the
+renormalization, the floor and the softmax. ``potential`` maps every
+site's raw quantizer parameters to P through d omega
+(``FakeQuantizer.bitwidth``), the hinges and the group means.
+``total_loss`` records w_p * P + d as one ``loss[<kind>]`` entry whose
+rule runs the potential's product with seed w_p, then the distance's
+with seed 1. Two conventions of the primitive graphs are kept: a
 probability at or above the floor passes its gradient, one below passes
 none (max(p, floor) sends ties to p), and a hinge whose omega equals its
 target is active. The rules evaluate their products in the order the
@@ -100,9 +103,9 @@ def teacher_probs(teacher_logits) -> TeacherProbs:
 
 
 def distill_loss(student_logits: np.ndarray, teacher: TeacherProbs = None,
-                 labels=None, kind="jeffreys") -> np.float64:
-    """Batch-mean distance d between the student and its reference, as one
-    loss-term chain entry on the student logits with weight 1.
+                 labels=None, kind="jeffreys"):
+    """The batch-mean distance d between the student and its reference,
+    and its vector-Jacobian product onto the student logits.
 
     The student distribution is pf = max(p, floor) / sum(max(p, floor))
     with p = softmax(logits). Per row, ``jeffreys`` is sum (pf - q)(log pf -
@@ -144,7 +147,7 @@ def distill_loss(student_logits: np.ndarray, teacher: TeacherProbs = None,
     inv_b = 1.0 / d_rows.size
     d = d_rows.sum() * inv_b
 
-    def rule(g):
+    def vjp(g):
         gr = g * inv_b  # every row's share of the batch mean
         if kind == "jeffreys":
             g_pf = gr * diff / pf + gr * log_ratio
@@ -159,19 +162,22 @@ def distill_loss(student_logits: np.ndarray, teacher: TeacherProbs = None,
         g_p = g_m * (p >= PROB_FLOOR)
         g_e = g_p / e_sum + (-g_p * e / (e_sum * e_sum)).sum(
             axis=1, keepdims=True)
-        return (g_e * e,)
+        return g_e * e
 
-    return T.record(z, (), d, rule, f"distill[{kind}]", weight=1.0)
+    return d, vjp
 
 
 def hard_label_loss(logits: np.ndarray, labels) -> np.float64:
-    """Mean cross-entropy against integer class labels."""
-    return distill_loss(logits, labels=labels, kind="hard_label_ce")
+    """Mean cross-entropy against integer class labels, recorded as the
+    chain's loss entry on the logits."""
+    d, vjp = distill_loss(logits, labels=labels, kind="hard_label_ce")
+    return T.record(logits, (), d, lambda g: (vjp(g),),
+                    "loss[hard_label_ce]")
 
 
-def potential_tensor(weight_fqs, act_fqs, targets, weight=1.0) -> np.float64:
-    """The potential P as one loss-term chain entry over every site's raw
-    parameters, with the given weight.
+def potential(weight_fqs, act_fqs, targets):
+    """The potential P, every site's raw parameters and the
+    vector-Jacobian product of P onto them, in that order.
 
     Each hinge max(omega - target, 0) passes d omega to its parameters,
     divided by its group's size, when omega >= target (ties count as
@@ -185,22 +191,21 @@ def potential_tensor(weight_fqs, act_fqs, targets, weight=1.0) -> np.float64:
         inv_n = 1.0 / len(fqs)
         hinge_sum = 0.0
         for fq in fqs:
-            omega, site_params, vjp = fq.bitwidth()
+            omega, site_params, site_vjp = fq.bitwidth()
             excess = omega - float(target)
             active = excess >= 0.0
             hinge_sum += excess if active else 0.0
             params.extend(site_params)
-            sites.append((vjp, inv_n, active))
+            sites.append((site_vjp, inv_n, active))
         value += hinge_sum * inv_n
 
-    def rule(g):
-        grads = [None]  # P takes no input from the chain
-        for vjp, inv_n, active in sites:
-            grads.extend(vjp(g * inv_n * active))
+    def vjp(g):
+        grads = []
+        for site_vjp, inv_n, active in sites:
+            grads.extend(site_vjp(g * inv_n * active))
         return grads
 
-    return T.record(None, params, np.float64(value), rule, "potential",
-                    weight=weight)
+    return np.float64(value), params, vjp
 
 
 def total_loss(student_logits: np.ndarray, teacher: TeacherProbs,
@@ -209,12 +214,19 @@ def total_loss(student_logits: np.ndarray, teacher: TeacherProbs,
     """Exterior-point loss w_p*P + d for one batch.
 
     teacher holds the batch rows of ``teacher_probs`` (None for
-    hard_label_ce); targets is (omega_w*, omega_a*). Records d and P as
-    loss terms with weights 1 and w_p and returns (loss value, info
-    dict); info carries the scalar d and P values for the metrics and the
-    running mean of d.
+    hard_label_ce); targets is (omega_w*, omega_a*). Records the loss
+    as the chain's ``loss[<kind>]`` entry on the student logits and
+    returns (loss value, info dict); info carries the scalar d and P
+    values for the metrics and the running mean of d.
     """
     _check_finite(student_logits, "student")
-    d = distill_loss(student_logits, teacher, labels=labels, kind=kind)
-    p = potential_tensor(weight_fqs, act_fqs, targets, weight=w_p)
-    return p * w_p + d, {"d": float(d), "P": float(p)}
+    d, d_vjp = distill_loss(student_logits, teacher, labels=labels, kind=kind)
+    p, params, p_vjp = potential(weight_fqs, act_fqs, targets)
+
+    def rule(g):
+        p_grads = p_vjp(g * w_p)
+        return (d_vjp(g), *p_grads)
+
+    loss = T.record(student_logits, params, p * w_p + d, rule,
+                    f"loss[{kind}]")
+    return loss, {"d": float(d), "P": float(p)}

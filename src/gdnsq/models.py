@@ -3,13 +3,14 @@
 A model is an ordered list of linear / conv2d layers. When built quantized,
 every inner layer (all but the first and last) gets a weight quantizer on
 its kernel and an activation quantizer on its input; first and last layers
-stay floating point. Conv blocks are conv-bn-relu; a global average pool
-bridges the last conv layer to the linear head. Batchnorm uses momentum 0.1
-and eps 1e-5, constants of ``BatchNorm``.
+stay floating point. Conv blocks are conv-bn-relu; a linear layer that
+gets an image first averages it over H and W (the global average pool),
+which bridges the last conv layer to the linear head. Batchnorm uses
+momentum 0.1 and eps 1e-5, constants of ``BatchNorm``.
 
 A forward records exactly when it trains: with ``train=True`` it appends
-one chain entry per layer and one for the pool (``gdnsq.tensor``), with
-``train=False`` it appends nothing. Either way it takes and returns plain
+one chain entry per layer (``gdnsq.tensor``), with ``train=False`` it
+appends nothing. Either way it takes and returns plain
 ndarrays and passes them from layer to layer; a conv layer's arrays stay
 batch-last in memory (``gdnsq.kernels``). A layer's
 forward composes numpy pieces that return their output with a
@@ -248,34 +249,21 @@ def _conv2d(xd, wd, stride, pad, input_grad):
     return conv2d_forward(xd, wd, stride, pad, cols=cols), vjp
 
 
-def global_avg_pool(h: np.ndarray, train: bool) -> np.ndarray:
-    """The mean of h [B, C, H, W] over H and W; in training also one chain
-    entry, whose rule spreads each gradient evenly over the H*W positions
-    it averaged. A batch-last h gives a channel-major [B, C] result, which
-    the linear head (never quantized) reads as it is."""
-    inv_n = 1.0 / float(h.shape[2] * h.shape[3])
-    out = h.sum(axis=(2, 3)) * inv_n
-    if not train:
-        return out
-
-    def rule(g):
-        return (np.broadcast_to((g * inv_n)[:, :, None, None], h.shape),)
-
-    return T.record(h, (), out, rule, "pool")
-
-
 class _Layer:
     """One linear or conv layer with optional batchnorm and quantizers.
 
     A training ``forward`` records the whole layer as one chain entry over
     its input array, its ``params()`` and the raw parameters of the weight
     site and then of the activation site; an eval forward records nothing.
-    Its forward runs, in numpy: activation
-    fake-quant, weight fake-quant, matmul or conv, bias add, batchnorm, then
-    y * (y > 0) for relu. Its rule composes the
-    pieces' vector-Jacobian products in reverse: relu mask, batchnorm, bias
-    sum, GEMM or conv gradients, then the weight site's STE gradient and
-    last the activation site's. That is the order in which the reverse
+    Its forward runs, in numpy: for a linear layer that gets an image
+    [B, C, H, W], the mean over H and W (a batch-last image gives a
+    channel-major [B, C] result), then activation fake-quant, weight
+    fake-quant, matmul or conv, bias add, batchnorm, then y * (y > 0) for
+    relu. Its rule composes the pieces' vector-Jacobian products in
+    reverse: relu mask, batchnorm, bias sum, GEMM or conv gradients, the
+    weight site's STE gradient, the activation site's, and last the mean's,
+    which spreads each gradient evenly over the H*W positions it
+    averaged. That is the order in which the reverse
     sweep of the primitive layer graph (kept in tests/reference_graphs.py)
     draws the Bernoulli probes from the shared rng, so training is
     bit-identical to that graph. The rule computes the input's gradient
@@ -323,26 +311,31 @@ class _Layer:
     def forward(self, x: np.ndarray, train: bool, bypass_quant=False,
                 sites=None, input_grad=False) -> np.ndarray:
         spec, bn = self.spec, self.bn
-        if spec.kind == "linear":
-            ndim, n_in, what = 2, spec.in_features, "features"
-        else:
-            ndim, n_in, what = 4, spec.in_channels, "channels"
-        if x.ndim != ndim or x.shape[1] != n_in:
-            raise ShapeError(f"{self.name}: expected a {ndim}-d input with "
-                             f"{n_in} {what}, got shape {x.shape}")
+        linear = spec.kind == "linear"
+        n_in = spec.in_features if linear else spec.in_channels
+        if x.ndim not in ((2, 4) if linear else (4,)) or x.shape[1] != n_in:
+            want = (f"a 2-d input with {n_in} features or a 4-d one"
+                    if linear else "a 4-d input")
+            raise ShapeError(f"{self.name}: expected {want} with {n_in} "
+                             f"channels, got shape {x.shape}")
+        pool = linear and x.ndim == 4
+        h = x
+        if pool:
+            inv_hw = 1.0 / float(x.shape[2] * x.shape[3])
+            h = x.sum(axis=(2, 3)) * inv_hw
         quant = self.weight_fq is not None and not bypass_quant
         params = self.params()
-        xd, wd = x, self.W.data
+        xd, wd = h, self.W.data
         if quant:
             xd, a_params, a_vjp = self.act_fq.fake_quant(xd)
             wd, w_params, w_vjp = self.weight_fq.fake_quant(wd)
             params += w_params + a_params
         if sites is not None and self.weight_fq is not None:
             sites(self.weight_fq, self.W.data, wd)
-            sites(self.act_fq, x, xd)
+            sites(self.act_fq, h, xd)
         # the quantized input's gradient also feeds the activation site
         input_grad = quant or input_grad
-        if spec.kind == "linear":
+        if linear:
             y, op_vjp = _linear(xd, wd, input_grad)
         else:
             y, op_vjp = _conv2d(xd, wd, spec.stride, spec.padding, input_grad)
@@ -364,10 +357,12 @@ class _Layer:
                 g, *bn_grads = bn_vjp(g)
             g, gb = bias_vjp(g)
             gx, gw = op_vjp(g)
-            if not quant:
-                return (gx, gw, gb, *bn_grads)
-            gw, *w_grads = w_vjp(gw)
-            gx, *a_grads = a_vjp(gx)
+            w_grads = a_grads = ()
+            if quant:
+                gw, *w_grads = w_vjp(gw)
+                gx, *a_grads = a_vjp(gx)
+            if pool and gx is not None:
+                gx = np.broadcast_to((gx * inv_hw)[:, :, None, None], x.shape)
             return (gx, gw, gb, *bn_grads, *w_grads, *a_grads)
 
         return T.record(x, params, y, rule, self.name)
@@ -422,16 +417,14 @@ class Model:
 
     def forward(self, x, train=True, bypass_quant=False, sites=None,
                 input_grad=False) -> np.ndarray:
-        """The logits of the array x. In training each layer and the pool
-        append their chain entry, and the sweep also returns the gradient
+        """The logits of the array x. In training each layer appends its
+        chain entry, and the sweep also returns the gradient
         of x when input_grad is set. Each quantized layer calls
         ``sites(fq, x, xq)``, if given, for its weight site with the
         weights and then for its activation site with its input, each with
         their fake-quantized values (x itself under bypass_quant)."""
         h = np.asarray(x, np.float64)
         for layer in self.layers:
-            if layer.spec.kind == "linear" and h.ndim == 4:
-                h = global_avg_pool(h, train)
             h = layer.forward(h, train, bypass_quant=bypass_quant,
                               sites=sites, input_grad=input_grad)
             input_grad = train

@@ -21,8 +21,7 @@ import numpy as np
 from . import tensor as T
 from .errors import DomainError
 from .losses import DISTILL_KINDS, hard_label_loss, teacher_probs, total_loss
-from .models import (Conv2d, Linear, Model, ModelSpec, _Layer,
-                     global_avg_pool)
+from .models import Conv2d, Linear, Model, ModelSpec, _Layer
 from .optim import RAdam
 from .quantizer import FakeQuantizer
 from .tensor import Tensor
@@ -295,13 +294,10 @@ def finite_difference_grads(f, arrays, h=1e-5):
 
 def _relu_margin(layers, x):
     """The smallest |input| of any relu when x runs through layers in train
-    mode, with the global average pool ahead of a linear layer that gets
-    an image, as in Model.forward (inf without a relu), and the output.
-    The relu runs off the chain, so each layer records on a fresh one."""
+    mode, as in Model.forward (inf without a relu), and the output. The
+    relu runs off the chain, so each layer records on a fresh one."""
     margin, h = np.inf, x
     for layer in layers:
-        if layer.spec.kind == "linear" and h.ndim == 4:
-            h = global_avg_pool(h, False)
         spec = layer.spec
         layer.spec = replace(spec, activation="identity")
         T.reset_tape()
@@ -315,10 +311,10 @@ def _relu_margin(layers, x):
 
 
 def _weighted_sum(y, coeff):
-    """sum(y * coeff) as one loss-term chain entry on the chain's output y:
-    a scalar loss on a non-scalar y."""
+    """sum(y * coeff) as the chain's loss entry on its output y: a scalar
+    loss on a non-scalar y."""
     return T.record(y, (), np.sum(y * coeff), lambda g: (g * coeff,),
-                    "weighted_sum", weight=1.0)
+                    "weighted_sum")
 
 
 def _chain_grads(loss, x, params):
@@ -370,8 +366,8 @@ def _randomize_bias_and_bn(layer, rng):
 
 def _random_fp_model(rng, conv):
     """A random FP Model with nonzero biases and batchnorm parameters: an
-    MLP of depth 2 or 3, or (conv) a stride-2 conv-bn-relu block, the pool
-    and a linear head. Returns it with an input batch shape and the class
+    MLP of depth 2 or 3, or (conv) a stride-2 conv-bn-relu block and a
+    linear head, which averages the image over H and W. Returns it with an input batch shape and the class
     count."""
     b, c = int(rng.integers(2, 4)), int(rng.integers(2, 4))
     if conv:
@@ -447,7 +443,7 @@ def _random_loss_case(rng):
 
 def gradcheck_total_loss(n_cases: int = 30, seed=0, rtol=1e-4):
     """Gradients of total_loss with respect to the student logits and every
-    quantizer parameter, from the reverse sweep of its two loss terms, vs
+    quantizer parameter, from the reverse sweep of its loss entry, vs
     central differences, cycling over the three distillation kinds."""
     rng = np.random.default_rng([seed, 0x544C47])
 

@@ -10,9 +10,9 @@ accuracy among audits where max actual <= target). PTQ and the audit
 read every site, weight and activation alike, from the ``sites`` callback
 of one forward.
 
-A QAT step records the student's chain (one entry per layer and the pool,
-then the distance and the potential, ``gdnsq.tensor``), sweeps it once
-into the flat gradient buffer of its ``RAdam`` and steps; the forwards of
+A QAT step records the student's chain (one entry per layer, then one
+loss entry for the distance and the potential, ``gdnsq.tensor``), sweeps
+it once into the flat gradient buffer of its ``RAdam`` and steps; the forwards of
 PTQ, the audit and the teacher run with ``train=False`` and record nothing.
 The frozen teacher's logits, their floored softmax and its log are
 computed once per run, before the first step.
@@ -58,8 +58,7 @@ from .data import Dataset, load_idx_dataset, make_synthetic
 from .errors import DomainError, FormatError, NumericError, PipelineError
 from .kernels import round_half_up
 from .losses import DISTILL_KINDS, teacher_probs, total_loss
-from .models import (Model, global_avg_pool, logits_accuracy, spec_from_dict,
-                     spec_to_dict)
+from .models import Model, logits_accuracy, spec_from_dict, spec_to_dict
 from .optim import RAdam
 from .quantizer import NOISE_MODES, FusedLinear, integer_fuse
 
@@ -590,8 +589,6 @@ def fused_model_forward(model: Model, fused: dict, x: np.ndarray) -> np.ndarray:
     """
     h = np.asarray(x, dtype=np.float64)
     for i, layer in enumerate(model.layers):
-        if layer.spec.kind == "linear" and h.ndim == 4:
-            h = global_avg_pool(h, False)
         if i in fused:
             f: FusedLinear = fused[i]
             ka = round_half_up(np.clip(h, f.a_lo, f.a_hi) / f.s_a)

@@ -1,18 +1,15 @@
 """The training chain: a straight line of entries and one reverse sweep.
 
 A training step is a fixed line of closed-form operations: each model
-layer and the global average pool (``gdnsq.models``), then the loss terms,
-the distillation distance and the bit-width potential (``gdnsq.losses``).
+layer (``gdnsq.models``), then one scalar loss entry (``gdnsq.losses``).
 ``record`` appends one entry per operation: its rule, which maps the
 gradient of its output to the gradient of its input (None where the input
 needs none) followed by one gradient per parameter, and the parameter
 tensors those gradients belong to. Intermediates stay plain ndarrays;
-each entry's input is the output of the entry before it. A loss term
-carries its weight in the loss instead and feeds from the chain's last
-output or, like the potential, from nothing but its parameters.
+each entry's input is the output of the entry before it.
 
-``backward`` sweeps the entries once in reverse. It seeds each loss term
-with ``np.ones(()) * weight``, hands one gradient array from entry to
+``backward`` sweeps the entries once in reverse. It seeds the last entry,
+the loss, with ``np.ones(())``, hands one gradient array from entry to
 entry, and writes every parameter gradient straight into a caller-owned
 array per parameter (``RAdam.slots``, views of the optimizer's flat
 gradient buffer): the first write of a sweep assigns, later ones add, in
@@ -20,8 +17,7 @@ the order the entries are swept. The chain is rebuilt per forward pass
 (``reset_tape``); nothing is cached between passes.
 
 A forward records exactly when it trains: with ``train=True`` each layer
-appends its entry, an eval forward appends nothing. ``backward`` needs no
-loss root; it starts from the loss terms on the chain.
+appends its entry, an eval forward appends nothing.
 """
 
 from __future__ import annotations
@@ -54,13 +50,12 @@ class Tensor:
 
 
 class Entry:
-    __slots__ = ("name", "rule", "params", "weight")
+    __slots__ = ("name", "rule", "params")
 
-    def __init__(self, name, rule, params, weight):
+    def __init__(self, name, rule, params):
         self.name = name
         self.rule = rule  # rule(g) -> (input grad or None, *param grads)
         self.params = params
-        self.weight = weight  # the loss weight of a loss term, else None
 
 
 class Chain:
@@ -68,7 +63,7 @@ class Chain:
 
     def __init__(self):
         self.entries = []
-        self.head = None  # output of the last entry that is not a loss term
+        self.head = None  # output of the last entry
 
     def reset(self):
         self.entries = []
@@ -89,47 +84,44 @@ def reset_tape():
     _CHAIN.reset()
 
 
-def record(x, params, out, rule, name, weight=None):
+def record(x, params, out, rule, name):
     """Append an entry over input array x (None for none) and params and
     return out.
 
     x must be the chain's last output once the chain has one, so that the
-    entries form one line. With a weight the entry is a loss term: its
-    output is not an input of later entries.
+    entries form one line.
     """
     chain = _CHAIN
     if x is not None and chain.head is not None and x is not chain.head:
         raise ContractError(f"{name}: its input is not the output of the "
                             "chain's last entry; reset_tape() between passes")
-    chain.entries.append(Entry(name, rule, params, weight))
-    if weight is None:
-        chain.head = out
+    chain.entries.append(Entry(name, rule, params))
+    chain.head = out
     return out
 
 
 def backward(slots: dict):
-    """Sweep the chain once in reverse, from its loss terms.
+    """Sweep the chain once in reverse, from its last entry, the loss.
 
     Writes the gradient of every parameter on the chain into slots[p]
     (assigned at its first write of the sweep, added after that) and
     returns the gradient of the first entry's input, or None when that
-    entry computes none. Every array in slots must be written.
+    entry computes none. Every array in slots must be written. A chain
+    whose last output is not a scalar, or whose entry after the first
+    returns no gradient of its input, raises ContractError.
     """
-    g = None
+    entries = _CHAIN.entries
+    if not entries or np.ndim(_CHAIN.head) != 0:
+        raise ContractError("the chain does not end in a scalar loss entry")
+    g = np.ones(())
     written = set()
-    for e in reversed(_CHAIN.entries):
-        if e.weight is None:
-            if g is None:
-                raise ContractError(f"{e.name}: no gradient reaches its output")
-            grads = e.rule(g)
-            g = grads[0]
-        else:
-            grads = e.rule(np.ones(()) * e.weight)
-            if grads[0] is not None:
-                if g is not None:
-                    raise ContractError(f"{e.name}: a second loss term feeds "
-                                        "the chain")
-                g = grads[0]
+    for i in range(len(entries) - 1, -1, -1):
+        e = entries[i]
+        grads = e.rule(g)
+        g = grads[0]
+        if g is None and i > 0:
+            raise ContractError(f"{e.name}: no gradient of its input, the "
+                                f"output of {entries[i - 1].name}")
         for p, gp in zip(e.params, grads[1:]):
             slot = slots.get(p)
             if slot is None:

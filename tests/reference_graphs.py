@@ -1,5 +1,5 @@
 """Primitive-op graphs of the quantizer parameters, the loss terms,
-batchnorm, a model layer, the global average pool and the model forward,
+batchnorm, a model layer and the model forward,
 the per-parameter RAdam loop, and a recorded training chain replayed as
 tape nodes.
 
@@ -90,17 +90,10 @@ def batchnorm_node(bn, x, train):
     return T._record([x, bn.gamma, bn.beta], out, vjp, "batchnorm")
 
 
-def global_avg_pool(h):
-    return P.mean(h, axis=(2, 3))
-
-
 def model_forward(model, x, train):
-    """Model.forward on the graph: layer_forward per layer, with the pool
-    ahead of a linear layer that gets an image."""
+    """Model.forward on the graph: layer_forward per layer."""
     h = T.as_tensor(x)
     for layer in model.layers:
-        if layer.spec.kind == "linear" and h.data.ndim == 4:
-            h = global_avg_pool(h)
         h = layer_forward(layer, h, train)
     return h
 
@@ -108,29 +101,15 @@ def model_forward(model, x, train):
 def chain_on_tape(entries, outputs, x):
     """The entries of a recorded chain as nodes on the general tape.
 
-    outputs holds each entry's output array (the loss terms' scalars) and x
-    is the chain's input tensor. Every entry that is not a loss term
-    becomes a node over (previous output, *params), the distance a node
-    over (logits, *params), the potential a node over its params, and a
-    last node sums the terms with their weights, as the loss node of the
-    tape did. Returns the loss tensor and the chain's output tensor.
+    outputs holds each entry's output array (the loss entry's scalar) and
+    x is the chain's input tensor. Every entry becomes a node over
+    (previous output, *params). Returns the last node, the loss, and the
+    node before it, the logits.
     """
-    h, terms, weights = x, [], []
+    nodes = [x]
     for e, out in zip(entries, outputs):
-        if e.weight is None:
-            h = T._record([h, *e.params], out, e.rule, e.name)
-            continue
-        if e.name == "potential":  # a term on nothing but its parameters
-            node = T._record(list(e.params), out,
-                             lambda g, rule=e.rule: tuple(rule(g)[1:]), e.name)
-        else:
-            node = T._record([h, *e.params], out, e.rule, e.name)
-        terms.append(node)
-        weights.append(e.weight)
-    value = sum(t.data * w for t, w in zip(terms, weights))
-    loss = T._record(terms, value, lambda g: tuple(g * w for w in weights),
-                     "loss")
-    return loss, h
+        nodes.append(T._record([nodes[-1], *e.params], out, e.rule, e.name))
+    return nodes[-1], nodes[-2]
 
 
 def floored_probs_t(p):
@@ -157,7 +136,7 @@ def hard_label_loss(logits, labels):
     return P.mean(distill_rows(logits, None, labels, "hard_label_ce"))
 
 
-def potential_tensor(weight_fqs, act_fqs, targets):
+def potential(weight_fqs, act_fqs, targets):
     def group(fqs, target):
         hinges = [P.maximum(P.sub(bitwidth_tensor(fq), float(target)), 0.0)
                   for fq in fqs]
@@ -172,7 +151,7 @@ def potential_tensor(weight_fqs, act_fqs, targets):
 def total_loss(student_logits, teacher_logits, weight_fqs, act_fqs, targets,
                w_p, labels=None, kind="jeffreys"):
     d = P.mean(distill_rows(student_logits, teacher_logits, labels, kind))
-    p_t = potential_tensor(weight_fqs, act_fqs, targets)
+    p_t = potential(weight_fqs, act_fqs, targets)
     return P.add(P.mul(p_t, w_p), d)
 
 
@@ -202,8 +181,11 @@ def batchnorm_forward(bn, x, train):
 
 
 def layer_forward(layer, x, train):
-    """_Layer.forward as a graph of one node per op: the fake-quant nodes,
-    matmul or conv, bias add, batchnorm and relu."""
+    """_Layer.forward as a graph of one node per op: the mean over H and W
+    of an image that reaches a linear layer, the fake-quant nodes, matmul
+    or conv, bias add, batchnorm and relu."""
+    if layer.spec.kind == "linear" and x.data.ndim == 4:
+        x = P.mean(x, axis=(2, 3))
     if layer.weight_fq is not None:
         x = fake_quant_apply(layer.act_fq, x)
         w = fake_quant_apply(layer.weight_fq, layer.W)

@@ -75,6 +75,6 @@ def test_tracer_finds_every_hook_but_the_stale_two(checkpoints, tmp_path,
     assert rec.calls("qat", "tensor.backward") == steps
     assert rec.calls("qat", "losses.total_loss") == steps
     metrics = spans.layer_metrics(rec, steps)
-    # four layers, the distance and the potential
-    assert metrics["tensor.nodes_per_step"] == 6
-    assert metrics["tensor.loss_nodes_per_step"] == 2
+    # four layers and the loss entry
+    assert metrics["tensor.nodes_per_step"] == 5
+    assert metrics["tensor.loss_nodes_per_step"] == 1

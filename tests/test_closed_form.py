@@ -2,8 +2,8 @@
 replace, and the chain's reverse sweep against the general tape.
 
 Each model case evaluates the loss through the chain (the layer entries of
-_Layer.forward, the pool entry, losses.distill_loss and
-losses.potential_tensor as recorded by total_loss), sweeps it into the
+_Layer.forward and the loss entry that total_loss records from
+losses.distill_loss and losses.potential), sweeps it into the
 flat gradient buffer of an RAdam, and compares the buffer bit for bit with
 the gradients the general tape (reference_tape) accumulates when the same
 entries are recorded on it as nodes, with the same probe draws. It also
@@ -23,9 +23,9 @@ import reference_tape as R
 from gdnsq import tensor as T
 from gdnsq.data import Dataset
 from gdnsq.losses import (PROB_FLOOR, distill_loss, hard_label_loss,
-                          potential_tensor, softmax, teacher_probs, total_loss)
+                          potential, softmax, teacher_probs, total_loss)
 from gdnsq.models import (BatchNorm, Conv2d, Linear, Model, _bias, _Layer,
-                          make_model_spec)
+                          make_model_spec, train_teacher)
 from gdnsq.optim import RAdam
 from gdnsq.oracles import _weighted_sum
 from gdnsq.pipeline import RunConfig, qat_run
@@ -95,9 +95,9 @@ def chain_step(model, opt, x, t_logits, labels, kind, weights, seed,
     outputs = []
     record = T.record
 
-    def keeping_outputs(x, params, out, rule, name, weight=None):
+    def keeping_outputs(x, params, out, rule, name):
         outputs.append(out)
-        return record(x, params, out, rule, name, weight)
+        return record(x, params, out, rule, name)
 
     T.reset_tape()
     with monkeypatch.context() as mp:
@@ -171,10 +171,9 @@ def test_distill_node_matches_reference_under_floor(kind):
     t = np.array([[1.0, 0.0, -1.0], [0.0, 35.0, 0.0], [2.0, 2.0, -30.0],
                   [0.5, -0.5, 0.0]])
     labels = np.array([0, 2, 1, 1])
-    T.reset_tape()
-    d = distill_loss(z.copy(), teacher_probs(t), labels=labels, kind=kind)
-    ga = T.backward({})
-    T.reset_tape()
+    d, vjp = distill_loss(z.copy(), teacher_probs(t), labels=labels,
+                          kind=kind)
+    ga = vjp(np.ones(()))
     b = Tensor(z.copy(), requires_grad=True)
     d_ref = P.mean(ref.distill_rows(b, t, labels, kind))
     gb = d_ref.backward()[b]
@@ -212,12 +211,13 @@ def _sites(seed):
 def _potential_grads(wfqs, afqs, targets, reference):
     params = [t for fq in wfqs + afqs for t in fq.raw_params()]
     if reference:
-        p = ref.potential_tensor(wfqs, afqs, targets)
+        p = ref.potential(wfqs, afqs, targets)
         grads = p.backward()
         R.reset_tape()
         return float(p.data), [grads[t] for t in params]
     T.reset_tape()
-    p = potential_tensor(wfqs, afqs, targets)
+    p, site_params, vjp = potential(wfqs, afqs, targets)
+    T.record(None, site_params, p, lambda g: (None, *vjp(g)), "potential")
     slots = zero_slots(params)
     T.backward(slots)
     T.reset_tape()
@@ -450,10 +450,11 @@ def assert_layer_node_matches_graph(kind, quantized, batch_stats, x_grad,
         assert_close(got, want, f"parameter gradient {i}")
 
 
+LAYERS = ["layer0", "layer1", "layer2", "layer3"]  # no pool entry on conv3
+
+
 @pytest.mark.parametrize("model_id,names", [
-    ("mlp4", ["layer0", "layer1", "layer2", "layer3"]),
-    ("conv3", ["layer0", "layer1", "layer2", "pool", "layer3"]),
-])
+    (model_id, LAYERS) for model_id in ("mlp4", "conv3")])
 def test_layer_is_one_node(model_id, names):
     model = quantized_model(model_id, 5)
     x = np.random.default_rng(0).normal(size=(4, 2, 6, 6) if model_id == "conv3"
@@ -464,21 +465,9 @@ def test_layer_is_one_node(model_id, names):
     T.reset_tape()
 
 
-STEP_TAIL = ["distill[jeffreys]", "potential"]
-
-
-@pytest.mark.parametrize("model_id,names", [
-    ("mlp4", ["layer0", "layer1", "layer2", "layer3"] + STEP_TAIL),
-    ("conv3", ["layer0", "layer1", "layer2", "pool", "layer3"] + STEP_TAIL),
-])
-def test_qat_step_nodes(model_id, names, tmp_path, monkeypatch):
-    # the chain that every backward of qat_run's training steps sweeps
-    student = quantized_model(model_id, 6)
-    teacher = Model(student.spec, init_seed=6)
-    rng = np.random.default_rng(6)
-    shape = (16, 2, 6, 6) if model_id == "conv3" else (16, 2)
-    ds = Dataset(rng.normal(size=shape), rng.integers(0, 3, size=16),
-                 num_classes=3)
+def swept_chains(monkeypatch):
+    """The entry names of every chain T.backward sweeps, appended to the
+    returned list."""
     tapes = []
     real = T.backward
 
@@ -487,6 +476,36 @@ def test_qat_step_nodes(model_id, names, tmp_path, monkeypatch):
         return real(slots)
 
     monkeypatch.setattr(T, "backward", recording)
+    return tapes
+
+
+def step_data(model_id):
+    rng = np.random.default_rng(6)
+    shape = (16, 2, 6, 6) if model_id == "conv3" else (16, 2)
+    return Dataset(rng.normal(size=shape), rng.integers(0, 3, size=16),
+                   num_classes=3)
+
+
+@pytest.mark.parametrize("model_id,names", [
+    (model_id, LAYERS + ["loss[jeffreys]"]) for model_id in ("mlp4", "conv3")])
+def test_qat_step_nodes(model_id, names, tmp_path, monkeypatch):
+    # the chain that every backward of qat_run's training steps sweeps
+    student = quantized_model(model_id, 6)
+    teacher = Model(student.spec, init_seed=6)
+    ds = step_data(model_id)
+    tapes = swept_chains(monkeypatch)
     qat_run(RunConfig(model=model_id, epochs=1, batch_size=8), teacher,
             student, tmp_path / "run", ds, ds)
+    assert tapes == [names, names]
+
+
+@pytest.mark.parametrize("model_id,names", [
+    (model_id, LAYERS + ["loss[hard_label_ce]"])
+    for model_id in ("mlp4", "conv3")])
+def test_train_fp_step_nodes(model_id, names, monkeypatch):
+    # the chain that every backward of train_teacher's steps sweeps
+    ds = step_data(model_id)
+    tapes = swept_chains(monkeypatch)
+    train_teacher(make_model_spec(model_id, 2, 3), ds, ds, epochs=1,
+                  lam=0.01, seed=6, batch_size=8)
     assert tapes == [names, names]

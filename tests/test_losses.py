@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from gdnsq import tensor as T
 from gdnsq.errors import DomainError, NumericError, ShapeError
 from gdnsq.losses import (distill_loss, hard_label_loss, jeffreys, kl,
-                          potential_tensor, softmax, teacher_probs, total_loss)
+                          potential, softmax, teacher_probs, total_loss)
 from gdnsq.models import Model, make_model_spec
 from gdnsq.pipeline import QatRun, RunConfig
 from gdnsq.quantizer import FakeQuantizer
@@ -18,6 +18,12 @@ def make_fq(kind, lo, hi, bits, seed=0):
     fq = FakeQuantizer(kind, rng=np.random.default_rng(seed))
     fq.init_from_minmax(lo, hi, bits)
     return fq
+
+
+def potential_entry(weight_fqs, act_fqs, targets):
+    """P recorded as the chain's loss entry over the sites' parameters."""
+    p, params, vjp = potential(weight_fqs, act_fqs, targets)
+    return T.record(None, params, p, lambda g: (None, *vjp(g)), "potential")
 
 
 def sweep(params):
@@ -82,20 +88,20 @@ class TestPotential:
         wqs = [make_fq("weight", -1.0, 1.0, 2.0, seed=i) for i in range(2)]
         aq = make_fq("activation", 0.0, 1.0, 3.0, seed=2)
         targets = (max(wq.bitwidth_value() for wq in wqs), aq.bitwidth_value())
-        assert float(potential_tensor(wqs, [aq], targets)) == 0.0
+        assert float(potential(wqs, [aq], targets)[0]) == 0.0
 
     def test_single_active_hinge(self):
         # one weight site at 3 over target 2, activation at target
         wq = make_fq("weight", -1.0, 1.0, 3.0)
         aq = make_fq("activation", 0.0, 1.0, 4.0, seed=1)
-        p = potential_tensor([wq], [aq], (2.0, aq.bitwidth_value()))
+        p, _, _ = potential([wq], [aq], (2.0, aq.bitwidth_value()))
         assert float(p) == pytest.approx(1.0)
 
     def test_under_target_zero_gradient(self):
         wq = make_fq("weight", -1.0, 1.0, 3.0)
         aq = make_fq("activation", 0.0, 1.0, 3.0, seed=1)
         T.reset_tape()
-        p = potential_tensor([wq], [aq], (8.0, 8.0))
+        p = potential_entry([wq], [aq], (8.0, 8.0))
         assert float(p) == 0.0
         grads = sweep(wq.raw_params() + aq.raw_params())
         assert float(grads[wq.log_s]) == 0.0
@@ -106,7 +112,7 @@ class TestPotential:
         wqs = [make_fq("weight", -1.0, 1.0, 6.0, seed=i) for i in range(2)]
         aq = make_fq("activation", 0.0, 1.0, 2.0, seed=9)
         T.reset_tape()
-        p = potential_tensor(wqs, [aq], (4.0, 4.0))
+        potential_entry(wqs, [aq], (4.0, 4.0))
         grads = sweep([t for fq in wqs + [aq] for t in fq.raw_params()])
         for wq in wqs:
             ratio = (wq.bound_values()[1] - wq.bound_values()[0]) / wq.scale_value()
@@ -115,8 +121,8 @@ class TestPotential:
 
     def test_empty_group_rejected(self):
         with pytest.raises(DomainError):
-            potential_tensor([], [make_fq("activation", 0.0, 1.0, 3.0)],
-                             (1.0, 1.0))
+            potential([], [make_fq("activation", 0.0, 1.0, 3.0)],
+                      (1.0, 1.0))
 
 
 class TestTotalLoss:

@@ -9,7 +9,7 @@ import primitives as P
 import reference_tape as R
 from gdnsq import tensor as T
 from gdnsq.errors import FusionError
-from gdnsq.losses import potential_tensor
+from gdnsq.losses import potential
 from gdnsq.models import Conv2d, Linear, Model, _Layer, make_model_spec
 from gdnsq.pipeline import fuse_student, fused_model_forward, snap_weights
 from gdnsq.quantizer import FakeQuantizer, integer_fuse
@@ -247,7 +247,8 @@ class TestBitwidth:
         # dP/dlog_s is d omega/dlog_s of the weight site
         T.reset_tape()
         slots = {t: np.zeros(()) for t in fq.raw_params() + aq.raw_params()}
-        potential_tensor([fq], [aq], (1.0, 8.0))
+        p, params, vjp = potential([fq], [aq], (1.0, 8.0))
+        T.record(None, params, p, lambda g: (None, *vjp(g)), "potential")
         T.backward(slots)
         T.reset_tape()
         # d omega / d log_s = -(1/ln2) * ratio/(ratio+1), ratio = (u-l)/s

@@ -295,21 +295,38 @@ class TestChain:
         p = Tensor(0.0, requires_grad=True, name="p")
         h = T.record(np.zeros(2), [p], np.ones(2),
                      lambda g: (None, np.asarray(-1e16)), "layer")
-        # a loss term that writes p twice: swept first, so 1e16 is p's
+        # a loss entry that writes p twice: swept first, so 1e16 is p's
         # first write, then + 1.0 (absorbed), then the layer's -1e16
         T.record(h, [p, p], np.asarray(2.0),
                  lambda g: (g * np.ones(2), np.asarray(1e16),
-                            np.asarray(1.0)), "term", weight=0.5)
+                            np.asarray(1.0)), "loss")
         slots = {p: np.asarray(99.0)}  # stale content is overwritten
         assert T.backward(slots) is None
         assert float(slots[p]) == 0.0  # (1e16 + 1) - 1e16; -1e16 first gives 1
 
-    def test_term_weight_seeds_the_sweep(self):
+    def test_loss_entry_seeds_the_sweep_with_one(self):
         seen = []
         T.record(np.zeros(3), (), np.asarray(1.0),
-                 lambda g: (seen.append(g) or 2.0 * g,), "term", weight=0.25)
-        assert T.backward({}) == 0.5
-        assert seen == [0.25]
+                 lambda g: (seen.append(g) or 0.25 * g,), "loss")
+        assert T.backward({}) == 0.25
+        assert seen == [1.0] and np.shape(seen[0]) == ()
+
+    def test_non_scalar_chain_rejected(self):
+        T.record(np.zeros(3), (), np.ones(2), lambda g: (g,), "layer")
+        with pytest.raises(ContractError, match="scalar loss"):
+            T.backward({})
+
+    def test_empty_chain_rejected(self):
+        with pytest.raises(ContractError, match="scalar loss"):
+            T.backward({})
+
+    def test_middle_entry_without_input_gradient_rejected(self):
+        h = T.record(np.zeros(2), (), np.ones(2), lambda g: (g,), "a")
+        T.record(h, (), np.asarray(1.0), lambda g: (None,), "b")
+        with pytest.raises(ContractError,
+                           match="b: no gradient of its input, the output "
+                                 "of a"):
+            T.backward({})
 
     def test_input_must_be_the_last_output(self):
         out = T.record(np.zeros(2), (), np.ones(2), lambda g: (g,), "a")
@@ -320,7 +337,6 @@ class TestChain:
     def test_parameter_without_gradient_rejected(self):
         p = Tensor(1.0, requires_grad=True, name="p")
         q = Tensor(2.0, requires_grad=True, name="q")
-        T.record(None, [p], np.asarray(1.0), lambda g: (None, g), "term",
-                 weight=1.0)
+        T.record(None, [p], np.asarray(1.0), lambda g: (None, g), "loss")
         with pytest.raises(ContractError, match="no gradient reached.*'q'"):
             T.backward({p: np.zeros(()), q: np.zeros(())})

@@ -9,8 +9,9 @@ PYTHONPATH, BLAS on one thread and the same relative paths. It covers:
 
 * mlp4 on two_gaussians: train-fp; ptq, and ptq with rounding_residual
   probes; a 30-epoch qat; qat with bernoulli_variance_matched probes and
-  cross-entropy distillation; qat without PTQ; a 21-epoch qat resumed to
-  30; audit; fuse; export-metrics;
+  cross-entropy distillation; qat from the rounding_residual student with
+  hard-label distillation and --tq-init; qat without PTQ; a 21-epoch qat
+  resumed to 30; audit; fuse; export-metrics;
 * conv3 on the benchmark's bar images (IDX files of seed 1): train-fp;
   ptq; qat at 8/8; qat with frozen batchnorm at 10/10; audit; and fuse,
   which the program refuses for conv layers;
@@ -55,6 +56,9 @@ def scenario(bars: str):
         [*qat, "--epochs", "30", "--out", "mlp/qat"],
         [*qat, "--epochs", "10", "--noise-mode", "bernoulli_variance_matched",
          "--distill", "cross_entropy", "--out", "mlp/qat_vm"],
+        ["qat", "--ckpt", "mlp/ptq_rr.ckpt", "--teacher", fp, "--seed", "1",
+         "--epochs", "10", "--distill", "hard_label_ce", "--tq-init", "0.5",
+         "--out", "mlp/qat_rr"],
         ["qat", "--no-ptq", "--teacher", fp, "--seed", "1", "--epochs", "10",
          *mlp, "--out", "mlp/qat_noptq"],
         [*qat, "--epochs", "21", "--out", "mlp/qat_resume"],
