@@ -72,7 +72,8 @@ def _check_file_value(cfg_path, key, value, flag):
 
 def _merge_config(args, defaults: dict) -> dict:
     """defaults < --config file < explicitly passed flags, for the keys of
-    defaults. A file value must have the type of the key's flag
+    defaults. The file may set only the keys of defaults that have a flag
+    on the command, each to a value of its flag's type
     (_check_file_value)."""
     merged = dict(defaults)
     cfg_path = getattr(args, "config", None)
@@ -85,15 +86,14 @@ def _merge_config(args, defaults: dict) -> dict:
         if not isinstance(file_cfg, dict):
             raise FormatError(f"{cfg_path}: expected a JSON object of "
                               "settings")
-        unknown = set(file_cfg) - set(defaults)
-        if unknown:
-            raise GdnsqError(f"unknown config keys: {sorted(unknown)}")
         sub = next(a for a in build_parser()._actions
                    if isinstance(a, argparse._SubParsersAction))
         flags = {a.dest: a for a in sub.choices[args.command]._actions}
+        unknown = set(file_cfg) - (set(defaults) & set(flags))
+        if unknown:
+            raise GdnsqError(f"unknown config keys: {sorted(unknown)}")
         for key, value in file_cfg.items():
-            if key in flags:
-                _check_file_value(cfg_path, key, value, flags[key])
+            _check_file_value(cfg_path, key, value, flags[key])
         merged.update(file_cfg)
     for key in defaults:
         val = getattr(args, key, None)

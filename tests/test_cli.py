@@ -310,6 +310,26 @@ def test_config_value_of_the_wrong_type_refused(workspace, tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,setting", [
+    ("ptq", {"seed": "3"}), ("ptq", {"seed": 3}), ("qat", {"model": 5}),
+    ("qat", {"ptq_enabled": False})],
+    ids=["ptq_string_seed", "ptq_seed", "qat_model", "qat_ptq_enabled"])
+def test_config_key_without_a_flag_refused(workspace, tmp_path, capsys,
+                                           command, setting):
+    _, teacher, student = workspace
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(setting))
+    out = tmp_path / "out"
+    argv = {"ptq": ["ptq", "--ckpt", str(teacher),
+                    "--out", str(out / "student.ckpt")],
+            "qat": ["qat", "--ckpt", str(student), "--teacher", str(teacher),
+                    "--epochs", "1", "--out", str(out)]}[command]
+    assert main([*argv, "--config", str(cfg)]) == 1
+    (key,) = setting
+    assert capsys.readouterr().err == f"error: unknown config keys: ['{key}']\n"
+    assert not out.exists()
+
+
 def test_train_fp_lr_flag_reaches_config(tmp_path):
     out = tmp_path / "teacher.ckpt"
     rc = main(["train-fp", "--model", "mlp2", "--data", "two_gaussians",
