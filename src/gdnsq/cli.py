@@ -260,8 +260,11 @@ def cmd_qat(args) -> int:
     base["seed"] = None
     merged = _merge_config(args, base)
     merged["ptq_enabled"] = not args.no_ptq
+    teacher, meta = load_teacher(args.teacher)
+    if args.no_ptq:
+        # the student is the teacher's model, as ptq records it
+        merged["model"] = meta.get("model", "custom")
     config = RunConfig(**merged)
-    teacher, _ = load_teacher(args.teacher)
     train, val = _resolve_dataset(merged)
     if args.no_ptq:
         student = Model(teacher.spec, quantized=True)

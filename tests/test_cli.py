@@ -330,6 +330,19 @@ def test_config_key_without_a_flag_refused(workspace, tmp_path, capsys,
     assert not out.exists()
 
 
+def test_no_ptq_records_the_teacher_model(tmp_path):
+    data = ["--n-train", "128", "--n-val", "128"]
+    teacher = tmp_path / "teacher.ckpt"
+    assert main(["train-fp", "--model", "mlp4", "--epochs", "1", *data,
+                 "--out", str(teacher)]) == 0
+    out = tmp_path / "run"
+    assert main(["qat", "--no-ptq", "--teacher", str(teacher), "--epochs",
+                 "1", *data, "--out", str(out)]) == 0
+    assert json.loads((out / "run.json").read_text())["model"] == "mlp4"
+    arrays = load_arrays(out / "last.ckpt")
+    assert array_to_json(arrays["config/json"])["model"] == "mlp4"
+
+
 def test_train_fp_lr_flag_reaches_config(tmp_path):
     out = tmp_path / "teacher.ckpt"
     rc = main(["train-fp", "--model", "mlp2", "--data", "two_gaussians",
