@@ -10,18 +10,18 @@ momentum 0.1 and eps 1e-5, constants of ``BatchNorm``.
 
 A forward records exactly when it trains: with ``train=True`` it appends
 one chain entry per layer (``gdnsq.tensor``), with ``train=False`` it
-appends nothing. Either way it takes and returns plain
-ndarrays and passes them from layer to layer; a conv layer's arrays stay
-batch-last in memory (``gdnsq.kernels``). A layer's
-forward composes numpy pieces that return their output with a
-vector-Jacobian product (``FakeQuantizer.fake_quant``, ``_linear`` or
-``_conv2d``, ``_bias``, ``BatchNorm.normalize``); its rule runs those
-products in reverse and draws the weight site's probes before the
-activation site's, the order of the per-op reference graph
-(tests/reference_graphs.py), so training is bit-identical to it.
-``train_teacher`` sweeps the chain into the flat gradient buffer of its
-``RAdam``. A forward hands every site, weight and activation alike, to its
-``sites`` callback.
+appends nothing. Either way it takes and returns plain ndarrays and
+passes them from layer to layer; a conv layer's arrays stay batch-last in
+memory (``gdnsq.kernels``). A layer's forward composes numpy pieces that
+return their output with a vector-Jacobian product
+(``FakeQuantizer.fake_quant``, ``_linear`` or ``_conv2d``, ``_bias``,
+``BatchNorm.normalize``); its rule runs those products in reverse and
+draws the weight site's probes before the activation site's, the order of
+the per-op reference graph (tests/reference_graphs.py), so training is
+bit-identical to it. ``train_teacher`` ends the chain in the hard-label
+loss entry and sweeps it into the flat gradient buffer of its ``RAdam``.
+A forward hands every site, weight and activation alike, to its ``sites``
+callback.
 
 ``Model.named_parameters`` is the one list of a model's tensors; its
 checkpoint state (``state_arrays``, ``load_state_arrays``) and the copy of
@@ -418,8 +418,8 @@ class Model:
     def forward(self, x, train=True, bypass_quant=False, sites=None,
                 input_grad=False) -> np.ndarray:
         """The logits of the array x. In training each layer appends its
-        chain entry, and the sweep also returns the gradient
-        of x when input_grad is set. Each quantized layer calls
+        chain entry, and the sweep also returns the gradient of x when
+        input_grad is set. Each quantized layer calls
         ``sites(fq, x, xq)``, if given, for its weight site with the
         weights and then for its activation site with its input, each with
         their fake-quantized values (x itself under bypass_quant)."""

@@ -367,8 +367,8 @@ def _randomize_bias_and_bn(layer, rng):
 def _random_fp_model(rng, conv):
     """A random FP Model with nonzero biases and batchnorm parameters: an
     MLP of depth 2 or 3, or (conv) a stride-2 conv-bn-relu block and a
-    linear head, which averages the image over H and W. Returns it with an input batch shape and the class
-    count."""
+    linear head, which averages the image over H and W. Returns it with an
+    input batch shape and the class count."""
     b, c = int(rng.integers(2, 4)), int(rng.integers(2, 4))
     if conv:
         c_in, c_out = int(rng.integers(1, 3)), int(rng.integers(2, 4))
