@@ -6,10 +6,12 @@ audit (unique-value bit-width report), verify (oracle suite),
 export-metrics and fuse (integer weights + scales).
 
 Flag precedence: command-line flags override --config (JSON), which
-overrides built-in defaults; the resolved merge is written to run.json,
-next to the outputs, once the command has succeeded. GDNSQ_SEED serves as
-a fallback seed. Exit codes: 0 success, 1 runtime failure, 2 usage error,
-3 oracle failure.
+overrides the defaults; the resolved merge is written to run.json, next to
+the outputs, once the command has succeeded. train-fp's defaults are
+TRAIN_FP_DEFAULTS. ptq and qat --no-ptq build their student on one path,
+from the teacher's recorded split and model id; qat --ckpt and audit
+start from their student's settings. GDNSQ_SEED is a fallback seed. Exit
+codes: 0 success, 1 runtime failure, 2 usage error, 3 oracle failure.
 """
 
 from __future__ import annotations
@@ -26,10 +28,10 @@ from .checkpoint import save_arrays
 from .errors import DomainError, FormatError, GdnsqError
 from .losses import DISTILL_KINDS
 from .models import Model, make_model_spec, train_teacher
-from .pipeline import (METRICS_HEADER, NO_PTQ_INIT_BITS, RunConfig,
-                       audit_bitwidth, build_student_arrays, fuse_student,
-                       load_dataset, load_student, load_teacher, ptq_minmax,
-                       qat_run, save_teacher, snap_weights)
+from .pipeline import (METRICS_HEADER, NO_PTQ_INIT_BITS, PTQ_BITS,
+                       RunConfig, audit_bitwidth, build_student_arrays,
+                       fuse_student, load_dataset, load_student, load_teacher,
+                       ptq_minmax, qat_run, save_teacher, snap_weights)
 from .quantizer import NOISE_MODES
 
 
@@ -43,7 +45,11 @@ def _env_seed():
         raise DomainError(f"GDNSQ_SEED must be an integer, got {v!r}") from None
 
 
-# train-fp's settings, and ptq's fallback for a teacher without its splits
+# the settings that pick a dataset and its splits; train-fp records them in
+# the teacher's meta, and a student built from the teacher reads them there
+DATA_KEYS = ("dataset", "data_seed", "n_train", "n_val")
+
+# train-fp's settings, and the fallback for a teacher without its splits
 TRAIN_FP_DEFAULTS = {"model": "mlp3", "dataset": "two_gaussians",
                      "data_seed": 0, "n_train": 1024, "n_val": 512,
                      "seed": None, "epochs": 60, "lr": 0.01, "batch_size": 32}
@@ -148,7 +154,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("qat", help="gradual bit-width convergence then LR "
                                    "annealing")
-    p.add_argument("--ckpt", help="PTQ student checkpoint (omit with --no-ptq)")
+    student = p.add_mutually_exclusive_group(required=True)
+    student.add_argument("--ckpt", help="PTQ student checkpoint")
+    student.add_argument("--no-ptq", action="store_true", dest="no_ptq",
+                         help="no PTQ student: build one from the teacher "
+                              "through ptq's path with a near-FP quantizer "
+                              "init (ablation)")
     p.add_argument("--teacher", required=True, help="FP teacher checkpoint")
     p.add_argument("--wbits", type=float, help="weight bit-width target omega_w*")
     p.add_argument("--abits", type=float,
@@ -160,9 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="backward probe for the scale gradient d(sr)/ds")
     p.add_argument("--distill", choices=DISTILL_KINDS,
                    help="distillation distance d (jeffreys = symmetrized KL)")
-    p.add_argument("--no-ptq", action="store_true", dest="no_ptq",
-                   help="skip PTQ: near-FP quantizer init straight from the "
-                        "teacher (ablation)")
     p.add_argument("--freeze-bn", action="store_true",
                    dest="batchnorm_frozen",
                    default=None, help="freeze batchnorm running statistics "
@@ -210,9 +218,8 @@ def cmd_train_fp(args) -> int:
     model, meta = train_teacher(spec, train, val, epochs=merged["epochs"],
                                 lam=merged["lr"], seed=merged["seed"],
                                 batch_size=merged["batch_size"])
-    meta.update({k: merged[k] for k in ("model", "dataset", "data_seed",
-                                        "n_train", "n_val", "seed", "epochs",
-                                        "lr")})
+    meta.update({k: merged[k]
+                 for k in ("model", *DATA_KEYS, "seed", "epochs", "lr")})
     save_teacher(args.out, model, meta)
     _write_run_json(os.path.dirname(os.path.abspath(args.out)), merged)
     acc = "n/a" if meta["val_acc"] is None else f"{meta['val_acc']:.4f}"
@@ -220,25 +227,28 @@ def cmd_train_fp(args) -> int:
     return 0
 
 
-def cmd_ptq(args) -> int:
-    defaults = {"dataset": None, "data_seed": None, "n_train": None,
-                "n_val": None, "noise_mode": "bernoulli", "seed": None}
-    merged = _merge_config(args, defaults)
-    teacher, meta = load_teacher(args.ckpt)
-    # the teacher's own splits; a teacher written before train-fp recorded
-    # them falls back to the train-fp defaults
-    for key in ("dataset", "data_seed", "n_train", "n_val"):
+def _ptq_student(args, teacher_path, defaults: dict, bits: float):
+    """ptq's path from a teacher checkpoint to a student min-max calibrated
+    to `bits`. Settings are defaults < --config < flags; a DATA_KEYS entry
+    left unset takes the teacher's recorded value (TRAIN_FP_DEFAULTS' if it
+    recorded none), and the model id is the teacher's. Returns (config,
+    teacher, meta, student, train, val)."""
+    merged = _merge_config(args, {**defaults, **dict.fromkeys(DATA_KEYS)})
+    teacher, meta = load_teacher(teacher_path)
+    for key in DATA_KEYS:
         if merged[key] is None:
             merged[key] = meta.get(key, TRAIN_FP_DEFAULTS[key])
-    config = RunConfig(model=meta.get("model", "custom"),
-                       dataset=merged["dataset"],
-                       data_seed=merged["data_seed"],
-                       n_train=merged["n_train"], n_val=merged["n_val"],
-                       noise_mode=merged["noise_mode"], seed=merged["seed"])
+    config = RunConfig(**{**merged, "model": meta.get("model", "custom")})
     train, val = _resolve_dataset(merged)
     student = Model(teacher.spec, quantized=True)
     student.copy_weights_from(teacher)
-    ptq_minmax(student, train)
+    ptq_minmax(student, train, bits)
+    return config, teacher, meta, student, train, val
+
+
+def cmd_ptq(args) -> int:
+    config, _, meta, student, _, val = _ptq_student(
+        args, args.ckpt, {"noise_mode": "bernoulli", "seed": None}, PTQ_BITS)
     acc = student.accuracy(val.inputs, val.labels)
     save_arrays(args.out, build_student_arrays(config, student))
     _write_run_json(os.path.dirname(os.path.abspath(args.out)),
@@ -249,27 +259,18 @@ def cmd_ptq(args) -> int:
 
 
 def cmd_qat(args) -> int:
-    base = RunConfig().to_dict()
-    if args.ckpt and not args.no_ptq:
-        cfg0, _, student, _ = load_student(args.ckpt)
-        base.update(cfg0.to_dict())
-    elif not args.no_ptq:
-        raise GdnsqError("qat needs --ckpt (a PTQ student) unless --no-ptq")
+    # a run draws its own seed, and records where its student came from
+    run = {"seed": None, "ptq_enabled": not args.no_ptq}
+    if args.no_ptq:
+        config, teacher, _, student, train, val = _ptq_student(
+            args, args.teacher, {**RunConfig().to_dict(), **run},
+            NO_PTQ_INIT_BITS)
     else:
-        student = None
-    base["seed"] = None
-    merged = _merge_config(args, base)
-    merged["ptq_enabled"] = not args.no_ptq
-    teacher, meta = load_teacher(args.teacher)
-    if args.no_ptq:
-        # the student is the teacher's model, as ptq records it
-        merged["model"] = meta.get("model", "custom")
-    config = RunConfig(**merged)
-    train, val = _resolve_dataset(merged)
-    if args.no_ptq:
-        student = Model(teacher.spec, quantized=True)
-        student.copy_weights_from(teacher)
-        ptq_minmax(student, train, bits=NO_PTQ_INIT_BITS)
+        cfg0, _, student, _ = load_student(args.ckpt)
+        merged = _merge_config(args, {**cfg0.to_dict(), **run})
+        teacher, _ = load_teacher(args.teacher)
+        config = RunConfig(**merged)
+        train, val = _resolve_dataset(merged)
     summary = qat_run(config, teacher, student, args.out, train, val,
                       resume_path=args.resume)
     # written after the run, like train-fp and ptq do, so that a refused
@@ -378,10 +379,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except GdnsqError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
+    except (GdnsqError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

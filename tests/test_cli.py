@@ -246,6 +246,21 @@ def test_missing_subcommand_is_usage_error():
     assert e.value.code == 2
 
 
+@pytest.mark.parametrize("both", [True, False],
+                         ids=["ckpt_and_no_ptq", "neither"])
+def test_qat_takes_its_student_from_exactly_one_source(workspace, tmp_path,
+                                                       capsys, both):
+    _, teacher, student = workspace
+    argv = ["--ckpt", str(student), "--no-ptq"] if both else []
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as e:
+        main(["qat", *argv, "--teacher", str(teacher), "--epochs", "1",
+              "--out", str(out)])
+    assert e.value.code == 2
+    assert "--ckpt" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_file_precedence(workspace, tmp_path):
     root, teacher, student = workspace
     cfg = tmp_path / "cfg.json"
@@ -410,18 +425,42 @@ def test_student_checkpoint_refused_where_a_teacher_is_read(workspace,
     assert not (tmp_path / "run").exists()
 
 
-def test_ptq_calibrates_on_the_teachers_splits(workspace, tmp_path):
-    # the workspace teacher trained on 256/128 samples; ptq without split
-    # flags reads the sizes from its meta
+def _from_teacher(command, teacher, out, *extra):
+    """Build a student from teacher with ptq, or with a one-epoch
+    qat --no-ptq, into the directory out; returns (run.json, checkpoint)."""
+    if command == "ptq":
+        ckpt = out / "student.ckpt"
+        argv = ["ptq", "--ckpt", str(teacher), "--out", str(ckpt)]
+    else:
+        ckpt = out / "last.ckpt"
+        argv = ["qat", "--no-ptq", "--teacher", str(teacher), "--epochs", "1",
+                "--out", str(out)]
+    assert main([*argv, *extra]) == 0
+    return json.loads((out / "run.json").read_text()), ckpt
+
+
+@pytest.mark.parametrize("command", ["ptq", "qat_no_ptq"])
+def test_ptq_calibrates_on_the_teachers_splits(workspace, tmp_path, command):
+    # the workspace teacher trained on 256/128 samples; a student built
+    # from it without split flags reads the sizes from its meta
     _, teacher, _ = workspace
-    out = tmp_path / "ptq" / "student.ckpt"
-    assert main(["ptq", "--ckpt", str(teacher), "--out", str(out)]) == 0
-    run = json.loads((tmp_path / "ptq" / "run.json").read_text())
+    run, ckpt = _from_teacher(command, teacher, tmp_path / "meta")
     assert (run["n_train"], run["n_val"]) == (256, 128)
-    with_flags = tmp_path / "flags.ckpt"
-    assert main(["ptq", "--ckpt", str(teacher), "--n-train", "256",
-                 "--n-val", "128", "--out", str(with_flags)]) == 0
-    assert out.read_bytes() == with_flags.read_bytes()
+    _, with_flags = _from_teacher(command, teacher, tmp_path / "flags",
+                                  "--n-train", "256", "--n-val", "128")
+    assert ckpt.read_bytes() == with_flags.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["ptq", "qat_no_ptq"])
+def test_data_flags_and_config_beat_the_teachers_splits(workspace, tmp_path,
+                                                        command):
+    _, teacher, _ = workspace
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_train": 192, "n_val": 160}))
+    run, _ = _from_teacher(command, teacher, tmp_path / "run", "--config",
+                           str(cfg), "--n-val", "112")
+    assert (run["dataset"], run["n_train"], run["n_val"]) == (
+        "two_gaussians", 192, 112)
 
 
 def test_ptq_of_an_older_teacher_falls_back_to_the_defaults(workspace,
