@@ -297,6 +297,8 @@ def cmd_verify(args) -> int:
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
     reports = run_all(name_filter=args.filter, seed=seed)
+    if not reports:
+        raise DomainError(f"no oracle check matches {args.filter!r}")
     for r in reports:
         print(r.format())
     failures = [r for r in reports if not r.passed]

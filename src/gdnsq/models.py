@@ -496,13 +496,13 @@ def train_teacher(spec: ModelSpec, train_ds, val_ds, *, epochs, lam, seed,
     Each step records the chain, sweeps it into the optimizer's gradient
     buffer and steps. Returns (model, meta); meta["val_acc"] is the val
     accuracy after the last epoch (None for 0 epochs) and ends up in
-    checkpoint metadata. Negative epochs or seed, a learning rate that is
-    not positive and a batch size below 1 raise DomainError.
+    checkpoint metadata. Negative epochs or seed, a learning rate outside
+    (0, inf) and a batch size below 1 raise DomainError.
     """
     if epochs < 0:
         raise DomainError(f"epochs must be >= 0, got {epochs}")
-    if not lam > 0:
-        raise DomainError(f"learning rate must be > 0, got {lam}")
+    if not 0 < lam < np.inf:
+        raise DomainError(f"learning rate must be in (0, inf), got {lam}")
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
     if batch_size < 1:

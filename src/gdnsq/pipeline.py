@@ -101,10 +101,10 @@ class RunConfig:
                               f"{self.wbits} and {self.abits}")
         if self.epochs < 0:
             raise DomainError(f"epochs must be >= 0, got {self.epochs}")
-        if not self.lr0 > 0:
-            raise DomainError(f"lr0 must be > 0, got {self.lr0}")
-        if not self.tq_init >= 0:
-            raise DomainError(f"tq_init must be >= 0, got {self.tq_init}")
+        if not 0 < self.lr0 < math.inf:
+            raise DomainError(f"lr0 must be in (0, inf), got {self.lr0}")
+        if not 0 <= self.tq_init < math.inf:
+            raise DomainError(f"tq_init must be in [0, inf), got {self.tq_init}")
         if self.seed < 0 or self.data_seed < 0:
             raise DomainError(f"seeds must be >= 0, got seed {self.seed} "
                               f"and data_seed {self.data_seed}")

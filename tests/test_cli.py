@@ -204,6 +204,13 @@ def test_verify_filtered_exits_zero(capsys):
     assert "PASS" in out and "FAIL" not in out
 
 
+def test_verify_filter_matching_nothing_refused(capsys):
+    assert main(["verify", "--filter", "nosuchoracle"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: no oracle check matches 'nosuchoracle'\n"
+    assert "oracle checks passed" not in captured.out
+
+
 def test_verify_runs_from_the_package_alone(tmp_path):
     # the oracles that check gradients run with only src/ importable, so
     # the package cannot lean on the test-side primitive ops
@@ -505,7 +512,8 @@ def test_missing_model_section_is_named(workspace, tmp_path, capsys):
                                   "negative_batch", "negative_epochs",
                                   "negative_lr0", "nan_wbits", "nan_abits",
                                   "negative_tq_init", "negative_seed",
-                                  "negative_data_seed"])
+                                  "negative_data_seed", "inf_lr0",
+                                  "inf_tq_init"])
 def test_bad_qat_settings_refused_before_any_output(workspace, tmp_path,
                                                     capsys, case):
     _, teacher, student = workspace
@@ -520,7 +528,9 @@ def test_bad_qat_settings_refused_before_any_output(workspace, tmp_path,
              "nan_abits": ["--abits", "nan"],
              "negative_tq_init": ["--tq-init", "-5"],
              "negative_seed": ["--seed", "-2"],
-             "negative_data_seed": ["--data-seed", "-1"]}[case]
+             "negative_data_seed": ["--data-seed", "-1"],
+             "inf_lr0": ["--lr0", "inf"],
+             "inf_tq_init": ["--tq-init", "inf"]}[case]
     out = tmp_path / "run"
     assert main(["qat", "--ckpt", str(student), "--teacher", str(teacher),
                  "--epochs", "1", *extra, "--out", str(out)]) == 1
@@ -528,17 +538,19 @@ def test_bad_qat_settings_refused_before_any_output(workspace, tmp_path,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("extra", [["--epochs", "-1"], ["--lr", "0"],
-                                   ["--seed", "-3"], ["--data-seed", "-1"]],
-                         ids=["negative_epochs", "zero_lr", "negative_seed",
-                              "negative_data_seed"])
+@pytest.mark.parametrize("extra,named", [
+    (["--epochs", "-1"], "epochs"), (["--lr", "0"], "learning rate"),
+    (["--seed", "-3"], "seed"), (["--data-seed", "-1"], "data seed"),
+    (["--lr", "inf"], "learning rate")],
+    ids=["negative_epochs", "zero_lr", "negative_seed", "negative_data_seed",
+         "inf_lr"])
 def test_bad_train_fp_settings_refused_before_any_output(tmp_path, capsys,
-                                                         extra):
+                                                         extra, named):
     out = tmp_path / "fp" / "teacher.ckpt"
     assert main(["train-fp", "--model", "mlp2", "--epochs", "1",
                  "--n-train", "128", "--n-val", "128", *extra,
                  "--out", str(out)]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err.startswith(f"error: {named} must be")
     assert not out.parent.exists()
 
 
