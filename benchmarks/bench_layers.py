@@ -113,9 +113,7 @@ def time_chain(model_id, qat, work):
     marks, rule_s = [], {}
     record = T.record
 
-    # **weight passes on the loss-term weight of a tree whose chain ended
-    # in weighted loss terms, so such a tree can be timed as a column too
-    def timed_record(x, params, out, rule, name, **weight):
+    def timed_record(x, params, out, rule, name):
         marks.append((name, clock()))
 
         def timed_rule(g):
@@ -124,7 +122,7 @@ def time_chain(model_id, qat, work):
             rule_s[name] = clock() - t0
             return grads
 
-        return record(x, params, out, timed_rule, name, **weight)
+        return record(x, params, out, timed_rule, name)
 
     samples = {}
 
