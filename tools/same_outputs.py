@@ -11,8 +11,8 @@ PYTHONPATH, BLAS on one thread and the same relative paths. It covers:
   probes; a 30-epoch qat; qat with bernoulli_variance_matched probes and
   cross-entropy distillation; qat from the rounding_residual student with
   hard-label distillation and --tq-init; qat without PTQ, on the split
-  the teacher records; a 21-epoch qat
-  resumed to 30; audit; fuse; export-metrics;
+  the teacher records; a 21-epoch qat resumed to 30; audit; fuse;
+  export-metrics;
 * conv3 on the benchmark's bar images (IDX files of seed 1): train-fp;
   ptq; qat at 8/8; qat with frozen batchnorm at 10/10; audit; and fuse,
   which the program refuses for conv layers;
