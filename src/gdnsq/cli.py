@@ -31,7 +31,7 @@ from .models import Model, make_model_spec, train_teacher
 from .pipeline import (METRICS_HEADER, NO_PTQ_INIT_BITS, PTQ_BITS,
                        RunConfig, audit_bitwidth, build_student_arrays,
                        fuse_student, load_dataset, load_student, load_teacher,
-                       ptq_minmax, qat_run, save_teacher, snap_weights)
+                       ptq_minmax, qat_run, save_teacher)
 from .quantizer import NOISE_MODES
 
 
@@ -198,8 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--run-dir", required=True, dest="run_dir")
     p.add_argument("--out", help="target file (stdout when omitted)")
 
-    p = sub.add_parser("fuse", help="emit integer weights + scales for a "
-                                    "converged student")
+    p = sub.add_parser("fuse", help="emit a student's integer weights + "
+                                    "scales (linear layers only)")
     p.add_argument("--ckpt", required=True, help="student checkpoint")
     p.add_argument("--out", required=True, help="fused container path")
     return parser
@@ -352,7 +352,6 @@ def cmd_export_metrics(args) -> int:
 
 def cmd_fuse(args) -> int:
     _, _, student, _ = load_student(args.ckpt)
-    snap_weights(student)
     fused = fuse_student(student)
     arrays = {}
     for i, f in fused.items():

@@ -27,8 +27,7 @@ class FormatError(GdnsqError):
 
 
 class FusionError(GdnsqError):
-    """Integer fusion requested on an off-grid (non-converged) layer or on
-    a layer kind it does not cover (conv)."""
+    """Integer fusion requested on a layer kind it does not cover (conv)."""
 
 
 class DegenerateRangeError(GdnsqError):

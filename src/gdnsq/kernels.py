@@ -45,15 +45,21 @@ def round_half_up(v: np.ndarray) -> np.ndarray:
     return np.floor(v + 0.5)
 
 
+def grid_levels(x: np.ndarray, l: float, u: float, s: float) -> np.ndarray:
+    """The integer levels floor(clamp(x, l, u) / s + 1/2) of x on the grid
+    of step s, as floats."""
+    return round_half_up(np.minimum(np.maximum(x, l), u) / s)
+
+
 def fake_quant(x: np.ndarray, l: float, u: float, s: float) -> np.ndarray:
-    """out = s * floor(clamp(x, l, u) / s + 1/2).
+    """out = s * grid_levels(x, l, u, s).
 
     Computing the grid value directly (instead of clamp + s*residual) makes
     every element of a bucket produce the exact same float, which the
-    unique-value audit and integer fusion rely on.
+    unique-value audit relies on; integer fusion keeps the levels
+    themselves.
     """
-    xb = np.minimum(np.maximum(x, l), u)
-    return s * np.floor(xb / s + 0.5)
+    return s * grid_levels(x, l, u, s)
 
 
 # --- 2-d convolution ---------------------------------------------------------

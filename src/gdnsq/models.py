@@ -3,7 +3,9 @@
 A model is an ordered list of linear / conv2d layers. When built quantized,
 every inner layer (all but the first and last) gets a weight quantizer on
 its kernel and an activation quantizer on its input; first and last layers
-stay floating point. Conv blocks are conv-bn-relu; a linear layer that
+stay floating point. An inner layer runs in floating point until its sites
+are initialized (min-max PTQ, or a student checkpoint), and fake-quantizes
+from then on. Conv blocks are conv-bn-relu; a linear layer that
 gets an image first averages it over H and W (the global average pool),
 which bridges the last conv layer to the linear head. Batchnorm uses
 momentum 0.1 and eps 1e-5, constants of ``BatchNorm``.
@@ -308,8 +310,8 @@ class _Layer:
         self.act_fq = FakeQuantizer("activation", name=f"{self.name}/act",
                                     rng=rng)
 
-    def forward(self, x: np.ndarray, train: bool, bypass_quant=False,
-                sites=None, input_grad=False) -> np.ndarray:
+    def forward(self, x: np.ndarray, train: bool, sites=None,
+                input_grad=False) -> np.ndarray:
         spec, bn = self.spec, self.bn
         linear = spec.kind == "linear"
         n_in = spec.in_features if linear else spec.in_channels
@@ -323,7 +325,7 @@ class _Layer:
         if pool:
             inv_hw = 1.0 / float(x.shape[2] * x.shape[3])
             h = x.sum(axis=(2, 3)) * inv_hw
-        quant = self.weight_fq is not None and not bypass_quant
+        quant = self.weight_fq is not None and self.weight_fq.initialized
         params = self.params()
         xd, wd = h, self.W.data
         if quant:
@@ -415,18 +417,18 @@ class Model:
 
     # -- forward -------------------------------------------------------------
 
-    def forward(self, x, train=True, bypass_quant=False, sites=None,
+    def forward(self, x, train=True, sites=None,
                 input_grad=False) -> np.ndarray:
         """The logits of the array x. In training each layer appends its
         chain entry, and the sweep also returns the gradient of x when
         input_grad is set. Each quantized layer calls
         ``sites(fq, x, xq)``, if given, for its weight site with the
         weights and then for its activation site with its input, each with
-        their fake-quantized values (x itself under bypass_quant)."""
+        their fake-quantized values (x itself while the layer's sites are
+        uninitialized: a layer fake-quantizes once they are)."""
         h = np.asarray(x, np.float64)
         for layer in self.layers:
-            h = layer.forward(h, train, bypass_quant=bypass_quant,
-                              sites=sites, input_grad=input_grad)
+            h = layer.forward(h, train, sites=sites, input_grad=input_grad)
             input_grad = train
         return h
 

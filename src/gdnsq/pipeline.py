@@ -34,8 +34,11 @@ reads: ``opt/*``, ``rng/state``, ``meta/epoch``,
 ``sched/step_n|c_r|c_r_sum``, ``lr/phase|lam|reached``,
 ``best/val_acc|epoch`` and ``meta/reached_epoch`` (an epoch of -1: none).
 
-Integer fusion works on the model's own layers: ``fuse_student`` calls
-``quantizer.integer_fuse`` on each quantized ``models._Layer``, and
+Integer fusion works on the model's own layers: ``fuse_student`` turns
+each quantized ``models._Layer`` into a ``quantizer.FusedLinear`` whose
+integer weights are the weight site's levels of the stored weights
+(``kernels.grid_levels``, the levels ``kernels.fake_quant`` scales), so a
+student fuses whether or not its weights sit on their grid.
 ``fused_model_forward`` is the one integer forward, which runs the fused
 layers on integer weights and the rest of the model as usual.
 """
@@ -55,12 +58,13 @@ from . import tensor as T
 from .checkpoint import (array_to_json, json_to_array, load_arrays,
                          pack_rng_state, save_arrays, unpack_rng_state)
 from .data import Dataset, load_idx_dataset, make_synthetic
-from .errors import DomainError, FormatError, NumericError, PipelineError
-from .kernels import round_half_up
+from .errors import (DomainError, FormatError, FusionError, NumericError,
+                     PipelineError)
+from .kernels import grid_levels
 from .losses import DISTILL_KINDS, teacher_probs, total_loss
 from .models import Model, logits_accuracy, spec_from_dict, spec_to_dict
 from .optim import RAdam
-from .quantizer import NOISE_MODES, FusedLinear, integer_fuse
+from .quantizer import NOISE_MODES, FusedLinear
 
 logger = logging.getLogger("gdnsq")
 
@@ -149,8 +153,9 @@ def ptq_minmax(student: Model, train_ds: Dataset,
     """Min-max calibration over the training set, then bit-width = `bits`.
 
     A site's range is the min/max of its weights or of its inputs over one
-    pass with the quantizers bypassed, folded batch by batch. Weights are
-    untouched, only quantizer parameters are set.
+    eval pass, folded batch by batch; the sites are not yet initialized, so
+    the pass runs in floating point. Weights are untouched, only quantizer
+    parameters are set.
     """
     if not student.inner_layers():
         raise PipelineError("model has no quantized layers to calibrate")
@@ -162,7 +167,7 @@ def ptq_minmax(student: Model, train_ds: Dataset,
 
     for start in range(0, len(train_ds), PTQ_BATCH):
         student.forward(train_ds.inputs[start:start + PTQ_BATCH],
-                        train=False, bypass_quant=True, sites=fold)
+                        train=False, sites=fold)
     for fq in student.all_quantizers():
         fq.init_from_minmax(*ranges[fq], bits)
     return student
@@ -563,21 +568,23 @@ def qat_run(config: RunConfig, teacher: Model, student: Model, out_dir,
 # -- integer fusion at model level ------------------------------------------------
 
 
-def snap_weights(model: Model):
-    """Replace inner-layer weights by their dequantized values.
-
-    Idempotence of the fake quantizer makes this observationally identical;
-    afterwards the weights sit exactly on the grid and fuse losslessly.
-    """
-    for layer in model.inner_layers():
-        layer.W.data = layer.weight_fq.quantize_array(layer.W.data)
-
-
 def fuse_student(model: Model) -> dict:
-    """Integer-fuse every quantized layer: index -> FusedLinear. Raises
-    FusionError for a conv layer."""
-    return {i: integer_fuse(layer) for i, layer in enumerate(model.layers)
-            if layer.weight_fq is not None}
+    """Integer-fuse every quantized layer: index -> FusedLinear, whose
+    integer weights are the weight site's levels of W. Raises FusionError
+    for a conv layer."""
+    fused = {}
+    for i, layer in enumerate(model.layers):
+        wq, aq = layer.weight_fq, layer.act_fq
+        if wq is None:
+            continue
+        if layer.spec.kind != "linear":
+            raise FusionError("integer fusion covers linear layers only")
+        s_w = wq.scale_value()
+        levels = grid_levels(layer.W.data, *wq.bound_values(), s_w)
+        fused[i] = FusedLinear(levels.astype(np.int64), s_w,
+                               aq.scale_value(), *aq.bound_values(),
+                               layer.spec.activation)
+    return fused
 
 
 def fused_model_forward(model: Model, fused: dict, x: np.ndarray) -> np.ndarray:
@@ -591,7 +598,7 @@ def fused_model_forward(model: Model, fused: dict, x: np.ndarray) -> np.ndarray:
     for i, layer in enumerate(model.layers):
         if i in fused:
             f: FusedLinear = fused[i]
-            ka = round_half_up(np.clip(h, f.a_lo, f.a_hi) / f.s_a)
+            ka = grid_levels(h, f.a_lo, f.a_hi, f.s_a)
             h = (ka @ f.int_weights) * (f.s_w * f.s_a) + layer.b.data
             if f.activation_fn == "relu":
                 h = np.maximum(h, 0.0)

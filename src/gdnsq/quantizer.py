@@ -4,7 +4,7 @@ Forward computes the dequantized value D(Q(x)) = clamp(x,l,u) + s*r(q(x))
 with q(x) = (clamp(x,l,u) - z)/s, r(v) = floor(v + 1/2) - v and z fixed at
 0. The implementation evaluates the algebraically equal grid form
 s*round(clamp(x)/s) so that every element of a bucket yields the exact
-same float (the unique-value audit and integer fusion depend on this).
+same float (the unique-value audit depends on this).
 
 Backward follows the straight-through overrides: the noise term s*r
 contributes exactly zero to the input gradient, and its scale gradient is
@@ -44,11 +44,11 @@ product, whose log_s part -ratio/((ratio + 1) ln 2) is the LSQ step-size
 gradient (Esser et al., arXiv:1902.08153); the potential entry in
 ``losses`` is built on it.
 
-``integer_fuse`` turns a converged quantized model layer (``models._Layer``)
-into a ``FusedLinear``: integer weights plus the weight and activation
-scales and the activation clamp bounds, the integer-only inference form of
-Jacob et al. (arXiv:1712.05877). ``pipeline.fused_model_forward`` is the one
-forward that runs it.
+``FusedLinear`` is the integer-only inference form of a quantized linear
+layer (Jacob et al., arXiv:1712.05877): the weight site's integer levels
+``kernels.grid_levels`` of the stored weights, the weight and activation
+scales and the activation clamp bounds. ``pipeline.fuse_student`` builds
+it and ``pipeline.fused_model_forward`` is the one forward that runs it.
 """
 
 from __future__ import annotations
@@ -57,14 +57,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateRangeError, DomainError, FusionError
+from .errors import DegenerateRangeError, DomainError
 from .kernels import fake_quant as fq_kernel
 from .kernels import round_half_up
 from .tensor import Tensor
 
 NOISE_MODES = ("bernoulli", "bernoulli_variance_matched", "rounding_residual")
-
-FUSE_TOL = 1e-9  # grid steps a fused weight may sit off its level
 
 _INV_SQRT3 = 1.0 / np.sqrt(3.0)
 _INV_LN2 = 1.0 / np.log(2.0)
@@ -243,11 +241,6 @@ class FakeQuantizer:
     def bitwidth_value(self) -> float:
         return self.bitwidth()[0]
 
-    def quantize_array(self, x: np.ndarray) -> np.ndarray:
-        """Deterministic dequantized-grid values, no chain involvement."""
-        l, u = self.bound_values()
-        return fq_kernel(np.asarray(x, dtype=np.float64), l, u, self.scale_value())
-
 
 @dataclass
 class FusedLinear:
@@ -264,45 +257,3 @@ class FusedLinear:
     a_hi: float
     activation_fn: str = "relu"
 
-
-def integer_fuse(layer) -> FusedLinear:
-    """Extract integer weights and scales from a converged quantized model
-    layer (``models._Layer``: ``W``, ``weight_fq``, ``act_fq``, ``spec``).
-
-    The stored weights must already sit on the dequantized grid (within
-    FUSE_TOL grid steps); anything farther signals a non-converged
-    quantizer. Snap weights first (w := quantize_array(w)) when exporting,
-    which is observationally identical by idempotence of the fake
-    quantizer.
-    """
-    if layer.spec.kind != "linear":
-        raise FusionError("integer fusion covers linear layers only")
-    wq = layer.weight_fq
-    aq = layer.act_fq
-    s_w = wq.scale_value()
-    l, u = wq.bound_values()
-    v = layer.W.data / s_w
-    k = round_half_up(v)
-    residual = np.max(np.abs(v - k)) if v.size else 0.0
-    if residual > FUSE_TOL:
-        raise FusionError(
-            f"{wq.name}: weights off the quantization grid by up to "
-            f"{residual:.3e} steps (> {FUSE_TOL}); quantizer not converged"
-        )
-    # achievable levels are round(l/s) .. round(u/s); anything outside means
-    # the stored weights disagree with the clamp range
-    k_lo, k_hi = round_half_up(l / s_w), round_half_up(u / s_w)
-    if k.size and (k.min() < k_lo or k.max() > k_hi):
-        raise FusionError(
-            f"{wq.name}: integer levels [{int(k.min())}, {int(k.max())}] fall "
-            f"outside the clamp range levels [{int(k_lo)}, {int(k_hi)}]"
-        )
-    a_lo, a_hi = aq.bound_values()
-    return FusedLinear(
-        int_weights=k.astype(np.int64),
-        s_w=s_w,
-        s_a=aq.scale_value(),
-        a_lo=a_lo,
-        a_hi=a_hi,
-        activation_fn=layer.spec.activation,
-    )

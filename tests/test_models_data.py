@@ -118,13 +118,14 @@ class TestBuildModel:
         assert model.layers[-1].weight_fq is None
 
     def test_quantized_false_matches_fp(self):
+        # sites that are not yet initialized leave the forward in FP
         spec = make_model_spec("mlp3", 2, 2)
         a = Model(spec, quantized=False, init_seed=4)
         b = Model(spec, quantized=True, init_seed=4,
                   quant_rng=np.random.default_rng(0))
         x = np.random.default_rng(1).normal(size=(6, 2))
-        bypassed = b.forward(x, train=False, bypass_quant=True)
-        np.testing.assert_array_equal(a.predict_logits(x), bypassed)
+        np.testing.assert_array_equal(a.predict_logits(x),
+                                      b.predict_logits(x))
 
     @pytest.mark.parametrize("spec_id,shape", [("mlp4", (8, 2)),
                                                ("conv3", (8, 2, 8, 8))])

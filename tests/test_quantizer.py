@@ -10,9 +10,9 @@ import reference_tape as R
 from gdnsq import tensor as T
 from gdnsq.errors import FusionError
 from gdnsq.losses import potential
-from gdnsq.models import Conv2d, Linear, Model, _Layer, make_model_spec
-from gdnsq.pipeline import fuse_student, fused_model_forward, snap_weights
-from gdnsq.quantizer import FakeQuantizer, integer_fuse
+from gdnsq.models import Linear, Model, ModelSpec, _Layer, make_model_spec
+from gdnsq.pipeline import fuse_student, fused_model_forward
+from gdnsq.quantizer import FakeQuantizer
 from gdnsq.tensor import Tensor
 
 
@@ -36,21 +36,21 @@ class TestFakeQuantForward:
         # s=0.5, z=0, l=0, u=1, x=0.3: q=0.6, round->1, out = 0.3+0.5*0.4 = 0.5
         fq = make_fq("activation", 0.0, 1.0, 2.0)  # s = (1-0)/(2^2-1)
         fq.log_s.data = np.asarray(np.log(0.5))
-        out = fq.quantize_array(np.array([0.3]))
+        out = fq.fake_quant(np.array([0.3]))[0]
         assert out[0] == pytest.approx(0.5, abs=1e-15)
         assert out[0] == pytest.approx(
             scalar_reference(0.3, fq.scale_value(), 0.0, 0.0, 1.0), abs=1e-15)
 
     def test_on_grid_passthrough(self):
         fq = make_fq("activation", 0.0, 1.0, 1.0)  # s = 1
-        assert fq.quantize_array(np.array([0.0]))[0] == 0.0
+        assert fq.fake_quant(np.array([0.0]))[0][0] == 0.0
         fq.log_s.data = np.asarray(np.log(0.5))
         # 0.5 is on the grid {0, 0.5, 1.0}
-        assert fq.quantize_array(np.array([0.5]))[0] == 0.5
+        assert fq.fake_quant(np.array([0.5]))[0][0] == 0.5
 
     def test_clamped_to_zero(self):
         fq = make_fq("activation", 0.0, 1.0, 2.0)
-        assert fq.quantize_array(np.array([-3.0]))[0] == 0.0
+        assert fq.fake_quant(np.array([-3.0]))[0][0] == 0.0
 
     def test_matches_scalar_reference_randomly(self):
         rng = np.random.default_rng(5)
@@ -58,7 +58,7 @@ class TestFakeQuantForward:
         l, u = fq.bound_values()
         s = fq.scale_value()
         xs = rng.uniform(-2, 2, size=200)
-        ours = fq.quantize_array(xs)
+        ours = fq.fake_quant(xs)[0]
         ref = [scalar_reference(x, s, 0.0, l, u) for x in xs]
         np.testing.assert_allclose(ours, ref, rtol=0, atol=1e-12)
 
@@ -68,7 +68,7 @@ class TestFakeQuantForward:
         l, u = fq.bound_values()
         s = fq.scale_value()
         xs = rng.uniform(-2, 2, size=500)
-        out = fq.quantize_array(xs)
+        out = fq.fake_quant(xs)[0]
         assert np.max(np.abs(out - np.clip(xs, l, u))) <= s / 2 + 1e-12
 
 
@@ -260,7 +260,7 @@ class TestBitwidth:
     def test_distinct_level_count_is_two_to_omega(self, bits):
         fq = make_fq("weight", -0.73, 0.91, float(bits))
         xs = np.linspace(-1.2, 1.4, 300_000)
-        assert np.unique(fq.quantize_array(xs)).size == 2 ** bits
+        assert np.unique(fq.fake_quant(xs)[0]).size == 2 ** bits
 
 
 @settings(max_examples=60, deadline=None)
@@ -275,12 +275,12 @@ def test_grid_and_idempotence_properties(lo, width, bits, seed):
     fq.init_from_minmax(lo, lo + width, bits)
     s = fq.scale_value()
     xs = np.random.default_rng(seed).uniform(lo - width, lo + 2 * width, 256)
-    out = fq.quantize_array(xs)
+    out = fq.fake_quant(xs)[0]
     # outputs sit on the grid {s*k}
     v = out / s
     assert np.max(np.abs(v - np.round(v))) < 1e-9
     # applying the quantizer again changes nothing
-    np.testing.assert_allclose(fq.quantize_array(out), out, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(fq.fake_quant(out)[0], out, rtol=0, atol=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -289,7 +289,7 @@ def test_integer_grid_levels_within_range(bits, seed):
     fq = FakeQuantizer("activation", rng=np.random.default_rng(seed))
     fq.init_from_minmax(0.0, 1.0, float(bits))
     xs = np.random.default_rng(seed).uniform(-0.5, 1.5, 512)
-    k = fq.quantize_array(xs) / fq.scale_value()
+    k = fq.fake_quant(xs)[0] / fq.scale_value()
     assert np.max(np.abs(k - np.round(k))) < 1e-9
     k = np.round(k)
     # zero-aligned site: levels land in [q(l), q(u)] = [0, 2^bits - 1]
@@ -338,8 +338,19 @@ class TestQuantizedLayer:
 
     def test_one_bit_weights_take_two_values(self):
         layer = self._layer(bits=1.0)
-        deq = layer.weight_fq.quantize_array(layer.W.data)
+        deq = layer.weight_fq.fake_quant(layer.W.data)[0]
         assert np.unique(deq).size <= 2
+
+
+def model_around(layer, seed=0):
+    """A quantized 3-layer model whose one quantized layer is layer."""
+    n_in, n_out = layer.W.data.shape
+    spec = ModelSpec([Linear(3, n_in), layer.spec,
+                      Linear(n_out, 2, "identity")], 2)
+    model = Model(spec, quantized=True, init_seed=seed,
+                  quant_rng=np.random.default_rng(seed))
+    model.layers[1] = layer
+    return model
 
 
 class TestIntegerFuse:
@@ -350,7 +361,7 @@ class TestIntegerFuse:
         wq.log_s.data = np.asarray(np.log(0.25))
         s = wq.scale_value()
         layer.W.data = s * np.array([[2.0, -3.0], [4.0, 0.0]])
-        fused = integer_fuse(layer)
+        fused = fuse_student(model_around(layer))[1]
         np.testing.assert_array_equal(fused.int_weights, [[2, -3], [4, 0]])
         l, u = wq.bound_values()
         k_lo, k_hi = round(l / s), round(u / s)
@@ -360,21 +371,26 @@ class TestIntegerFuse:
     def test_identity_weights_unit_scale(self):
         layer = make_layer(np.eye(2), (-2.0, 2.0), (0.0, 1.0), 3.0, 4.0)
         layer.weight_fq.log_s.data = np.asarray(0.0)  # s = exp(0) = 1 exactly
-        fused = integer_fuse(layer)
+        fused = fuse_student(model_around(layer))[1]
         np.testing.assert_array_equal(fused.int_weights, np.eye(2))
         assert fused.s_w == 1.0
 
-    def test_off_grid_weights_rejected(self):
-        w = np.array([[0.1234, 0.777], [0.5, -0.9]])
+    def test_off_grid_weights_fuse_to_the_fake_quant_product(self):
+        # off the grid, and two weights outside the clamp range [-1, 1]
+        w = np.array([[0.1234, 0.777, 1.6], [0.5, -0.9, -2.3]])
         layer = make_layer(w, (-1.0, 1.0), (0.0, 1.0), 2.0, 2.0)
-        with pytest.raises(FusionError):
-            integer_fuse(layer)
+        model = model_around(layer, seed=3)
+        fused = fuse_student(model)
+        x = np.random.default_rng(4).uniform(-2.0, 2.0, size=(64, 3))
+        np.testing.assert_allclose(fused_model_forward(model, fused, x),
+                                   model.predict_logits(x), rtol=0,
+                                   atol=1e-10)
 
     def test_conv_layer_rejected(self):
-        layer = _Layer(Conv2d(2, 3), np.random.default_rng(0), "layer1")
-        layer.attach_quantizers(np.random.default_rng(1))
+        model = Model(make_model_spec("conv3", 2, 3), quantized=True,
+                      quant_rng=np.random.default_rng(1))
         with pytest.raises(FusionError, match="integer fusion covers linear"):
-            integer_fuse(layer)
+            fuse_student(model)
 
     def test_fused_path_matches_fake_quant_path(self):
         # mlp4: two quantized relu layers between FP first and last layers
@@ -388,7 +404,6 @@ class TestIntegerFuse:
             layer.weight_fq.init_from_minmax(float(w.min()), float(w.max()),
                                              4.0)
             layer.act_fq.init_from_minmax(0.0, 2.0, 4.0)
-        snap_weights(model)  # converged: weights on the grid
         fused = fuse_student(model)
         assert sorted(fused) == [1, 2]
         assert all(f.activation_fn == "relu" for f in fused.values())
