@@ -163,7 +163,7 @@ def jeffreys_hamming(p0: float, p1: float, n: int = 64, trials: int = 1000,
         details=f"jeffreys_delta={delta0:.12f}")]
 
 
-def bsc_reduction(p: float, seed=0):
+def bsc_reduction(p: float):
     """With p0 = p1 the channel is symmetric: J = 2*KL and J = 2*H(Q(b),
     Q(b~)) - 2*H(Q(b))."""
     if not (0.0 < p < 1.0):
@@ -575,8 +575,7 @@ def oracle_registry(seed=0):
                         lambda p0=p0, p1=p1: jeffreys_hamming(
                             p0, p1, n=64, trials=1000, seed=seed)))
     for p in (0.1, 0.3, 0.5):
-        entries.append((f"bsc_reduction[p={p}]",
-                        lambda p=p: bsc_reduction(p, seed=seed)))
+        entries.append((f"bsc_reduction[p={p}]", lambda p=p: bsc_reduction(p)))
     entries.append(("ste_gradient_check",
                     lambda: ste_gradient_check(seed=seed)))
     entries.append(("bernoulli_clt_check[m=100]",

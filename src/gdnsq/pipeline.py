@@ -291,10 +291,13 @@ def save_teacher(path, model: Model, meta: dict):
 
 def load_teacher(path):
     """(model, meta) of a teacher checkpoint; PipelineError for a
-    student's (one with quant/ sections)."""
+    student's (one with quant/ sections) and for one without a teacher's
+    config and spec (a fused container, say)."""
     arrays = load_arrays(path)
     if any(key.startswith("quant/") for key in arrays):
         raise PipelineError(f"{path} is a student checkpoint, not a teacher")
+    if not {"config/json", "spec/json"} <= arrays.keys():
+        raise PipelineError(f"{path} is not a teacher checkpoint")
     meta = array_to_json(arrays["config/json"])
     model = Model(spec_from_dict(array_to_json(arrays["spec/json"])))
     model.load_state_arrays(arrays)
@@ -449,10 +452,11 @@ def qat_run(config: RunConfig, teacher: Model, student: Model, out_dir,
 
     Writes metrics.csv, last.ckpt (every epoch) and best.ckpt (best val
     accuracy among audits where the max actual bit-width meets the target)
-    into out_dir. Returns a summary dict. The frozen teacher's logits over
-    the train split, their floored softmax and its log are computed once,
-    before the first epoch; non-finite teacher logits raise NumericError
-    there.
+    into out_dir. Returns a summary dict, whose last_ckpt is None for a
+    run with no epoch done, and best_ckpt None while no audit met the
+    targets. The frozen teacher's logits over the train split, their
+    floored softmax and its log are computed once, before the first epoch;
+    non-finite teacher logits raise NumericError there.
 
     On resume, metrics.csv is cut back to the checkpointed step and the
     run's state, the best-checkpoint record included, is read back from
@@ -559,7 +563,8 @@ def qat_run(config: RunConfig, teacher: Model, student: Model, out_dir,
         "final_lambda": run.lam,
         "phase": run.phase,
         "steps": run.step_n,
-        "last_ckpt": os.path.join(out_dir, "last.ckpt"),
+        "last_ckpt": os.path.join(out_dir, "last.ckpt") if run.epoch
+        else None,
         "best_ckpt": os.path.join(out_dir, "best.ckpt") if found else None,
         "metrics": metrics_path,
     }

@@ -432,6 +432,35 @@ def test_student_checkpoint_refused_where_a_teacher_is_read(workspace,
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("command", ["ptq", "qat"])
+def test_fused_container_refused_where_a_teacher_is_read(workspace, tmp_path,
+                                                         capsys, command):
+    _, _, student = workspace
+    fused = tmp_path / "fused.ckpt"
+    assert main(["fuse", "--ckpt", str(student), "--out", str(fused)]) == 0
+    capsys.readouterr()
+    argv = {"ptq": ["ptq", "--ckpt", str(fused),
+                    "--out", str(tmp_path / "ptq2.ckpt")],
+            "qat": ["qat", "--ckpt", str(student), "--teacher", str(fused),
+                    "--epochs", "1", "--out", str(tmp_path / "run")]}[command]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and str(fused) in err
+    assert "not a teacher checkpoint" in err
+    assert not (tmp_path / "ptq2.ckpt").exists()
+    assert not (tmp_path / "run").exists()
+
+
+def test_qat_without_epochs_names_no_checkpoint(workspace, tmp_path, capsys):
+    _, teacher, student = workspace
+    out = tmp_path / "q0"
+    assert main(["qat", "--ckpt", str(student), "--teacher", str(teacher),
+                 "--epochs", "0", "--out", str(out)]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["last_ckpt"] is None and summary["best_ckpt"] is None
+    assert not (out / "last.ckpt").exists()
+
 def _from_teacher(command, teacher, out, *extra):
     """Build a student from teacher with ptq, or with a one-epoch
     qat --no-ptq, into the directory out; returns (run.json, checkpoint)."""
