@@ -11,7 +11,10 @@ PYTHONPATH, BLAS on one thread and the same relative paths. It covers:
   probes; a 30-epoch qat; qat with bernoulli_variance_matched probes and
   cross-entropy distillation; qat from the rounding_residual student with
   hard-label distillation and --tq-init; qat without PTQ, on the split
-  the teacher records; a 21-epoch qat resumed to 30; audit; fuse;
+  the teacher records; a 21-epoch qat resumed to 30; audit; fuse of the
+  30-epoch qat student, of the 10-bit PTQ student (far from converged,
+  its weights spread over all 1024 levels) and of the rounding_residual
+  qat student;
   export-metrics;
 * conv3 on the benchmark's bar images (IDX files of seed 1): train-fp;
   ptq; qat at 8/8; qat with frozen batchnorm at 10/10; audit; and fuse,
@@ -67,6 +70,9 @@ def scenario(bars: str):
          "--out", "mlp/qat_resume"],
         ["audit", "--ckpt", "mlp/qat/last.ckpt"],
         ["fuse", "--ckpt", "mlp/qat/last.ckpt", "--out", "mlp/fused.ckpt"],
+        ["fuse", "--ckpt", ptq, "--out", "mlp/fused_ptq.ckpt"],
+        ["fuse", "--ckpt", "mlp/qat_rr/last.ckpt", "--out",
+         "mlp/fused_rr.ckpt"],
         ["export-metrics", "--run-dir", "mlp/qat", "--out",
          "mlp/export/metrics.csv"],
         ["train-fp", "--model", "conv3", *conv, "--seed", "1", "--epochs",
