@@ -56,8 +56,7 @@ def fake_quant(x: np.ndarray, l: float, u: float, s: float) -> np.ndarray:
 
     Computing the grid value directly (instead of clamp + s*residual) makes
     every element of a bucket produce the exact same float, which the
-    unique-value audit relies on; integer fusion keeps the levels
-    themselves.
+    unique-value audit relies on.
     """
     return s * grid_levels(x, l, u, s)
 

@@ -3,9 +3,7 @@
 A model is an ordered list of linear / conv2d layers. When built quantized,
 every inner layer (all but the first and last) gets a weight quantizer on
 its kernel and an activation quantizer on its input; first and last layers
-stay floating point. An inner layer runs in floating point until its sites
-are initialized (min-max PTQ, or a student checkpoint), and fake-quantizes
-from then on. Conv blocks are conv-bn-relu; a linear layer that
+stay floating point. Conv blocks are conv-bn-relu; a linear layer that
 gets an image first averages it over H and W (the global average pool),
 which bridges the last conv layer to the linear head. Batchnorm uses
 momentum 0.1 and eps 1e-5, constants of ``BatchNorm``.
@@ -417,15 +415,13 @@ class Model:
 
     # -- forward -------------------------------------------------------------
 
-    def forward(self, x, train=True, sites=None,
-                input_grad=False) -> np.ndarray:
+    def forward(self, x, train=True, sites=None, input_grad=False) -> np.ndarray:
         """The logits of the array x. In training each layer appends its
         chain entry, and the sweep also returns the gradient of x when
         input_grad is set. Each quantized layer calls
         ``sites(fq, x, xq)``, if given, for its weight site with the
         weights and then for its activation site with its input, each with
-        their fake-quantized values (x itself while the layer's sites are
-        uninitialized: a layer fake-quantizes once they are)."""
+        their fake-quantized values (x itself until they are initialized)."""
         h = np.asarray(x, np.float64)
         for layer in self.layers:
             h = layer.forward(h, train, sites=sites, input_grad=input_grad)

@@ -34,13 +34,11 @@ reads: ``opt/*``, ``rng/state``, ``meta/epoch``,
 ``sched/step_n|c_r|c_r_sum``, ``lr/phase|lam|reached``,
 ``best/val_acc|epoch`` and ``meta/reached_epoch`` (an epoch of -1: none).
 
-Integer fusion works on the model's own layers: ``fuse_student`` turns
-each quantized ``models._Layer`` into a ``quantizer.FusedLinear`` whose
-integer weights are the weight site's levels of the stored weights
-(``kernels.grid_levels``, the levels ``kernels.fake_quant`` scales), so a
-student fuses whether or not its weights sit on their grid.
-``fused_model_forward`` is the one integer forward, which runs the fused
-layers on integer weights and the rest of the model as usual.
+Integer fusion works on the model's own layers: ``fuse_student`` takes
+each quantized ``models._Layer``'s integer weights from its weight site's
+levels (``kernels.grid_levels``), and ``fused_model_forward`` is the one
+integer forward, which runs the fused layers on integer weights and the
+rest of the model as usual.
 """
 
 from __future__ import annotations

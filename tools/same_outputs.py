@@ -14,8 +14,7 @@ PYTHONPATH, BLAS on one thread and the same relative paths. It covers:
   the teacher records; a 21-epoch qat resumed to 30; audit; fuse of the
   30-epoch qat student, of the 10-bit PTQ student (far from converged,
   its weights spread over all 1024 levels) and of the rounding_residual
-  qat student;
-  export-metrics;
+  qat student; export-metrics;
 * conv3 on the benchmark's bar images (IDX files of seed 1): train-fp;
   ptq; qat at 8/8; qat with frozen batchnorm at 10/10; audit; and fuse,
   which the program refuses for conv layers;
