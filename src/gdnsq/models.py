@@ -421,7 +421,8 @@ class Model:
         input_grad is set. Each quantized layer calls
         ``sites(fq, x, xq)``, if given, for its weight site with the
         weights and then for its activation site with its input, each with
-        their fake-quantized values (x itself until they are initialized)."""
+        their fake-quantized values (x itself until they are initialized):
+        once per site per forward."""
         h = np.asarray(x, np.float64)
         for layer in self.layers:
             h = layer.forward(h, train, sites=sites, input_grad=input_grad)

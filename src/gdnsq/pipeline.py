@@ -6,9 +6,12 @@ then exponential LR annealing once the audited max bit-width meets the
 target at every site. The unique-value auditor runs once per epoch on the
 validation split; its forward also gives the epoch's val accuracy. It
 drives both the LR phase switch and best-checkpoint selection (best val
-accuracy among audits where max actual <= target). PTQ and the audit
-read every site, weight and activation alike, from the ``sites`` callback
-of one forward.
+accuracy among audits where max actual <= target).
+
+Each eval pass is one forward over its whole split: PTQ over the train
+split, the audit over the val split and the teacher's logits over the
+train split. ``site_pass`` runs it and keeps, per site, weight and
+activation alike, the pair its ``sites`` callback saw.
 
 A QAT step records the student's chain (one entry per layer, then one
 loss entry for the distance and the potential, ``gdnsq.tensor``), sweeps
@@ -73,7 +76,6 @@ METRICS_HEADER = [
 ]
 
 PTQ_BITS = 10.0
-PTQ_BATCH = 256  # rows per calibration forward
 NO_PTQ_INIT_BITS = 24.0  # near-FP warm start for the no-PTQ ablation
 LR_DECAY = 0.9985  # per-batch learning-rate factor of the annealing phase
 
@@ -146,28 +148,32 @@ def load_dataset(dataset: str, data_seed: int, n_train: int, n_val: int):
 # -- PTQ ----------------------------------------------------------------------
 
 
+def site_pass(model: Model, inputs):
+    """One eval forward of model over a whole split: (logits, {fq: (x,
+    xq)}), the array each site saw and its fake-quantized values."""
+    seen = {}
+
+    def keep(fq, x, xq):
+        seen[fq] = (x, xq)
+
+    return model.forward(inputs, train=False, sites=keep), seen
+
+
 def ptq_minmax(student: Model, train_ds: Dataset,
                bits: float = PTQ_BITS) -> Model:
     """Min-max calibration over the training set, then bit-width = `bits`.
 
     A site's range is the min/max of its weights or of its inputs over one
-    eval pass, folded batch by batch; the sites are not yet initialized, so
-    the pass runs in floating point. Weights are untouched, only quantizer
-    parameters are set.
+    eval forward of the whole split (``site_pass``); the sites are not yet
+    initialized, so that forward runs in floating point. Weights are
+    untouched, only quantizer parameters are set.
     """
     if not student.inner_layers():
         raise PipelineError("model has no quantized layers to calibrate")
-    ranges = {}
-
-    def fold(fq, x, xq):
-        lo, hi = ranges.get(fq, (np.inf, -np.inf))
-        ranges[fq] = (min(lo, float(x.min())), max(hi, float(x.max())))
-
-    for start in range(0, len(train_ds), PTQ_BATCH):
-        student.forward(train_ds.inputs[start:start + PTQ_BATCH],
-                        train=False, sites=fold)
+    _, seen = site_pass(student, train_ds.inputs)
     for fq in student.all_quantizers():
-        fq.init_from_minmax(*ranges[fq], bits)
+        x, _ = seen[fq]
+        fq.init_from_minmax(float(x.min()), float(x.max()), bits)
     return student
 
 
@@ -224,20 +230,17 @@ class BitWidthReport:
 
 
 def audit_bitwidth(model: Model, val_inputs, val_labels) -> BitWidthReport:
-    """Count unique dequantized values per site in a deterministic forward.
+    """Count unique dequantized values per site in one eval forward of the
+    whole split (``site_pass``).
 
     The report also carries the accuracy of that forward's logits, the
     same value ``Model.accuracy`` gives, without a second pass.
     """
-    seen = {}
-    logits = model.forward(
-        val_inputs, train=False,
-        sites=lambda fq, x, xq: seen.setdefault(fq, []).append(xq))
+    logits, seen = site_pass(model, val_inputs)
     sites = []
     for fq in model.all_quantizers():
-        vals = np.concatenate([v.ravel(order="K") for v in seen[fq]])
         site = SiteAudit(fq.name, fq.site_kind, fq.bitwidth_value(),
-                         int(np.unique(vals).size))
+                         int(np.unique(seen[fq][1]).size))
         if site.degenerate:
             logger.debug("degenerate site %s: %d unique value(s)",
                          site.name, site.levels)
@@ -303,14 +306,6 @@ def load_teacher(path):
 
 
 # -- the QAT loop ----------------------------------------------------------------
-
-
-def teacher_logits(teacher: Model, inputs, batch_size: int):
-    """Eval-mode logits of the frozen teacher over a whole split, one
-    training batch's worth of rows at a time."""
-    return np.concatenate([
-        teacher.forward(inputs[i:i + batch_size], train=False)
-        for i in range(0, len(inputs), batch_size)])
 
 
 def _check_resume_config(path, arrays, config: RunConfig):
@@ -474,8 +469,7 @@ def qat_run(config: RunConfig, teacher: Model, student: Model, out_dir,
     if resume_path is not None:
         run.load_state_arrays(load_arrays(resume_path), resume_path)
 
-    train_teacher = teacher_probs(teacher_logits(teacher, train_ds.inputs,
-                                                 config.batch_size))
+    train_teacher = teacher_probs(teacher.predict_logits(train_ds.inputs))
     metrics_path = os.path.join(out_dir, "metrics.csv")
     mode = "a" if (resume_path is not None and os.path.exists(metrics_path)) else "w"
     if mode == "a":
