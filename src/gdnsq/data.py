@@ -87,6 +87,8 @@ def read_idx(path, scale: bool = True) -> np.ndarray:
             f"{path}: unsupported dtype code 0x{dtype_code:02x} at byte "
             f"offset 2 (only unsigned byte 0x08)"
         )
+    if ndim == 0:
+        raise FormatError(f"{path}: no dimensions (byte offset 3 is 0)")
     header_len = 4 + 4 * ndim
     if len(blob) < header_len:
         raise FormatError(f"{path}: truncated dimension table at byte offset 4")
@@ -105,15 +107,22 @@ def read_idx(path, scale: bool = True) -> np.ndarray:
 
 
 def load_idx_dataset(images_path, labels_path, num_classes=None) -> Dataset:
-    """Combine an image IDX file and a label IDX file into a Dataset."""
+    """Combine an image IDX file and a label IDX file into a Dataset;
+    FormatError for images of fewer than 2 dimensions, counts that differ
+    and a split with no samples."""
     images = read_idx(images_path, scale=True)
     labels = read_idx(labels_path, scale=False)
     if labels.ndim != 1:
         raise FormatError(f"{labels_path}: label file must be 1-d")
+    if images.ndim < 2:
+        raise FormatError(f"{images_path}: image file must have at least 2 "
+                          f"dimensions, got {images.ndim}")
     if images.shape[0] != labels.shape[0]:
         raise FormatError(
             f"image/label count mismatch: {images.shape[0]} vs {labels.shape[0]}"
         )
+    if not labels.size:
+        raise FormatError(f"{images_path}: no samples")
     if images.ndim == 3:  # [N, H, W] -> single channel
         images = images[:, None, :, :]
     nc = int(num_classes if num_classes is not None else labels.max() + 1)

@@ -484,14 +484,11 @@ def _layer_node_case(rng, kind):
         x_shape = (b, din)
     layer = _Layer(spec, rng, "oracle")
     _randomize_bias_and_bn(layer, rng)
-    params = [layer.W, layer.b]
-    if layer.bn is not None:
-        params += [layer.bn.gamma, layer.bn.beta]
     while True:
         x = rng.normal(size=x_shape)
         margin, out = _relu_margin([layer], x)
         if margin >= 1e-3:
-            return layer, x, params, rng.normal(size=out.shape)
+            return layer, x, layer.params(), rng.normal(size=out.shape)
 
 
 def gradcheck_layer_nodes(n_cases: int = 12, seed=0, rtol=1e-4):

@@ -8,17 +8,15 @@ validation split; its forward also gives the epoch's val accuracy. It
 drives both the LR phase switch and best-checkpoint selection (best val
 accuracy among audits where max actual <= target).
 
-Each eval pass is one forward over its whole split: PTQ over the train
-split, the audit over the val split and the teacher's logits over the
-train split. ``site_pass`` runs it and keeps, per site, weight and
-activation alike, the pair its ``sites`` callback saw.
-
-A QAT step records the student's chain (one entry per layer, then one
-loss entry for the distance and the potential, ``gdnsq.tensor``), sweeps
-it once into the flat gradient buffer of its ``RAdam`` and steps; the forwards of
-PTQ, the audit and the teacher run with ``train=False`` and record nothing.
-The frozen teacher's logits, their floored softmax and its log are
-computed once per run, before the first step.
+Each eval pass is one ``train=False`` forward over its whole split, and
+records nothing: PTQ and the teacher's logits over the train split, the
+audit over the val split. ``site_pass`` runs PTQ's and the audit's and
+keeps, per site, weight and activation alike, the pair its ``sites``
+callback saw. The frozen teacher's logits, their floored softmax and its
+log are computed once per run, before the first step. A QAT step records
+the student's chain (one entry per layer, then one loss entry for the
+distance and the potential, ``gdnsq.tensor``), sweeps it once into the
+flat gradient buffer of its ``RAdam`` and steps.
 
 A QAT run's state between steps and epochs is one ``QatRun``: its
 ``RAdam``, the probe rng, the step n, c_r (the mean distillation distance
@@ -150,7 +148,8 @@ def load_dataset(dataset: str, data_seed: int, n_train: int, n_val: int):
 
 def site_pass(model: Model, inputs):
     """One eval forward of model over a whole split: (logits, {fq: (x,
-    xq)}), the array each site saw and its fake-quantized values."""
+    xq)}), the array each site saw and its fake-quantized values, in the
+    order of ``Model.all_quantizers``."""
     seen = {}
 
     def keep(fq, x, xq):
@@ -171,8 +170,7 @@ def ptq_minmax(student: Model, train_ds: Dataset,
     if not student.inner_layers():
         raise PipelineError("model has no quantized layers to calibrate")
     _, seen = site_pass(student, train_ds.inputs)
-    for fq in student.all_quantizers():
-        x, _ = seen[fq]
+    for fq, (x, _) in seen.items():
         fq.init_from_minmax(float(x.min()), float(x.max()), bits)
     return student
 
@@ -238,9 +236,9 @@ def audit_bitwidth(model: Model, val_inputs, val_labels) -> BitWidthReport:
     """
     logits, seen = site_pass(model, val_inputs)
     sites = []
-    for fq in model.all_quantizers():
+    for fq, (_, xq) in seen.items():
         site = SiteAudit(fq.name, fq.site_kind, fq.bitwidth_value(),
-                         int(np.unique(seen[fq][1]).size))
+                         int(np.unique(xq).size))
         if site.degenerate:
             logger.debug("degenerate site %s: %d unique value(s)",
                          site.name, site.levels)
@@ -445,11 +443,12 @@ def qat_run(config: RunConfig, teacher: Model, student: Model, out_dir,
 
     Writes metrics.csv, last.ckpt (every epoch) and best.ckpt (best val
     accuracy among audits where the max actual bit-width meets the target)
-    into out_dir. Returns a summary dict, whose last_ckpt is None for a
-    run with no epoch done, and best_ckpt None while no audit met the
-    targets. The frozen teacher's logits over the train split, their
-    floored softmax and its log are computed once, before the first epoch;
-    non-finite teacher logits raise NumericError there.
+    into out_dir. Returns a summary dict that names only checkpoints in
+    out_dir: last_ckpt if this call ran an epoch or resumed from out_dir,
+    best_ckpt if it saved it or resumed from out_dir with a best record.
+    The frozen teacher's logits over the train split (one eval forward),
+    their floored softmax and its log are computed once, before the first
+    epoch; non-finite teacher logits raise NumericError there.
 
     On resume, metrics.csv is cut back to the checkpointed step and the
     run's state, the best-checkpoint record included, is read back from
@@ -468,6 +467,9 @@ def qat_run(config: RunConfig, teacher: Model, student: Model, out_dir,
     run = QatRun(config, student)
     if resume_path is not None:
         run.load_state_arrays(load_arrays(resume_path), resume_path)
+    in_place = resume_path is not None and os.path.samefile(
+        os.path.dirname(os.path.abspath(resume_path)), out_dir)
+    first_epoch, saved_best = run.epoch, False
 
     train_teacher = teacher_probs(teacher.predict_logits(train_ds.inputs))
     metrics_path = os.path.join(out_dir, "metrics.csv")
@@ -544,6 +546,7 @@ def qat_run(config: RunConfig, teacher: Model, student: Model, out_dir,
             # the previous last.ckpt and writes the same best.ckpt again
             if improved:
                 save_arrays(os.path.join(out_dir, "best.ckpt"), ckpt)
+                saved_best = True
             save_arrays(os.path.join(out_dir, "last.ckpt"), ckpt)
     finally:
         mfile.close()
@@ -555,9 +558,10 @@ def qat_run(config: RunConfig, teacher: Model, student: Model, out_dir,
         "final_lambda": run.lam,
         "phase": run.phase,
         "steps": run.step_n,
-        "last_ckpt": os.path.join(out_dir, "last.ckpt") if run.epoch
-        else None,
-        "best_ckpt": os.path.join(out_dir, "best.ckpt") if found else None,
+        "last_ckpt": os.path.join(out_dir, "last.ckpt")
+        if run.epoch > first_epoch or in_place else None,
+        "best_ckpt": os.path.join(out_dir, "best.ckpt")
+        if saved_best or (in_place and found) else None,
         "metrics": metrics_path,
     }
 

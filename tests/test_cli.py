@@ -14,6 +14,7 @@ from gdnsq.losses import DISTILL_KINDS
 from gdnsq.models import Model, make_model_spec
 from gdnsq.pipeline import RunConfig, build_student_arrays, ptq_minmax
 from gdnsq.quantizer import NOISE_MODES
+from test_model_state import write_idx
 
 
 @pytest.fixture(scope="module")
@@ -460,6 +461,58 @@ def test_qat_without_epochs_names_no_checkpoint(workspace, tmp_path, capsys):
     summary = json.loads(capsys.readouterr().out)
     assert summary["last_ckpt"] is None and summary["best_ckpt"] is None
     assert not (out / "last.ckpt").exists()
+
+
+def test_qat_names_only_checkpoints_in_its_out(workspace, tmp_path, capsys):
+    # a finished 2-epoch run at 10/10 bits, resumed into another directory
+    # with no epoch left to run, saves no checkpoint there
+    _, teacher, student = workspace
+
+    def qat(out, *extra):
+        assert main(["qat", "--ckpt", str(student), "--teacher", str(teacher),
+                     "--wbits", "10", "--abits", "10", "--seed", "3",
+                     "--epochs", "2", "--out", str(out), *extra]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    first = qat(tmp_path / "a")
+    assert first["best_ckpt"] == str(tmp_path / "a" / "best.ckpt")
+    resume = ("--resume", str(tmp_path / "a" / "last.ckpt"))
+    other = qat(tmp_path / "b", *resume)
+    assert other["last_ckpt"] is None and other["best_ckpt"] is None
+    assert sorted(os.listdir(tmp_path / "b")) == ["metrics.csv", "run.json"]
+    in_place = qat(tmp_path / "a", *resume)
+    assert in_place == first
+
+
+@pytest.mark.parametrize("case,bad", [
+    ("zero_dims", "tr-img"), ("one_d_images", "tr-img"),
+    ("empty_train", "tr-img"), ("empty_val", "va-img")])
+def test_malformed_idx_refused_before_training(tmp_path, capsys, case, bad):
+    rng = np.random.default_rng(0)
+    arrays = {"tr-img": rng.integers(0, 256, size=(16, 8, 8)),
+              "tr-lbl": np.arange(16) % 2,
+              "va-img": rng.integers(0, 256, size=(8, 8, 8)),
+              "va-lbl": np.arange(8) % 2}
+    if case == "one_d_images":
+        arrays["tr-img"] = arrays["tr-img"][:, 0, 0]
+    elif case.startswith("empty"):
+        split = "tr" if case == "empty_train" else "va"
+        arrays[f"{split}-img"] = np.zeros((0, 8, 8))
+        arrays[f"{split}-lbl"] = np.zeros(0)
+    paths = {name: str(tmp_path / f"{name}.idx") for name in arrays}
+    for name, arr in arrays.items():
+        write_idx(paths[name], arr)
+    if case == "zero_dims":  # a header that declares no dimensions
+        with open(paths["tr-img"], "wb") as f:
+            f.write(bytes([0, 0, 0x08, 0]))
+    data = "idx:" + ":".join(paths[n] for n in ("tr-img", "tr-lbl",
+                                                "va-img", "va-lbl"))
+    teacher = tmp_path / "teacher.ckpt"
+    assert main(["train-fp", "--model", "conv3", "--data", data,
+                 "--epochs", "1", "--out", str(teacher)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and paths[bad] in err
+    assert not teacher.exists()
 
 def _from_teacher(command, teacher, out, *extra):
     """Build a student from teacher with ptq, or with a one-epoch

@@ -55,6 +55,21 @@ class TestPtq:
         acc = student.accuracy(val.inputs, val.labels)
         assert acc >= meta["val_acc"] - 0.005
 
+    def test_one_forward_over_a_split_of_many_rows(self, monkeypatch):
+        train = make_synthetic("two_gaussians", 300, seed=1)
+        student = Model(make_model_spec("mlp3", 2, 2), quantized=True,
+                        quant_rng=np.random.default_rng(0))
+        real = Model.forward
+        calls = []
+
+        def counting(self, x, *args, **kwargs):
+            calls.append(len(x))
+            return real(self, x, *args, **kwargs)
+
+        monkeypatch.setattr(Model, "forward", counting)
+        ptq_minmax(student, train)
+        assert calls == [300]
+
     def test_degenerate_weight_range(self, small_world):
         train, _, spec, teacher, _ = small_world
         student = fresh_student(spec, teacher)
@@ -382,17 +397,20 @@ class TestQatLoop:
         student = fresh_student(spec, teacher)
         ptq_minmax(student, train)
         real = Model.forward
-        val_calls = []
+        val_calls, train_calls = [], []
 
         def counting(self, x, *args, **kwargs):
             if x is val.inputs:
                 val_calls.append(kwargs.get("train"))
+            if x is train.inputs:  # the teacher's, over the whole split
+                train_calls.append((self, kwargs.get("train")))
             return real(self, x, *args, **kwargs)
 
         monkeypatch.setattr(Model, "forward", counting)
         summary = qat_run(self._config(epochs=1), teacher, student,
                           tmp_path / "run", train, val)
         assert val_calls == [False]
+        assert train_calls == [(teacher, False)]
         with open(summary["metrics"]) as f:
             audit_row = list(csv.reader(f))[-1]
         monkeypatch.undo()
