@@ -21,19 +21,20 @@ flat gradient buffer of its ``RAdam`` and steps.
 A QAT run's state between steps and epochs is one ``QatRun``: its
 ``RAdam``, the probe rng, the step n, c_r (the mean distillation distance
 of the batches before n, 1 at n = 0) and its sum, the learning rate lambda
-and its phase, whether an audit has met the targets, the epoch and the
-best record. Batch n trains with lambda and t_q = tq_init + lambda * n;
-lambda stays lr0 until the first batch after an audit where the max
-actual bit-width meets every target, then decays by 0.9985 per batch, a
-one-way switch. The run sets its rng, ``noise_mode`` and batchnorm
-freezing on the student it trains.
+and its phase, the epoch, the best record and the reached epoch, the
+first whose audit met the targets. Batch n trains with lambda and
+t_q = tq_init + lambda * n; lambda stays lr0 until the first batch after
+an audit where the max actual bit-width meets every target, then decays
+by 0.9985 per batch, a one-way switch. The run sets its rng,
+``noise_mode`` and batchnorm freezing on the student it trains.
 
 A student checkpoint holds the run config, the spec, the model's
 ``state_arrays`` and ``meta/epoch`` (0 after PTQ). QAT adds the run's
 sections, which ``QatRun.state_arrays`` writes and ``load_state_arrays``
 reads: ``opt/*``, ``rng/state``, ``meta/epoch``,
-``sched/step_n|c_r|c_r_sum``, ``lr/phase|lam|reached``,
-``best/val_acc|epoch`` and ``meta/reached_epoch`` (an epoch of -1: none).
+``sched/step_n|c_r|c_r_sum``, ``lr/phase|lam``, ``best/val_acc|epoch``
+and ``meta/reached_epoch`` (an epoch of -1: none). ``lr/reached``, 1 once
+a reached epoch is set, is written for the checkpoint format and not read.
 
 Integer fusion works on the model's own layers: ``fuse_student`` takes
 each quantized ``models._Layer``'s integer weights from its weight site's
@@ -324,6 +325,9 @@ def _check_resume_config(path, arrays, config: RunConfig):
 def _truncate_metrics(path, step: int):
     """Cut metrics.csv after the audit row of the checkpointed step, so the
     rows a crashed run wrote past its last checkpoint are not kept."""
+    if not os.path.isfile(path):
+        raise PipelineError(f"{path} is missing; a run resumes only where "
+                            "it wrote its metrics")
     with open(path, "rb") as f:
         lines = f.readlines()
     end = 0
@@ -360,7 +364,6 @@ class QatRun:
         self.c_r_sum = 0.0
         self.lam = config.lr0
         self.phase = "constant"
-        self.reached = False  # some audit has met the targets
         self.epoch = 0
         self.best_val_acc = -1.0
         self.best_epoch = None
@@ -373,7 +376,7 @@ class QatRun:
     def next_batch(self):
         """(lambda, t_q) of the next batch; lambda is also the optimizer's
         learning rate for its step."""
-        if self.phase == "constant" and self.reached:
+        if self.phase == "constant" and self.reached_epoch is not None:
             self.phase = "annealing"
         if self.phase == "annealing":
             self.lam = self.lam * LR_DECAY
@@ -398,7 +401,8 @@ class QatRun:
             "lr/phase": np.asarray(int(self.phase == "annealing"),
                                    dtype=np.int64),
             "lr/lam": np.asarray(self.lam),
-            "lr/reached": np.asarray(int(self.reached), dtype=np.int64),
+            "lr/reached": np.asarray(int(self.reached_epoch is not None),
+                                     dtype=np.int64),
             "best/val_acc": np.asarray(float(self.best_val_acc)),
             "best/epoch": _epoch_array(self.best_epoch),
             "meta/reached_epoch": _epoch_array(self.reached_epoch),
@@ -408,10 +412,11 @@ class QatRun:
     def load_state_arrays(self, arrays, path):
         """Resume from the checkpoint arrays read from path: the student's
         state and the run's sections. PipelineError for a checkpoint
-        without run state or written under another config
-        (``_check_resume_config``); one without the best-checkpoint state
-        restarts best.ckpt selection at its epoch."""
-        if "opt/t" not in arrays or "sched/step_n" not in arrays:
+        without the optimizer, schedule or best-checkpoint state of a qat
+        last.ckpt, or written under another config
+        (``_check_resume_config``)."""
+        if not {"opt/t", "sched/step_n", "best/val_acc", "best/epoch",
+                "meta/reached_epoch"} <= arrays.keys():
             raise PipelineError(
                 f"{path} has no optimizer or schedule state; resume from a "
                 "qat last.ckpt")
@@ -427,14 +432,9 @@ class QatRun:
         self.c_r_sum = float(arrays["sched/c_r_sum"])
         self.phase = "annealing" if int(arrays["lr/phase"]) else "constant"
         self.lam = float(arrays["lr/lam"])
-        self.reached = bool(int(arrays["lr/reached"]))
-        if "best/epoch" in arrays:
-            self.best_val_acc = float(arrays["best/val_acc"])
-            self.best_epoch = _epoch_or_none(arrays["best/epoch"])
-            self.reached_epoch = _epoch_or_none(arrays["meta/reached_epoch"])
-        else:
-            logger.warning("%s carries no best-checkpoint state; best.ckpt "
-                           "selection restarts at epoch %d", path, self.epoch)
+        self.best_val_acc = float(arrays["best/val_acc"])
+        self.best_epoch = _epoch_or_none(arrays["best/epoch"])
+        self.reached_epoch = _epoch_or_none(arrays["meta/reached_epoch"])
 
 
 def qat_run(config: RunConfig, teacher: Model, student: Model, out_dir,
@@ -443,18 +443,19 @@ def qat_run(config: RunConfig, teacher: Model, student: Model, out_dir,
 
     Writes metrics.csv, last.ckpt (every epoch) and best.ckpt (best val
     accuracy among audits where the max actual bit-width meets the target)
-    into out_dir. Returns a summary dict that names only checkpoints in
-    out_dir: last_ckpt if this call ran an epoch or resumed from out_dir,
-    best_ckpt if it saved it or resumed from out_dir with a best record.
+    into out_dir. Returns a summary dict whose last_ckpt is named once the
+    run has done an epoch, and best_ckpt once it has a best record.
     The frozen teacher's logits over the train split (one eval forward),
     their floored softmax and its log are computed once, before the first
     epoch; non-finite teacher logits raise NumericError there.
 
-    On resume, metrics.csv is cut back to the checkpointed step and the
-    run's state, the best-checkpoint record included, is read back from
-    the checkpoint, so a run that crashes and resumes writes the same
-    files as one that does not. A checkpoint written under a config that
-    differs in anything but `epochs` is refused with PipelineError.
+    A run resumes only in place, from out_dir's own last.ckpt: metrics.csv
+    is cut back to the checkpointed step's audit row and the run's state,
+    its best-checkpoint record included, is read back, so a run that
+    crashes and resumes writes the same files as one that does not. Any
+    other checkpoint, a missing metrics.csv and a config that differs in
+    anything but `epochs` are refused with PipelineError before a file is
+    written.
     """
     for fq in student.all_quantizers():
         if not fq.initialized:
@@ -462,24 +463,25 @@ def qat_run(config: RunConfig, teacher: Model, student: Model, out_dir,
                 f"quantizer {fq.name} was never initialized; run PTQ or "
                 "explicit init before QAT"
             )
-    os.makedirs(out_dir, exist_ok=True)
     targets = (config.wbits, config.abits)
     run = QatRun(config, student)
+    last_path = os.path.join(out_dir, "last.ckpt")
     if resume_path is not None:
+        if os.path.realpath(resume_path) != os.path.realpath(last_path):
+            raise PipelineError(f"cannot resume {resume_path} into {out_dir}:"
+                                f" a run resumes only from {last_path}")
         run.load_state_arrays(load_arrays(resume_path), resume_path)
-    in_place = resume_path is not None and os.path.samefile(
-        os.path.dirname(os.path.abspath(resume_path)), out_dir)
-    first_epoch, saved_best = run.epoch, False
+    os.makedirs(out_dir, exist_ok=True)
 
     train_teacher = teacher_probs(teacher.predict_logits(train_ds.inputs))
     metrics_path = os.path.join(out_dir, "metrics.csv")
-    mode = "a" if (resume_path is not None and os.path.exists(metrics_path)) else "w"
-    if mode == "a":
+    if resume_path is None:
+        mfile = open(metrics_path, "w", newline="")
+        csv.writer(mfile).writerow(METRICS_HEADER)
+    else:
         _truncate_metrics(metrics_path, run.step_n)
-    mfile = open(metrics_path, mode, newline="")
+        mfile = open(metrics_path, "a", newline="")
     writer = csv.writer(mfile)
-    if mode == "w":
-        writer.writerow(METRICS_HEADER)
 
     def fmt(x):
         return f"{x:.17g}"
@@ -526,7 +528,8 @@ def qat_run(config: RunConfig, teacher: Model, student: Model, out_dir,
                              fmt(aagg["mean_act"]), aagg["max_act"]])
             mfile.flush()
             for kind, agg in (("weight", wagg), ("activation", aagg)):
-                if run.reached and prev_max[kind] is not None \
+                if run.reached_epoch is not None \
+                        and prev_max[kind] is not None \
                         and agg["max_act"] > prev_max[kind]:
                     logger.warning(
                         "max actual bit-width for %ss rose %d -> %d after "
@@ -536,7 +539,6 @@ def qat_run(config: RunConfig, teacher: Model, student: Model, out_dir,
             reached_now = report.reached(targets)
             if reached_now and run.reached_epoch is None:
                 run.reached_epoch = epoch
-            run.reached = run.reached or reached_now
             improved = reached_now and val_acc > run.best_val_acc
             if improved:
                 run.best_val_acc, run.best_epoch = val_acc, epoch
@@ -546,8 +548,7 @@ def qat_run(config: RunConfig, teacher: Model, student: Model, out_dir,
             # the previous last.ckpt and writes the same best.ckpt again
             if improved:
                 save_arrays(os.path.join(out_dir, "best.ckpt"), ckpt)
-                saved_best = True
-            save_arrays(os.path.join(out_dir, "last.ckpt"), ckpt)
+            save_arrays(last_path, ckpt)
     finally:
         mfile.close()
     found = run.best_epoch is not None
@@ -558,10 +559,8 @@ def qat_run(config: RunConfig, teacher: Model, student: Model, out_dir,
         "final_lambda": run.lam,
         "phase": run.phase,
         "steps": run.step_n,
-        "last_ckpt": os.path.join(out_dir, "last.ckpt")
-        if run.epoch > first_epoch or in_place else None,
-        "best_ckpt": os.path.join(out_dir, "best.ckpt")
-        if saved_best or (in_place and found) else None,
+        "last_ckpt": last_path if run.epoch > 0 else None,
+        "best_ckpt": os.path.join(out_dir, "best.ckpt") if found else None,
         "metrics": metrics_path,
     }
 
