@@ -11,7 +11,8 @@ Layout (all integers little-endian):
 
 Sections are written sorted by name, so save -> load -> save is
 byte-identical. Writes create the parent directory when it is missing and
-go through a temp file and an atomic rename.
+go through a temp file and an atomic rename. ``section`` reads one
+section of loaded arrays and names it in a FormatError when it is missing.
 """
 
 from __future__ import annotations
@@ -90,6 +91,13 @@ def load_arrays(path) -> dict:
     return out
 
 
+def section(arrays: dict, key: str) -> np.ndarray:
+    """arrays[key]; FormatError naming the section when it is missing."""
+    if key not in arrays:
+        raise FormatError(f"checkpoint has no section {key!r}")
+    return arrays[key]
+
+
 # -- helpers for non-array payloads ------------------------------------------
 
 
@@ -99,7 +107,13 @@ def json_to_array(obj) -> np.ndarray:
 
 
 def array_to_json(arr: np.ndarray):
-    return json.loads(bytes(np.asarray(arr, dtype=np.uint8)).decode("utf-8"))
+    """The value json_to_array stored; FormatError for bytes that are not
+    UTF-8 JSON."""
+    try:
+        return json.loads(bytes(np.asarray(arr, dtype=np.uint8)).decode("utf-8"))
+    except ValueError as e:  # UnicodeDecodeError and JSONDecodeError alike
+        raise FormatError(f"checkpoint JSON section is not UTF-8 JSON ({e})") \
+            from None
 
 
 def pack_rng_state(gen: np.random.Generator) -> np.ndarray:

@@ -181,7 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="run seed (shuffle + probes)")
     p.add_argument("--batch-size", type=int, dest="batch_size")
     _add_data_flags(p)
-    p.add_argument("--resume", help="resume from a qat last.ckpt")
+    p.add_argument("--resume", help="continue the run in --out from its "
+                                    "own last.ckpt (<out>/last.ckpt)")
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--out", required=True, help="run output directory")
 

@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
+from .checkpoint import section
 from .errors import (DomainError, FormatError, NumericError, ShapeError,
                      SpecError)
 from .kernels import (conv2d_backward_input, conv2d_backward_weight,
@@ -135,14 +136,23 @@ def spec_to_dict(spec: ModelSpec) -> dict:
 
 
 def spec_from_dict(d: dict) -> ModelSpec:
+    """The spec spec_to_dict wrote; FormatError for a layer of another
+    kind, a missing key and a value of the wrong JSON type."""
     layers = []
-    for l in d["layers"]:
-        if l["kind"] == "linear":
-            layers.append(Linear(l["in"], l["out"], l["act"], l["bn"]))
-        else:
-            layers.append(Conv2d(l["in"], l["out"], l["kernel"], l["stride"],
-                                 l["pad"], l["act"], l["bn"]))
-    return ModelSpec(layers, d["num_classes"])
+    try:
+        for l in d["layers"]:
+            if l["kind"] == "linear":
+                layers.append(Linear(l["in"], l["out"], l["act"], l["bn"]))
+            elif l["kind"] == "conv2d":
+                layers.append(Conv2d(l["in"], l["out"], l["kernel"],
+                                     l["stride"], l["pad"], l["act"], l["bn"]))
+            else:
+                raise FormatError(f"spec layer of unknown kind {l['kind']!r}")
+        return ModelSpec(layers, d["num_classes"])
+    except KeyError as e:
+        raise FormatError(f"spec has no key {e.args[0]!r}") from None
+    except TypeError as e:  # a list or number where an object belongs
+        raise FormatError(f"malformed spec ({e})") from None
 
 
 class BatchNorm:
@@ -464,18 +474,14 @@ class Model:
         state) the quantizers stay as they are. A missing section raises
         FormatError naming it."""
         student = any(key.startswith("quant/") for key in arrays)
-
-        def section(key, shape):
-            if key not in arrays:
-                raise FormatError(f"model state has no section {key!r}")
-            return np.asarray(arrays[key], dtype=np.float64).reshape(shape)
-
         for key, owner, attr in self._state():
             if student or not key.startswith("quant/"):
                 held = getattr(owner, attr)
-                held[...] = section(key, held.shape)
+                held[...] = np.asarray(section(arrays, key),
+                                       dtype=np.float64).reshape(held.shape)
         for fq in self.all_quantizers() if student else ():
-            fq.initialized = bool(section(f"quant/{fq.name}/initialized", ()))
+            fq.initialized = bool(section(arrays,
+                                          f"quant/{fq.name}/initialized"))
 
     def copy_weights_from(self, other: "Model"):
         """Load other's state (a teacher's); the values are copied into

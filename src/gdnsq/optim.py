@@ -33,6 +33,7 @@ import math
 
 import numpy as np
 
+from .checkpoint import section
 from .errors import ContractError, NumericError
 
 
@@ -118,17 +119,21 @@ class RAdam:
             data -= self.lr * m_hat
 
     def state_arrays(self):
-        out = {"t": np.asarray(self.t, dtype=np.int64)}
+        """The checkpoint sections of the step count and the moments:
+        ``opt/t``, ``opt/m/<name>`` and ``opt/v/<name>``."""
+        out = {"opt/t": np.asarray(self.t, dtype=np.int64)}
         for name, _ in self.params:
-            out[f"m/{name}"] = self.m[name]
-            out[f"v/{name}"] = self.v[name]
+            out[f"opt/m/{name}"] = self.m[name]
+            out[f"opt/v/{name}"] = self.v[name]
         return out
 
     def load_state_arrays(self, arrays):
-        self.t = int(arrays["t"])
+        """Read the sections state_arrays names into the step count and
+        the moment buffers; FormatError names a missing one."""
+        self.t = int(section(arrays, "opt/t"))
         for name, p in self.params:
-            self.m[name][...] = np.asarray(
-                arrays[f"m/{name}"], dtype=np.float64).reshape(p.data.shape)
-            self.v[name][...] = np.asarray(
-                arrays[f"v/{name}"], dtype=np.float64).reshape(p.data.shape)
+            for key, held in ((f"opt/m/{name}", self.m[name]),
+                              (f"opt/v/{name}", self.v[name])):
+                held[...] = np.asarray(section(arrays, key),
+                                       dtype=np.float64).reshape(p.data.shape)
 

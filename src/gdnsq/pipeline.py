@@ -56,7 +56,8 @@ import numpy as np
 
 from . import tensor as T
 from .checkpoint import (array_to_json, json_to_array, load_arrays,
-                         pack_rng_state, save_arrays, unpack_rng_state)
+                         pack_rng_state, save_arrays, section,
+                         unpack_rng_state)
 from .data import Dataset, load_idx_dataset, make_synthetic
 from .errors import (DomainError, FormatError, FusionError, NumericError,
                      PipelineError)
@@ -266,13 +267,22 @@ def build_student_arrays(config: RunConfig, model: Model, run=None) -> dict:
 
 def load_student(path):
     """Rebuild (config, spec, model, arrays) from a student checkpoint;
-    PipelineError if its config is not a RunConfig (a teacher's, say)."""
+    PipelineError if its config is not a RunConfig (a teacher's, say),
+    FormatError for a config value of another type than its default's (an
+    integer for a float too) and for a missing or malformed spec."""
     arrays = load_arrays(path)
     saved = array_to_json(arrays["config/json"]) if "config/json" in arrays else {}
-    if set(saved) != set(RunConfig().to_dict()):
+    defaults = RunConfig().to_dict()
+    if not isinstance(saved, dict) or set(saved) != set(defaults):
         raise PipelineError(f"{path} is not a student checkpoint")
+    for key, default in defaults.items():
+        want = (int, float) if isinstance(default, float) else type(default)
+        if not isinstance(saved[key], want) \
+                or isinstance(saved[key], bool) != isinstance(default, bool):
+            raise FormatError(f"{path}: config {key} must be of type "
+                              f"{type(default).__name__}, got {saved[key]!r}")
     config = RunConfig(**saved)
-    spec = spec_from_dict(array_to_json(arrays["spec/json"]))
+    spec = spec_from_dict(array_to_json(section(arrays, "spec/json")))
     model = Model(spec, quantized=True)
     model.load_state_arrays(arrays)
     return config, spec, model, arrays
@@ -292,13 +302,15 @@ def save_teacher(path, model: Model, meta: dict):
 def load_teacher(path):
     """(model, meta) of a teacher checkpoint; PipelineError for a
     student's (one with quant/ sections) and for one without a teacher's
-    config and spec (a fused container, say)."""
+    config object and spec (a fused container, say)."""
     arrays = load_arrays(path)
     if any(key.startswith("quant/") for key in arrays):
         raise PipelineError(f"{path} is a student checkpoint, not a teacher")
     if not {"config/json", "spec/json"} <= arrays.keys():
         raise PipelineError(f"{path} is not a teacher checkpoint")
     meta = array_to_json(arrays["config/json"])
+    if not isinstance(meta, dict):
+        raise PipelineError(f"{path} is not a teacher checkpoint")
     model = Model(spec_from_dict(array_to_json(arrays["spec/json"])))
     model.load_state_arrays(arrays)
     return model, meta
@@ -308,9 +320,12 @@ def load_teacher(path):
 
 
 def _check_resume_config(path, arrays, config: RunConfig):
-    """Refuse to resume a checkpoint written under another config. Only
-    `epochs` may differ, so that a finished run can be extended."""
-    saved = array_to_json(arrays["config/json"])
+    """Refuse to resume a checkpoint written under another config, or
+    with no config object. Only `epochs` may differ, so that a finished
+    run can be extended."""
+    saved = array_to_json(section(arrays, "config/json"))
+    if not isinstance(saved, dict):
+        raise PipelineError(f"{path} holds no run config")
     current = config.to_dict()
     differ = sorted(k for k in set(saved) | set(current)
                     if k != "epochs" and saved.get(k) != current.get(k))
@@ -391,7 +406,7 @@ class QatRun:
         self.c_r = self.c_r_sum / self.step_n
 
     def state_arrays(self) -> dict:
-        arrays = {f"opt/{k}": v for k, v in self.opt.state_arrays().items()}
+        arrays = self.opt.state_arrays()
         arrays.update({
             "rng/state": pack_rng_state(self.rng),
             "meta/epoch": np.asarray(self.epoch, dtype=np.int64),
@@ -414,7 +429,8 @@ class QatRun:
         state and the run's sections. PipelineError for a checkpoint
         without the optimizer, schedule or best-checkpoint state of a qat
         last.ckpt, or written under another config
-        (``_check_resume_config``)."""
+        (``_check_resume_config``); FormatError names any other section
+        that is missing."""
         if not {"opt/t", "sched/step_n", "best/val_acc", "best/epoch",
                 "meta/reached_epoch"} <= arrays.keys():
             raise PipelineError(
@@ -422,19 +438,20 @@ class QatRun:
                 "qat last.ckpt")
         _check_resume_config(path, arrays, self.config)
         self.student.load_state_arrays(arrays)
-        self.opt.load_state_arrays({k[4:]: v for k, v in arrays.items()
-                                    if k.startswith("opt/")})
+        self.opt.load_state_arrays(arrays)
         self.rng.bit_generator.state = unpack_rng_state(
-            arrays["rng/state"]).bit_generator.state
-        self.epoch = int(arrays["meta/epoch"])
-        self.step_n = int(arrays["sched/step_n"])
-        self.c_r = float(arrays["sched/c_r"])
-        self.c_r_sum = float(arrays["sched/c_r_sum"])
-        self.phase = "annealing" if int(arrays["lr/phase"]) else "constant"
-        self.lam = float(arrays["lr/lam"])
-        self.best_val_acc = float(arrays["best/val_acc"])
-        self.best_epoch = _epoch_or_none(arrays["best/epoch"])
-        self.reached_epoch = _epoch_or_none(arrays["meta/reached_epoch"])
+            section(arrays, "rng/state")).bit_generator.state
+        self.epoch = int(section(arrays, "meta/epoch"))
+        self.step_n = int(section(arrays, "sched/step_n"))
+        self.c_r = float(section(arrays, "sched/c_r"))
+        self.c_r_sum = float(section(arrays, "sched/c_r_sum"))
+        self.phase = ("annealing" if int(section(arrays, "lr/phase"))
+                      else "constant")
+        self.lam = float(section(arrays, "lr/lam"))
+        self.best_val_acc = float(section(arrays, "best/val_acc"))
+        self.best_epoch = _epoch_or_none(section(arrays, "best/epoch"))
+        self.reached_epoch = _epoch_or_none(
+            section(arrays, "meta/reached_epoch"))
 
 
 def qat_run(config: RunConfig, teacher: Model, student: Model, out_dir,

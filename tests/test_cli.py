@@ -463,25 +463,41 @@ def test_qat_without_epochs_names_no_checkpoint(workspace, tmp_path, capsys):
     assert not (out / "last.ckpt").exists()
 
 
+def _qat10(student, teacher, out, *extra):
+    """A 2-epoch qat at 10/10 bits, which meets its targets at epoch 0."""
+    return main(["qat", "--ckpt", str(student), "--teacher", str(teacher),
+                 "--wbits", "10", "--abits", "10", "--seed", "3",
+                 "--epochs", "2", "--out", str(out), *extra])
+
+
 def test_qat_names_only_checkpoints_in_its_out(workspace, tmp_path, capsys):
-    # a finished 2-epoch run at 10/10 bits, resumed into another directory
-    # with no epoch left to run, saves no checkpoint there
+    # a finished run resumed into another directory is refused and
+    # creates nothing; resumed in place with no epoch left to run, it
+    # names the checkpoints it wrote the first time
     _, teacher, student = workspace
-
-    def qat(out, *extra):
-        assert main(["qat", "--ckpt", str(student), "--teacher", str(teacher),
-                     "--wbits", "10", "--abits", "10", "--seed", "3",
-                     "--epochs", "2", "--out", str(out), *extra]) == 0
-        return json.loads(capsys.readouterr().out)
-
-    first = qat(tmp_path / "a")
+    assert _qat10(student, teacher, tmp_path / "a") == 0
+    first = json.loads(capsys.readouterr().out)
     assert first["best_ckpt"] == str(tmp_path / "a" / "best.ckpt")
     resume = ("--resume", str(tmp_path / "a" / "last.ckpt"))
-    other = qat(tmp_path / "b", *resume)
-    assert other["last_ckpt"] is None and other["best_ckpt"] is None
-    assert sorted(os.listdir(tmp_path / "b")) == ["metrics.csv", "run.json"]
-    in_place = qat(tmp_path / "a", *resume)
-    assert in_place == first
+    assert _qat10(student, teacher, tmp_path / "b", *resume) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: cannot resume")
+    assert not (tmp_path / "b").exists()
+    assert _qat10(student, teacher, tmp_path / "a", *resume) == 0
+    assert json.loads(capsys.readouterr().out) == first
+
+
+def test_resume_without_metrics_refused(workspace, tmp_path, capsys):
+    _, teacher, student = workspace
+    run = tmp_path / "r"
+    assert _qat10(student, teacher, run) == 0
+    (run / "metrics.csv").unlink()
+    before = {p.name: p.read_bytes() for p in run.iterdir()}
+    assert _qat10(student, teacher, run, "--epochs", "3",
+                  "--resume", str(run / "last.ckpt")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "metrics.csv is missing" in err
+    assert {p.name: p.read_bytes() for p in run.iterdir()} == before
 
 
 @pytest.mark.parametrize("case,bad", [
@@ -570,13 +586,83 @@ def test_ptq_of_an_older_teacher_falls_back_to_the_defaults(workspace,
 
 def test_resume_from_a_ptq_checkpoint_refused(workspace, tmp_path, capsys):
     _, teacher, student = workspace
+    last = tmp_path / "run" / "last.ckpt"
+    save_arrays(last, load_arrays(student))
     rc = main(["qat", "--ckpt", str(student), "--teacher", str(teacher),
-               "--epochs", "1", "--resume", str(student),
+               "--epochs", "1", "--resume", str(last),
                "--out", str(tmp_path / "run")])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and str(student) in err
+    assert err.startswith("error: ") and str(last) in err
     assert "no optimizer or schedule state" in err
+    assert os.listdir(tmp_path / "run") == ["last.ckpt"]
+
+
+@pytest.mark.parametrize("case", [
+    "config_not_json", "teacher_config_not_utf8", "teacher_config_a_list",
+    "no_spec", "layers_not_a_list", "layer_without_act",
+    "layer_of_unknown_kind", "wbits_a_string"])
+def test_malformed_checkpoint_json_refused(workspace, tmp_path, capsys, case):
+    _, teacher, student = workspace
+    source = teacher if case.startswith("teacher") else student
+    arrays = load_arrays(source)
+    spec = array_to_json(arrays["spec/json"])
+    config = array_to_json(arrays["config/json"])
+    if case == "config_not_json":
+        arrays["config/json"] = np.frombuffer(b"{epochs: 3", dtype=np.uint8)
+    elif case == "teacher_config_not_utf8":
+        arrays["config/json"] = np.frombuffer(b"{\xff}", dtype=np.uint8)
+    elif case == "teacher_config_a_list":
+        arrays["config/json"] = json_to_array([config])
+    elif case == "no_spec":
+        del arrays["spec/json"]
+    elif case == "layers_not_a_list":
+        spec["layers"] = 5
+    elif case == "layer_without_act":
+        del spec["layers"][1]["act"]
+    elif case == "layer_of_unknown_kind":
+        spec["layers"][1]["kind"] = "foo"
+    else:
+        config["wbits"] = "4"
+    if case.startswith("layer"):
+        arrays["spec/json"] = json_to_array(spec)
+    if case == "wbits_a_string":
+        arrays["config/json"] = json_to_array(config)
+    bad = tmp_path / "bad.ckpt"
+    save_arrays(bad, arrays)
+    out = tmp_path / "ptq" / "student.ckpt"
+    argv = (["ptq", "--ckpt", str(bad), "--out", str(out)]
+            if source is teacher else ["audit", "--ckpt", str(bad)])
+    assert main(argv) == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err.startswith("error: ")
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("key,value,named", [
+    ("lr/lam", None, "'lr/lam'"),
+    ("opt/m/model/0/W", None, "'opt/m/model/0/W'"),
+    ("config/json", json_to_array([1]), "holds no run config")],
+    ids=["no_lr_lam", "no_opt_moment", "config_a_list"])
+def test_resume_refuses_a_damaged_run_state(workspace, tmp_path, capsys, key,
+                                            value, named):
+    # the damage is written into the run's own last.ckpt, the only
+    # checkpoint a run resumes from; value None deletes the section
+    _, teacher, student = workspace
+    run = tmp_path / "r"
+    assert _qat10(student, teacher, run) == 0
+    arrays = load_arrays(run / "last.ckpt")
+    if value is None:
+        del arrays[key]
+    else:
+        arrays[key] = value
+    save_arrays(run / "last.ckpt", arrays)
+    before = {p.name: p.read_bytes() for p in run.iterdir()}
+    assert _qat10(student, teacher, run, "--epochs", "3",
+                  "--resume", str(run / "last.ckpt")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert {p.name: p.read_bytes() for p in run.iterdir()} == before
 
 
 def test_missing_model_section_is_named(workspace, tmp_path, capsys):

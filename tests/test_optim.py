@@ -199,8 +199,9 @@ class TestLrPolicy:
 
     @staticmethod
     def lam_after(run, reached):
-        # an audit before this batch set the run's reached flag
-        run.reached = run.reached or reached
+        # an audit before this batch was the first to meet the targets
+        if reached and run.reached_epoch is None:
+            run.reached_epoch = 0
         lam, _ = run.next_batch()
         assert run.opt.lr == lam
         return lam
@@ -233,7 +234,7 @@ class TestLrPolicy:
     def test_switch_is_one_way(self):
         run = self.make_run(0.5)
         self.lam_after(run, True)
-        run.reached = False  # stays annealing even if the flag were cleared
+        run.reached_epoch = None  # stays annealing even if it were cleared
         lam = self.lam_after(run, False)
         assert run.phase == "annealing"
         assert lam == pytest.approx(0.5 * 0.9985 ** 2, rel=1e-12)

@@ -11,10 +11,11 @@ PYTHONPATH, BLAS on one thread and the same relative paths. It covers:
   probes; a 30-epoch qat; qat with bernoulli_variance_matched probes and
   cross-entropy distillation; qat from the rounding_residual student with
   hard-label distillation and --tq-init; qat without PTQ, on the split
-  the teacher records; a 21-epoch qat resumed to 30; audit; fuse of the
-  30-epoch qat student, of the 10-bit PTQ student (far from converged,
-  its weights spread over all 1024 levels) and of the rounding_residual
-  qat student; export-metrics;
+  the teacher records; a 21-epoch qat resumed in place to 30, then
+  resumed again with no epoch left, so that only its summary is new;
+  audit; fuse of the 30-epoch qat student, of the 10-bit PTQ student (far
+  from converged, its weights spread over all 1024 levels) and of the
+  rounding_residual qat student; export-metrics;
 * conv3 on the benchmark's bar images (IDX files of seed 1): train-fp;
   ptq; qat at 8/8; qat with frozen batchnorm at 10/10; audit; and fuse,
   which the program refuses for conv layers;
@@ -50,6 +51,8 @@ def scenario(bars: str):
     cfp, cptq = "conv/teacher.ckpt", "conv/ptq.ckpt"
     cqat = ["qat", "--ckpt", cptq, "--teacher", cfp, "--seed", "1",
             "--lr0", "0.07", *conv]
+    resume = [*qat, "--epochs", "30", "--resume", "mlp/qat_resume/last.ckpt",
+              "--out", "mlp/qat_resume"]
     return [
         ["train-fp", "--model", "mlp4", "--seed", "1", "--epochs", "20",
          *mlp, "--out", fp],
@@ -65,8 +68,8 @@ def scenario(bars: str):
         ["qat", "--no-ptq", "--teacher", fp, "--seed", "1", "--epochs", "10",
          "--out", "mlp/qat_noptq"],
         [*qat, "--epochs", "21", "--out", "mlp/qat_resume"],
-        [*qat, "--epochs", "30", "--resume", "mlp/qat_resume/last.ckpt",
-         "--out", "mlp/qat_resume"],
+        resume,
+        resume,
         ["audit", "--ckpt", "mlp/qat/last.ckpt"],
         ["fuse", "--ckpt", "mlp/qat/last.ckpt", "--out", "mlp/fused.ckpt"],
         ["fuse", "--ckpt", ptq, "--out", "mlp/fused_ptq.ckpt"],
