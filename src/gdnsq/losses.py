@@ -177,7 +177,8 @@ def hard_label_loss(logits: np.ndarray, labels) -> np.float64:
 
 def potential(weight_fqs, act_fqs, targets):
     """The potential P, every site's raw parameters and the
-    vector-Jacobian product of P onto them, in that order.
+    vector-Jacobian product of P onto them, in that order. Given a Python
+    float seed, the product returns Python floats.
 
     Each hinge max(omega - target, 0) passes d omega to its parameters,
     divided by its group's size, when omega >= target (ties count as
@@ -224,7 +225,7 @@ def total_loss(student_logits: np.ndarray, teacher: TeacherProbs,
     p, params, p_vjp = potential(weight_fqs, act_fqs, targets)
 
     def rule(g):
-        p_grads = p_vjp(g * w_p)
+        p_grads = p_vjp(float(g) * w_p)
         return (d_vjp(g), *p_grads)
 
     loss = T.record(student_logits, params, p * w_p + d, rule,

@@ -35,7 +35,8 @@ exp(log_range); activation sites following relu keep l = 0 and learn u
 through a softplus. ``raw_params`` lists these tensors; the model names,
 optimizes and checkpoints them (``models.Model.named_parameters``).
 
-Gradients with respect to these raw parameters are closed-form.
+Gradients with respect to these raw parameters are closed-form, and
+reach the chain (``gdnsq.tensor``) as Python floats.
 ``fake_quant`` returns the numpy output with its vector-Jacobian product,
 which takes the STE gradients for (s, l, u) from ``ste_backward`` through
 exp and the softplus; a model layer composes it into its own chain entry.
@@ -65,7 +66,7 @@ from .tensor import Tensor
 NOISE_MODES = ("bernoulli", "bernoulli_variance_matched", "rounding_residual")
 
 _INV_SQRT3 = 1.0 / np.sqrt(3.0)
-_INV_LN2 = 1.0 / np.log(2.0)
+_INV_LN2 = float(1.0 / np.log(2.0))
 
 # row b: the eight probe signs of byte b, most significant bit first
 _SIGNS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1) - 0.5
@@ -202,12 +203,16 @@ class FakeQuantizer:
     def ste_backward(self, g_up, x, l, u, s):
         """Gradients of the fake-quant output: (gx, gl, gu, gs).
 
+        gx is an array shaped like x; gl, gu and gs are Python floats.
         The clamp path is differentiated as usual; the noise path gives
         exactly zero for x and the noise-mode probe for s, gs = probe . g.
         The sums run over x's elements in x's memory order, the order the
         probe follows; a g laid out otherwise is first copied into x's
-        layout. A Bernoulli probe takes ceil(x.size/64) words of this
-        site's raw stream (module docstring).
+        layout. A clamp sum over no element, gl with nothing below l or gu
+        with nothing above u, is +0.0, the value the dot product of a
+        finite g with an all-false mask gives. A Bernoulli probe takes
+        ceil(x.size/64) words of this site's raw stream (module
+        docstring).
         """
         below = x < l
         above = x > u
@@ -217,8 +222,11 @@ class FakeQuantizer:
             g = np.empty_like(x)
             g[...] = g_up
         g = g.ravel(order="K")
-        gl = g @ below.ravel(order="K")
-        gu = g @ above.ravel(order="K")
+        below = below.ravel(order="K")
+        above = above.ravel(order="K")
+        # np.count_nonzero tests a mask for emptiness faster than .any()
+        gl = float(g @ below) if np.count_nonzero(below) else 0.0
+        gu = float(g @ above) if np.count_nonzero(above) else 0.0
         if self.noise_mode == "rounding_residual":
             v = np.clip(x, l, u) / s
             probe = (round_half_up(v) - v).ravel(order="K")
@@ -228,7 +236,7 @@ class FakeQuantizer:
             probe = _PROBE_TABLES[self.noise_mode].take(
                 words.astype("<u8", copy=False).view(np.uint8),
                 axis=0).reshape(-1)[:n]
-        return gx, np.asarray(gl), np.asarray(gu), np.asarray(probe @ g)
+        return gx, gl, gu, float(probe @ g)
 
     # -- numpy-side views --------------------------------------------------
 

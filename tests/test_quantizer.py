@@ -12,7 +12,7 @@ from gdnsq.errors import FusionError
 from gdnsq.losses import potential
 from gdnsq.models import Linear, Model, ModelSpec, _Layer, make_model_spec
 from gdnsq.pipeline import fuse_student, fused_model_forward
-from gdnsq.quantizer import FakeQuantizer
+from gdnsq.quantizer import NOISE_MODES, FakeQuantizer
 from gdnsq.tensor import Tensor
 
 
@@ -180,7 +180,7 @@ class TestProbeStream:
         # exactly ceil(n/64) words were taken
         assert fq.rng.bit_generator.state == twin.bit_generator.state
 
-    @pytest.mark.parametrize("mode", ["bernoulli", "rounding_residual"])
+    @pytest.mark.parametrize("mode", NOISE_MODES)
     @pytest.mark.parametrize("g_layout", ["batch_last", "c_order"])
     def test_probe_follows_the_memory_order_of_x(self, mode, g_layout):
         # a batch-last x (a [b, c, h, w] view of [c, h, w, b] memory) gets
@@ -197,8 +197,25 @@ class TestProbeStream:
         fq.rng = np.random.default_rng(25)
         want = fq.ste_backward(g_mem, x_mem, l, u, fq.scale_value())
         np.testing.assert_array_equal(got[0], want[0].transpose(3, 0, 1, 2))
-        assert [float(v) for v in got[1:]] == [float(v) for v in want[1:]]
-        assert float(got[1]) != 0.0 and float(got[2]) != 0.0
+        # (gl, gu, gs) are Python floats with the same bits
+        assert {type(v) for v in got[1:] + want[1:]} == {float}
+        assert [v.hex() for v in got[1:]] == [v.hex() for v in want[1:]]
+        assert got[1] != 0.0 and got[2] != 0.0
+
+    @pytest.mark.parametrize("layout", ["batch_last", "c_order"])
+    def test_empty_clamp_masks_give_positive_zero(self, layout):
+        # every g is negative, so each term of a clamp sum is -0.0, yet a
+        # sum over no element is +0.0
+        fq = make_fq("weight", -1.0, 1.2, 3.0, seed=27)
+        l, u = fq.bound_values()
+        x = np.random.default_rng(28).uniform(l, u, size=(3, 4, 2, 5))
+        g = -np.ones_like(x)
+        if layout == "batch_last":
+            x, g = x.transpose(3, 0, 1, 2), g.transpose(3, 0, 1, 2)
+        _, gl, gu, gs = fq.ste_backward(g, x, l, u, fq.scale_value())
+        assert (type(gl), type(gu), type(gs)) == (float, float, float)
+        assert (gl, gu) == (0.0, 0.0)
+        assert math.copysign(1.0, gl) == math.copysign(1.0, gu) == 1.0
 
     def test_every_sign_is_half(self):
         # a one-hot upstream gradient reads one probe sign at a time

@@ -284,6 +284,24 @@ def test_random_graph_gradients_match_fd(seed):
     assert_matches_fd(build, arrays, rtol=1e-4)
 
 
+class _LoggedSlot(np.ndarray):
+    """A gradient slot that logs each write: an assign or an add."""
+
+    def __setitem__(self, key, value):
+        self.log.append("assign")
+        super().__setitem__(key, value)
+
+    def __iadd__(self, other):
+        self.log.append("add")
+        return super().__iadd__(other)
+
+
+def logged_slot(value):
+    slot = np.asarray(value, dtype=np.float64).copy().view(_LoggedSlot)
+    slot.log = []
+    return slot
+
+
 class TestChain:
     def setup_method(self):
         T.reset_tape()
@@ -303,6 +321,41 @@ class TestChain:
         slots = {p: np.asarray(99.0)}  # stale content is overwritten
         assert T.backward(slots) is None
         assert float(slots[p]) == 0.0  # (1e16 + 1) - 1e16; -1e16 first gives 1
+
+    def test_float_terms_sum_in_sweep_order_and_write_the_slot_once(self):
+        p = Tensor(0.0, requires_grad=True, name="p")
+        h = T.record(np.zeros(2), [p], np.ones(2),
+                     lambda g: (None, -1e16), "layer")
+        T.record(h, [p, p], np.asarray(2.0),
+                 lambda g: (g * np.ones(2), 1e16, 1.0), "loss")
+        slot = logged_slot(99.0)
+        T.backward({p: slot})
+        assert slot.log == ["assign"]
+        assert float(slot) == 0.0  # (1e16 + 1) - 1e16; -1e16 first gives 1
+
+    @pytest.mark.parametrize("kinds", ["ffff", "aaaa", "fafa", "afaf",
+                                       "ffaa", "aaff", "faaf", "affa"])
+    def test_float_and_array_terms_of_one_parameter_sum_in_sweep_order(
+            self, kinds):
+        # kinds[k] is the type of the k-th term swept: f(loat) or a(rray)
+        terms = [1e16, 1.0, -1e16, 0.5]
+        p = Tensor(0.0, requires_grad=True, name="p")
+        h = np.zeros(2)
+        for k in range(3, -1, -1):  # forward order: the last term first
+            gp = terms[k] if kinds[k] == "f" else np.asarray(terms[k])
+            h = T.record(h, [p], np.ones(2) if k else np.asarray(1.0),
+                         lambda g, gp=gp: (np.ones(2), gp), f"entry{k}")
+        slot = logged_slot(99.0)
+        T.backward({p: slot})
+        # one assign, never an overwrite, then adds
+        assert slot.log[0] == "assign" and "assign" not in slot.log[1:]
+        assert float(slot) == ((1e16 + 1.0) - 1e16) + 0.5 == 0.5
+
+    def test_float_term_without_a_slot_rejected(self):
+        p = Tensor(1.0, requires_grad=True, name="p")
+        T.record(None, [p], np.asarray(1.0), lambda g: (None, 1.0), "loss")
+        with pytest.raises(ContractError, match="loss: no slot for .*p"):
+            T.backward({})
 
     def test_loss_entry_seeds_the_sweep_with_one(self):
         seen = []
