@@ -135,19 +135,41 @@ def spec_to_dict(spec: ModelSpec) -> dict:
     return {"layers": layers, "num_classes": spec.num_classes}
 
 
+# per layer kind, its dataclass and its keys in the order of its fields
+_SPEC_LAYERS = {
+    "linear": (Linear, ("in", "out", "act", "bn")),
+    "conv2d": (Conv2d, ("in", "out", "kernel", "stride", "pad", "act", "bn")),
+}
+
+
+def _spec_value(i, layer, key):
+    """layer[key] of spec layer i; FormatError naming both unless it is a
+    size (positive int, not bool), a padding (int >= 0), an activation of
+    the model or a batchnorm flag (bool)."""
+    v = layer[key]
+    if key == "act":
+        ok, want = v in ("relu", "identity"), "'relu' or 'identity'"
+    elif key == "bn":
+        ok, want = type(v) is bool, "true or false"
+    else:
+        least = 0 if key == "pad" else 1
+        ok, want = type(v) is int and v >= least, f"an integer >= {least}"
+    if not ok:
+        raise FormatError(f"spec layer {i}: {key!r} is {v!r}, not {want}")
+    return v
+
+
 def spec_from_dict(d: dict) -> ModelSpec:
     """The spec spec_to_dict wrote; FormatError for a layer of another
-    kind, a missing key and a value of the wrong JSON type."""
+    kind, a missing key, a value of the wrong JSON type and a layer value
+    out of range (``_spec_value``)."""
     layers = []
     try:
-        for l in d["layers"]:
-            if l["kind"] == "linear":
-                layers.append(Linear(l["in"], l["out"], l["act"], l["bn"]))
-            elif l["kind"] == "conv2d":
-                layers.append(Conv2d(l["in"], l["out"], l["kernel"],
-                                     l["stride"], l["pad"], l["act"], l["bn"]))
-            else:
+        for i, l in enumerate(d["layers"]):
+            if l["kind"] not in _SPEC_LAYERS:
                 raise FormatError(f"spec layer of unknown kind {l['kind']!r}")
+            cls, keys = _SPEC_LAYERS[l["kind"]]
+            layers.append(cls(*(_spec_value(i, l, k) for k in keys)))
         return ModelSpec(layers, d["num_classes"])
     except KeyError as e:
         raise FormatError(f"spec has no key {e.args[0]!r}") from None

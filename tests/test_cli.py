@@ -639,6 +639,28 @@ def test_malformed_checkpoint_json_refused(workspace, tmp_path, capsys, case):
     assert not out.parent.exists()
 
 
+@pytest.mark.parametrize("key,value,want", [
+    ("in", "2", "'in' is '2', not an integer >= 1"),
+    ("out", 48.0, "'out' is 48.0, not an integer >= 1"),
+    ("out", 0, "'out' is 0, not an integer >= 1"),
+    ("act", "tanh", "'act' is 'tanh', not 'relu' or 'identity'"),
+    ("bn", "yes", "'bn' is 'yes', not true or false")])
+def test_malformed_layer_spec_refused(workspace, tmp_path, capsys, key, value,
+                                      want):
+    # each edit of a PTQ checkpoint's spec gave a traceback, a run with
+    # the wrong activation or a misleading missing-section error before
+    _, _, student = workspace
+    arrays = load_arrays(student)
+    spec = array_to_json(arrays["spec/json"])
+    spec["layers"][1][key] = value
+    arrays["spec/json"] = json_to_array(spec)
+    bad = tmp_path / "bad.ckpt"
+    save_arrays(bad, arrays)
+    assert main(["audit", "--ckpt", str(bad)]) == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err == f"error: spec layer 1: {want}\n"
+
+
 @pytest.mark.parametrize("key,value,named", [
     ("lr/lam", None, "'lr/lam'"),
     ("opt/m/model/0/W", None, "'opt/m/model/0/W'"),

@@ -348,3 +348,13 @@ def test_spec_round_trip():
     again = spec_from_dict(spec_to_dict(spec))
     assert spec_to_dict(again) == spec_to_dict(spec)
 
+
+@pytest.mark.parametrize("key,value", [
+    ("kernel", 0), ("stride", 0), ("stride", True), ("pad", -1),
+    ("pad", 1.0), ("in", False)])
+def test_conv_spec_value_out_of_range_refused(key, value):
+    d = spec_to_dict(make_model_spec("conv3", 3, 10))
+    d["layers"][2][key] = value
+    with pytest.raises(FormatError, match=f"spec layer 2: '{key}' is "):
+        spec_from_dict(d)
+
