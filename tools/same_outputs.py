@@ -17,8 +17,10 @@ PYTHONPATH, BLAS on one thread and the same relative paths. It covers:
   from converged, its weights spread over all 1024 levels) and of the
   rounding_residual qat student; export-metrics;
 * conv3 on the benchmark's bar images (IDX files of seed 1): train-fp;
-  ptq; qat at 8/8; qat with frozen batchnorm at 10/10; audit; and fuse,
-  which the program refuses for conv layers;
+  ptq; qat at 8/8; qat with frozen batchnorm at 10/10; 3-epoch qats with
+  rounding_residual and with bernoulli_variance_matched probes, whose
+  scale gradients are read over the batch-last activations; audit; and
+  fuse, which the program refuses for conv layers;
 * ``gdnsq verify``.
 
 Every command's exit code and stdout and every file left in the run
@@ -84,6 +86,10 @@ def scenario(bars: str):
          "--out", "conv/qat"],
         [*cqat, "--wbits", "10", "--abits", "10", "--epochs", "3",
          "--freeze-bn", "--out", "conv/qat_fbn"],
+        [*cqat, "--epochs", "3", "--noise-mode", "rounding_residual",
+         "--out", "conv/qat_rr"],
+        [*cqat, "--epochs", "3", "--noise-mode",
+         "bernoulli_variance_matched", "--out", "conv/qat_vm"],
         ["audit", "--ckpt", "conv/qat/last.ckpt", *conv],
         ["fuse", "--ckpt", "conv/qat/last.ckpt", "--out", "conv/fused.ckpt"],
         ["verify"],
