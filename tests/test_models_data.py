@@ -357,4 +357,3 @@ def test_conv_spec_value_out_of_range_refused(key, value):
     d["layers"][2][key] = value
     with pytest.raises(FormatError, match=f"spec layer 2: '{key}' is "):
         spec_from_dict(d)
-
