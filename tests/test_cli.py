@@ -1,3 +1,4 @@
+import ctypes
 import json
 import os
 import subprocess
@@ -240,6 +241,69 @@ def test_cli_import_leaves_the_oracles_out():
         timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def _has_mallopt():
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except OSError:
+        return False
+
+
+# conv3 through main in one process: the third of three identical qats, by
+# then past the heap's one-time growth, counts its minor page faults. The
+# paths are relative, so the checkpoints' bytes do not depend on the test's
+# directory.
+HEAP_SCRIPT = """
+import resource
+from gdnsq.cli import main
+
+data = ["--data", "idx:tr-img.idx:tr-lbl.idx:va-img.idx:va-lbl.idx"]
+assert main(["train-fp", "--model", "conv3", "--epochs", "2", *data,
+             "--out", "teacher.ckpt"]) == 0
+assert main(["ptq", "--ckpt", "teacher.ckpt", "--out", "ptq.ckpt"]) == 0
+for run in range(3):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert main(["qat", "--ckpt", "ptq.ckpt", "--teacher", "teacher.ckpt",
+                 "--epochs", "3", "--out", f"q{run}"]) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
+def test_conv3_qat_keeps_its_arrays_in_the_heap(tmp_path):
+    # without set_heap, glibc hands the audit's and the steps' large arrays
+    # back to the system and faults them in again: 500-2900 faults here
+    rng = np.random.default_rng(0)
+    for split, n in (("tr", 128), ("va", 96)):
+        write_idx(tmp_path / f"{split}-img.idx",
+                  rng.integers(0, 256, size=(n, 16, 16)))
+        write_idx(tmp_path / f"{split}-lbl.idx", np.arange(n) % 2)
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src, OMP_NUM_THREADS="1",
+               OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", HEAP_SCRIPT], cwd=tmp_path,
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout.splitlines()[-1]) < 100
+
+
+@pytest.mark.parametrize("lookup", ["no_library", "no_mallopt"])
+def test_main_runs_without_mallopt(monkeypatch, lookup, capsys):
+    calls = []
+
+    def cdll(name):
+        calls.append(name)
+        if lookup == "no_library":
+            raise OSError("no C library")
+        return object()
+
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    assert main(["verify", "--filter", "lemma"]) == 0
+    assert calls == [None]
+    assert "FAIL" not in capsys.readouterr().out
 
 
 def test_unknown_flag_is_usage_error():
