@@ -25,12 +25,24 @@ mlp4 runs on two_gaussians, conv3 on the benchmark's bar images of seed 1
 (layer, loss) it records its forward time, from the record of
 the entry before it (or the start of the step) to its own record, and
 its rule time in the reverse sweep; for the step, the whole forward, the
-sweep, the optimizer step and their total. Each of these is the 10th
-percentile over 200 timed steps, after 30 steps of warm-up; the file
-holds its smallest value over 11 rounds, in microseconds, one column per
-tree. The host's speed changes from second to second (shared
-CPUs), and like pipebench's stage times (``spans.fast_stage_time``) this
-reads every tree at the host's fast speed. The file is written afresh.
+sweep, the optimizer step and their total. The qat chains also run
+``pipeline.audit_bitwidth`` over the val split once every
+``len(train) // BATCH`` steps, as ``qat`` does once per epoch, and record
+its time (``audit/total``). Each time is the 10th percentile over 200
+timed steps (and the audits among them), after 30 steps of warm-up.
+``step/faults`` and ``audit/faults`` are the mean minor page faults
+(``resource.getrusage``) per step and per audit, which show the C heap
+handing large arrays back to the system and faulting them in again; a
+worker sets the heap as ``gdnsq.cli.main`` does when its tree has
+``gdnsq.cli.set_heap``.
+
+Per tree, ``chains`` holds each value's smallest over 11 rounds, times in
+microseconds, and ``quartiles`` its first quartile, median and third
+quartile over the rounds, so one run tells a change between two trees
+from the rounds' spread. The host's speed changes from second to second
+(shared CPUs), and like pipebench's stage times
+(``spans.fast_stage_time``) the minimum reads every tree at the host's
+fast speed. The file is written afresh.
 """
 
 from __future__ import annotations
@@ -43,6 +55,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
+import resource  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
@@ -64,9 +77,14 @@ def percentile_us(samples):
     return round(float(np.percentile(samples, PERCENTILE)) * 1e6, 1)
 
 
+def minor_faults():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def load_chain(model_id, qat, work):
-    """(model, optimizer, step inputs) of one chain; step inputs is a
-    function of the step number giving (x, labels, teacher rows)."""
+    """(model, optimizer, step inputs, val split, steps per epoch) of one
+    chain; step inputs is a function of the step number giving (x, labels,
+    teacher rows)."""
     from gdnsq.losses import teacher_probs
     from gdnsq.models import Model, make_model_spec, train_teacher
     from gdnsq.optim import RAdam
@@ -101,14 +119,15 @@ def load_chain(model_id, qat, work):
         return (train.inputs[idx], train.labels[idx],
                 probs.rows(idx) if qat else None)
 
-    return model, opt, inputs
+    return model, opt, inputs, val, n_batches
 
 
 def time_chain(model_id, qat, work):
     from gdnsq import tensor as T
     from gdnsq.losses import hard_label_loss, total_loss
+    from gdnsq.pipeline import audit_bitwidth
 
-    model, opt, inputs = load_chain(model_id, qat, work)
+    model, opt, inputs, val, n_batches = load_chain(model_id, qat, work)
     clock = time.perf_counter
     marks, rule_s = [], {}
     record = T.record
@@ -124,7 +143,7 @@ def time_chain(model_id, qat, work):
 
         return record(x, params, out, timed_rule, name)
 
-    samples = {}
+    samples, faults = {}, {}
 
     def add(key, value):
         samples.setdefault(key, []).append(value)
@@ -136,6 +155,7 @@ def time_chain(model_id, qat, work):
             marks.clear()
             rule_s.clear()
             T.reset_tape()
+            f0 = minor_faults()
             t0 = clock()
             logits = model.forward(x, train=True)
             if qat:
@@ -148,6 +168,12 @@ def time_chain(model_id, qat, work):
             t2 = clock()
             opt.step()
             t3 = clock()
+            f1 = minor_faults()
+            audit = qat and step % n_batches == n_batches - 1
+            if audit:
+                audit_bitwidth(model, val.inputs, val.labels)
+            t4 = clock()
+            f2 = minor_faults()
             if step < WARMUP:
                 continue
             prev = t0
@@ -159,10 +185,15 @@ def time_chain(model_id, qat, work):
             add("step/sweep", t2 - t1)
             add("step/optimizer", t3 - t2)
             add("step/total", t3 - t0)
+            faults.setdefault("step/faults", []).append(f1 - f0)
+            if audit:
+                add("audit/total", t4 - t3)
+                faults.setdefault("audit/faults", []).append(f2 - f1)
     finally:
         T.record = record
         T.reset_tape()
-    return {key: percentile_us(v) for key, v in samples.items()}
+    return {**{key: percentile_us(v) for key, v in samples.items()},
+            **{key: round(float(np.mean(v)), 1) for key, v in faults.items()}}
 
 
 CHAINS = {"mlp4_train_fp": ("mlp4", False), "mlp4_qat": ("mlp4", True),
@@ -172,16 +203,25 @@ CHAINS = {"mlp4_train_fp": ("mlp4", False), "mlp4_qat": ("mlp4", True),
 def worker(src, chain) -> int:
     """Time one chain with the package in src; print its times as JSON."""
     sys.path[:0] = [os.path.abspath(src), os.path.join(ROOT, "pipebench")]
+    import gdnsq.cli
+
+    set_heap = getattr(gdnsq.cli, "set_heap", None)
+    if set_heap is not None:
+        set_heap()
     with tempfile.TemporaryDirectory(prefix="bench_layers-") as work:
         print(json.dumps(time_chain(*CHAINS[chain], work)))
     return 0
 
 
-def fastest_round(rounds):
-    """Per chain and entry, the smallest of the rounds' values."""
-    return {chain: {key: min(r[chain][key] for r in rounds)
+def over_rounds(rounds, stat):
+    """Per chain and entry, stat of the rounds' values."""
+    return {chain: {key: stat([r[chain][key] for r in rounds])
                     for key in entries}
             for chain, entries in rounds[0].items()}
+
+
+def quartiles(values):
+    return [round(float(q), 1) for q in np.percentile(values, (25, 50, 75))]
 
 
 def main(argv=None) -> int:
@@ -210,8 +250,11 @@ def main(argv=None) -> int:
     result = {
         "columns": {},
         "unit": "us",
-        "statistic": f"smallest over rounds of the {PERCENTILE}th "
-                     "percentile over one round's timed steps",
+        "statistic": f"times: smallest over rounds (quartiles: first "
+                     f"quartile, median and third quartile over rounds) of "
+                     f"the {PERCENTILE}th percentile over one round's timed "
+                     "steps or audits; faults: the same over rounds of the "
+                     "mean per step or audit",
         "batch": BATCH,
     }
     for name in trees:
@@ -221,7 +264,8 @@ def main(argv=None) -> int:
                     f"{platform.python_implementation()} "
                     f"{platform.python_version()}, BLAS on one thread",
             "rounds": ROUNDS, "steps": STEPS,
-            "chains": fastest_round(samples[name]),
+            "chains": over_rounds(samples[name], min),
+            "quartiles": over_rounds(samples[name], quartiles),
         }
     with open(args.out, "w") as f:
         json.dump(result, f, indent=1)

@@ -19,7 +19,7 @@ moves both thresholds as arrays are freed. A conv3 activation at batch 32
 is 128 KiB and the audit's arrays reach about 2 MB, so without the
 setting the same arrays are unmapped and page-faulted back in every step
 and every epoch (about 22,000 minor faults per conv3 qat in a warm
-process, 1-3 with it). It is set in main, not at import, because the
+process, 0-5 with it). It is set in main, not at import, because the
 tests and the pipeline benchmark call main in their own process. The
 arithmetic is untouched, so every output byte is the same.
 """

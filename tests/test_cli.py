@@ -250,10 +250,10 @@ def _has_mallopt():
         return False
 
 
-# conv3 through main in one process: the third of three identical qats, by
-# then past the heap's one-time growth, counts its minor page faults. The
-# paths are relative, so the checkpoints' bytes do not depend on the test's
-# directory.
+# conv3 through main in one process, counting the minor page faults of the
+# third of three identical qats: the second still carries a one-time heap
+# growth whose size depends on the heap's layout. The paths are relative, so
+# the run allocates the same in any test directory.
 HEAP_SCRIPT = """
 import resource
 from gdnsq.cli import main
@@ -273,7 +273,7 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 @pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
 def test_conv3_qat_keeps_its_arrays_in_the_heap(tmp_path):
     # without set_heap, glibc hands the audit's and the steps' large arrays
-    # back to the system and faults them in again: 500-2900 faults here
+    # back to the system and faults them in again: about 500-2900 faults here
     rng = np.random.default_rng(0)
     for split, n in (("tr", 128), ("va", 96)):
         write_idx(tmp_path / f"{split}-img.idx",
