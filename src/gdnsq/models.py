@@ -23,6 +23,12 @@ loss entry and sweeps it into the flat gradient buffer of its ``RAdam``.
 A forward hands every site, weight and activation alike, to its ``sites``
 callback.
 
+Pieces write in place only into arrays they allocated themselves, never
+into an argument, an array handed to ``sites`` or an array that a
+vector-Jacobian product still reads (tests/test_no_mutation.py): relu
+masks the layer's own fresh output, ``BatchNorm.normalize`` and the
+fake-quant kernel (``gdnsq.kernels``) each work in their own new buffers.
+
 ``Model.named_parameters`` is the one list of a model's tensors; its
 checkpoint state (``state_arrays``, ``load_state_arrays``) and the copy of
 a teacher's weights are derived from it.
@@ -35,6 +41,7 @@ probe rng on every site.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -193,6 +200,12 @@ class BatchNorm:
     primitive-op graph in tests/reference_graphs.py in the same order, so
     its values and the running-statistic update match that graph bit for
     bit.
+
+    In place: the new buffer x - mu becomes xhat, and with batch
+    statistics the buffer of its squares then receives the output. The
+    product allocates g * xhat, which after the dgamma sum receives
+    xhat * dgamma / N, and one buffer for dx; it reads xhat and g and
+    writes neither, so it can run more than once.
     """
 
     momentum = 0.1
@@ -218,29 +231,36 @@ class BatchNorm:
             raise ShapeError(f"batchnorm expects 2-d or 4-d input, got {xd.shape}")
         batch_stats = train and not self.frozen
         if batch_stats:
-            inv_n = 1.0 / float(np.prod([xd.shape[ax] for ax in axes]))
+            inv_n = 1.0 / math.prod(xd.shape[ax] for ax in axes)
             mu = xd.sum(axis=axes, keepdims=True) * inv_n
-            centered = xd - mu
-            var = (centered * centered).sum(axis=axes, keepdims=True) * inv_n
+            xhat = xd - mu
+            sq = xhat * xhat
+            var = sq.sum(axis=axes, keepdims=True) * inv_n
             self.running_mean = ((1 - self.momentum) * self.running_mean
                                  + self.momentum * mu.reshape(-1))
             self.running_var = ((1 - self.momentum) * self.running_var
                                 + self.momentum * var.reshape(-1))
             sd = np.sqrt(var + self.eps)
-            xhat = centered / sd
         else:
             mu = self.running_mean.reshape(pshape)
             sd = np.sqrt(self.running_var.reshape(pshape) + self.eps)
-            xhat = (xd - mu) / sd
+            xhat = xd - mu
+        xhat /= sd
         gamma = self.gamma.data.reshape(pshape)
-        out = xhat * gamma + self.beta.data.reshape(pshape)
+        out = np.multiply(xhat, gamma, out=sq) if batch_stats else xhat * gamma
+        out += self.beta.data.reshape(pshape)
 
         def vjp(g):
-            g_gamma = (g * xhat).sum(axis=axes, keepdims=True)
+            gx = g * xhat
+            g_gamma = gx.sum(axis=axes, keepdims=True)
             g_beta = g.sum(axis=axes, keepdims=True)
-            if batch_stats:
-                g = g - g_beta * inv_n - xhat * (g_gamma * inv_n)
-            return g * (gamma / sd), g_gamma.reshape(-1), g_beta.reshape(-1)
+            if not batch_stats:
+                return g * (gamma / sd), g_gamma.reshape(-1), g_beta.reshape(-1)
+            np.multiply(xhat, g_gamma * inv_n, out=gx)
+            gc = g - g_beta * inv_n
+            gc -= gx
+            gc *= gamma / sd
+            return gc, g_gamma.reshape(-1), g_beta.reshape(-1)
 
         return out, vjp
 
@@ -291,7 +311,7 @@ class _Layer:
     [B, C, H, W], the mean over H and W (a batch-last image gives a
     channel-major [B, C] result), then activation fake-quant, weight
     fake-quant, matmul or conv, bias add, batchnorm, then y * (y > 0) for
-    relu. Its rule composes the pieces' vector-Jacobian products in
+    relu, written into the layer's own output. Its rule composes the pieces' vector-Jacobian products in
     reverse: relu mask, batchnorm, bias sum, GEMM or conv gradients, the
     weight site's STE gradient, the activation site's, and last the mean's,
     which spreads each gradient evenly over the H*W positions it
@@ -377,7 +397,7 @@ class _Layer:
         relu = spec.activation == "relu"
         if relu:
             mask = y > 0
-            y = y * mask
+            y *= mask
         if not train:
             return y
 

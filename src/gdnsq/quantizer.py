@@ -216,7 +216,8 @@ class FakeQuantizer:
         """
         below = x < l
         above = x > u
-        gx = g_up * ~(below | above)
+        outside = np.logical_or(below, above)
+        gx = g_up * np.logical_not(outside, out=outside)
         g = g_up
         if g.strides != x.strides:  # lay g out like x
             g = np.empty_like(x)
