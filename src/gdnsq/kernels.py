@@ -23,12 +23,11 @@ runs of b elements instead of a few pixels. Then
   into the strided slice of the padded input gradient (batch-last too)
   that the forward read it from, and the padding is cut off (one
   contiguous copy, still batch-last). Each element thus gets its terms in
-  tap order, which fixes its bytes. Taps (s*di + pi, s*dj + pj) that share
-  a shift (di, dj) write disjoint elements, and adding each shift group at
-  once through a [c, H, s, W, s, b] view, shifts in (di, dj) order, keeps
-  that order and the bytes (4 adds instead of 9 at k=3, s=2); it was
-  measured slower at conv3's sizes, because its 6-d strided adds cost
-  more per element than the 9 slab adds, so the per-tap loop stays.
+  tap order, which fixes its bytes. The taps that share a shift (di, dj),
+  (s*di + pi, s*dj + pj), write disjoint elements, so one add per shift
+  through a [c, H, s, W, s, b] view, shifts in (di, dj) order, gives the
+  same bytes; at conv3's sizes it was slower, its 6-d adds of a strided
+  source costing twice as much per element as the slab adds.
 
 The forward and the input gradient return [b, c, h, w]-shaped views of
 their batch-last results: nothing is copied back to [b, c, h, w] memory.
@@ -55,7 +54,8 @@ def round_half_up(v: np.ndarray) -> np.ndarray:
 
 def grid_levels(x: np.ndarray, l: float, u: float, s: float) -> np.ndarray:
     """The integer levels floor(clamp(x, l, u) / s + 1/2) of x on the grid
-    of step s, as floats, in a new array laid out like x."""
+    of step s, as floats, in a new array laid out like x (an array of at
+    least one axis: the ufuncs return a 0-d result as a scalar)."""
     v = np.maximum(x, l)
     np.minimum(v, u, out=v)
     v /= s

@@ -251,16 +251,17 @@ class BatchNorm:
         out += self.beta.data.reshape(pshape)
 
         def vjp(g):
-            gx = g * xhat
-            g_gamma = gx.sum(axis=axes, keepdims=True)
+            gxhat = g * xhat
+            g_gamma = gxhat.sum(axis=axes, keepdims=True)
             g_beta = g.sum(axis=axes, keepdims=True)
-            if not batch_stats:
-                return g * (gamma / sd), g_gamma.reshape(-1), g_beta.reshape(-1)
-            np.multiply(xhat, g_gamma * inv_n, out=gx)
-            gc = g - g_beta * inv_n
-            gc -= gx
-            gc *= gamma / sd
-            return gc, g_gamma.reshape(-1), g_beta.reshape(-1)
+            if batch_stats:
+                np.multiply(xhat, g_gamma * inv_n, out=gxhat)
+                gx = g - g_beta * inv_n
+                gx -= gxhat
+                gx *= gamma / sd
+            else:
+                gx = g * (gamma / sd)
+            return gx, g_gamma.reshape(-1), g_beta.reshape(-1)
 
         return out, vjp
 
@@ -311,14 +312,14 @@ class _Layer:
     [B, C, H, W], the mean over H and W (a batch-last image gives a
     channel-major [B, C] result), then activation fake-quant, weight
     fake-quant, matmul or conv, bias add, batchnorm, then y * (y > 0) for
-    relu, written into the layer's own output. Its rule composes the pieces' vector-Jacobian products in
-    reverse: relu mask, batchnorm, bias sum, GEMM or conv gradients, the
-    weight site's STE gradient, the activation site's, and last the mean's,
-    which spreads each gradient evenly over the H*W positions it
-    averaged. That is the order in which the reverse
-    sweep of the primitive layer graph (kept in tests/reference_graphs.py)
-    draws the Bernoulli probes from the shared rng, so training is
-    bit-identical to that graph. The rule computes the input's gradient
+    relu, written into the layer's own output. Its rule composes the
+    pieces' vector-Jacobian products in reverse: relu mask, batchnorm, bias
+    sum, GEMM or conv gradients, the weight site's STE gradient, the
+    activation site's, and last the mean's, which spreads each gradient
+    evenly over the H*W positions it averaged. That is the order in which
+    the reverse sweep of the primitive layer graph (kept in
+    tests/reference_graphs.py) draws the Bernoulli probes from the shared
+    rng, so training is bit-identical to that graph. The rule computes the input's gradient
     only when the input is quantized or input_grad is set. An input whose
     rank or whose feature or channel count does not fit the layer raises
     ShapeError.

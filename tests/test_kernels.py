@@ -197,7 +197,8 @@ def test_kernels_match_the_references_byte_for_byte(stride, pad):
         wo = (wd + 2 * pad - kw) // stride + 1
         g = rng.normal(size=(3, 4, ho, wo))
         case = (kh, kw, h, wd)
-        for xl, gl in itertools.product((x, batch_last(x)), (g, batch_last(g))):
+        for xl, gl in itertools.product((x, batch_last(x)),
+                                        (g, batch_last(g))):
             cols = ref_im2col(xl, kh, kw, stride, pad)
             assert_same_bytes(im2col(xl, kh, kw, stride, pad), cols, case)
             assert_same_bytes(
