@@ -12,7 +12,8 @@ Layout (all integers little-endian):
 Sections are written sorted by name, so save -> load -> save is
 byte-identical. Writes create the parent directory when it is missing and
 go through a temp file and an atomic rename. ``section`` reads one
-section of loaded arrays and names it in a FormatError when it is missing.
+section of loaded arrays, checked against the shape the caller holds (()
+for a scalar); a FormatError names one that is missing or of another shape.
 """
 
 from __future__ import annotations
@@ -91,10 +92,14 @@ def load_arrays(path) -> dict:
     return out
 
 
-def section(arrays: dict, key: str) -> np.ndarray:
-    """arrays[key]; FormatError naming the section when it is missing."""
+def section(arrays: dict, key: str, shape=None) -> np.ndarray:
+    """arrays[key]; FormatError naming the section when it is missing or,
+    given a shape tuple, of another shape."""
     if key not in arrays:
         raise FormatError(f"checkpoint has no section {key!r}")
+    if shape is not None and arrays[key].shape != shape:
+        raise FormatError(f"checkpoint section {key!r} has shape "
+                          f"{arrays[key].shape}, expected {shape}")
     return arrays[key]
 
 

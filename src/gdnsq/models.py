@@ -42,7 +42,7 @@ probe rng on every site.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -58,10 +58,12 @@ from .quantizer import FakeQuantizer
 from .tensor import Tensor
 
 
+# A layer's n_in and n_out are its feature counts (linear) or its channel
+# counts (conv2d).
 @dataclass
 class Linear:
-    in_features: int
-    out_features: int
+    n_in: int
+    n_out: int
     activation: str = "relu"
     batchnorm: bool = False
     kind: str = field(default="linear", init=False)
@@ -69,14 +71,22 @@ class Linear:
 
 @dataclass
 class Conv2d:
-    in_channels: int
-    out_channels: int
+    n_in: int
+    n_out: int
     kernel: int = 3
     stride: int = 1
     padding: int = 1
     activation: str = "relu"
     batchnorm: bool = True
     kind: str = field(default="conv2d", init=False)
+
+
+# per layer kind, its dataclass and the JSON keys of its init fields, in
+# their order
+_SPEC_LAYERS = {
+    "linear": (Linear, ("in", "out", "act", "bn")),
+    "conv2d": (Conv2d, ("in", "out", "kernel", "stride", "pad", "act", "bn")),
+}
 
 
 @dataclass
@@ -87,19 +97,15 @@ class ModelSpec:
     def __post_init__(self):
         if not self.layers:
             raise SpecError("empty layer list")
-        prev_out = None
-        for i, layer in enumerate(self.layers):
-            cur_in = (layer.in_features if layer.kind == "linear"
-                      else layer.in_channels)
-            if prev_out is not None and cur_in != prev_out:
+        for i in range(1, len(self.layers)):
+            n_in, prev_out = self.layers[i].n_in, self.layers[i - 1].n_out
+            if n_in != prev_out:
                 raise SpecError(
-                    f"layer {i} expects {cur_in} inputs but layer {i-1} "
+                    f"layer {i} expects {n_in} inputs but layer {i-1} "
                     f"produces {prev_out}"
                 )
-            prev_out = (layer.out_features if layer.kind == "linear"
-                        else layer.out_channels)
         last = self.layers[-1]
-        if last.kind != "linear" or last.out_features != self.num_classes:
+        if last.kind != "linear" or last.n_out != self.num_classes:
             raise SpecError("final layer must be linear emitting num_classes")
 
 
@@ -128,25 +134,14 @@ def make_model_spec(spec_id: str, in_features: int, num_classes: int) -> ModelSp
 
 
 def spec_to_dict(spec: ModelSpec) -> dict:
+    """The JSON object of spec: each layer's kind and its init fields under
+    its ``_SPEC_LAYERS`` keys."""
     layers = []
     for l in spec.layers:
-        if l.kind == "linear":
-            layers.append({"kind": "linear", "in": l.in_features,
-                           "out": l.out_features, "act": l.activation,
-                           "bn": l.batchnorm})
-        else:
-            layers.append({"kind": "conv2d", "in": l.in_channels,
-                           "out": l.out_channels, "kernel": l.kernel,
-                           "stride": l.stride, "pad": l.padding,
-                           "act": l.activation, "bn": l.batchnorm})
+        values = [getattr(l, f.name) for f in fields(l) if f.init]
+        layers.append({"kind": l.kind,
+                       **dict(zip(_SPEC_LAYERS[l.kind][1], values))})
     return {"layers": layers, "num_classes": spec.num_classes}
-
-
-# per layer kind, its dataclass and its keys in the order of its fields
-_SPEC_LAYERS = {
-    "linear": (Linear, ("in", "out", "act", "bn")),
-    "conv2d": (Conv2d, ("in", "out", "kernel", "stride", "pad", "act", "bn")),
-}
 
 
 def _spec_value(i, layer, key):
@@ -331,22 +326,15 @@ class _Layer:
         self.weight_fq = None
         self.act_fq = None
         if spec.kind == "linear":
-            fan_in = spec.in_features
+            shape, fan_in = (spec.n_in, spec.n_out), spec.n_in
             gain = 2.0 if spec.activation == "relu" else 1.0
-            self.W = Tensor(rng.normal(0.0, np.sqrt(gain / fan_in),
-                                       size=(spec.in_features, spec.out_features)),
-                            requires_grad=True)
-            self.b = Tensor(np.zeros(spec.out_features), requires_grad=True)
-            n_out = spec.out_features
         else:
-            fan_in = spec.in_channels * spec.kernel * spec.kernel
-            self.W = Tensor(rng.normal(0.0, np.sqrt(2.0 / fan_in),
-                                       size=(spec.out_channels, spec.in_channels,
-                                             spec.kernel, spec.kernel)),
-                            requires_grad=True)
-            self.b = Tensor(np.zeros(spec.out_channels), requires_grad=True)
-            n_out = spec.out_channels
-        self.bn = BatchNorm(n_out) if spec.batchnorm else None
+            shape = (spec.n_out, spec.n_in, spec.kernel, spec.kernel)
+            fan_in, gain = spec.n_in * spec.kernel * spec.kernel, 2.0
+        self.W = Tensor(rng.normal(0.0, np.sqrt(gain / fan_in), size=shape),
+                        requires_grad=True)
+        self.b = Tensor(np.zeros(spec.n_out), requires_grad=True)
+        self.bn = BatchNorm(spec.n_out) if spec.batchnorm else None
 
     def params(self):
         """W, b, then the batchnorm gamma and beta when present."""
@@ -364,8 +352,7 @@ class _Layer:
     def forward(self, x: np.ndarray, train: bool, sites=None,
                 input_grad=False) -> np.ndarray:
         spec, bn = self.spec, self.bn
-        linear = spec.kind == "linear"
-        n_in = spec.in_features if linear else spec.in_channels
+        linear, n_in = spec.kind == "linear", spec.n_in
         if x.ndim not in ((2, 4) if linear else (4,)) or x.shape[1] != n_in:
             want = (f"a 2-d input with {n_in} features or a 4-d one"
                     if linear else "a 4-d input")
@@ -514,17 +501,16 @@ class Model:
         """Hold the arrays state_arrays names, written into the arrays the
         model holds, so a parameter stays a view of its optimizer's flat
         buffer (``optim.RAdam``); without quant/ sections (a teacher's
-        state) the quantizers stay as they are. A missing section raises
-        FormatError naming it."""
+        state) the quantizers stay as they are. A section that is missing,
+        or shaped unlike what it loads into, raises FormatError naming it."""
         student = any(key.startswith("quant/") for key in arrays)
         for key, owner, attr in self._state():
             if student or not key.startswith("quant/"):
                 held = getattr(owner, attr)
-                held[...] = np.asarray(section(arrays, key),
-                                       dtype=np.float64).reshape(held.shape)
+                held[...] = section(arrays, key, held.shape)
         for fq in self.all_quantizers() if student else ():
-            fq.initialized = bool(section(arrays,
-                                          f"quant/{fq.name}/initialized"))
+            fq.initialized = bool(section(
+                arrays, f"quant/{fq.name}/initialized", ()))
 
     def copy_weights_from(self, other: "Model"):
         """Load other's state (a teacher's); the values are copied into

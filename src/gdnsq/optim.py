@@ -118,22 +118,21 @@ class RAdam:
         else:
             data -= self.lr * m_hat
 
-    def state_arrays(self):
-        """The checkpoint sections of the step count and the moments:
-        ``opt/t``, ``opt/m/<name>`` and ``opt/v/<name>``."""
-        out = {"opt/t": np.asarray(self.t, dtype=np.int64)}
+    def _moments(self):
+        """(section, view) of each moment; these and opt/t are the state."""
         for name, _ in self.params:
-            out[f"opt/m/{name}"] = self.m[name]
-            out[f"opt/v/{name}"] = self.v[name]
-        return out
+            yield f"opt/m/{name}", self.m[name]
+            yield f"opt/v/{name}", self.v[name]
+
+    def state_arrays(self):
+        """The checkpoint sections of the step count and the moments."""
+        return {"opt/t": np.asarray(self.t, dtype=np.int64),
+                **dict(self._moments())}
 
     def load_state_arrays(self, arrays):
         """Read the sections state_arrays names into the step count and
-        the moment buffers; FormatError names a missing one."""
-        self.t = int(section(arrays, "opt/t"))
-        for name, p in self.params:
-            for key, held in ((f"opt/m/{name}", self.m[name]),
-                              (f"opt/v/{name}", self.v[name])):
-                held[...] = np.asarray(section(arrays, key),
-                                       dtype=np.float64).reshape(p.data.shape)
-
+        the moment buffers; FormatError names one that is missing or
+        shaped unlike what it loads into."""
+        self.t = int(section(arrays, "opt/t", ()))
+        for key, held in self._moments():
+            held[...] = section(arrays, key, held.shape)

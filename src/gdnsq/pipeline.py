@@ -28,13 +28,14 @@ an audit where the max actual bit-width meets every target, then decays
 by 0.9985 per batch, a one-way switch. The run sets its rng,
 ``noise_mode`` and batchnorm freezing on the student it trains.
 
-A student checkpoint holds the run config, the spec, the model's
-``state_arrays`` and ``meta/epoch`` (0 after PTQ). QAT adds the run's
-sections, which ``QatRun.state_arrays`` writes and ``load_state_arrays``
-reads: ``opt/*``, ``rng/state``, ``meta/epoch``,
-``sched/step_n|c_r|c_r_sum``, ``lr/phase|lam``, ``best/val_acc|epoch``
-and ``meta/reached_epoch`` (an epoch of -1: none). ``lr/reached``, 1 once
-a reached epoch is set, is written for the checkpoint format and not read.
+Teacher and student checkpoints share one writer (``_model_arrays``: the
+config object, the spec and the model's ``state_arrays``) and one reader
+(``read_model``). A student checkpoint adds ``meta/epoch``, 0 after PTQ
+and not read there. QAT adds the run's sections: the optimizer's,
+``rng/state`` and one list of scalars, ``QatRun._SCALARS``, which
+``QatRun.state_arrays`` writes and ``load_state_arrays`` reads, an epoch
+of None stored as -1. ``lr/reached``, 1 once a reached epoch is set, is
+written for the checkpoint format and never read.
 
 Integer fusion works on the model's own layers: ``fuse_student`` takes
 each quantized ``models._Layer``'s integer weights from its weight site's
@@ -251,29 +252,49 @@ def audit_bitwidth(model: Model, val_inputs, val_labels) -> BitWidthReport:
 # -- checkpoints ---------------------------------------------------------------
 
 
+def _model_arrays(config: dict, model: Model) -> dict:
+    """The sections of a model checkpoint, teacher or student: the config
+    object, the spec and the model's state."""
+    return {"config/json": json_to_array(config),
+            "spec/json": json_to_array(spec_to_dict(model.spec)),
+            **model.state_arrays()}
+
+
+def read_model(arrays, path, quantized: bool):
+    """(config object, model) of the arrays _model_arrays wrote, read from
+    path; PipelineError for arrays without a config object, and for a
+    student's (one with quant/ sections) unless quantized or a teacher's
+    if quantized. A missing or malformed spec raises FormatError."""
+    config = (array_to_json(section(arrays, "config/json"))
+              if "config/json" in arrays else None)
+    if not isinstance(config, dict) or \
+            quantized != any(key.startswith("quant/") for key in arrays):
+        kind = "student" if quantized else "teacher"
+        raise PipelineError(f"{path} is not a {kind} checkpoint")
+    spec = spec_from_dict(array_to_json(section(arrays, "spec/json")))
+    model = Model(spec, quantized=quantized)
+    model.load_state_arrays(arrays)
+    return config, model
+
+
 def build_student_arrays(config: RunConfig, model: Model, run=None) -> dict:
     """The student checkpoint of config and model, with the sections of
     the QAT run when one is given."""
-    arrays = {
-        "config/json": json_to_array(config.to_dict()),
-        "spec/json": json_to_array(spec_to_dict(model.spec)),
-        "meta/epoch": np.asarray(0, dtype=np.int64),
-    }
-    arrays.update(model.state_arrays())
-    if run is not None:
-        arrays.update(run.state_arrays())
+    arrays = _model_arrays(config.to_dict(), model)
+    arrays.update(run.state_arrays() if run is not None
+                  else {"meta/epoch": np.asarray(0, dtype=np.int64)})
     return arrays
 
 
 def load_student(path):
-    """Rebuild (config, spec, model, arrays) from a student checkpoint;
-    PipelineError if its config is not a RunConfig (a teacher's, say),
+    """Rebuild (config, spec, model, arrays) from a student checkpoint
+    (``read_model``); PipelineError if its config is not a RunConfig,
     FormatError for a config value of another type than its default's (an
-    integer for a float too) and for a missing or malformed spec."""
+    integer for a float too)."""
     arrays = load_arrays(path)
-    saved = array_to_json(arrays["config/json"]) if "config/json" in arrays else {}
+    saved, model = read_model(arrays, path, quantized=True)
     defaults = RunConfig().to_dict()
-    if not isinstance(saved, dict) or set(saved) != set(defaults):
+    if set(saved) != set(defaults):
         raise PipelineError(f"{path} is not a student checkpoint")
     for key, default in defaults.items():
         want = (int, float) if isinstance(default, float) else type(default)
@@ -281,38 +302,18 @@ def load_student(path):
                 or isinstance(saved[key], bool) != isinstance(default, bool):
             raise FormatError(f"{path}: config {key} must be of type "
                               f"{type(default).__name__}, got {saved[key]!r}")
-    config = RunConfig(**saved)
-    spec = spec_from_dict(array_to_json(section(arrays, "spec/json")))
-    model = Model(spec, quantized=True)
-    model.load_state_arrays(arrays)
-    return config, spec, model, arrays
+    return RunConfig(**saved), model.spec, model, arrays
 
 
 def save_teacher(path, model: Model, meta: dict):
     """The teacher's state, with meta (its val accuracy, how it was trained)
     and its spec as JSON."""
-    arrays = {
-        "config/json": json_to_array(meta),
-        "spec/json": json_to_array(spec_to_dict(model.spec)),
-    }
-    arrays.update(model.state_arrays())
-    save_arrays(path, arrays)
+    save_arrays(path, _model_arrays(meta, model))
 
 
 def load_teacher(path):
-    """(model, meta) of a teacher checkpoint; PipelineError for a
-    student's (one with quant/ sections) and for one without a teacher's
-    config object and spec (a fused container, say)."""
-    arrays = load_arrays(path)
-    if any(key.startswith("quant/") for key in arrays):
-        raise PipelineError(f"{path} is a student checkpoint, not a teacher")
-    if not {"config/json", "spec/json"} <= arrays.keys():
-        raise PipelineError(f"{path} is not a teacher checkpoint")
-    meta = array_to_json(arrays["config/json"])
-    if not isinstance(meta, dict):
-        raise PipelineError(f"{path} is not a teacher checkpoint")
-    model = Model(spec_from_dict(array_to_json(arrays["spec/json"])))
-    model.load_state_arrays(arrays)
+    """(model, meta) of a teacher checkpoint (``read_model``)."""
+    meta, model = read_model(load_arrays(path), path, quantized=False)
     return model, meta
 
 
@@ -345,11 +346,11 @@ def _truncate_metrics(path, step: int):
                             "it wrote its metrics")
     with open(path, "rb") as f:
         lines = f.readlines()
-    end = 0
+    end, audit = 0, METRICS_HEADER.index("val_acc")
     for line in lines:
         end += len(line)
         row = next(csv.reader([line.decode("utf-8")]), [])
-        if len(row) > 8 and row[0] == str(step) and row[8] != "":
+        if len(row) > audit and row[0] == str(step) and row[audit] != "":
             os.truncate(path, end)
             return
     raise PipelineError(
@@ -357,17 +358,36 @@ def _truncate_metrics(path, step: int):
         "does not belong to the run being resumed")
 
 
-def _epoch_array(epoch):
-    return np.asarray(-1 if epoch is None else epoch, dtype=np.int64)
-
-
-def _epoch_or_none(arr):
-    return None if int(arr) < 0 else int(arr)
+# How a run's scalar is stored: (dtype, stored value of a value, value of
+# a stored one, or None when it is never read).
+_INT = (np.int64, int, int)
+_FLOAT = (np.float64, float, float)
+_EPOCH = (np.int64, lambda e: -1 if e is None else e,
+          lambda v: None if v < 0 else int(v))
+_PHASE = (np.int64, lambda p: int(p == "annealing"),
+          lambda v: "annealing" if v else "constant")
+_REACHED = (np.int64, lambda e: int(e is not None), None)
 
 
 class QatRun:
     """The state a QAT run of config carries between steps and epochs
     (module docstring), over the student it trains."""
+
+    # The run's scalar sections besides the optimizer's and rng/state:
+    # (section, attribute, storage, required: held by a qat last.ckpt but
+    # not by a PTQ student or a run saved before the best record was kept)
+    _SCALARS = (
+        ("meta/epoch", "epoch", _INT, False),
+        ("sched/step_n", "step_n", _INT, True),
+        ("sched/c_r", "c_r", _FLOAT, False),
+        ("sched/c_r_sum", "c_r_sum", _FLOAT, False),
+        ("lr/phase", "phase", _PHASE, False),
+        ("lr/lam", "lam", _FLOAT, False),
+        ("lr/reached", "reached_epoch", _REACHED, False),
+        ("best/val_acc", "best_val_acc", _FLOAT, True),
+        ("best/epoch", "best_epoch", _EPOCH, True),
+        ("meta/reached_epoch", "reached_epoch", _EPOCH, True),
+    )
 
     def __init__(self, config: RunConfig, student: Model):
         self.config = config
@@ -406,33 +426,22 @@ class QatRun:
         self.c_r = self.c_r_sum / self.step_n
 
     def state_arrays(self) -> dict:
+        """The run's sections: the optimizer's, rng/state and _SCALARS."""
         arrays = self.opt.state_arrays()
-        arrays.update({
-            "rng/state": pack_rng_state(self.rng),
-            "meta/epoch": np.asarray(self.epoch, dtype=np.int64),
-            "sched/step_n": np.asarray(self.step_n, dtype=np.int64),
-            "sched/c_r": np.asarray(self.c_r),
-            "sched/c_r_sum": np.asarray(self.c_r_sum),
-            "lr/phase": np.asarray(int(self.phase == "annealing"),
-                                   dtype=np.int64),
-            "lr/lam": np.asarray(self.lam),
-            "lr/reached": np.asarray(int(self.reached_epoch is not None),
-                                     dtype=np.int64),
-            "best/val_acc": np.asarray(float(self.best_val_acc)),
-            "best/epoch": _epoch_array(self.best_epoch),
-            "meta/reached_epoch": _epoch_array(self.reached_epoch),
-        })
+        arrays["rng/state"] = pack_rng_state(self.rng)
+        for key, attr, (dtype, store, _), _ in self._SCALARS:
+            arrays[key] = np.asarray(store(getattr(self, attr)), dtype=dtype)
         return arrays
 
     def load_state_arrays(self, arrays, path):
         """Resume from the checkpoint arrays read from path: the student's
         state and the run's sections. PipelineError for a checkpoint
-        without the optimizer, schedule or best-checkpoint state of a qat
-        last.ckpt, or written under another config
+        without the optimizer state or a section _SCALARS marks as
+        required, or written under another config
         (``_check_resume_config``); FormatError names any other section
-        that is missing."""
-        if not {"opt/t", "sched/step_n", "best/val_acc", "best/epoch",
-                "meta/reached_epoch"} <= arrays.keys():
+        that is missing or of another shape than what it loads into."""
+        required = {key for key, *_, need in self._SCALARS if need}
+        if not {"opt/t", *required} <= arrays.keys():
             raise PipelineError(
                 f"{path} has no optimizer or schedule state; resume from a "
                 "qat last.ckpt")
@@ -441,17 +450,9 @@ class QatRun:
         self.opt.load_state_arrays(arrays)
         self.rng.bit_generator.state = unpack_rng_state(
             section(arrays, "rng/state")).bit_generator.state
-        self.epoch = int(section(arrays, "meta/epoch"))
-        self.step_n = int(section(arrays, "sched/step_n"))
-        self.c_r = float(section(arrays, "sched/c_r"))
-        self.c_r_sum = float(section(arrays, "sched/c_r_sum"))
-        self.phase = ("annealing" if int(section(arrays, "lr/phase"))
-                      else "constant")
-        self.lam = float(section(arrays, "lr/lam"))
-        self.best_val_acc = float(section(arrays, "best/val_acc"))
-        self.best_epoch = _epoch_or_none(section(arrays, "best/epoch"))
-        self.reached_epoch = _epoch_or_none(
-            section(arrays, "meta/reached_epoch"))
+        for key, attr, (_, _, load), _ in self._SCALARS:
+            if load is not None:
+                setattr(self, attr, load(section(arrays, key, ())))
 
 
 def qat_run(config: RunConfig, teacher: Model, student: Model, out_dir,

@@ -480,6 +480,20 @@ def test_teacher_checkpoint_refused_where_a_student_is_read(workspace, tmp_path,
     assert "not a student checkpoint" in err
 
 
+def test_run_config_without_quantizer_state_is_not_a_student(workspace,
+                                                             tmp_path, capsys):
+    # a teacher's arrays under a student's run config: audit reported on
+    # sites that were never initialized before
+    _, teacher, student = workspace
+    arrays = load_arrays(teacher)
+    arrays["config/json"] = load_arrays(student)["config/json"]
+    bad = tmp_path / "bad.ckpt"
+    save_arrays(bad, arrays)
+    assert main(["audit", "--ckpt", str(bad)]) == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err == f"error: {bad} is not a student checkpoint\n"
+
+
 @pytest.mark.parametrize("command", ["ptq", "qat"])
 def test_student_checkpoint_refused_where_a_teacher_is_read(workspace,
                                                            tmp_path, capsys,
@@ -728,8 +742,13 @@ def test_malformed_layer_spec_refused(workspace, tmp_path, capsys, key, value,
 @pytest.mark.parametrize("key,value,named", [
     ("lr/lam", None, "'lr/lam'"),
     ("opt/m/model/0/W", None, "'opt/m/model/0/W'"),
-    ("config/json", json_to_array([1]), "holds no run config")],
-    ids=["no_lr_lam", "no_opt_moment", "config_a_list"])
+    ("config/json", json_to_array([1]), "holds no run config"),
+    ("sched/c_r", np.array([1.0, 2.0]),
+     "section 'sched/c_r' has shape (2,), expected ()"),
+    ("opt/m/layer1/act/log_s", np.zeros(3),
+     "section 'opt/m/layer1/act/log_s' has shape (3,), expected ()")],
+    ids=["no_lr_lam", "no_opt_moment", "config_a_list", "c_r_of_two_values",
+         "moment_of_three_values"])
 def test_resume_refuses_a_damaged_run_state(workspace, tmp_path, capsys, key,
                                             value, named):
     # the damage is written into the run's own last.ckpt, the only
@@ -749,6 +768,30 @@ def test_resume_refuses_a_damaged_run_state(workspace, tmp_path, capsys, key,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
     assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+
+
+@pytest.mark.parametrize("command", ["audit", "ptq"])
+def test_spec_that_does_not_fit_the_arrays_refused(workspace, tmp_path, capsys,
+                                                   command):
+    # every hidden size of the spec edited 48 -> 40, the arrays left as
+    # they are: a traceback from the reshape of the first layer before
+    _, teacher, student = workspace
+    arrays = load_arrays(student if command == "audit" else teacher)
+    spec = array_to_json(arrays["spec/json"])
+    for layer in spec["layers"]:
+        for key in ("in", "out"):
+            layer[key] = 40 if layer[key] == 48 else layer[key]
+    arrays["spec/json"] = json_to_array(spec)
+    bad = tmp_path / "bad.ckpt"
+    save_arrays(bad, arrays)
+    out = tmp_path / "ptq" / "student.ckpt"
+    argv = {"audit": ["audit", "--ckpt", str(bad)],
+            "ptq": ["ptq", "--ckpt", str(bad), "--out", str(out)]}[command]
+    assert main(argv) == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err == ("error: checkpoint section 'model/0/W' "
+                                    "has shape (2, 48), expected (2, 40)\n")
+    assert not out.parent.exists()
 
 
 def test_missing_model_section_is_named(workspace, tmp_path, capsys):

@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 
 from gdnsq import tensor as T
-from gdnsq.checkpoint import load_arrays
+from gdnsq.checkpoint import load_arrays, save_arrays
 from gdnsq.cli import main
 from gdnsq.data import Dataset
 from gdnsq.models import Model, make_model_spec
-from gdnsq.pipeline import ptq_minmax
+from gdnsq.pipeline import (QatRun, RunConfig, build_student_arrays,
+                            ptq_minmax, read_model, save_teacher)
 
 F8, I8, U1 = "float64", "int64", "uint8"
 
@@ -106,6 +107,56 @@ def test_ptq_student_sections(mlp4_run):
 
 def test_qat_last_sections(mlp4_run):
     assert sections(mlp4_run / "run" / "last.ckpt") == MLP4_QAT
+
+
+class Reads(dict):
+    """A checkpoint's arrays that note the name of each section read."""
+
+    def __init__(self, arrays):
+        super().__init__(arrays)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+def read_back(path, out):
+    """Read the checkpoint at path as the stage after the one that wrote it
+    does, write what was read to out, and return the sections never read."""
+    arrays = Reads(load_arrays(path))
+    quantized = "quant/layer1/act/log_s" in arrays
+    config, model = read_model(arrays, path, quantized)
+    if not quantized:
+        save_teacher(out, model, config)
+        return set(arrays) - arrays.read
+    config, run = RunConfig(**config), None
+    if "opt/t" in arrays:
+        run = QatRun(config, model)
+        run.load_state_arrays(arrays, path)
+    save_arrays(out, build_student_arrays(config, model, run))
+    return set(arrays) - arrays.read
+
+
+# lr/reached is written for the checkpoint format and never read; a PTQ
+# student's meta/epoch is 0, the epoch every run starts from
+@pytest.mark.parametrize("name,unread", [
+    ("teacher.ckpt", set()), ("ptq.ckpt", {"meta/epoch"}),
+    ("run/last.ckpt", {"lr/reached"})])
+def test_every_written_section_is_read_back(mlp4_run, tmp_path, name, unread):
+    path = mlp4_run / name
+    assert read_back(path, tmp_path / "again.ckpt") == unread
+    assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
+
+
+def test_run_sections_of_an_integer_lr0():
+    # a --config file may give lr0 as an integer; lr/lam was then written
+    # as int64 until the annealing phase, and as float64 after a resume
+    run = QatRun(RunConfig(lr0=1),
+                 Model(make_model_spec("mlp4", 2, 2), quantized=True))
+    arrays = run.state_arrays()
+    assert {k: str(a.dtype) for k, a in arrays.items()} == \
+        {k: MLP4_QAT[k] for k in arrays}
 
 
 def test_conv3_student_sections(tmp_path):

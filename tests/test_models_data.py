@@ -1,14 +1,18 @@
+import json
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gdnsq import tensor as T
 from gdnsq.data import Dataset, load_idx_dataset, make_synthetic, read_idx
 from gdnsq.errors import FormatError, NumericError, ShapeError, SpecError
 from gdnsq.kernels import conv2d_forward
-from gdnsq.models import (Conv2d, Linear, Model, ModelSpec, make_model_spec,
-                          spec_from_dict, spec_to_dict, train_teacher)
+from gdnsq.models import (_SPEC_LAYERS, Conv2d, Linear, Model, ModelSpec,
+                          make_model_spec, spec_from_dict, spec_to_dict,
+                          train_teacher)
 from gdnsq.oracles import finite_difference_grads
 from gdnsq.pipeline import ptq_minmax
 
@@ -343,10 +347,36 @@ class TestTeacher:
         assert meta["val_acc"] >= 0.95
 
 
-def test_spec_round_trip():
-    spec = make_model_spec("conv3", 3, 10)
+@st.composite
+def model_specs(draw):
+    """A chain of 1-5 linear and conv layers of random sizes and settings,
+    ending in a linear layer, as ModelSpec requires."""
+    n = draw(st.integers(1, 5))
+    sizes = draw(st.lists(st.integers(1, 64), min_size=n + 1,
+                          max_size=n + 1))
+    layers = []
+    for i in range(n):
+        act = draw(st.sampled_from(["relu", "identity"]))
+        bn = draw(st.booleans())
+        if i < n - 1 and draw(st.booleans()):
+            layers.append(Conv2d(sizes[i], sizes[i + 1],
+                                 draw(st.integers(1, 7)),
+                                 draw(st.integers(1, 4)),
+                                 draw(st.integers(0, 3)), act, bn))
+        else:
+            layers.append(Linear(sizes[i], sizes[i + 1], act, bn))
+    return ModelSpec(layers, sizes[-1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(model_specs())
+@example(make_model_spec("conv3", 3, 10))
+def test_spec_round_trip(spec):
     again = spec_from_dict(spec_to_dict(spec))
     assert spec_to_dict(again) == spec_to_dict(spec)
+    assert spec_from_dict(json.loads(json.dumps(spec_to_dict(spec)))) == spec
+    for layer in spec_to_dict(spec)["layers"]:
+        assert set(layer) == {"kind", *_SPEC_LAYERS[layer["kind"]][1]}
 
 
 @pytest.mark.parametrize("key,value", [

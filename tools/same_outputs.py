@@ -19,8 +19,10 @@ PYTHONPATH, BLAS on one thread and the same relative paths. It covers:
 * conv3 on the benchmark's bar images (IDX files of seed 1): train-fp;
   ptq; qat at 8/8; qat with frozen batchnorm at 10/10; 3-epoch qats with
   rounding_residual and with bernoulli_variance_matched probes, whose
-  scale gradients are read over the batch-last activations; audit; and
-  fuse, which the program refuses for conv layers;
+  scale gradients are read over the batch-last activations; a 2-epoch
+  qat resumed in place to 3, which reads back the run and optimizer
+  sections of a student with batchnorm; audit; and fuse, which the
+  program refuses for conv layers;
 * ``gdnsq verify``.
 
 Every command's exit code and stdout and every file left in the run
@@ -90,6 +92,9 @@ def scenario(bars: str):
          "--out", "conv/qat_rr"],
         [*cqat, "--epochs", "3", "--noise-mode",
          "bernoulli_variance_matched", "--out", "conv/qat_vm"],
+        [*cqat, "--epochs", "2", "--out", "conv/qat_resume"],
+        [*cqat, "--epochs", "3", "--resume", "conv/qat_resume/last.ckpt",
+         "--out", "conv/qat_resume"],
         ["audit", "--ckpt", "conv/qat/last.ckpt", *conv],
         ["fuse", "--ckpt", "conv/qat/last.ckpt", "--out", "conv/fused.ckpt"],
         ["verify"],
