@@ -10,8 +10,9 @@ overrides the defaults; the resolved merge is written to run.json, next to
 the outputs, once the command has succeeded. train-fp's defaults are
 TRAIN_FP_DEFAULTS. ptq and qat --no-ptq build their student on one path,
 from the teacher's recorded split and model id; qat --ckpt and audit
-start from their student's settings. GDNSQ_SEED is a fallback seed. Exit
-codes: 0 success, 1 runtime failure, 2 usage error, 3 oracle failure.
+start from their student's settings; a command run without --seed uses
+seed 0. Exit codes: 0 success, 1 runtime failure, 2 usage error, 3 oracle
+failure.
 
 main first sets the C heap (set_heap): glibc serves an allocation of
 128 KiB or more with a fresh mmap and trims the top of its heap, and
@@ -69,16 +70,6 @@ def set_heap() -> None:
     mallopt(_M_TRIM_THRESHOLD, HEAP_THRESHOLD)
 
 
-def _env_seed():
-    v = os.environ.get("GDNSQ_SEED")
-    if not v:
-        return None
-    try:
-        return int(v)
-    except ValueError:
-        raise DomainError(f"GDNSQ_SEED must be an integer, got {v!r}") from None
-
-
 # the settings that pick a dataset and its splits; train-fp records them in
 # the teacher's meta, and a student built from the teacher reads them there
 DATA_KEYS = ("dataset", "data_seed", "n_train", "n_val")
@@ -86,7 +77,7 @@ DATA_KEYS = ("dataset", "data_seed", "n_train", "n_val")
 # train-fp's settings, and the fallback for a teacher without its splits
 TRAIN_FP_DEFAULTS = {"model": "mlp3", "dataset": "two_gaussians",
                      "data_seed": 0, "n_train": 1024, "n_val": 512,
-                     "seed": None, "epochs": 60, "lr": 0.01, "batch_size": 32}
+                     "seed": 0, "epochs": 60, "lr": 0.01, "batch_size": 32}
 
 
 def _check_file_value(cfg_path, key, value, flag):
@@ -139,8 +130,6 @@ def _merge_config(args, defaults: dict) -> dict:
         val = getattr(args, key, None)
         if val is not None:
             merged[key] = val
-    if merged.get("seed") is None:
-        merged["seed"] = _env_seed() or 0
     return merged
 
 
@@ -226,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the oracle suite")
     p.add_argument("--filter", help="only oracles whose name contains this")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("export-metrics", help="check a run's metrics CSV "
                                               "row by row and re-emit it")
@@ -283,7 +272,7 @@ def _ptq_student(args, teacher_path, defaults: dict, bits: float):
 
 def cmd_ptq(args) -> int:
     config, _, meta, student, _, val = _ptq_student(
-        args, args.ckpt, {"noise_mode": "bernoulli", "seed": None}, PTQ_BITS)
+        args, args.ckpt, {"noise_mode": "bernoulli", "seed": 0}, PTQ_BITS)
     acc = student.accuracy(val.inputs, val.labels)
     save_arrays(args.out, build_student_arrays(config, student))
     _write_run_json(os.path.dirname(os.path.abspath(args.out)),
@@ -295,7 +284,7 @@ def cmd_ptq(args) -> int:
 
 def cmd_qat(args) -> int:
     # a run draws its own seed, and records where its student came from
-    run = {"seed": None, "ptq_enabled": not args.no_ptq}
+    run = {"seed": 0, "ptq_enabled": not args.no_ptq}
     if args.no_ptq:
         config, teacher, _, student, train, val = _ptq_student(
             args, args.teacher, {**RunConfig().to_dict(), **run},
@@ -328,10 +317,9 @@ def cmd_verify(args) -> int:
     # the oracle suite is imported here: no other command uses it
     from .oracles import run_all
 
-    seed = args.seed if args.seed is not None else (_env_seed() or 0)
-    if seed < 0:
-        raise DomainError(f"seed must be >= 0, got {seed}")
-    reports = run_all(name_filter=args.filter, seed=seed)
+    if args.seed < 0:
+        raise DomainError(f"seed must be >= 0, got {args.seed}")
+    reports = run_all(name_filter=args.filter, seed=args.seed)
     if not reports:
         raise DomainError(f"no oracle check matches {args.filter!r}")
     for r in reports:

@@ -412,6 +412,8 @@ class Model:
     def __init__(self, spec: ModelSpec, quantized=False, init_seed=0,
                  quant_rng=None):
         self.spec = spec
+        # read by the pipeline benchmark's tracer (pipebench/spans.py) to
+        # tell a teacher's forward from a student's
         self.quantized = quantized
         rng = np.random.default_rng([init_seed, 0x6D6F64])
         self.layers = [_Layer(ls, rng, f"layer{i}")

@@ -10,15 +10,11 @@ each entry's input is the output of the entry before it.
 
 ``backward`` sweeps the entries once in reverse. It seeds the last entry,
 the loss, with ``np.ones(())``, hands one gradient array from entry to
-entry, and writes every parameter gradient into a caller-owned array per
-parameter (``RAdam.slots``, views of the optimizer's flat gradient
-buffer), summing each parameter's terms in the order the entries are
-swept. An array term goes straight into the slot: the first write of a
-sweep assigns, later ones add. A Python float term, the gradient of a
-quantizer site's scalar parameter, is added to a Python float, and the
-slot is written once after the sweep; a Python float add costs a small
-fraction of an in-place add on a 0-d array. The chain is rebuilt per
-forward pass (``reset_tape``); nothing is cached between passes.
+entry, and sums each parameter's terms in the order the entries are
+swept; after the last entry it writes each sum once into a caller-owned
+array per parameter (``RAdam.slots``, views of the optimizer's flat
+gradient buffer). The chain is rebuilt per forward pass (``reset_tape``);
+nothing is cached between passes.
 
 A forward records exactly when it trains: with ``train=True`` each layer
 appends its entry, an eval forward appends nothing.
@@ -107,25 +103,20 @@ def record(x, params, out, rule, name):
 def backward(slots: dict):
     """Sweep the chain once in reverse, from its last entry, the loss.
 
-    Writes the gradient of every parameter on the chain into slots[p] and
-    returns the gradient of the first entry's input, or None when that
-    entry computes none. A parameter's terms are summed in the order the
-    entries are swept, starting from its first term. Python float terms
-    (the scalar gradients of the quantizer sites) are summed in Python and
-    written to the slot once, after the sweep; array terms are assigned at
-    a parameter's first write and added after that. A parameter that gets
-    both kinds keeps the same order: its float sum so far is written when
-    its first array term arrives, and later terms are added to the slot.
-    Every array in slots must be written. A chain whose last output is not
-    a scalar, or whose entry after the first returns no gradient of its
-    input, raises ContractError.
+    Sums each parameter's terms, arrays or Python floats, in the order the
+    entries are swept, starting from its first term, then writes every
+    sum into slots[p] once, after the last entry's rule has run; a sweep
+    that raises writes no slot. Returns the gradient of the first entry's
+    input, or None when that entry computes none. Every array in slots
+    must be written. A chain whose last output is not a scalar, or whose
+    entry after the first returns no gradient of its input, raises
+    ContractError.
     """
     entries = _CHAIN.entries
     if not entries or np.ndim(_CHAIN.head) != 0:
         raise ContractError("the chain does not end in a scalar loss entry")
     g = np.ones(())
-    sums = {}  # parameter -> sum of its float terms, not yet in its slot
-    written = set()  # parameters whose slot holds their terms so far
+    sums = {}  # parameter -> sum of its terms so far, in sweep order
     for i in range(len(entries) - 1, -1, -1):
         e = entries[i]
         grads = e.rule(g)
@@ -134,26 +125,13 @@ def backward(slots: dict):
             raise ContractError(f"{e.name}: no gradient of its input, the "
                                 f"output of {entries[i - 1].name}")
         for p, gp in zip(e.params, grads[1:]):
-            slot = slots.get(p)
-            if slot is None:
+            if p not in slots:
                 raise ContractError(f"{e.name}: no slot for parameter "
                                     f"{p.name or p!r}")
-            if type(gp) is float and p not in written:
-                sums[p] = sums[p] + gp if p in sums else gp
-                continue
-            if p in written:
-                slot += gp
-                continue
-            if p in sums:  # its float terms so far come first
-                slot[...] = sums.pop(p)
-                slot += gp
-            else:
-                slot[...] = gp
-            written.add(p)
+            sums[p] = sums[p] + gp if p in sums else gp
+    if len(sums) != len(slots):
+        missing = [p.name or repr(p) for p in slots if p not in sums]
+        raise ContractError(f"no gradient reached {missing}")
     for p, total in sums.items():
         slots[p][...] = total
-    written.update(sums)
-    if len(written) != len(slots):
-        missing = [p.name or repr(p) for p in slots if p not in written]
-        raise ContractError(f"no gradient reached {missing}")
     return g

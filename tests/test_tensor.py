@@ -1,7 +1,7 @@
 """The general tape (reference_tape) and the primitive ops the reference
 graphs are built from (primitives), against finite differences, and the
 training chain of gdnsq.tensor: its line check, its write order and its
-refusals."""
+refusals, on hand-built chains and on one QAT step of a PTQ student."""
 
 import numpy as np
 import pytest
@@ -9,8 +9,13 @@ import pytest
 import primitives as P
 import reference_tape as R
 from gdnsq import tensor as T
+from gdnsq.data import Dataset
 from gdnsq.errors import ContractError, NumericError, ShapeError
+from gdnsq.losses import teacher_probs, total_loss
+from gdnsq.models import Model, make_model_spec
+from gdnsq.optim import RAdam
 from gdnsq.oracles import finite_difference_grads
+from gdnsq.pipeline import ptq_minmax
 from gdnsq.tensor import Tensor
 
 
@@ -351,6 +356,21 @@ class TestChain:
         assert slot.log[0] == "assign" and "assign" not in slot.log[1:]
         assert float(slot) == ((1e16 + 1.0) - 1e16) + 0.5 == 0.5
 
+    def test_a_rule_that_raises_leaves_every_slot_untouched(self):
+        p = Tensor(0.0, requires_grad=True, name="p")
+
+        def overflow(g):
+            raise NumericError("layer: overflow")
+
+        h = T.record(np.zeros(2), [p], np.ones(2), overflow, "layer")
+        # the loss entry, swept first, gives p an array term
+        T.record(h, [p], np.asarray(2.0),
+                 lambda g: (g * np.ones(2), np.asarray(5.0)), "loss")
+        slot = logged_slot(99.0)
+        with pytest.raises(NumericError, match="overflow"):
+            T.backward({p: slot})
+        assert slot.log == [] and float(slot) == 99.0
+
     def test_float_term_without_a_slot_rejected(self):
         p = Tensor(1.0, requires_grad=True, name="p")
         T.record(None, [p], np.asarray(1.0), lambda g: (None, 1.0), "loss")
@@ -393,3 +413,40 @@ class TestChain:
         T.record(None, [p], np.asarray(1.0), lambda g: (None, g), "loss")
         with pytest.raises(ContractError, match="no gradient reached.*'q'"):
             T.backward({p: np.zeros(()), q: np.zeros(())})
+
+
+@pytest.mark.parametrize("model_id", ["mlp4", "conv3"])
+def test_qat_step_assigns_every_slot_once(model_id):
+    # one QAT step of a PTQ student: its forward and total_loss, swept into
+    # logged views of the optimizer's gradient buffer, then swept again
+    # into the optimizer's own slots with the same probe draws
+    rng = np.random.default_rng(3)
+    shape = (16, 2, 6, 6) if model_id == "conv3" else (16, 2)
+    ds = Dataset(rng.normal(size=shape), rng.integers(0, 3, size=16),
+                 num_classes=3)
+    spec = make_model_spec(model_id, 2, 3)
+    teacher = Model(spec, init_seed=3)
+    probes = np.random.default_rng(4)
+    student = Model(spec, quantized=True, quant_rng=probes)
+    student.copy_weights_from(teacher)
+    ptq_minmax(student, ds, 4.0)
+    opt = RAdam(student.named_parameters(), lr=1e-3)
+    T.reset_tape()
+    logits = student.forward(ds.inputs, train=True)
+    total_loss(logits, teacher_probs(teacher.predict_logits(ds.inputs)),
+               student.weight_quantizers(), student.act_quantizers(),
+               (3.0, 3.0), 0.5)
+    draws = probes.bit_generator.state
+    slots = {}
+    for name, p in student.named_parameters():
+        slots[p] = opt.g[name].view(_LoggedSlot)
+        slots[p].log = []
+    T.backward(slots)
+    logs = {name: slots[p].log for name, p in student.named_parameters()}
+    assert logs == dict.fromkeys(logs, ["assign"])
+    logged = opt._g.tobytes()
+    opt._g[...] = np.nan
+    probes.bit_generator.state = draws
+    T.backward(opt.slots)
+    T.reset_tape()
+    assert opt._g.tobytes() == logged

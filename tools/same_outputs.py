@@ -110,6 +110,7 @@ def run_tree(src: str, work: str):
                           os.path.join(work, "bars"))
     bars = "idx:" + ":".join(os.path.relpath(p, work)
                              for p in data.split(":")[1:])
+    # trees before the seed fallback was removed read GDNSQ_SEED as a seed
     env = {k: v for k, v in os.environ.items() if k != "GDNSQ_SEED"}
     env.update(ONE_THREAD, PYTHONPATH=os.path.abspath(src))
     runs = []
