@@ -42,7 +42,12 @@ quartile over the rounds, so one run tells a change between two trees
 from the rounds' spread. The host's speed changes from second to second
 (shared CPUs), and like pipebench's stage times
 (``spans.fast_stage_time``) the minimum reads every tree at the host's
-fast speed. The file is written afresh.
+fast speed. One run's minimum still moves by more than the differences a
+change is judged on, so name the parent tree twice (``--tree parent=P
+--tree again=P --tree change=C``): the two parent columns differ only by
+the host's noise, which measures the A/A band in the same run, and "an
+entry is not slower" holds when the change's value lies within that band
+of the parent's. The file is written afresh.
 """
 
 from __future__ import annotations

@@ -14,6 +14,9 @@ byte-identical. Writes create the parent directory when it is missing and
 go through a temp file and an atomic rename. ``section`` reads one
 section of loaded arrays, checked against the shape the caller holds (()
 for a scalar); a FormatError names one that is missing or of another shape.
+A non-array payload is one uint8 section of compact JSON
+(``json_to_array``): ``config/json``, ``spec/json`` and a QAT run's
+``rng/state``, the probe generator's state.
 """
 
 from __future__ import annotations
@@ -119,33 +122,3 @@ def array_to_json(arr: np.ndarray):
     except ValueError as e:  # UnicodeDecodeError and JSONDecodeError alike
         raise FormatError(f"checkpoint JSON section is not UTF-8 JSON ({e})") \
             from None
-
-
-def pack_rng_state(gen: np.random.Generator) -> np.ndarray:
-    st = gen.bit_generator.state
-    if st["bit_generator"] != "PCG64":
-        raise FormatError(f"unsupported bit generator {st['bit_generator']}")
-    buf = (
-        st["state"]["state"].to_bytes(16, "little")
-        + st["state"]["inc"].to_bytes(16, "little")
-        + int(st["has_uint32"]).to_bytes(4, "little")
-        + int(st["uinteger"]).to_bytes(4, "little")
-    )
-    return np.frombuffer(buf, dtype=np.uint8).copy()
-
-
-def unpack_rng_state(arr: np.ndarray) -> np.random.Generator:
-    raw = bytes(np.asarray(arr, dtype=np.uint8))
-    if len(raw) != 40:
-        raise FormatError(f"rng state must be 40 bytes, got {len(raw)}")
-    gen = np.random.default_rng(0)
-    gen.bit_generator.state = {
-        "bit_generator": "PCG64",
-        "state": {
-            "state": int.from_bytes(raw[0:16], "little"),
-            "inc": int.from_bytes(raw[16:32], "little"),
-        },
-        "has_uint32": int.from_bytes(raw[32:36], "little"),
-        "uinteger": int.from_bytes(raw[36:40], "little"),
-    }
-    return gen

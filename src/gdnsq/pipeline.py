@@ -19,23 +19,23 @@ distance and the potential, ``gdnsq.tensor``), sweeps it once into the
 flat gradient buffer of its ``RAdam`` and steps.
 
 A QAT run's state between steps and epochs is one ``QatRun``: its
-``RAdam``, the probe rng, the step n, c_r (the mean distillation distance
-of the batches before n, 1 at n = 0) and its sum, the learning rate lambda
-and its phase, the epoch, the best record and the reached epoch, the
-first whose audit met the targets. Batch n trains with lambda and
-t_q = tq_init + lambda * n; lambda stays lr0 until the first batch after
-an audit where the max actual bit-width meets every target, then decays
-by 0.9985 per batch, a one-way switch. The run sets its rng,
-``noise_mode`` and batchnorm freezing on the student it trains.
+``RAdam``, the probe rng, the step n, the sum of the distillation
+distances of the batches before n (c_r, their mean, is 1 at n = 0), the
+learning rate lambda and its phase, the epoch, the best record and the
+reached epoch, the first whose audit met the targets. Batch n trains
+with lambda and t_q = tq_init + lambda * n; lambda stays lr0 until the
+first batch after an audit where the max actual bit-width meets every
+target, then decays by 0.9985 per batch, a one-way switch. The run sets
+its rng, ``noise_mode`` and batchnorm freezing on the student it trains.
 
 Teacher and student checkpoints share one writer (``_model_arrays``: the
 config object, the spec and the model's ``state_arrays``) and one reader
-(``read_model``). A student checkpoint adds ``meta/epoch``, 0 after PTQ
-and not read there. QAT adds the run's sections: the optimizer's,
-``rng/state`` and one list of scalars, ``QatRun._SCALARS``, which
-``QatRun.state_arrays`` writes and ``load_state_arrays`` reads, an epoch
-of None stored as -1. ``lr/reached``, 1 once a reached epoch is set, is
-written for the checkpoint format and never read.
+(``read_model``). A PTQ student is just that; QAT adds the run's
+sections, each read back on resume: the optimizer's (its step count is
+n, one step per batch), ``rng/state``, the generator's state as JSON like
+``config/json`` and ``spec/json``, and one list of scalars,
+``QatRun._SCALARS``, which ``QatRun.state_arrays`` writes and
+``load_state_arrays`` reads, an epoch of None stored as -1.
 
 Integer fusion works on the model's own layers: ``fuse_student`` takes
 each quantized ``models._Layer``'s integer weights from its weight site's
@@ -57,8 +57,7 @@ import numpy as np
 
 from . import tensor as T
 from .checkpoint import (array_to_json, json_to_array, load_arrays,
-                         pack_rng_state, save_arrays, section,
-                         unpack_rng_state)
+                         save_arrays, section)
 from .data import Dataset, load_idx_dataset, make_synthetic
 from .errors import (DomainError, FormatError, FusionError, NumericError,
                      PipelineError)
@@ -281,8 +280,8 @@ def build_student_arrays(config: RunConfig, model: Model, run=None) -> dict:
     """The student checkpoint of config and model, with the sections of
     the QAT run when one is given."""
     arrays = _model_arrays(config.to_dict(), model)
-    arrays.update(run.state_arrays() if run is not None
-                  else {"meta/epoch": np.asarray(0, dtype=np.int64)})
+    if run is not None:
+        arrays.update(run.state_arrays())
     return arrays
 
 
@@ -338,9 +337,12 @@ def _check_resume_config(path, arrays, config: RunConfig):
             + "); only epochs may change on resume")
 
 
-def _truncate_metrics(path, step: int):
+def _truncate_metrics(path, step: int) -> dict:
     """Cut metrics.csv after the audit row of the checkpointed step, so the
-    rows a crashed run wrote past its last checkpoint are not kept."""
+    rows a crashed run wrote past its last checkpoint are not kept, and
+    return that row's max actual bit-width of each kind. PipelineError,
+    before the file is cut, when there is no such row or either cell is
+    not an integer."""
     if not os.path.isfile(path):
         raise PipelineError(f"{path} is missing; a run resumes only where "
                             "it wrote its metrics")
@@ -351,22 +353,29 @@ def _truncate_metrics(path, step: int):
         end += len(line)
         row = next(csv.reader([line.decode("utf-8")]), [])
         if len(row) > audit and row[0] == str(step) and row[audit] != "":
+            try:
+                prev_max = {kind: int(row[METRICS_HEADER.index(col)])
+                            for kind, col in (("weight", "max_w_act"),
+                                              ("activation", "max_a_act"))}
+            except (IndexError, ValueError):
+                raise PipelineError(
+                    f"{path}: the audit row of step {step} has no integer "
+                    "max_w_act and max_a_act") from None
             os.truncate(path, end)
-            return
+            return prev_max
     raise PipelineError(
         f"{path} has no audit row for the checkpointed step {step}; it "
         "does not belong to the run being resumed")
 
 
 # How a run's scalar is stored: (dtype, stored value of a value, value of
-# a stored one, or None when it is never read).
+# a stored one).
 _INT = (np.int64, int, int)
 _FLOAT = (np.float64, float, float)
 _EPOCH = (np.int64, lambda e: -1 if e is None else e,
           lambda v: None if v < 0 else int(v))
 _PHASE = (np.int64, lambda p: int(p == "annealing"),
           lambda v: "annealing" if v else "constant")
-_REACHED = (np.int64, lambda e: int(e is not None), None)
 
 
 class QatRun:
@@ -375,15 +384,14 @@ class QatRun:
 
     # The run's scalar sections besides the optimizer's and rng/state:
     # (section, attribute, storage, required: held by a qat last.ckpt but
-    # not by a PTQ student or a run saved before the best record was kept)
+    # not by a PTQ student or a run saved before the best record was
+    # kept). step_n is the optimizer's opt/t and c_r follows from
+    # c_r_sum, so neither is stored.
     _SCALARS = (
         ("meta/epoch", "epoch", _INT, False),
-        ("sched/step_n", "step_n", _INT, True),
-        ("sched/c_r", "c_r", _FLOAT, False),
         ("sched/c_r_sum", "c_r_sum", _FLOAT, False),
         ("lr/phase", "phase", _PHASE, False),
         ("lr/lam", "lam", _FLOAT, False),
-        ("lr/reached", "reached_epoch", _REACHED, False),
         ("best/val_acc", "best_val_acc", _FLOAT, True),
         ("best/epoch", "best_epoch", _EPOCH, True),
         ("meta/reached_epoch", "reached_epoch", _EPOCH, True),
@@ -395,7 +403,6 @@ class QatRun:
         self.opt = RAdam(student.named_parameters(), lr=config.lr0)
         self.rng = np.random.default_rng([config.seed, 0x514154])
         self.step_n = 0
-        self.c_r = 1.0  # neutral before any distance is observed
         self.c_r_sum = 0.0
         self.lam = config.lr0
         self.phase = "constant"
@@ -408,6 +415,12 @@ class QatRun:
             fq.noise_mode = config.noise_mode
         student.set_bn_frozen(config.batchnorm_frozen)
 
+    @property
+    def c_r(self) -> float:
+        """The mean distillation distance of the batches before step_n,
+        which the next batch's loss uses; 1, neutral, before the first."""
+        return self.c_r_sum / self.step_n if self.step_n else 1.0
+
     def next_batch(self):
         """(lambda, t_q) of the next batch; lambda is also the optimizer's
         learning rate for its step."""
@@ -419,16 +432,14 @@ class QatRun:
         return self.lam, self.config.tq_init + self.lam * self.step_n
 
     def fold_distance(self, d: float):
-        """Count one more batch and fold its distance d into c_r, the mean
-        that the next batch's loss uses."""
+        """Count one more batch and add its distance d to c_r_sum."""
         self.c_r_sum += float(d)
         self.step_n += 1
-        self.c_r = self.c_r_sum / self.step_n
 
     def state_arrays(self) -> dict:
         """The run's sections: the optimizer's, rng/state and _SCALARS."""
         arrays = self.opt.state_arrays()
-        arrays["rng/state"] = pack_rng_state(self.rng)
+        arrays["rng/state"] = json_to_array(self.rng.bit_generator.state)
         for key, attr, (dtype, store, _), _ in self._SCALARS:
             arrays[key] = np.asarray(store(getattr(self, attr)), dtype=dtype)
         return arrays
@@ -439,7 +450,9 @@ class QatRun:
         without the optimizer state or a section _SCALARS marks as
         required, or written under another config
         (``_check_resume_config``); FormatError names any other section
-        that is missing or of another shape than what it loads into."""
+        that is missing or of another shape than what it loads into, and
+        an rng/state that does not store back to the same bytes (numpy
+        takes 1.5 for the integer 1)."""
         required = {key for key, *_, need in self._SCALARS if need}
         if not {"opt/t", *required} <= arrays.keys():
             raise PipelineError(
@@ -448,11 +461,19 @@ class QatRun:
         _check_resume_config(path, arrays, self.config)
         self.student.load_state_arrays(arrays)
         self.opt.load_state_arrays(arrays)
-        self.rng.bit_generator.state = unpack_rng_state(
-            section(arrays, "rng/state")).bit_generator.state
+        self.step_n = self.opt.t
+        stored = section(arrays, "rng/state")
+        try:
+            self.rng.bit_generator.state = array_to_json(stored)
+            same = np.array_equal(json_to_array(self.rng.bit_generator.state),
+                                  stored)
+        except (FormatError, TypeError, ValueError, KeyError, OverflowError):
+            same = False
+        if not same:
+            raise FormatError(f"{path}: checkpoint section 'rng/state' is "
+                              "not a PCG64 generator state in JSON")
         for key, attr, (_, _, load), _ in self._SCALARS:
-            if load is not None:
-                setattr(self, attr, load(section(arrays, key, ())))
+            setattr(self, attr, load(section(arrays, key, ())))
 
 
 def qat_run(config: RunConfig, teacher: Model, student: Model, out_dir,
@@ -493,11 +514,13 @@ def qat_run(config: RunConfig, teacher: Model, student: Model, out_dir,
 
     train_teacher = teacher_probs(teacher.predict_logits(train_ds.inputs))
     metrics_path = os.path.join(out_dir, "metrics.csv")
+    # each kind's max actual bit-width at the last audit
     if resume_path is None:
+        prev_max = {"weight": None, "activation": None}
         mfile = open(metrics_path, "w", newline="")
         csv.writer(mfile).writerow(METRICS_HEADER)
     else:
-        _truncate_metrics(metrics_path, run.step_n)
+        prev_max = _truncate_metrics(metrics_path, run.step_n)
         mfile = open(metrics_path, "a", newline="")
     writer = csv.writer(mfile)
 
@@ -507,7 +530,6 @@ def qat_run(config: RunConfig, teacher: Model, student: Model, out_dir,
     weight_fqs = student.weight_quantizers()
     act_fqs = student.act_quantizers()
     n = len(train_ds)
-    prev_max = {"weight": None, "activation": None}
     try:
         for epoch in range(run.epoch, config.epochs):
             order = run.rng.permutation(n)

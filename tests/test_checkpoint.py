@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gdnsq.checkpoint import (array_to_json, json_to_array, load_arrays,
-                              pack_rng_state, save_arrays, unpack_rng_state)
+                              save_arrays)
 from gdnsq.errors import FormatError
 
 
@@ -66,10 +66,13 @@ def test_json_round_trip():
 
 
 def test_rng_state_round_trip():
+    # a generator's state is stored as JSON; its 128-bit integers come back
+    # exact
     gen = np.random.default_rng(123)
     gen.normal(size=100)  # advance
-    packed = pack_rng_state(gen)
-    clone = unpack_rng_state(packed)
+    clone = np.random.default_rng(0)
+    clone.bit_generator.state = array_to_json(
+        json_to_array(gen.bit_generator.state))
     np.testing.assert_array_equal(gen.normal(size=50), clone.normal(size=50))
     np.testing.assert_array_equal(gen.integers(0, 2, size=32),
                                   clone.integers(0, 2, size=32))

@@ -738,31 +738,57 @@ def test_malformed_layer_spec_refused(workspace, tmp_path, capsys, key, value,
     ("lr/lam", None, "'lr/lam'"),
     ("opt/m/model/0/W", None, "'opt/m/model/0/W'"),
     ("config/json", json_to_array([1]), "holds no run config"),
-    ("sched/c_r", np.array([1.0, 2.0]),
-     "section 'sched/c_r' has shape (2,), expected ()"),
+    ("sched/c_r_sum", np.array([1.0, 2.0]),
+     "section 'sched/c_r_sum' has shape (2,), expected ()"),
     ("opt/m/layer1/act/log_s", np.zeros(3),
      "section 'opt/m/layer1/act/log_s' has shape (3,), expected ()")],
-    ids=["no_lr_lam", "no_opt_moment", "config_a_list", "c_r_of_two_values",
-         "moment_of_three_values"])
+    ids=["no_lr_lam", "no_opt_moment", "config_a_list",
+         "c_r_sum_of_two_values", "moment_of_three_values"])
 def test_resume_refuses_a_damaged_run_state(workspace, tmp_path, capsys, key,
                                             value, named):
-    # the damage is written into the run's own last.ckpt, the only
-    # checkpoint a run resumes from; value None deletes the section
+    # value None deletes the section
+    def damage(arrays):
+        if value is None:
+            del arrays[key]
+        else:
+            arrays[key] = value
+
+    assert named in _resume_damaged(workspace, tmp_path, capsys, damage)
+
+
+def test_resume_refuses_the_packed_rng_state_of_earlier_runs(
+        workspace, tmp_path, capsys):
+    # a last.ckpt written before rng/state was JSON holds the PCG64 state
+    # packed into 40 bytes: state and inc (16 each), then has_uint32 and
+    # uinteger (4 each), all little-endian
+    def pack(arrays):
+        st = array_to_json(arrays["rng/state"])
+        raw = (st["state"]["state"].to_bytes(16, "little")
+               + st["state"]["inc"].to_bytes(16, "little")
+               + st["has_uint32"].to_bytes(4, "little")
+               + st["uinteger"].to_bytes(4, "little"))
+        arrays["rng/state"] = np.frombuffer(raw, dtype=np.uint8)
+
+    assert "'rng/state'" in _resume_damaged(workspace, tmp_path, capsys, pack)
+
+
+def _resume_damaged(workspace, tmp_path, capsys, damage):
+    """Run a qat, let damage edit the arrays of its last.ckpt, the only
+    checkpoint a run resumes from, and resume it; the resume must exit 1
+    and leave the run directory as it was. Returns its stderr."""
     _, teacher, student = workspace
     run = tmp_path / "r"
     assert _qat10(student, teacher, run) == 0
     arrays = load_arrays(run / "last.ckpt")
-    if value is None:
-        del arrays[key]
-    else:
-        arrays[key] = value
+    damage(arrays)
     save_arrays(run / "last.ckpt", arrays)
     before = {p.name: p.read_bytes() for p in run.iterdir()}
     assert _qat10(student, teacher, run, "--epochs", "3",
                   "--resume", str(run / "last.ckpt")) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and named in err
+    assert err.startswith("error: ")
     assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+    return err
 
 
 @pytest.mark.parametrize("command", ["audit", "ptq"])

@@ -48,13 +48,13 @@ GOLDEN = {
         "metrics.csv":
             "3747b9ac62c757e18aa76aed8b10fd54aaeadb0a0fc786c24e52df29ae05da37",
         "last.ckpt":
-            "87158c3154f2a9b8c3901c8749080ea811c88d6da81866c639c238b9cf663df1",
+            "bc941174487cddae1c7f3eafb1b61fb823ada8a5b3a14b978cf28ee7ba9a881e",
     },
     "conv3": {
         "metrics.csv":
             "6db945a0f031ddf50350a8f334c6b5c8d0afd017e4d32096ea7b2a793f06318d",
         "last.ckpt":
-            "08516fb31631e685d602e3960601d0d65f2ffde0787d066d57ad94e2bef9c62d",
+            "f48bed621010857d2b785450149ebcf0310915365b2b08ed68cfc50027feef50",
     },
 }
 

@@ -1,13 +1,16 @@
 import csv
+import logging
 
 import numpy as np
 import pytest
 
 from gdnsq import pipeline
 from gdnsq import tensor as T
-from gdnsq.checkpoint import load_arrays, save_arrays
+from gdnsq.checkpoint import (array_to_json, json_to_array, load_arrays,
+                              save_arrays)
 from gdnsq.data import Dataset, make_synthetic
-from gdnsq.errors import DegenerateRangeError, NumericError, PipelineError
+from gdnsq.errors import (DegenerateRangeError, FormatError, NumericError,
+                          PipelineError)
 from gdnsq.models import Model, make_model_spec, train_teacher
 from gdnsq.pipeline import (METRICS_HEADER, QatRun, RunConfig,
                             audit_bitwidth, build_student_arrays,
@@ -353,6 +356,57 @@ class TestQatLoop:
             "save_arrays", crash_when)
         self._assert_same_outcome(tmp_path, full, resumed)
 
+    def test_rise_warning_after_a_resume(self, small_world, tmp_path,
+                                         monkeypatch, caplog):
+        # every audit reads max actual weight bits 4, 3, 4 at target 4,
+        # so the targets are met at epoch 0 and the bits rise at epoch 2;
+        # the crash comes at epoch 2's audit, after epoch 1's checkpoint
+        real = pipeline.audit_bitwidth
+        audits, crashes = [], []
+
+        def audit(model, inputs, labels):
+            report = real(model, inputs, labels)
+            bits = (4, 3, 4)[len(audits) % 3]
+            audits.append(bits)
+            for site in report.sites:
+                site.levels = 2 ** bits if site.kind == "weight" else 2
+            return report
+
+        def crash_when(full, *args):
+            crashes.append(1)
+            return len(crashes) == 3
+
+        monkeypatch.setattr(pipeline, "audit_bitwidth", audit)
+        with caplog.at_level(logging.WARNING, logger="gdnsq"):
+            full, resumed = self._crash_then_resume(
+                small_world, self._config(epochs=3, seed=3), tmp_path,
+                monkeypatch, "audit_bitwidth", crash_when)
+        self._assert_same_outcome(tmp_path, full, resumed)
+        rose = ("max actual bit-width for weights rose 3 -> 4 after the "
+                "constraint activated")
+        # once in the uninterrupted run, once in the resumed one
+        assert [r.getMessage() for r in caplog.records] == [rose, rose]
+
+    def test_resume_refuses_a_malformed_audit_row(self, small_world,
+                                                  tmp_path):
+        train, val, spec, teacher, _ = small_world
+        student = fresh_student(spec, teacher, seed=2)
+        ptq_minmax(student, train)
+        qat_run(self._config(epochs=1, seed=2), teacher, student,
+                tmp_path / "a", train, val)
+        path = tmp_path / "a" / "metrics.csv"
+        with open(path, newline="") as f:
+            rows = list(csv.reader(f))
+        rows[-1][METRICS_HEADER.index("max_w_act")] = "4.5"
+        with open(path, "w", newline="") as f:
+            csv.writer(f).writerows(rows)
+        metrics = path.read_bytes()
+        with pytest.raises(PipelineError, match="max_w_act"):
+            qat_run(self._config(epochs=2, seed=2), teacher, student,
+                    tmp_path / "a", train, val,
+                    resume_path=str(tmp_path / "a" / "last.ckpt"))
+        assert path.read_bytes() == metrics
+
     def test_resume_from_checkpoint_without_best_state(self, small_world,
                                                        tmp_path):
         # the format written before the best-checkpoint record was kept
@@ -464,6 +518,47 @@ class TestQatLoop:
         for key in change:
             assert f"{key}: " in str(e.value)
         assert "epochs: " not in str(e.value)
+
+
+def run_arrays(run):
+    """The arrays of the last.ckpt run would write."""
+    return build_student_arrays(run.config, run.student, run)
+
+
+def fresh_run():
+    return QatRun(RunConfig(), Model(make_model_spec("mlp3", 2, 2),
+                                     quantized=True))
+
+
+class TestRunState:
+    def test_rng_state_keeps_a_held_32_bit_half(self):
+        # a float32 draw leaves half of a 64-bit output held, has_uint32 1
+        run = fresh_run()
+        run.rng.random(dtype=np.float32)
+        assert run.rng.bit_generator.state["has_uint32"] == 1
+        resumed = fresh_run()
+        resumed.load_state_arrays(run_arrays(run), "last.ckpt")
+        assert resumed.rng.bit_generator.state == run.rng.bit_generator.state
+        np.testing.assert_array_equal(
+            resumed.rng.random(size=3, dtype=np.float32),
+            run.rng.random(size=3, dtype=np.float32))
+
+    def test_rng_state_that_does_not_store_back_refused(self):
+        # numpy's setter takes 1.5 for the 128-bit state and keeps 1
+        arrays = run_arrays(fresh_run())
+        state = array_to_json(arrays["rng/state"])
+        state["state"]["state"] = 1.5
+        arrays["rng/state"] = json_to_array(state)
+        with pytest.raises(FormatError, match="'rng/state'"):
+            fresh_run().load_state_arrays(arrays, "last.ckpt")
+
+    def test_step_n_is_the_optimizer_step_count(self):
+        run = fresh_run()
+        arrays = run_arrays(run)
+        arrays["opt/t"] = np.asarray(5, dtype=np.int64)
+        arrays["sched/c_r_sum"] = np.asarray(2.0)
+        run.load_state_arrays(arrays, "last.ckpt")
+        assert run.step_n == 5 and run.c_r == 2.0 / 5
 
 
 class TestStudentPersistence:

@@ -26,8 +26,11 @@ PYTHONPATH, BLAS on one thread and the same relative paths. It covers:
 * ``gdnsq verify``.
 
 Every command's exit code and stdout and every file left in the run
-directory are compared byte for byte. Prints each difference and exits 1
-if there is any, else prints a one-line summary and exits 0.
+directory are compared byte for byte. For a checkpoint (``*.ckpt``) whose
+bytes differ it also lists the sections only in A, those only in B and
+those in both that differ in dtype, shape or bytes, as this checkout's
+``gdnsq.checkpoint.load_arrays`` reads them. Prints each difference and
+exits 1 if there is any, else prints a one-line summary and exits 0.
 """
 
 from __future__ import annotations
@@ -39,7 +42,10 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "pipebench"))
+sys.path.insert(0, os.path.join(ROOT, "src"))
 
+from gdnsq.checkpoint import load_arrays  # noqa: E402
+from gdnsq.errors import FormatError  # noqa: E402
 from workloads import WORKLOADS, prepare_inputs  # noqa: E402
 
 ONE_THREAD = {k: "1" for k in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
@@ -144,7 +150,32 @@ def differences(a, b):
             out.append(f"{path}: only in B")
         elif files_a[path] != files_b[path]:
             out.append(f"{path}: contents differ")
+            if path.endswith(".ckpt"):
+                out.extend(section_differences(files_a[path], files_b[path]))
     return out
+
+
+def section_differences(blob_a, blob_b):
+    """Three lines naming the sections only in checkpoint bytes blob_a,
+    only in blob_b, and in both but of another dtype, shape or bytes."""
+    arrays = []
+    with tempfile.TemporaryDirectory(prefix="same_outputs-") as tmp:
+        for i, blob in enumerate((blob_a, blob_b)):
+            path = os.path.join(tmp, f"{i}.ckpt")
+            with open(path, "wb") as f:
+                f.write(blob)
+            try:
+                arrays.append(load_arrays(path))
+            except FormatError as e:
+                return [f"  not a readable checkpoint in {'AB'[i]}: {e}"]
+    a, b = arrays
+    differ = [k for k in a.keys() & b.keys()
+              if (a[k].dtype, a[k].shape, a[k].tobytes())
+              != (b[k].dtype, b[k].shape, b[k].tobytes())]
+    return [f"  sections {what}: {', '.join(sorted(names)) or '(none)'}"
+            for what, names in (("only in A", a.keys() - b.keys()),
+                                ("only in B", b.keys() - a.keys()),
+                                ("that differ", differ))]
 
 
 def main(argv=None) -> int:
