@@ -5,14 +5,14 @@ Subcommands cover the full pipeline: train-fp (FP teacher), ptq (min-max
 audit (unique-value bit-width report), verify (oracle suite),
 export-metrics and fuse (integer weights + scales).
 
-Flag precedence: command-line flags override --config (JSON), which
-overrides the defaults; the resolved merge is written to run.json, next to
-the outputs, once the command has succeeded. train-fp's defaults are
-TRAIN_FP_DEFAULTS. ptq and qat --no-ptq build their student on one path,
-from the teacher's recorded split and model id; qat --ckpt and audit
-start from their student's settings; a command run without --seed uses
-seed 0. Exit codes: 0 success, 1 runtime failure, 2 usage error, 3 oracle
-failure.
+Every setting comes from its flag, and a flag left out takes the default;
+the resolved settings are written to run.json, next to the outputs, once
+the command has succeeded. train-fp's defaults are TRAIN_FP_DEFAULTS. ptq
+and qat --no-ptq build their student on one path, from the teacher's
+recorded split and model id; qat --ckpt and audit start from their
+student's settings; a command run without --seed uses seed 0. The probe
+mode is qat's setting: a ptq student records RunConfig's default. Exit
+codes: 0 success, 1 runtime failure, 2 usage error, 3 oracle failure.
 
 main first sets the C heap (set_heap): glibc serves an allocation of
 128 KiB or more with a fresh mmap and trims the top of its heap, and
@@ -37,7 +37,7 @@ import sys
 import numpy as np
 
 from .checkpoint import save_arrays
-from .errors import DomainError, FormatError, GdnsqError
+from .errors import DomainError, GdnsqError
 from .losses import DISTILL_KINDS
 from .models import Model, make_model_spec, train_teacher
 from .pipeline import (METRICS_HEADER, NO_PTQ_INIT_BITS, PTQ_BITS,
@@ -80,52 +80,9 @@ TRAIN_FP_DEFAULTS = {"model": "mlp3", "dataset": "two_gaussians",
                      "seed": 0, "epochs": 60, "lr": 0.01, "batch_size": 32}
 
 
-def _check_file_value(cfg_path, key, value, flag):
-    """Raise FormatError unless the --config value of key has the type of
-    the flag that sets key: a bool for a store-true flag, one of the
-    choices of a flag that has them, an integer for an int flag, an
-    integer or a float for a float flag, else a string. Only a store-true
-    flag takes a bool."""
-    if flag.nargs == 0:
-        want, ok = "true or false", isinstance(value, bool)
-    elif flag.choices is not None:
-        want, ok = f"one of {list(flag.choices)}", value in flag.choices
-    elif flag.type is int:
-        want, ok = "an integer", isinstance(value, int)
-    elif flag.type is float:
-        want, ok = "a number", isinstance(value, (int, float))
-    else:
-        want, ok = "a string", isinstance(value, str)
-    if not ok or (isinstance(value, bool) and flag.nargs != 0):
-        raise FormatError(f"{cfg_path}: {key} must be {want}, got "
-                          f"{json.dumps(value)}")
-
-
 def _merge_config(args, defaults: dict) -> dict:
-    """defaults < --config file < explicitly passed flags, for the keys of
-    defaults. The file may set only the keys of defaults that have a flag
-    on the command, each to a value of its flag's type
-    (_check_file_value)."""
+    """defaults < explicitly passed flags, for the keys of defaults."""
     merged = dict(defaults)
-    cfg_path = getattr(args, "config", None)
-    if cfg_path:
-        with open(cfg_path) as f:
-            try:
-                file_cfg = json.load(f)
-            except ValueError as e:
-                raise FormatError(f"{cfg_path}: not valid JSON ({e})") from None
-        if not isinstance(file_cfg, dict):
-            raise FormatError(f"{cfg_path}: expected a JSON object of "
-                              "settings")
-        sub = next(a for a in build_parser()._actions
-                   if isinstance(a, argparse._SubParsersAction))
-        flags = {a.dest: a for a in sub.choices[args.command]._actions}
-        unknown = set(file_cfg) - (set(defaults) & set(flags))
-        if unknown:
-            raise GdnsqError(f"unknown config keys: {sorted(unknown)}")
-        for key, value in file_cfg.items():
-            _check_file_value(cfg_path, key, value, flags[key])
-        merged.update(file_cfg)
     for key in defaults:
         val = getattr(args, key, None)
         if val is not None:
@@ -163,16 +120,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int)
     p.add_argument("--lr", type=float, help="constant learning rate lambda")
     p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--config", help="JSON config file")
     p.add_argument("--out", required=True, help="teacher checkpoint path")
 
     p = sub.add_parser("ptq", help="build the quantized student and run "
                                    "min-max calibration to 10-bit")
     p.add_argument("--ckpt", required=True, help="FP teacher checkpoint")
     _add_data_flags(p)
-    p.add_argument("--noise-mode", dest="noise_mode", choices=NOISE_MODES,
-                   help="backward probe for the scale gradient d(sr)/ds")
-    p.add_argument("--config", help="JSON config file")
     p.add_argument("--out", required=True, help="student checkpoint path")
 
     p = sub.add_parser("qat", help="gradual bit-width convergence then LR "
@@ -206,7 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_flags(p)
     p.add_argument("--resume", help="continue the run in --out from its "
                                     "own last.ckpt (<out>/last.ckpt)")
-    p.add_argument("--config", help="JSON config file")
     p.add_argument("--out", required=True, help="run output directory")
 
     p = sub.add_parser("audit", help="unique-value bit-width report")
@@ -253,7 +205,7 @@ def cmd_train_fp(args) -> int:
 
 def _ptq_student(args, teacher_path, defaults: dict, bits: float):
     """ptq's path from a teacher checkpoint to a student min-max calibrated
-    to `bits`. Settings are defaults < --config < flags; a DATA_KEYS entry
+    to `bits`. Settings are defaults < flags; a DATA_KEYS entry
     left unset takes the teacher's recorded value (TRAIN_FP_DEFAULTS' if it
     recorded none), and the model id is the teacher's. Returns (config,
     teacher, meta, student, train, val)."""
@@ -271,8 +223,8 @@ def _ptq_student(args, teacher_path, defaults: dict, bits: float):
 
 
 def cmd_ptq(args) -> int:
-    config, _, meta, student, _, val = _ptq_student(
-        args, args.ckpt, {"noise_mode": "bernoulli", "seed": 0}, PTQ_BITS)
+    config, _, meta, student, _, val = _ptq_student(args, args.ckpt, {},
+                                                    PTQ_BITS)
     acc = student.accuracy(val.inputs, val.labels)
     save_arrays(args.out, build_student_arrays(config, student))
     _write_run_json(os.path.dirname(os.path.abspath(args.out)),

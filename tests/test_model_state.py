@@ -146,8 +146,9 @@ def test_every_written_section_is_read_back(mlp4_run, tmp_path, name):
 
 
 def test_run_sections_of_an_integer_lr0():
-    # a --config file may give lr0 as an integer; lr/lam was then written
-    # as int64 until the annealing phase, and as float64 after a resume
+    # a checkpoint's config/json may hold lr0 as an integer; lr/lam was
+    # then written as int64 until the annealing phase, and as float64
+    # after a resume
     run = QatRun(RunConfig(lr0=1),
                  Model(make_model_spec("mlp4", 2, 2), quantized=True))
     arrays = run.state_arrays()

@@ -7,13 +7,12 @@ of a checkout). The scenario runs once per tree, each in its own temporary
 directory, through ``python -m gdnsq.cli`` with that tree first on
 PYTHONPATH, BLAS on one thread and the same relative paths. It covers:
 
-* mlp4 on two_gaussians: train-fp; ptq, and ptq with rounding_residual
-  probes; a 30-epoch qat; qat with bernoulli_variance_matched probes and
-  cross-entropy distillation; qat from the rounding_residual student with
-  hard-label distillation and --tq-init; qat without PTQ, on the split
-  the teacher records; a 21-epoch qat resumed in place to 30, then
-  resumed again with no epoch left, so that only its summary is new;
-  audit; fuse of the 30-epoch qat student, of the 10-bit PTQ student (far
+* mlp4 on two_gaussians: train-fp; ptq; a 30-epoch qat; qat with
+  bernoulli_variance_matched probes and cross-entropy distillation; qat
+  with rounding_residual probes, hard-label distillation and --tq-init;
+  qat without PTQ, on the split the teacher records; a 21-epoch qat
+  resumed in place to 30, then resumed again with no epoch left, so that
+  only its summary is new; audit; fuse of the 30-epoch qat student, of the 10-bit PTQ student (far
   from converged, its weights spread over all 1024 levels) and of the
   rounding_residual qat student; export-metrics;
 * conv3 on the benchmark's bar images (IDX files of seed 1): train-fp;
@@ -67,13 +66,11 @@ def scenario(bars: str):
         ["train-fp", "--model", "mlp4", "--seed", "1", "--epochs", "20",
          *mlp, "--out", fp],
         ["ptq", "--ckpt", fp, "--out", ptq],
-        ["ptq", "--ckpt", fp, "--noise-mode", "rounding_residual",
-         "--out", "mlp/ptq_rr.ckpt"],
         [*qat, "--epochs", "30", "--out", "mlp/qat"],
         [*qat, "--epochs", "10", "--noise-mode", "bernoulli_variance_matched",
          "--distill", "cross_entropy", "--out", "mlp/qat_vm"],
-        ["qat", "--ckpt", "mlp/ptq_rr.ckpt", "--teacher", fp, "--seed", "1",
-         "--epochs", "10", "--distill", "hard_label_ce", "--tq-init", "0.5",
+        [*qat, "--epochs", "10", "--noise-mode", "rounding_residual",
+         "--distill", "hard_label_ce", "--tq-init", "0.5",
          "--out", "mlp/qat_rr"],
         ["qat", "--no-ptq", "--teacher", fp, "--seed", "1", "--epochs", "10",
          "--out", "mlp/qat_noptq"],
