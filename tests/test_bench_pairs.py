@@ -81,3 +81,14 @@ def test_past_bound_only_when_worse_by_more_than_the_bound(compare, better,
                                                            change, past):
     row = compare(metric(better), [100.0] * 10, [change] * 10)
     assert row["past_bound"] is past
+
+
+@pytest.mark.parametrize("better,change,past", [
+    ("lower", 5.0, True), ("higher", 5.0, False), ("lower", 0.0, False),
+    ("higher", 0.0, False),
+])
+def test_a_zero_base_median_moves_past_any_bound(compare, better, change,
+                                                  past):
+    row = compare(metric(better), [0.0] * 10, [change] * 10)
+    assert row["past_bound"] is past
+    assert row["median_change"] == (float("inf") if change else 0.0)

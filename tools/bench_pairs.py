@@ -16,7 +16,8 @@ won, lost and tied in the metric's better direction. A gain holds when
 CHANGE wins at least nine tenths of the pairs (ties count for neither
 side) and its median is better than BASE's by more than BASE's
 interquartile range; a metric moves past its bound when CHANGE's median
-is worse than BASE's by more than the bound's fraction. The last line is
+is worse than BASE's by more than the bound's fraction (any move off a
+BASE median of 0 counts as an infinite fraction). The last line is
 one JSON object with every run's metrics and failure counts.
 """
 
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -59,7 +61,10 @@ def compare(metric, base, change):
     cq1, cmed, cq3 = quartiles(change)
     gain = (wins >= 0.9 * len(base)
             and sign * (cmed - bmed) > bq3 - bq1)
-    rel = (cmed - bmed) / bmed if bmed else 0.0
+    if bmed:
+        rel = (cmed - bmed) / bmed
+    else:  # any move off a zero median is an unbounded relative change
+        rel = math.copysign(math.inf, cmed) if cmed else 0.0
     return {"base": base, "change": change,
             "base_median": bmed, "base_quartiles": [bq1, bq3],
             "change_median": cmed, "change_quartiles": [cq1, cq3],
