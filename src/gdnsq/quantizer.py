@@ -195,7 +195,7 @@ class FakeQuantizer:
         l, u, s, inputs, chain = self._node_view()
 
         def vjp(g):
-            gx, gs, gl, gu = self.ste_backward(g, xv, l, u, s)
+            gx, gl, gu, gs = self.ste_backward(g, xv, l, u, s)
             return (gx, *chain(gs, gl, gu))
 
         return fq_kernel(xv, l, u, s), inputs, vjp

@@ -64,8 +64,8 @@ def fake_quant_apply(fq, x):
     lv, uv, sv = float(l_t.data), float(u_t.data), float(s_t.data)
 
     def rule(g):
-        gx, gs, gl, gu = fq.ste_backward(g, xv, lv, uv, sv)
-        return gx, gl, gu, gs
+        # (gx, gl, gu, gs), in the order of the node's inputs
+        return fq.ste_backward(g, xv, lv, uv, sv)
 
     return T._record([x, l_t, u_t, s_t], fq_kernel(xv, lv, uv, sv), rule,
                      f"fake_quant[{fq.name}]")

@@ -46,15 +46,15 @@ RUNS = {
 GOLDEN = {
     "mlp4": {
         "metrics.csv":
-            "3747b9ac62c757e18aa76aed8b10fd54aaeadb0a0fc786c24e52df29ae05da37",
+            "f7254d399349ec5491fc7de93c3c3f8713e857ea4c578c090a22f2b4ee806032",
         "last.ckpt":
-            "bc941174487cddae1c7f3eafb1b61fb823ada8a5b3a14b978cf28ee7ba9a881e",
+            "44cab22e269fa0e10e0cc84908994343157409f2fe283364657437284d4c83b3",
     },
     "conv3": {
         "metrics.csv":
-            "6db945a0f031ddf50350a8f334c6b5c8d0afd017e4d32096ea7b2a793f06318d",
+            "587459844eb48bb8813a26a268a037bb50c4724fa426b47b368e62bfc3c7dc99",
         "last.ckpt":
-            "f48bed621010857d2b785450149ebcf0310915365b2b08ed68cfc50027feef50",
+            "565d0183f57fec42deac6e493758f0ac8ae48f852f55c0d530e803f525ab785a",
     },
 }
 

@@ -136,6 +136,23 @@ class TestSteBackward:
         expected = math.floor(x[0] / s + 0.5) - x[0] / s
         assert gs == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("kind,lo,hi", [("weight", -1.0, 1.0),
+                                            ("activation", 0.0, 1.2)],
+                             ids=["weight", "activation"])
+    def test_fake_quant_vjp_chains_ste_backwards_gradients(self, kind, lo,
+                                                            hi):
+        # rounding_residual draws nothing, so the vjp and ste_backward see
+        # the same probe; x holds elements below l, inside [l, u], above u
+        fq = make_fq(kind, lo, hi, 3.0, noise_mode="rounding_residual")
+        l, u, s, _, chain = fq._node_view()
+        x = np.array([l - 0.7, l - 0.1, l + 0.37 * (u - l),
+                      l + 0.81 * (u - l), u + 0.2, u + 0.9])
+        g = np.array([0.3, -1.1, 0.7, 1.9, -0.4, 2.3])
+        gx, gl, gu, gs = fq.ste_backward(g, x, l, u, s)
+        got = fq.fake_quant(x)[2](g)
+        np.testing.assert_array_equal(got[0], gx)
+        assert got[1:] == chain(gs, gl, gu)
+
     def test_expected_s_gradient_zero_mean(self):
         m = 100_000
         fq = make_fq(seed=11)
