@@ -18,8 +18,9 @@ targets), the val_acc of the last audit, epochs_to_target (the first epoch
 whose audit met the targets, counted from 1, as the pipeline benchmark
 counts it; null when none did), the sites the last audit (``gdnsq audit``
 of last.ckpt) reports as degenerate, and whether the run reached its
-targets. The file also records the commit, the numpy version and a host
-note.
+targets. The file also records the commit (``git rev-parse HEAD``, or
+outside a repository, as in a ``git archive`` checkout, a sha256 over
+``src/**/*.py``), the numpy version and a host note.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse  # noqa: E402
 import contextlib  # noqa: E402
 import csv  # noqa: E402
+import hashlib  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
@@ -39,6 +41,7 @@ import subprocess  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
+from pathlib import Path  # noqa: E402
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "pipebench")]
@@ -119,15 +122,29 @@ def sweep_workload(name, work):
             "qat_flags": qat_flags, "cells": cells}
 
 
-def commit() -> str:
+def commit(root=ROOT) -> str:
+    """The HEAD commit of the repository at root, with "+modified src" if
+    its src has uncommitted changes; outside a repository, src_digest."""
     try:
-        head = subprocess.run(["git", "-C", ROOT, "rev-parse", "HEAD"],
+        head = subprocess.run(["git", "-C", root, "rev-parse", "HEAD"],
                               capture_output=True, text=True, check=True)
-        dirty = subprocess.run(["git", "-C", ROOT, "status", "--porcelain",
+        dirty = subprocess.run(["git", "-C", root, "status", "--porcelain",
                                 "--", "src"], capture_output=True, text=True)
     except (OSError, subprocess.CalledProcessError):
-        return "unknown"
+        return src_digest(root)
     return head.stdout.strip() + ("+modified src" if dirty.stdout else "")
+
+
+def src_digest(root) -> str:
+    """sha256:<hex> over the sorted relative paths and the bytes of the
+    files src/**/*.py under root."""
+    h = hashlib.sha256()
+    for rel in sorted(p.relative_to(root).as_posix()
+                      for p in Path(root, "src").rglob("*.py")):
+        data = Path(root, rel).read_bytes()
+        h.update(f"{rel}\0{len(data)}\0".encode())
+        h.update(data)
+    return "sha256:" + h.hexdigest()
 
 
 def main(argv=None) -> int:

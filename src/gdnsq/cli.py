@@ -147,10 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="backward probe for the scale gradient d(sr)/ds")
     p.add_argument("--distill", choices=DISTILL_KINDS,
                    help="distillation distance d (jeffreys = symmetrized KL)")
-    p.add_argument("--freeze-bn", action="store_true",
-                   dest="batchnorm_frozen",
-                   default=None, help="freeze batchnorm running statistics "
-                                      "during QAT (ablation)")
     p.add_argument("--tq-init", type=float, dest="tq_init",
                    help="additive offset on the temperature t_q; large "
                         "values disable gradual bit-width scaling (ablation)")

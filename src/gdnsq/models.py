@@ -180,32 +180,31 @@ def spec_from_dict(d: dict) -> ModelSpec:
 
 
 class BatchNorm:
-    """Batch normalization with freezable running statistics.
+    """Batch normalization: batch statistics in training, running
+    statistics in eval.
 
-    ``normalize`` computes the output and its vector-Jacobian product in
-    numpy; the layer entry composes them into its own rule. The gradient
-    is the closed form of Ioffe & Szegedy (arXiv:1502.03167), written on
-    the two sums the parameter gradients need anyway: with N elements per
-    feature and the sums over the batch (and spatial) axes,
-    dgamma = sum(g * xhat) and dbeta = sum(g). With batch statistics,
+    ``normalize`` computes the output and, in training, its
+    vector-Jacobian product in numpy; the layer entry composes them into
+    its own rule. The gradient is the closed form of Ioffe & Szegedy
+    (arXiv:1502.03167), written on the two sums the parameter gradients
+    need anyway: with N elements per feature and the sums over the batch
+    (and spatial) axes, dgamma = sum(g * xhat), dbeta = sum(g),
     xhat = (x - mu) / sd and
-    dx = (g - dbeta / N - xhat * dgamma / N) * gamma / sd;
-    with running statistics (eval mode or frozen) mu and sd are constants
-    and dx = g * gamma / sd. The forward runs the numpy ops of the
-    primitive-op graph in tests/reference_graphs.py in the same order, so
-    its values and the running-statistic update match that graph bit for
-    bit.
+    dx = (g - dbeta / N - xhat * dgamma / N) * gamma / sd.
+    An eval forward normalizes with the running statistics and returns no
+    product. The forward runs the numpy ops of the primitive-op graph in
+    tests/reference_graphs.py in the same order, so its values and the
+    running-statistic update match that graph bit for bit.
 
-    In place: the new buffer x - mu becomes xhat, and with batch
-    statistics the buffer of its squares then receives the output. The
-    product allocates g * xhat, which after the dgamma sum receives
+    In place: the new buffer x - mu becomes xhat, and in training the
+    buffer of its squares then receives the output (in eval, xhat does).
+    The product allocates g * xhat, which after the dgamma sum receives
     xhat * dgamma / N, and one buffer for dx; it reads xhat and g and
     writes neither, so it can run more than once.
     """
 
     momentum = 0.1
     eps = 1e-5
-    frozen = False  # Model.set_bn_frozen sets it per instance
 
     def __init__(self, num_features):
         self.num_features = num_features
@@ -215,47 +214,45 @@ class BatchNorm:
         self.running_var = np.ones(num_features)
 
     def normalize(self, xd: np.ndarray, train: bool):
-        """The batchnorm output for xd and its vector-Jacobian product onto
-        (x, gamma, beta). With batch statistics it also updates the running
-        statistics."""
+        """The batchnorm output for xd and, in training, its
+        vector-Jacobian product onto (x, gamma, beta), else None. Training
+        also updates the running statistics."""
         if xd.ndim == 2:
             axes, pshape = (0,), (1, self.num_features)
         elif xd.ndim == 4:
             axes, pshape = (0, 2, 3), (1, self.num_features, 1, 1)
         else:
             raise ShapeError(f"batchnorm expects 2-d or 4-d input, got {xd.shape}")
-        batch_stats = train and not self.frozen
-        if batch_stats:
-            inv_n = 1.0 / math.prod(xd.shape[ax] for ax in axes)
-            mu = xd.sum(axis=axes, keepdims=True) * inv_n
-            xhat = xd - mu
-            sq = xhat * xhat
-            var = sq.sum(axis=axes, keepdims=True) * inv_n
-            self.running_mean = ((1 - self.momentum) * self.running_mean
-                                 + self.momentum * mu.reshape(-1))
-            self.running_var = ((1 - self.momentum) * self.running_var
-                                + self.momentum * var.reshape(-1))
-            sd = np.sqrt(var + self.eps)
-        else:
-            mu = self.running_mean.reshape(pshape)
-            sd = np.sqrt(self.running_var.reshape(pshape) + self.eps)
-            xhat = xd - mu
-        xhat /= sd
         gamma = self.gamma.data.reshape(pshape)
-        out = np.multiply(xhat, gamma, out=sq) if batch_stats else xhat * gamma
-        out += self.beta.data.reshape(pshape)
+        beta = self.beta.data.reshape(pshape)
+        if not train:
+            xhat = xd - self.running_mean.reshape(pshape)
+            xhat /= np.sqrt(self.running_var.reshape(pshape) + self.eps)
+            xhat *= gamma
+            xhat += beta
+            return xhat, None
+        inv_n = 1.0 / math.prod(xd.shape[ax] for ax in axes)
+        mu = xd.sum(axis=axes, keepdims=True) * inv_n
+        xhat = xd - mu
+        sq = xhat * xhat
+        var = sq.sum(axis=axes, keepdims=True) * inv_n
+        self.running_mean = ((1 - self.momentum) * self.running_mean
+                             + self.momentum * mu.reshape(-1))
+        self.running_var = ((1 - self.momentum) * self.running_var
+                            + self.momentum * var.reshape(-1))
+        sd = np.sqrt(var + self.eps)
+        xhat /= sd
+        out = np.multiply(xhat, gamma, out=sq)
+        out += beta
 
         def vjp(g):
             gxhat = g * xhat
             g_gamma = gxhat.sum(axis=axes, keepdims=True)
             g_beta = g.sum(axis=axes, keepdims=True)
-            if batch_stats:
-                np.multiply(xhat, g_gamma * inv_n, out=gxhat)
-                gx = g - g_beta * inv_n
-                gx -= gxhat
-                gx *= gamma / sd
-            else:
-                gx = g * (gamma / sd)
+            np.multiply(xhat, g_gamma * inv_n, out=gxhat)
+            gx = g - g_beta * inv_n
+            gx -= gxhat
+            gx *= gamma / sd
             return gx, g_gamma.reshape(-1), g_beta.reshape(-1)
 
         return out, vjp
@@ -449,11 +446,6 @@ class Model:
               for name, p in zip(("W", "b", "bn_gamma", "bn_beta"), l.params())]
         return ps + [(t.name, t) for fq in self.all_quantizers()
                      for t in fq.raw_params()]
-
-    def set_bn_frozen(self, frozen: bool):
-        for l in self.layers:
-            if l.bn is not None:
-                l.bn.frozen = frozen
 
     # -- forward -------------------------------------------------------------
 

@@ -26,7 +26,8 @@ reached epoch, the first whose audit met the targets. Batch n trains
 with lambda and t_q = tq_init + lambda * n; lambda stays lr0 until the
 first batch after an audit where the max actual bit-width meets every
 target, then decays by 0.9985 per batch, a one-way switch. The run sets
-its rng, ``noise_mode`` and batchnorm freezing on the student it trains.
+its rng and ``noise_mode`` on every site of the student it trains; a
+batchnorm layer trains on batch statistics and updates its running ones.
 
 Teacher and student checkpoints share one writer (``_model_arrays``: the
 config object, the spec and the model's ``state_arrays``) and one reader
@@ -93,7 +94,6 @@ class RunConfig:
     batch_size: int = 32
     epochs: int = 100
     noise_mode: str = "bernoulli"
-    batchnorm_frozen: bool = False
     distill: str = "jeffreys"
     ptq_enabled: bool = True
     tq_init: float = 0.0
@@ -287,14 +287,18 @@ def build_student_arrays(config: RunConfig, model: Model, run=None) -> dict:
 
 def load_student(path):
     """Rebuild (config, spec, model, arrays) from a student checkpoint
-    (``read_model``); PipelineError if its config is not a RunConfig,
-    FormatError for a config value of another type than its default's (an
-    integer for a float too)."""
+    (``read_model``); PipelineError naming the keys if its config has
+    other keys than RunConfig's, FormatError for a config value of another
+    type than its default's (an integer for a float too)."""
     arrays = load_arrays(path)
     saved, model = read_model(arrays, path, quantized=True)
     defaults = RunConfig().to_dict()
     if set(saved) != set(defaults):
-        raise PipelineError(f"{path} is not a student checkpoint")
+        extra = ", ".join(sorted(saved.keys() - defaults)) or "none"
+        missing = ", ".join(sorted(defaults.keys() - saved)) or "none"
+        raise PipelineError(f"{path}: config keys differ from RunConfig's "
+                            f"(only in the checkpoint: {extra}; only in "
+                            f"RunConfig: {missing})")
     for key, default in defaults.items():
         want = (int, float) if isinstance(default, float) else type(default)
         if not isinstance(saved[key], want) \
@@ -413,7 +417,6 @@ class QatRun:
         for fq in student.all_quantizers():
             fq.rng = self.rng
             fq.noise_mode = config.noise_mode
-        student.set_bn_frozen(config.batchnorm_frozen)
 
     @property
     def c_r(self) -> float:

@@ -444,6 +444,28 @@ def test_run_config_without_quantizer_state_is_not_a_student(workspace,
     assert stdout == "" and err == f"error: {bad} is not a student checkpoint\n"
 
 
+@pytest.mark.parametrize("command", ["qat", "audit"])
+def test_student_with_a_removed_setting_refused_by_key(workspace, tmp_path,
+                                                       capsys, command):
+    # every student written while batchnorm freezing existed records it
+    _, teacher, student = workspace
+    arrays = load_arrays(student)
+    config = array_to_json(arrays["config/json"])
+    config["batchnorm_frozen"] = False
+    arrays["config/json"] = json_to_array(config)
+    old = tmp_path / "ptq.ckpt"
+    save_arrays(old, arrays)
+    argv = {"qat": ["qat", "--ckpt", str(old), "--teacher", str(teacher),
+                    "--epochs", "1", "--out", str(tmp_path / "run")],
+            "audit": ["audit", "--ckpt", str(old)]}[command]
+    assert main(argv) == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err == (
+        f"error: {old}: config keys differ from RunConfig's (only in the "
+        f"checkpoint: batchnorm_frozen; only in RunConfig: none)\n")
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("command", ["ptq", "qat"])
 def test_student_checkpoint_refused_where_a_teacher_is_read(workspace,
                                                            tmp_path, capsys,

@@ -267,7 +267,7 @@ def test_fake_quant_node_matches_reference(kind):
     for g, w in zip(gp, gp_ref):
         assert_close(g, w, "site parameter")
 
-BN_MODES = ("train", "frozen", "eval")
+BN_MODES = ("train", "eval")
 
 
 def batch_last(a):
@@ -277,30 +277,32 @@ def batch_last(a):
 
 
 def batchnorm_case(ndim, mode, reference, layout=np.asarray):
-    """(output, running mean, running var, x/gamma/beta gradients) of one
-    batchnorm forward and backward through BatchNorm.normalize or the
-    reference graph; layout lays out the input and the output's
-    coefficients."""
+    """(output, running mean, running var) of one batchnorm forward through
+    BatchNorm.normalize or the reference graph and, in training, the
+    x/gamma/beta gradients of its backward; layout lays out the input and
+    the output's coefficients."""
     rng = np.random.default_rng([ndim, BN_MODES.index(mode)])
     shape = (6, 3) if ndim == 2 else (4, 3, 5, 2)
     x = Tensor(layout(rng.normal(0.5, 2.0, size=shape)), requires_grad=True)
     coeff = layout(rng.normal(size=shape))
     bn = BatchNorm(3)
-    bn.frozen = mode == "frozen"
     bn.gamma.data = 1.0 + 0.3 * rng.normal(size=3)
     bn.beta.data = rng.normal(size=3)
     bn.running_mean = rng.normal(size=3)
     bn.running_var = rng.uniform(0.5, 2.0, size=3)
-    train = mode != "eval"
+    train = mode == "train"
     if not reference:
         out, vjp = bn.normalize(x.data, train)
-        return (out, bn.running_mean, bn.running_var, *vjp(coeff))
+        # an eval forward builds no product
+        assert (vjp is None) == (not train)
+        return (out, bn.running_mean, bn.running_var,
+                *(vjp(coeff) if train else ()))
     R.reset_tape()
     out = ref.batchnorm_forward(bn, x, train)
     grads = P.sum_(P.mul(out, R.constant(coeff))).backward()
     R.reset_tape()
-    return (out.data, bn.running_mean, bn.running_var, grads[x],
-            grads[bn.gamma], grads[bn.beta])
+    return (out.data, bn.running_mean, bn.running_var,
+            *((grads[x], grads[bn.gamma], grads[bn.beta]) if train else ()))
 
 
 @pytest.mark.parametrize("ndim", [2, 4])
@@ -317,6 +319,7 @@ def test_batchnorm_node_matches_graph_on_batch_last_input(mode):
 def assert_batchnorm_node_matches_graph(ndim, mode, layout):
     node = batchnorm_case(ndim, mode, False, layout)
     graph = batchnorm_case(ndim, mode, True, layout)
+    assert len(node) == len(graph)
     # the forward values and the running-statistic update are the same ops
     for what, got, want in zip(("out", "running_mean", "running_var"),
                                node[:3], graph[:3]):
@@ -350,13 +353,12 @@ def test_bias_matches_graph(ndim):
 LAYER_KINDS = ("linear", "conv2d")
 
 
-def layer_case(kind, quantized, batch_stats, x_grad, reference,
-               layout=np.asarray):
+def layer_case(kind, quantized, x_grad, reference, layout=np.asarray):
     """(output, probe draws, gradients, running statistics) of one training
     layer forward and backward through the layer entry or the reference
-    graph; a batchnorm normalizes with the batch statistics or, frozen,
-    with its running statistics. layout lays out the input. The first
-    gradient is the input's, None where none was computed."""
+    graph; a batchnorm normalizes with the batch statistics. layout lays
+    out the input. The first gradient is the input's, None where none was
+    computed."""
     rng = np.random.default_rng([LAYER_KINDS.index(kind), quantized])
     if kind == "linear":
         spec, x_shape = Linear(5, 4), (6, 5)
@@ -369,7 +371,6 @@ def layer_case(kind, quantized, batch_stats, x_grad, reference,
         layer.bn.gamma.data = 1.0 + 0.3 * rng.normal(size=3)
         layer.bn.beta.data = rng.normal(size=3)
         layer.bn.running_var = rng.uniform(0.5, 2.0, size=3)
-        layer.bn.frozen = not batch_stats
         params += [layer.bn.gamma, layer.bn.beta]
     if quantized:
         layer.attach_quantizers(np.random.default_rng(7))
@@ -409,31 +410,22 @@ def layer_case(kind, quantized, batch_stats, x_grad, reference,
     return out, draws, grads, stats
 
 
-# batch_stats False freezes the batchnorm: its running statistics, the rule
-# of an eval forward, reached in training through --freeze-bn
 @pytest.mark.parametrize("kind", LAYER_KINDS)
 @pytest.mark.parametrize("quantized", [False, True])
-@pytest.mark.parametrize("batch_stats", [False, True])
 @pytest.mark.parametrize("x_grad", [False, True])
-def test_layer_node_matches_graph(kind, quantized, batch_stats, x_grad):
-    assert_layer_node_matches_graph(kind, quantized, batch_stats, x_grad,
-                                    np.asarray)
+def test_layer_node_matches_graph(kind, quantized, x_grad):
+    assert_layer_node_matches_graph(kind, quantized, x_grad, np.asarray)
 
 
 @pytest.mark.parametrize("quantized", [False, True])
-@pytest.mark.parametrize("batch_stats", [False, True])
 @pytest.mark.parametrize("x_grad", [False, True])
-def test_conv_layer_node_matches_graph_on_batch_last_input(quantized,
-                                                           batch_stats,
-                                                           x_grad):
-    assert_layer_node_matches_graph("conv2d", quantized, batch_stats, x_grad,
-                                    batch_last)
+def test_conv_layer_node_matches_graph_on_batch_last_input(quantized, x_grad):
+    assert_layer_node_matches_graph("conv2d", quantized, x_grad, batch_last)
 
 
-def assert_layer_node_matches_graph(kind, quantized, batch_stats, x_grad,
-                                    layout):
-    node = layer_case(kind, quantized, batch_stats, x_grad, False, layout)
-    graph = layer_case(kind, quantized, batch_stats, x_grad, True, layout)
+def assert_layer_node_matches_graph(kind, quantized, x_grad, layout):
+    node = layer_case(kind, quantized, x_grad, False, layout)
+    graph = layer_case(kind, quantized, x_grad, True, layout)
     np.testing.assert_array_equal(node[0], graph[0])
     assert node[1] == graph[1]
     assert [d[0] for d in node[1]] == (

@@ -48,13 +48,13 @@ GOLDEN = {
         "metrics.csv":
             "f7254d399349ec5491fc7de93c3c3f8713e857ea4c578c090a22f2b4ee806032",
         "last.ckpt":
-            "44cab22e269fa0e10e0cc84908994343157409f2fe283364657437284d4c83b3",
+            "881d438b3e22ba66ee708c927d296acc50697c4692f4c1753a00585318c8db34",
     },
     "conv3": {
         "metrics.csv":
             "587459844eb48bb8813a26a268a037bb50c4724fa426b47b368e62bfc3c7dc99",
         "last.ckpt":
-            "565d0183f57fec42deac6e493758f0ac8ae48f852f55c0d530e803f525ab785a",
+            "11164cd138aef1bbb3c8ec1bbd17005d32aefc24d8ba8c0cd602e086d129eed7",
     },
 }
 

@@ -12,28 +12,31 @@ PYTHONPATH, BLAS on one thread and the same relative paths. It covers:
   with rounding_residual probes, hard-label distillation and --tq-init;
   qat without PTQ, on the split the teacher records; a 21-epoch qat
   resumed in place to 30, then resumed again with no epoch left, so that
-  only its summary is new; audit; fuse of the 30-epoch qat student, of the 10-bit PTQ student (far
-  from converged, its weights spread over all 1024 levels) and of the
-  rounding_residual qat student; export-metrics;
+  only its summary is new; audit; fuse of the 30-epoch qat student, of
+  the 10-bit PTQ student (far from converged, its weights spread over all
+  1024 levels) and of the rounding_residual qat student; export-metrics;
 * conv3 on the benchmark's bar images (IDX files of seed 1): train-fp;
-  ptq; qat at 8/8; qat with frozen batchnorm at 10/10; 3-epoch qats with
-  rounding_residual and with bernoulli_variance_matched probes, whose
-  scale gradients are read over the batch-last activations; a 2-epoch
-  qat resumed in place to 3, which reads back the run and optimizer
-  sections of a student with batchnorm; audit; and fuse, which the
-  program refuses for conv layers;
+  ptq; qat at 8/8; 3-epoch qats with rounding_residual and with
+  bernoulli_variance_matched probes, whose scale gradients are read over
+  the batch-last activations; a 2-epoch qat resumed in place to 3, which
+  reads back the run and optimizer sections of a student with batchnorm;
+  audit; and fuse, which the program refuses for conv layers;
 * ``gdnsq verify``.
 
 Every command's exit code and stdout and every file left in the run
 directory are compared byte for byte. For a checkpoint (``*.ckpt``) whose
 bytes differ it also lists the sections only in A, those only in B and
 those in both that differ in dtype, shape or bytes, as this checkout's
-``gdnsq.checkpoint.load_arrays`` reads them. Prints each difference and
+``gdnsq.checkpoint.load_arrays`` reads them. For a JSON object whose bytes
+differ, a ``*.json`` file (``run.json``) or a checkpoint's JSON section
+(``config/json``, ``spec/json``), it lists the keys only in A, those only
+in B and those in both with another value. Prints each difference and
 exits 1 if there is any, else prints a one-line summary and exits 0.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -43,7 +46,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "pipebench"))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from gdnsq.checkpoint import load_arrays  # noqa: E402
+from gdnsq.checkpoint import array_to_json, load_arrays  # noqa: E402
 from gdnsq.errors import FormatError  # noqa: E402
 from workloads import WORKLOADS, prepare_inputs  # noqa: E402
 
@@ -89,8 +92,6 @@ def scenario(bars: str):
         ["ptq", "--ckpt", cfp, *conv, "--out", cptq],
         [*cqat, "--wbits", "8", "--abits", "8", "--epochs", "6",
          "--out", "conv/qat"],
-        [*cqat, "--wbits", "10", "--abits", "10", "--epochs", "3",
-         "--freeze-bn", "--out", "conv/qat_fbn"],
         [*cqat, "--epochs", "3", "--noise-mode", "rounding_residual",
          "--out", "conv/qat_rr"],
         [*cqat, "--epochs", "3", "--noise-mode",
@@ -113,9 +114,7 @@ def run_tree(src: str, work: str):
                           os.path.join(work, "bars"))
     bars = "idx:" + ":".join(os.path.relpath(p, work)
                              for p in data.split(":")[1:])
-    # trees before the seed fallback was removed read GDNSQ_SEED as a seed
-    env = {k: v for k, v in os.environ.items() if k != "GDNSQ_SEED"}
-    env.update(ONE_THREAD, PYTHONPATH=os.path.abspath(src))
+    env = dict(os.environ, **ONE_THREAD, PYTHONPATH=os.path.abspath(src))
     runs = []
     for argv in scenario(bars):
         proc = subprocess.run([sys.executable, "-m", "gdnsq.cli", *argv],
@@ -149,6 +148,9 @@ def differences(a, b):
             out.append(f"{path}: contents differ")
             if path.endswith(".ckpt"):
                 out.extend(section_differences(files_a[path], files_b[path]))
+            elif path.endswith(".json"):
+                out.extend(key_differences(json.loads, files_a[path],
+                                           files_b[path]))
     return out
 
 
@@ -169,7 +171,31 @@ def section_differences(blob_a, blob_b):
     differ = [k for k in a.keys() & b.keys()
               if (a[k].dtype, a[k].shape, a[k].tobytes())
               != (b[k].dtype, b[k].shape, b[k].tobytes())]
-    return [f"  sections {what}: {', '.join(sorted(names)) or '(none)'}"
+    out = name_lines("sections", a, b, differ)
+    for name in sorted(k for k in differ if k.endswith("/json")):
+        out.extend(f"  {name} {line.strip()}" for line in
+                   key_differences(array_to_json, a[name], b[name]))
+    return out
+
+
+def key_differences(parse, raw_a, raw_b):
+    """Three lines naming the keys only in the JSON object parse(raw_a),
+    only in parse(raw_b), and in both with another value; one line if
+    either is not a JSON object."""
+    try:
+        a, b = parse(raw_a), parse(raw_b)
+    except (ValueError, FormatError) as e:
+        return [f"  not JSON: {e}"]
+    if not (isinstance(a, dict) and isinstance(b, dict)):
+        return ["  not both JSON objects"]
+    return name_lines("keys", a, b, [k for k in a.keys() & b.keys()
+                                     if a[k] != b[k]])
+
+
+def name_lines(kind, a, b, differ):
+    """Three lines naming the kind (sections, keys) only in mapping a, only
+    in b, and those in differ."""
+    return [f"  {kind} {what}: {', '.join(sorted(names)) or '(none)'}"
             for what, names in (("only in A", a.keys() - b.keys()),
                                 ("only in B", b.keys() - a.keys()),
                                 ("that differ", differ))]
