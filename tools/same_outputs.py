@@ -16,11 +16,13 @@ PYTHONPATH, BLAS on one thread and the same relative paths. It covers:
   the 10-bit PTQ student (far from converged, its weights spread over all
   1024 levels) and of the rounding_residual qat student; export-metrics;
 * conv3 on the benchmark's bar images (IDX files of seed 1): train-fp;
-  ptq; qat at 8/8; 3-epoch qats with rounding_residual and with
-  bernoulli_variance_matched probes, whose scale gradients are read over
-  the batch-last activations; a 2-epoch qat resumed in place to 3, which
-  reads back the run and optimizer sections of a student with batchnorm;
-  audit; and fuse, which the program refuses for conv layers;
+  ptq; qat at 8/8; a 3-epoch qat at 10/10, the scenario's one run that
+  meets its targets and so writes best.ckpt; 3-epoch qats with
+  rounding_residual and with bernoulli_variance_matched probes, whose
+  scale gradients are read over the batch-last activations; a 2-epoch
+  qat resumed in place to 3, which reads back the run and optimizer
+  sections of a student with batchnorm; audit; and fuse, which the
+  program refuses for conv layers;
 * ``gdnsq verify``.
 
 Every command's exit code and stdout and every file left in the run
@@ -92,6 +94,8 @@ def scenario(bars: str):
         ["ptq", "--ckpt", cfp, *conv, "--out", cptq],
         [*cqat, "--wbits", "8", "--abits", "8", "--epochs", "6",
          "--out", "conv/qat"],
+        [*cqat, "--wbits", "10", "--abits", "10", "--epochs", "3",
+         "--out", "conv/qat_10"],
         [*cqat, "--epochs", "3", "--noise-mode", "rounding_residual",
          "--out", "conv/qat_rr"],
         [*cqat, "--epochs", "3", "--noise-mode",
@@ -156,7 +160,8 @@ def differences(a, b):
 
 def section_differences(blob_a, blob_b):
     """Three lines naming the sections only in checkpoint bytes blob_a,
-    only in blob_b, and in both but of another dtype, shape or bytes."""
+    only in blob_b, and in both but of another dtype, shape or bytes; then
+    the key_differences of each such JSON section."""
     arrays = []
     with tempfile.TemporaryDirectory(prefix="same_outputs-") as tmp:
         for i, blob in enumerate((blob_a, blob_b)):
