@@ -42,8 +42,9 @@ from .losses import DISTILL_KINDS
 from .models import Model, make_model_spec, train_teacher
 from .pipeline import (METRICS_HEADER, NO_PTQ_INIT_BITS, PTQ_BITS,
                        RunConfig, audit_bitwidth, build_student_arrays,
-                       fuse_student, load_dataset, load_student, load_teacher,
-                       ptq_minmax, qat_run, save_teacher)
+                       check_config_types, fuse_student, load_dataset,
+                       load_student, load_teacher, ptq_minmax, qat_run,
+                       save_teacher)
 from .quantizer import NOISE_MODES
 
 
@@ -74,7 +75,7 @@ def set_heap() -> None:
 # the teacher's meta, and a student built from the teacher reads them there
 DATA_KEYS = ("dataset", "data_seed", "n_train", "n_val")
 
-# train-fp's settings, and the fallback for a teacher without its splits
+# train-fp's settings
 TRAIN_FP_DEFAULTS = {"model": "mlp3", "dataset": "two_gaussians",
                      "data_seed": 0, "n_train": 1024, "n_val": 512,
                      "seed": 0, "epochs": 60, "lr": 0.01, "batch_size": 32}
@@ -201,16 +202,18 @@ def cmd_train_fp(args) -> int:
 
 def _ptq_student(args, teacher_path, defaults: dict, bits: float):
     """ptq's path from a teacher checkpoint to a student min-max calibrated
-    to `bits`. Settings are defaults < flags; a DATA_KEYS entry
-    left unset takes the teacher's recorded value (TRAIN_FP_DEFAULTS' if it
-    recorded none), and the model id is the teacher's. Returns (config,
-    teacher, meta, student, train, val)."""
+    to `bits`. Settings are defaults < flags; a DATA_KEYS entry left unset
+    takes the teacher's recorded value, which must be there with its
+    RunConfig type (``check_config_types``), and the model id is the
+    teacher spec's. Returns (config, teacher, meta, student, train,
+    val)."""
     merged = _merge_config(args, {**defaults, **dict.fromkeys(DATA_KEYS)})
     teacher, meta = load_teacher(teacher_path)
+    check_config_types(teacher_path, meta, DATA_KEYS)
     for key in DATA_KEYS:
         if merged[key] is None:
-            merged[key] = meta.get(key, TRAIN_FP_DEFAULTS[key])
-    config = RunConfig(**{**merged, "model": meta.get("model", "custom")})
+            merged[key] = meta[key]
+    config = RunConfig(**{**merged, "model": teacher.spec.model_id})
     train, val = _resolve_dataset(merged)
     student = Model(teacher.spec, quantized=True)
     student.copy_weights_from(teacher)

@@ -3,10 +3,17 @@
 A model is an ordered list of linear / conv2d layers. When built quantized,
 every inner layer (all but the first and last) gets a weight quantizer on
 its kernel and an activation quantizer on its input; first and last layers
-stay floating point. Conv blocks are conv-bn-relu; a linear layer that
-gets an image first averages it over H and W (the global average pool),
-which bridges the last conv layer to the linear head. Batchnorm uses
-momentum 0.1 and eps 1e-5, constants of ``BatchNorm``.
+stay floating point. Conv blocks are conv-bn-relu, and a linear layer has
+no batchnorm; a linear layer that gets an image first averages it over H
+and W (the global average pool), which bridges the last conv layer to the
+linear head. Batchnorm uses momentum 0.1 and eps 1e-5, constants of
+``BatchNorm``.
+
+The architectures are named: ``make_model_spec`` builds each from its id
+and two sizes, and a checkpoint names its model by exactly those three
+(``spec_to_dict``), rebuilding it through ``make_model_spec`` on read. A
+hand-built ``ModelSpec`` runs in memory but has no id, so it is never
+saved.
 
 A forward records exactly when it trains: with ``train=True`` it appends
 one chain entry per layer (``gdnsq.tensor``), with ``train=False`` it
@@ -42,7 +49,7 @@ probe rng on every site.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -65,7 +72,6 @@ class Linear:
     n_in: int
     n_out: int
     activation: str = "relu"
-    batchnorm: bool = False
     kind: str = field(default="linear", init=False)
 
 
@@ -77,22 +83,15 @@ class Conv2d:
     stride: int = 1
     padding: int = 1
     activation: str = "relu"
-    batchnorm: bool = True
     kind: str = field(default="conv2d", init=False)
-
-
-# per layer kind, its dataclass and the JSON keys of its init fields, in
-# their order
-_SPEC_LAYERS = {
-    "linear": (Linear, ("in", "out", "act", "bn")),
-    "conv2d": (Conv2d, ("in", "out", "kernel", "stride", "pad", "act", "bn")),
-}
 
 
 @dataclass
 class ModelSpec:
     layers: list
     num_classes: int
+    # the make_model_spec id it was built from; None for a hand-built spec
+    model_id: str | None = field(default=None, init=False)
 
     def __post_init__(self):
         if not self.layers:
@@ -130,65 +129,47 @@ def make_model_spec(spec_id: str, in_features: int, num_classes: int) -> ModelSp
         ]
     else:
         raise SpecError(f"unknown model spec id {spec_id!r}")
-    return ModelSpec(layers, num_classes)
+    spec = ModelSpec(layers, num_classes)
+    spec.model_id = spec_id
+    return spec
 
 
 def spec_to_dict(spec: ModelSpec) -> dict:
-    """The JSON object of spec: each layer's kind and its init fields under
-    its ``_SPEC_LAYERS`` keys."""
-    layers = []
-    for l in spec.layers:
-        values = [getattr(l, f.name) for f in fields(l) if f.init]
-        layers.append({"kind": l.kind,
-                       **dict(zip(_SPEC_LAYERS[l.kind][1], values))})
-    return {"layers": layers, "num_classes": spec.num_classes}
-
-
-def _spec_value(i, layer, key):
-    """layer[key] of spec layer i; FormatError naming both unless it is a
-    size (positive int, not bool), a padding (int >= 0), an activation of
-    the model or a batchnorm flag (bool)."""
-    v = layer[key]
-    if key == "act":
-        ok, want = v in ("relu", "identity"), "'relu' or 'identity'"
-    elif key == "bn":
-        ok, want = type(v) is bool, "true or false"
-    else:
-        least = 0 if key == "pad" else 1
-        ok, want = type(v) is int and v >= least, f"an integer >= {least}"
-    if not ok:
-        raise FormatError(f"spec layer {i}: {key!r} is {v!r}, not {want}")
-    return v
+    """The JSON object of spec: its make_model_spec id and sizes. SpecError
+    for a hand-built spec, which has no id to be rebuilt from."""
+    if spec.model_id is None:
+        raise SpecError("a hand-built model spec has no id and is not saved")
+    return {"model": spec.model_id, "in": spec.layers[0].n_in,
+            "classes": spec.num_classes}
 
 
 def spec_from_dict(d: dict) -> ModelSpec:
-    """The spec spec_to_dict wrote; FormatError for a layer of another
-    kind, a missing key, a value of the wrong JSON type and a layer value
-    out of range (``_spec_value``)."""
-    layers = []
+    """The spec spec_to_dict wrote, rebuilt by make_model_spec; FormatError
+    for a missing key and a size that is not an integer >= 1, SpecError
+    for an unknown id."""
     try:
-        for i, l in enumerate(d["layers"]):
-            if l["kind"] not in _SPEC_LAYERS:
-                raise FormatError(f"spec layer of unknown kind {l['kind']!r}")
-            cls, keys = _SPEC_LAYERS[l["kind"]]
-            layers.append(cls(*(_spec_value(i, l, k) for k in keys)))
-        return ModelSpec(layers, d["num_classes"])
+        model_id, sizes = d["model"], (d["in"], d["classes"])
     except KeyError as e:
         raise FormatError(f"spec has no key {e.args[0]!r}") from None
-    except TypeError as e:  # a list or number where an object belongs
-        raise FormatError(f"malformed spec ({e})") from None
+    except TypeError:  # a list or number where an object belongs
+        raise FormatError("spec is not a JSON object") from None
+    for key, v in zip(("in", "classes"), sizes):
+        if type(v) is not int or v < 1:
+            raise FormatError(f"spec {key!r} is {v!r}, not an integer >= 1")
+    return make_model_spec(model_id, *sizes)
 
 
 class BatchNorm:
     """Batch normalization: batch statistics in training, running
-    statistics in eval.
+    statistics in eval, over a [B, C, H, W] input (a conv layer's output,
+    the only one with batchnorm).
 
     ``normalize`` computes the output and, in training, its
     vector-Jacobian product in numpy; the layer entry composes them into
     its own rule. The gradient is the closed form of Ioffe & Szegedy
     (arXiv:1502.03167), written on the two sums the parameter gradients
-    need anyway: with N elements per feature and the sums over the batch
-    (and spatial) axes, dgamma = sum(g * xhat), dbeta = sum(g),
+    need anyway: with N elements per channel and the sums over the batch
+    and spatial axes, dgamma = sum(g * xhat), dbeta = sum(g),
     xhat = (x - mu) / sd and
     dx = (g - dbeta / N - xhat * dgamma / N) * gamma / sd.
     An eval forward normalizes with the running statistics and returns no
@@ -217,12 +198,9 @@ class BatchNorm:
         """The batchnorm output for xd and, in training, its
         vector-Jacobian product onto (x, gamma, beta), else None. Training
         also updates the running statistics."""
-        if xd.ndim == 2:
-            axes, pshape = (0,), (1, self.num_features)
-        elif xd.ndim == 4:
-            axes, pshape = (0, 2, 3), (1, self.num_features, 1, 1)
-        else:
-            raise ShapeError(f"batchnorm expects 2-d or 4-d input, got {xd.shape}")
+        if xd.ndim != 4:
+            raise ShapeError(f"batchnorm expects 4-d input, got {xd.shape}")
+        axes, pshape = (0, 2, 3), (1, self.num_features, 1, 1)
         gamma = self.gamma.data.reshape(pshape)
         beta = self.beta.data.reshape(pshape)
         if not train:
@@ -295,7 +273,8 @@ def _conv2d(xd, wd, stride, pad, input_grad):
 
 
 class _Layer:
-    """One linear or conv layer with optional batchnorm and quantizers.
+    """One linear or conv layer, with batchnorm if it is conv, and
+    optional quantizers.
 
     A training ``forward`` records the whole layer as one chain entry over
     its input array, its ``params()`` and the raw parameters of the weight
@@ -331,7 +310,7 @@ class _Layer:
         self.W = Tensor(rng.normal(0.0, np.sqrt(gain / fan_in), size=shape),
                         requires_grad=True)
         self.b = Tensor(np.zeros(spec.n_out), requires_grad=True)
-        self.bn = BatchNorm(spec.n_out) if spec.batchnorm else None
+        self.bn = BatchNorm(spec.n_out) if spec.kind == "conv2d" else None
 
     def params(self):
         """W, b, then the batchnorm gamma and beta when present."""

@@ -469,13 +469,13 @@ LAYER_NODE_KINDS = ("linear_relu", "linear_identity", "conv_bn_train")
 
 
 def _layer_node_case(rng, kind):
-    """A random FP layer of `kind` with nonzero bias (and batchnorm
-    parameters), an input whose relu inputs all sit at least 1e-3 from the
+    """A random FP layer of `kind` with nonzero bias (and, if conv,
+    batchnorm parameters), an input whose relu inputs all sit at least 1e-3 from the
     kink, the layer's parameters and output weights for a scalar loss."""
     b = int(rng.integers(2, 5))
     if kind == "conv_bn_train":
         c, o = int(rng.integers(1, 3)), int(rng.integers(2, 4))
-        spec = Conv2d(c, o, kernel=3, stride=2, padding=1, batchnorm=True)
+        spec = Conv2d(c, o, kernel=3, stride=2, padding=1)
         x_shape = (b, c, int(rng.integers(4, 7)), int(rng.integers(4, 7)))
     else:
         din, n_out = int(rng.integers(2, 6)), int(rng.integers(2, 6))

@@ -289,7 +289,7 @@ def load_student(path):
     """Rebuild (config, spec, model, arrays) from a student checkpoint
     (``read_model``); PipelineError naming the keys if its config has
     other keys than RunConfig's, FormatError for a config value of another
-    type than its default's (an integer for a float too)."""
+    type than its default's (``check_config_types``)."""
     arrays = load_arrays(path)
     saved, model = read_model(arrays, path, quantized=True)
     defaults = RunConfig().to_dict()
@@ -299,13 +299,24 @@ def load_student(path):
         raise PipelineError(f"{path}: config keys differ from RunConfig's "
                             f"(only in the checkpoint: {extra}; only in "
                             f"RunConfig: {missing})")
-    for key, default in defaults.items():
+    check_config_types(path, saved, defaults)
+    return RunConfig(**saved), model.spec, model, arrays
+
+
+def check_config_types(path, saved: dict, keys):
+    """FormatError naming path and the key for the first of keys that
+    saved lacks or holds with another type than RunConfig's default (an
+    integer for a float too)."""
+    defaults = RunConfig().to_dict()
+    for key in keys:
+        default = defaults[key]
+        if key not in saved:
+            raise FormatError(f"{path}: config has no {key}")
         want = (int, float) if isinstance(default, float) else type(default)
         if not isinstance(saved[key], want) \
                 or isinstance(saved[key], bool) != isinstance(default, bool):
             raise FormatError(f"{path}: config {key} must be of type "
                               f"{type(default).__name__}, got {saved[key]!r}")
-    return RunConfig(**saved), model.spec, model, arrays
 
 
 def save_teacher(path, model: Model, meta: dict):
@@ -387,18 +398,16 @@ class QatRun:
     (module docstring), over the student it trains."""
 
     # The run's scalar sections besides the optimizer's and rng/state:
-    # (section, attribute, storage, required: held by a qat last.ckpt but
-    # not by a PTQ student or a run saved before the best record was
-    # kept). step_n is the optimizer's opt/t and c_r follows from
-    # c_r_sum, so neither is stored.
+    # (section, attribute, storage). step_n is the optimizer's opt/t and
+    # c_r follows from c_r_sum, so neither is stored.
     _SCALARS = (
-        ("meta/epoch", "epoch", _INT, False),
-        ("sched/c_r_sum", "c_r_sum", _FLOAT, False),
-        ("lr/phase", "phase", _PHASE, False),
-        ("lr/lam", "lam", _FLOAT, False),
-        ("best/val_acc", "best_val_acc", _FLOAT, True),
-        ("best/epoch", "best_epoch", _EPOCH, True),
-        ("meta/reached_epoch", "reached_epoch", _EPOCH, True),
+        ("meta/epoch", "epoch", _INT),
+        ("sched/c_r_sum", "c_r_sum", _FLOAT),
+        ("lr/phase", "phase", _PHASE),
+        ("lr/lam", "lam", _FLOAT),
+        ("best/val_acc", "best_val_acc", _FLOAT),
+        ("best/epoch", "best_epoch", _EPOCH),
+        ("meta/reached_epoch", "reached_epoch", _EPOCH),
     )
 
     def __init__(self, config: RunConfig, student: Model):
@@ -443,21 +452,19 @@ class QatRun:
         """The run's sections: the optimizer's, rng/state and _SCALARS."""
         arrays = self.opt.state_arrays()
         arrays["rng/state"] = json_to_array(self.rng.bit_generator.state)
-        for key, attr, (dtype, store, _), _ in self._SCALARS:
+        for key, attr, (dtype, store, _) in self._SCALARS:
             arrays[key] = np.asarray(store(getattr(self, attr)), dtype=dtype)
         return arrays
 
     def load_state_arrays(self, arrays, path):
         """Resume from the checkpoint arrays read from path: the student's
         state and the run's sections. PipelineError for a checkpoint
-        without the optimizer state or a section _SCALARS marks as
-        required, or written under another config
-        (``_check_resume_config``); FormatError names any other section
-        that is missing or of another shape than what it loads into, and
-        an rng/state that does not store back to the same bytes (numpy
-        takes 1.5 for the integer 1)."""
-        required = {key for key, *_, need in self._SCALARS if need}
-        if not {"opt/t", *required} <= arrays.keys():
+        without the optimizer's step count (a PTQ student) or written
+        under another config (``_check_resume_config``); FormatError names
+        any other section that is missing or of another shape than what it
+        loads into, and an rng/state that does not store back to the same
+        bytes (numpy takes 1.5 for the integer 1)."""
+        if "opt/t" not in arrays:
             raise PipelineError(
                 f"{path} has no optimizer or schedule state; resume from a "
                 "qat last.ckpt")
@@ -475,7 +482,7 @@ class QatRun:
         if not same:
             raise FormatError(f"{path}: checkpoint section 'rng/state' is "
                               "not a PCG64 generator state in JSON")
-        for key, attr, (_, _, load), _ in self._SCALARS:
+        for key, attr, (_, _, load) in self._SCALARS:
             setattr(self, attr, load(section(arrays, key, ())))
 
 

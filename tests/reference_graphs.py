@@ -156,11 +156,10 @@ def total_loss(student_logits, teacher_logits, weight_fqs, act_fqs, targets,
 
 
 def batchnorm_forward(bn, x, train):
-    """BatchNorm.normalize on the graph for 2-d or 4-d x: in training on
-    the batch statistics, updating bn's running statistics, else on the
+    """BatchNorm.normalize on the graph for a 4-d x: in training on the
+    batch statistics, updating bn's running statistics, else on the
     running statistics."""
-    axes = (0,) if x.data.ndim == 2 else (0, 2, 3)
-    pshape = (1, bn.num_features) + (1,) * (x.data.ndim - 2)
+    axes, pshape = (0, 2, 3), (1, bn.num_features, 1, 1)
     if train:
         mu = P.mean(x, axis=axes, keepdims=True)
         centered = P.sub(x, P.broadcast_to(mu, x.shape))

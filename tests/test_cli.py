@@ -616,20 +616,50 @@ def test_data_flags_and_config_beat_the_teachers_splits(workspace, tmp_path,
         "two_gaussians", 256, 112)
 
 
-def test_ptq_of_an_older_teacher_falls_back_to_the_defaults(workspace,
-                                                            tmp_path):
-    # a teacher written before train-fp recorded its split sizes
+@pytest.mark.parametrize("command", ["ptq", "qat_no_ptq"])
+@pytest.mark.parametrize("key,value,want", [
+    ("n_train", None, "config has no n_train"),
+    ("dataset", 5, "config dataset must be of type str, got 5"),
+    ("n_train", "512", "config n_train must be of type int, got '512'")],
+    ids=["no_n_train", "dataset_a_number", "n_train_a_string"])
+def test_teacher_split_settings_are_checked(workspace, tmp_path, capsys,
+                                            command, key, value, want):
+    # a missing value took TRAIN_FP_DEFAULTS' and a mistyped one gave a
+    # traceback before; value None deletes the key
     _, teacher, _ = workspace
     arrays = load_arrays(teacher)
     meta = array_to_json(arrays["config/json"])
-    meta.pop("n_train", None), meta.pop("n_val", None)
+    if value is None:
+        del meta[key]
+    else:
+        meta[key] = value
     arrays["config/json"] = json_to_array(meta)
-    old = tmp_path / "old" / "teacher.ckpt"
-    save_arrays(old, arrays)
-    out = tmp_path / "ptq" / "student.ckpt"
-    assert main(["ptq", "--ckpt", str(old), "--out", str(out)]) == 0
-    run = json.loads((tmp_path / "ptq" / "run.json").read_text())
-    assert (run["n_train"], run["n_val"]) == (1024, 512)
+    bad = tmp_path / "bad.ckpt"
+    save_arrays(bad, arrays)
+    out = tmp_path / "out"
+    argv = (["ptq", "--ckpt", str(bad), "--out", str(out / "student.ckpt")]
+            if command == "ptq" else
+            ["qat", "--no-ptq", "--teacher", str(bad), "--epochs", "1",
+             "--out", str(out)])
+    assert main(argv) == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err == f"error: {bad}: {want}\n"
+    assert not out.exists()
+
+
+def test_student_records_the_teacher_spec_model(workspace, tmp_path):
+    # the id is the spec's, not the teacher's meta: a teacher without the
+    # model key gave a student that recorded "custom"
+    _, teacher, _ = workspace
+    arrays = load_arrays(teacher)
+    meta = array_to_json(arrays["config/json"])
+    del meta["model"]
+    arrays["config/json"] = json_to_array(meta)
+    bare = tmp_path / "bare.ckpt"
+    save_arrays(bare, arrays)
+    run, ckpt = _from_teacher("ptq", bare, tmp_path)
+    assert run["model"] == "mlp3"
+    assert array_to_json(load_arrays(ckpt)["config/json"])["model"] == "mlp3"
 
 
 def test_resume_from_a_ptq_checkpoint_refused(workspace, tmp_path, capsys):
@@ -648,8 +678,7 @@ def test_resume_from_a_ptq_checkpoint_refused(workspace, tmp_path, capsys):
 
 @pytest.mark.parametrize("case", [
     "config_not_json", "teacher_config_not_utf8", "teacher_config_a_list",
-    "no_spec", "layers_not_a_list", "layer_without_act",
-    "layer_of_unknown_kind", "wbits_a_string", "noise_mode_bogus"])
+    "no_spec", "spec_a_list", "wbits_a_string", "noise_mode_bogus"])
 def test_malformed_checkpoint_json_refused(workspace, tmp_path, capsys, case):
     _, teacher, student = workspace
     source = teacher if case.startswith("teacher") else student
@@ -664,18 +693,12 @@ def test_malformed_checkpoint_json_refused(workspace, tmp_path, capsys, case):
         arrays["config/json"] = json_to_array([config])
     elif case == "no_spec":
         del arrays["spec/json"]
-    elif case == "layers_not_a_list":
-        spec["layers"] = 5
-    elif case == "layer_without_act":
-        del spec["layers"][1]["act"]
-    elif case == "layer_of_unknown_kind":
-        spec["layers"][1]["kind"] = "foo"
+    elif case == "spec_a_list":
+        arrays["spec/json"] = json_to_array([spec])
     elif case == "wbits_a_string":
         config["wbits"] = "4"
     else:
         config["noise_mode"] = "bogus"
-    if case.startswith("layer"):
-        arrays["spec/json"] = json_to_array(spec)
     if case in ("wbits_a_string", "noise_mode_bogus"):
         arrays["config/json"] = json_to_array(config)
     bad = tmp_path / "bad.ckpt"
@@ -689,26 +712,90 @@ def test_malformed_checkpoint_json_refused(workspace, tmp_path, capsys, case):
     assert not out.parent.exists()
 
 
-@pytest.mark.parametrize("key,value,want", [
-    ("in", "2", "'in' is '2', not an integer >= 1"),
-    ("out", 48.0, "'out' is 48.0, not an integer >= 1"),
-    ("out", 0, "'out' is 0, not an integer >= 1"),
-    ("act", "tanh", "'act' is 'tanh', not 'relu' or 'identity'"),
-    ("bn", "yes", "'bn' is 'yes', not true or false")])
-def test_malformed_layer_spec_refused(workspace, tmp_path, capsys, key, value,
-                                      want):
-    # each edit of a PTQ checkpoint's spec gave a traceback, a run with
-    # the wrong activation or a misleading missing-section error before
+SPEC_EDITS = {
+    "no_model": ("model", None, "spec has no key 'model'"),
+    "no_in": ("in", None, "spec has no key 'in'"),
+    "no_classes": ("classes", None, "spec has no key 'classes'"),
+    "unknown_id": ("model", "resnet99", "unknown model spec id 'resnet99'"),
+    **{f"{key}_{name}": (key, value,
+                         f"spec '{key}' is {value!r}, not an integer >= 1")
+       for key in ("in", "classes")
+       for name, value in (("a_string", "2"), ("a_float", 2.0),
+                           ("a_bool", True), ("zero", 0))},
+}
+
+
+@pytest.mark.parametrize("key,value,want", SPEC_EDITS.values(),
+                         ids=SPEC_EDITS.keys())
+def test_malformed_spec_refused(workspace, tmp_path, capsys, key, value,
+                                want):
+    # value None deletes the key
     _, _, student = workspace
     arrays = load_arrays(student)
     spec = array_to_json(arrays["spec/json"])
-    spec["layers"][1][key] = value
+    if value is None:
+        del spec[key]
+    else:
+        spec[key] = value
     arrays["spec/json"] = json_to_array(spec)
     bad = tmp_path / "bad.ckpt"
     save_arrays(bad, arrays)
     assert main(["audit", "--ckpt", str(bad)]) == 1
     stdout, err = capsys.readouterr()
-    assert stdout == "" and err == f"error: spec layer 1: {want}\n"
+    assert stdout == "" and err == f"error: {want}\n"
+
+
+# The workspace's mlp3 as checkpoints stored it before a spec named its
+# model by id: a list of layers, each with a batchnorm flag.
+LAYER_LIST_SPEC = {"layers": [
+    {"kind": "linear", "in": 2, "out": 48, "act": "relu", "bn": False},
+    {"kind": "linear", "in": 48, "out": 48, "act": "relu", "bn": False},
+    {"kind": "linear", "in": 48, "out": 2, "act": "identity", "bn": False}],
+    "num_classes": 2}
+
+
+@pytest.mark.parametrize("command", ["ptq", "qat", "audit", "fuse"])
+def test_layer_list_checkpoint_refused(workspace, tmp_path, capsys, command):
+    _, teacher, student = workspace
+    old_teacher, old_student = tmp_path / "teacher.ckpt", tmp_path / "s.ckpt"
+    for path, old in ((teacher, old_teacher), (student, old_student)):
+        arrays = load_arrays(path)
+        arrays["spec/json"] = json_to_array(LAYER_LIST_SPEC)
+        save_arrays(old, arrays)
+    out = tmp_path / "out"
+    argv = {"ptq": ["ptq", "--ckpt", str(old_teacher),
+                    "--out", str(out / "student.ckpt")],
+            "qat": ["qat", "--ckpt", str(old_student), "--teacher",
+                    str(old_teacher), "--epochs", "1", "--out", str(out)],
+            "audit": ["audit", "--ckpt", str(old_student)],
+            "fuse": ["fuse", "--ckpt", str(old_student),
+                     "--out", str(out / "fused.npz")]}[command]
+    assert main(argv) == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err == "error: spec has no key 'model'\n"
+    assert not out.exists()
+
+
+def test_fuse_refuses_a_linear_layer_with_batchnorm(workspace, tmp_path,
+                                                   capsys):
+    # a layer list could give a linear layer batchnorm, which the integer
+    # forward skips: fuse wrote it with exit 0, 5 logits off the
+    # fake-quant forward
+    _, _, student = workspace
+    arrays = load_arrays(student)
+    spec = json.loads(json.dumps(LAYER_LIST_SPEC))
+    spec["layers"][1]["bn"] = True
+    arrays["spec/json"] = json_to_array(spec)
+    rng = np.random.default_rng(0)
+    for name in ("bn_gamma", "bn_beta", "bn_rmean"):
+        arrays[f"model/1/{name}"] = rng.normal(size=48)
+    arrays["model/1/bn_rvar"] = rng.uniform(0.5, 2.0, size=48)
+    bad = tmp_path / "bad.ckpt"
+    save_arrays(bad, arrays)
+    out = tmp_path / "fused.npz"
+    assert main(["fuse", "--ckpt", str(bad), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: spec has no key 'model'\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key,value,named", [
@@ -771,14 +858,12 @@ def _resume_damaged(workspace, tmp_path, capsys, damage):
 @pytest.mark.parametrize("command", ["audit", "ptq"])
 def test_spec_that_does_not_fit_the_arrays_refused(workspace, tmp_path, capsys,
                                                    command):
-    # every hidden size of the spec edited 48 -> 40, the arrays left as
-    # they are: a traceback from the reshape of the first layer before
+    # the input size of the spec edited 2 -> 3, the arrays left as they
+    # are: a traceback from the reshape of the first layer before
     _, teacher, student = workspace
     arrays = load_arrays(student if command == "audit" else teacher)
     spec = array_to_json(arrays["spec/json"])
-    for layer in spec["layers"]:
-        for key in ("in", "out"):
-            layer[key] = 40 if layer[key] == 48 else layer[key]
+    spec["in"] = 3
     arrays["spec/json"] = json_to_array(spec)
     bad = tmp_path / "bad.ckpt"
     save_arrays(bad, arrays)
@@ -788,7 +873,7 @@ def test_spec_that_does_not_fit_the_arrays_refused(workspace, tmp_path, capsys,
     assert main(argv) == 1
     stdout, err = capsys.readouterr()
     assert stdout == "" and err == ("error: checkpoint section 'model/0/W' "
-                                    "has shape (2, 48), expected (2, 40)\n")
+                                    "has shape (2, 48), expected (3, 48)\n")
     assert not out.parent.exists()
 
 

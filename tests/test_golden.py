@@ -48,13 +48,13 @@ GOLDEN = {
         "metrics.csv":
             "f7254d399349ec5491fc7de93c3c3f8713e857ea4c578c090a22f2b4ee806032",
         "last.ckpt":
-            "881d438b3e22ba66ee708c927d296acc50697c4692f4c1753a00585318c8db34",
+            "c44f0e866c30ec2f715811175dce6da7f0134d452451231a42393f1da5bece15",
     },
     "conv3": {
         "metrics.csv":
             "587459844eb48bb8813a26a268a037bb50c4724fa426b47b368e62bfc3c7dc99",
         "last.ckpt":
-            "11164cd138aef1bbb3c8ec1bbd17005d32aefc24d8ba8c0cd602e086d129eed7",
+            "4764fdb4d59a9c995c920ea933fe95258ab801521fd8f59e9a3457f2d1ac5cae",
     },
 }
 

@@ -73,10 +73,9 @@ BN_MODES = ("train", "eval")
 
 
 @pytest.mark.parametrize("mode", BN_MODES)
-@pytest.mark.parametrize("shape,layout", [
-    ((6, 3), np.asarray), ((4, 3, 5, 2), np.asarray),
-    ((4, 3, 5, 2), batch_last)])
-def test_batchnorm_leaves_its_arguments(mode, shape, layout):
+@pytest.mark.parametrize("layout", [np.asarray, batch_last])
+def test_batchnorm_leaves_its_arguments(mode, layout):
+    shape = (4, 3, 5, 2)
     rng = np.random.default_rng([BN_MODES.index(mode), len(shape)])
     bn = BatchNorm(3)
     bn.gamma.data = 1.0 + 0.3 * rng.normal(size=3)
@@ -127,14 +126,14 @@ def test_site_leaves_its_arguments(mode, kind, layout):
     watch.assert_unchanged("the site's vjp")
 
 
-def layer_case(kind, bn, quantized, rng):
+def layer_case(kind, quantized, rng):
     """A layer of kind linear, linear after an image (the pool) or conv,
     its input (batch-last for images) and the arrays it must not write."""
     if kind == "conv":
-        spec = Conv2d(2, 3, stride=2, padding=1, batchnorm=bn)
+        spec = Conv2d(2, 3, stride=2, padding=1)
         x = batch_last(rng.normal(0.3, 1.0, size=(3, 2, 5, 6)))
     else:
-        spec = Linear(2, 3, batchnorm=bn)
+        spec = Linear(2, 3)
         x = (rng.normal(0.3, 1.0, size=(6, 2)) if kind == "linear"
              else batch_last(rng.normal(0.3, 1.0, size=(3, 2, 4, 5))))
     layer = _Layer(spec, rng, "layer1")
@@ -149,11 +148,13 @@ def layer_case(kind, bn, quantized, rng):
 
 @pytest.mark.parametrize("mode", BN_MODES)
 @pytest.mark.parametrize("quantized", [False, True])
-@pytest.mark.parametrize("bn", [False, True])
-@pytest.mark.parametrize("kind", ["linear", "pool", "conv"])
+# a conv layer has batchnorm, a linear one has none
+@pytest.mark.parametrize("kind,bn", [("linear", False), ("pool", False),
+                                     ("conv", True)])
 def test_layer_leaves_its_arrays(kind, bn, quantized, mode):
     rng = np.random.default_rng([len(kind), bn, quantized])
-    layer, x = layer_case(kind, bn, quantized, rng)
+    layer, x = layer_case(kind, quantized, rng)
+    assert (layer.bn is not None) == bn
     watch = Watch()
     watch.add("layer parameters", *(p.data for p in layer.params()))
     handed = Watch()

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from gdnsq import pipeline
-from gdnsq import tensor as T
 from gdnsq.checkpoint import (array_to_json, json_to_array, load_arrays,
                               save_arrays)
 from gdnsq.data import Dataset, make_synthetic
@@ -409,7 +408,8 @@ class TestQatLoop:
 
     def test_resume_from_checkpoint_without_best_state(self, small_world,
                                                        tmp_path):
-        # the format written before the best-checkpoint record was kept
+        # a run's state without its best-checkpoint record, which every
+        # qat last.ckpt holds
         train, val, spec, teacher, _ = small_world
         student = fresh_student(spec, teacher, seed=2)
         ptq_minmax(student, train)
@@ -421,7 +421,7 @@ class TestQatLoop:
             del arrays[key]
         save_arrays(last, arrays)
         metrics = (tmp_path / "a" / "metrics.csv").read_bytes()
-        with pytest.raises(PipelineError, match="no optimizer or schedule"):
+        with pytest.raises(FormatError, match="'best/val_acc'"):
             qat_run(self._config(epochs=2, seed=2), teacher, student,
                     tmp_path / "a", train, val, resume_path=str(last))
         assert (tmp_path / "a" / "metrics.csv").read_bytes() == metrics
